@@ -23,7 +23,6 @@ from .optimality import (
 )
 from .suite import (
     DEFAULT_VARIANTS,
-    CompileCache,
     KernelResult,
     VariantRun,
     ascii_table,
@@ -37,7 +36,6 @@ __all__ = [
     "ALL_KERNELS",
     "ArtifactStore",
     "BRANCHY_KERNELS",
-    "CompileCache",
     "DEFAULT_VARIANTS",
     "KERNELS",
     "Kernel",

@@ -112,15 +112,6 @@ class KernelResult:
         )
 
 
-#: Deprecation alias: the compile cache was promoted to the
-#: content-addressed :class:`repro.store.ArtifactStore` (shared by the
-#: bench runner, the compile service, and the ``repro cache`` CLI).
-#: The old import path keeps working; old on-disk entries are read
-#: unchanged (they hold pickled ``CompileResult`` objects, never the
-#: store class itself).
-CompileCache = ArtifactStore
-
-
 def run_kernel(
     kernel: Kernel,
     machine: MachineModel,
@@ -128,7 +119,7 @@ def run_kernel(
     options: Optional[CompilerOptions] = None,
     n: int = 0,
     seed: int = 0,
-    cache: Optional[CompileCache] = None,
+    cache: Optional[ArtifactStore] = None,
     trace_dir: Optional[Union[str, Path]] = None,
 ) -> KernelResult:
     result = KernelResult(kernel)
@@ -235,7 +226,7 @@ def _run_kernel_task(payload):
     PERF.reset()
     if perf_on:
         PERF.enable()
-    cache = CompileCache(cache_dir) if cache_dir else None
+    cache = ArtifactStore(cache_dir) if cache_dir else None
     try:
         result = run_kernel(
             kernel, machine, variants, options, n=n, cache=cache,
@@ -274,7 +265,7 @@ def run_suite(
     failures: Dict[str, str] = {}
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        cache = CompileCache(cache_dir) if cache_dir else None
+        cache = ArtifactStore(cache_dir) if cache_dir else None
         for kernel in kernel_list:
             try:
                 out[kernel.name] = run_kernel(

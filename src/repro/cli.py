@@ -682,45 +682,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         job_timeout=args.job_timeout,
         test_hooks=os.environ.get("REPRO_SERVICE_TEST_HOOKS") == "1",
-        remote_store_url=args.remote_store,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
     )
 
     async def main() -> None:
         await service.start()
         await service.serve_forever()
-
-    asyncio.run(main())
-    return 0
-
-
-def cmd_route(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service.router import RouterService
-    from .telemetry.log import LOG
-
-    if args.log_json is not None:
-        if args.log_json == "-":
-            LOG.configure(service="repro-route")
-        else:
-            LOG.configure(path=args.log_json, service="repro-route")
-
-    router = RouterService(
-        nodes=args.node,
-        host=args.host,
-        port=args.port,
-        load_factor=args.load_factor,
-        health_interval=args.health_interval,
-        retries=args.retries,
-    )
-
-    async def main() -> None:
-        await router.start()
-        await router.serve_forever()
 
     asyncio.run(main())
     return 0
@@ -752,8 +718,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             machine=args.machine,
             datapath=args.datapath,
             options=options,
-            tenant=args.tenant,
-            priority=args.priority,
             # --wait: honor the server's Retry-After (with jitter)
             # instead of failing on the first 429.
             retries=args.retries if args.wait else 0,
@@ -804,39 +768,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     from .store import ArtifactStore
-
-    if args.cache_command == "serve":
-        import signal as signal_mod
-
-        from .store.remote import StoreServer
-
-        max_bytes = (
-            int(args.max_mb * (1 << 20)) if args.max_mb else None
-        )
-        server = StoreServer(
-            args.cache_dir, host=args.host, port=args.port,
-            max_bytes=max_bytes,
-        )
-
-        def _term(_signum, _frame):
-            raise KeyboardInterrupt
-
-        signal_mod.signal(signal_mod.SIGTERM, _term)
-        print(
-            f"repro.store serving {args.cache_dir} on {server.url}",
-            file=sys.stderr,
-            flush=True,
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-            print(
-                "repro.store drained cleanly", file=sys.stderr, flush=True
-            )
-        return 0
 
     store = ArtifactStore(args.cache_dir)
     if args.cache_command == "stats":
@@ -1156,74 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
         " event with correlation IDs, to PATH (append) or stderr"
         " when PATH is omitted",
     )
-    p_serve.add_argument(
-        "--remote-store", default=None, dest="remote_store",
-        metavar="URL",
-        help="URL of a `repro cache serve` blob server used as the L2"
-        " artifact tier behind the on-disk --cache-dir (read-through,"
-        " write-behind)",
-    )
-    p_serve.add_argument(
-        "--tenant-rate", type=float, default=0.0, dest="tenant_rate",
-        metavar="N",
-        help="per-tenant token-bucket refill rate in requests/second"
-        " (0 disables tenant rate limiting; default: 0)",
-    )
-    p_serve.add_argument(
-        "--tenant-burst", type=float, default=0.0, dest="tenant_burst",
-        metavar="N",
-        help="per-tenant bucket capacity (default: max(1, rate))",
-    )
-    p_serve.add_argument(
-        "--min-workers", type=int, default=None, dest="min_workers",
-        metavar="N",
-        help="autoscaler floor; with --max-workers, worker shards"
-        " scale between the bounds from the queue-wait latency"
-        " histogram with hysteresis",
-    )
-    p_serve.add_argument(
-        "--max-workers", type=int, default=None, dest="max_workers",
-        metavar="N",
-        help="autoscaler ceiling (see --min-workers)",
-    )
     p_serve.set_defaults(func=cmd_serve)
-
-    p_route = sub.add_parser(
-        "route",
-        help="consistent-hash router over N running servers",
-    )
-    p_route.add_argument("--host", default="127.0.0.1")
-    p_route.add_argument(
-        "--port", type=int, default=8640,
-        help="TCP port (0 picks an ephemeral port; default: 8640)",
-    )
-    p_route.add_argument(
-        "--node", action="append", required=True, metavar="URL",
-        help="a backend `repro serve` URL; repeat per node",
-    )
-    p_route.add_argument(
-        "--load-factor", type=float, default=1.25, dest="load_factor",
-        help="bounded-load limit: skip a preferred node whose in-flight"
-        " count exceeds this multiple of the fleet average"
-        " (default: 1.25)",
-    )
-    p_route.add_argument(
-        "--health-interval", type=float, default=1.0,
-        dest="health_interval",
-        help="seconds between /healthz probes of every node"
-        " (default: 1.0)",
-    )
-    p_route.add_argument(
-        "--retries", type=int, default=3,
-        help="extra nodes to try after a node loss, 429, or worker"
-        " crash before surfacing the failure (default: 3)",
-    )
-    p_route.add_argument(
-        "--log-json", nargs="?", const="-", default=None,
-        dest="log_json", metavar="PATH",
-        help="structured JSON-lines event logging (see `serve`)",
-    )
-    p_route.set_defaults(func=cmd_route)
 
     p_profile = sub.add_parser(
         "profile",
@@ -1313,15 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=5,
         help="max resubmits under --wait (default: 5)",
     )
-    p_submit.add_argument(
-        "--tenant", default=None, metavar="NAME",
-        help="tenant name for per-tenant rate accounting"
-        " (default: 'default')",
-    )
-    p_submit.add_argument(
-        "--priority", choices=("high", "normal", "bulk"), default=None,
-        help="admission priority lane (default: normal)",
-    )
     common(p_submit)
     p_submit.set_defaults(func=cmd_submit)
 
@@ -1350,23 +1205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="target store size in megabytes",
     )
     p_cache_prune.set_defaults(func=cmd_cache)
-    p_cache_serve = cache_sub.add_parser(
-        "serve",
-        help="serve a store directory over HTTP (the cluster L2 tier)",
-    )
-    p_cache_serve.add_argument(
-        "--cache-dir", required=True, metavar="DIR"
-    )
-    p_cache_serve.add_argument("--host", default="127.0.0.1")
-    p_cache_serve.add_argument(
-        "--port", type=int, default=8641,
-        help="TCP port (0 picks an ephemeral port; default: 8641)",
-    )
-    p_cache_serve.add_argument(
-        "--max-mb", type=float, default=None, dest="max_mb",
-        help="prune the directory toward this budget as puts land",
-    )
-    p_cache_serve.set_defaults(func=cmd_cache)
 
     p_kernels = sub.add_parser("kernels", help="list the benchmarks")
     p_kernels.set_defaults(func=cmd_kernels)

@@ -14,9 +14,8 @@ Two kinds of engine are registered here:
   object to install on ``state.batched`` (or ``None`` for the plain
   interpreter loop).
 
-Built-ins are pre-registered in their legacy order so existing tuple
-constants (``grouping.ENGINES``, ``simulator.ENGINES``) and all literal
-string options keep working verbatim.  Unknown names raise one
+Built-ins are pre-registered, so literal engine-name strings work
+everywhere without further setup.  Unknown names raise one
 structured :class:`~repro.errors.OptionsError` listing what is
 registered; duplicate registrations are rejected loudly.
 

@@ -61,8 +61,10 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 
-#: Function-call names of the expression grammar.
-_CALL_NAMES = ("min", "max", "sqrt", "abs", "select")
+#: Function-call names of the expression grammar. ``neg`` is how the
+#: printer renders unary minus, so accepting it keeps printed programs
+#: parseable.
+_CALL_NAMES = ("min", "max", "sqrt", "abs", "neg", "select")
 
 
 def _line_col(src: str, offset: int) -> Tuple[int, int]:

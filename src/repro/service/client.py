@@ -273,8 +273,6 @@ class ServiceClient:
         options: Optional[CompilerOptions],
         seed: int,
         trace: bool,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
     ) -> Dict[str, Any]:
         if (source is None) == (kernel is None):
             raise ServiceError(
@@ -299,10 +297,6 @@ class ServiceClient:
             request["options"] = opts
         if trace:
             request["trace"] = True
-        if tenant:
-            request["tenant"] = tenant
-        if priority:
-            request["priority"] = priority
         return request
 
     def compile(
@@ -315,8 +309,6 @@ class ServiceClient:
         datapath: Optional[int] = None,
         options: Optional[CompilerOptions] = None,
         trace: bool = False,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
         retries: int = 0,
     ) -> SubmitOutcome:
         """Compile on the server; ``outcome.result`` is dataclass-equal
@@ -325,7 +317,7 @@ class ServiceClient:
             "compile",
             self._job_request(
                 source, kernel, n, variant, machine, datapath, options,
-                seed=0, trace=trace, tenant=tenant, priority=priority,
+                seed=0, trace=trace,
             ),
             retries=retries,
         )
@@ -341,8 +333,6 @@ class ServiceClient:
         options: Optional[CompilerOptions] = None,
         seed: int = 0,
         trace: bool = False,
-        tenant: Optional[str] = None,
-        priority: Optional[str] = None,
         retries: int = 0,
     ) -> SubmitOutcome:
         """Compile + simulate on the server; additionally fills
@@ -351,7 +341,7 @@ class ServiceClient:
             "simulate",
             self._job_request(
                 source, kernel, n, variant, machine, datapath, options,
-                seed=seed, trace=trace, tenant=tenant, priority=priority,
+                seed=seed, trace=trace,
             ),
             retries=retries,
         )

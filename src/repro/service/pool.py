@@ -139,37 +139,15 @@ def _run_test_hooks(job: Dict[str, Any]) -> None:
         with open(crash_once, "w") as handle:
             handle.write("crashed")
         os._exit(3)
-    crash_times = job.get("x_crash_times")
-    if crash_times:
-        # Crash the first N attempts that reach *any* worker sharing
-        # the flag file — N=2 defeats one node's in-pool retry, so a
-        # router-level retry on another node is what succeeds.
-        flag, limit = crash_times
-        try:
-            with open(flag, "r") as handle:
-                seen = int(handle.read().strip() or 0)
-        except (OSError, ValueError):
-            seen = 0
-        if seen < int(limit):
-            with open(flag, "w") as handle:
-                handle.write(str(seen + 1))
-            os._exit(3)
     if job.get("x_crash"):
         os._exit(3)
 
 
-def _worker_main(
-    conn,
-    store_dir: Optional[str],
-    remote_store_url: Optional[str],
-    test_hooks: bool,
-) -> None:
+def _worker_main(conn, store_dir: Optional[str], test_hooks: bool) -> None:
     """Worker-process loop: recv job, send ``(status, payload,
     perf_snapshot)``, repeat until the pipe closes or ``None`` arrives."""
-    from ..store.remote import open_store
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    store = open_store(store_dir, remote_store_url)
+    store = ArtifactStore(store_dir) if store_dir else None
     memo: Dict[str, Any] = {}
     while True:
         try:
@@ -205,10 +183,6 @@ def _worker_main(
                 )
             else:  # pragma: no cover - results are picklable by design
                 raise
-    # Graceful exit: let the write-behind queue reach the remote tier
-    # before the process dies (a SIGKILL skips this, by design).
-    if hasattr(store, "close"):
-        store.close()
     conn.close()
 
 
@@ -223,10 +197,6 @@ class _Worker:
         self.index = index
         self.pool = pool
         self.lock = threading.Lock()
-        #: Set (under ``lock``) when the autoscaler shrinks this shard
-        #: away; a submit that raced the resize re-routes instead of
-        #: resurrecting a stopped process.
-        self.retired = False
         self._jobs = pool._jobs_family.labels(shard=index)
         self._restarts = pool._restarts_family.labels(shard=index)
         self.process: Optional[multiprocessing.Process] = None
@@ -246,12 +216,7 @@ class _Worker:
         parent, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(
-                child,
-                self.pool.store_dir,
-                self.pool.remote_store_url,
-                self.pool.test_hooks,
-            ),
+            args=(child, self.pool.store_dir, self.pool.test_hooks),
             daemon=True,
             name=f"repro-worker-{self.index}",
         )
@@ -310,17 +275,14 @@ class WorkerPool:
         job_timeout: float = 300.0,
         test_hooks: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        remote_store_url: Optional[str] = None,
     ):
         if shards < 1:
             raise ServiceError(f"need at least 1 worker shard, got {shards}")
         self.store_dir = str(store_dir) if store_dir else None
-        self.remote_store_url = remote_store_url
         self.job_timeout = job_timeout
         self.test_hooks = test_hooks
         self._ctx = multiprocessing.get_context()
         self._merge_lock = threading.Lock()
-        self._resize_lock = threading.Lock()
         registry = metrics or METRICS
         self._jobs_family = registry.counter(
             "repro_pool_jobs_total",
@@ -353,10 +315,9 @@ class WorkerPool:
 
     # -- routing ---------------------------------------------------------------
 
-    def shard_for(self, key: str, shard_count: Optional[int] = None) -> int:
+    def shard_for(self, key: str) -> int:
         digest = hashlib.sha256(key.encode("utf-8")).digest()
-        count = shard_count or len(self.workers)
-        return int.from_bytes(digest[:4], "big") % count
+        return int.from_bytes(digest[:4], "big") % len(self.workers)
 
     # -- submission ------------------------------------------------------------
 
@@ -364,141 +325,88 @@ class WorkerPool:
         """Run one job on its shard (blocking); returns the worker's
         payload dict. Re-raises job errors; retries once across a
         worker death, then raises :class:`WorkerCrashError`."""
+        if self._closed:
+            raise ServiceError("pool is closed")
         request_id = job.get("request_id")
-        while True:
-            if self._closed:
-                raise ServiceError("pool is closed")
-            # Snapshot the shard list: ``resize`` swaps the list
-            # atomically, so routing against one consistent view and
-            # re-checking ``retired`` under the shard lock is enough.
-            workers = self.workers
-            worker = workers[self.shard_for(job["key"], len(workers))]
-            with worker.lock:
-                if worker.retired:
-                    continue
-                return self._run_on(worker, job, request_id)
-
-    def _run_on(
-        self, worker: _Worker, job: Dict[str, Any], request_id
-    ) -> Dict[str, Any]:
-        """One job on one locked shard (the body of :meth:`submit`)."""
-        for attempt in (0, 1):
-            if not worker.alive():
-                worker.respawn()
-            try:
-                worker.conn.send(job)
-                if not worker.conn.poll(self.job_timeout):
-                    raise TimeoutError(
-                        f"job exceeded {self.job_timeout:.0f}s"
+        worker = self.workers[self.shard_for(job["key"])]
+        with worker.lock:
+            for attempt in (0, 1):
+                if not worker.alive():
+                    worker.respawn()
+                try:
+                    worker.conn.send(job)
+                    if not worker.conn.poll(self.job_timeout):
+                        raise TimeoutError(
+                            f"job exceeded {self.job_timeout:.0f}s"
+                        )
+                    status, payload, snapshot = worker.conn.recv()
+                except (
+                    EOFError,
+                    BrokenPipeError,
+                    ConnectionError,
+                    OSError,
+                    TimeoutError,
+                ) as transport:
+                    self._crashes.inc()
+                    worker.respawn()
+                    if attempt == 0:
+                        self._retries.inc()
+                        if LOG.enabled:
+                            LOG.event(
+                                "pool.retry",
+                                request_id=request_id,
+                                shard=worker.index,
+                                cause=type(transport).__name__,
+                            )
+                        continue
+                    crash = WorkerCrashError(
+                        f"worker shard {worker.index} died twice running "
+                        f"one job ({type(transport).__name__}: {transport});"
+                        f" giving up after one retry",
+                        rule="service.worker-crash",
                     )
-                status, payload, snapshot = worker.conn.recv()
-            except (
-                EOFError,
-                BrokenPipeError,
-                ConnectionError,
-                OSError,
-                TimeoutError,
-            ) as transport:
-                self._crashes.inc()
-                worker.respawn()
-                if attempt == 0:
-                    self._retries.inc()
+                    # Correlate the structured failure with the request
+                    # (travels in the error payload next to the pickle).
+                    crash.request_id = request_id
                     if LOG.enabled:
                         LOG.event(
-                            "pool.retry",
+                            "pool.crash",
                             request_id=request_id,
                             shard=worker.index,
                             cause=type(transport).__name__,
                         )
-                    continue
-                crash = WorkerCrashError(
-                    f"worker shard {worker.index} died twice running "
-                    f"one job ({type(transport).__name__}: {transport});"
-                    f" giving up after one retry",
-                    rule="service.worker-crash",
-                )
-                # Correlate the structured failure with the request
-                # (travels in the error payload next to the pickle).
-                crash.request_id = request_id
-                if LOG.enabled:
-                    LOG.event(
-                        "pool.crash",
-                        request_id=request_id,
-                        shard=worker.index,
-                        cause=type(transport).__name__,
-                    )
-                raise crash
-            worker._jobs.inc()
-            if snapshot:
-                # The worker's perf snapshot merges under the same
-                # correlation ID the job ran with.
-                with self._merge_lock:
-                    PERF.merge(snapshot)
-                if LOG.enabled:
-                    LOG.event(
-                        "pool.perf_merge",
-                        request_id=request_id,
-                        shard=worker.index,
-                        sections=len(snapshot.get("sections", {})),
-                        counters=len(snapshot.get("counters", {})),
-                    )
-            if status == "error":
-                if isinstance(payload, BaseException):
-                    raise payload
-                raise ServiceError(str(payload))
-            return payload
+                    raise crash
+                worker._jobs.inc()
+                if snapshot:
+                    # The worker's perf snapshot merges under the same
+                    # correlation ID the job ran with.
+                    with self._merge_lock:
+                        PERF.merge(snapshot)
+                    if LOG.enabled:
+                        LOG.event(
+                            "pool.perf_merge",
+                            request_id=request_id,
+                            shard=worker.index,
+                            sections=len(snapshot.get("sections", {})),
+                            counters=len(snapshot.get("counters", {})),
+                        )
+                if status == "error":
+                    if isinstance(payload, BaseException):
+                        raise payload
+                    raise ServiceError(str(payload))
+                return payload
         raise AssertionError("unreachable")  # pragma: no cover
-
-    # -- elasticity ------------------------------------------------------------
-
-    def resize(self, shards: int) -> int:
-        """Grow or shrink to ``shards`` worker shards (blocking; the
-        autoscaler calls this off the event loop).
-
-        Growing spawns fresh warm workers. Shrinking publishes the
-        trimmed shard list first — new submissions route only to the
-        survivors — then stops each retired worker after its in-flight
-        job finishes (the shard lock serializes). Resizing remaps
-        ``shard_for``, so warm in-worker memos partially miss until the
-        artifact store refills them: exactly the cost model consistent
-        hashing has at the router tier."""
-        if shards < 1:
-            raise ServiceError(f"need at least 1 worker shard, got {shards}")
-        with self._resize_lock:
-            if self._closed:
-                return len(self.workers)
-            current = list(self.workers)
-            if shards == len(current):
-                return shards
-            if shards > len(current):
-                for index in range(len(current), shards):
-                    current.append(_Worker(index, self))
-                self.workers = current
-            else:
-                survivors, retired = current[:shards], current[shards:]
-                self.workers = survivors
-                for worker in retired:
-                    with worker.lock:
-                        worker.retired = True
-                        worker.stop()
-            if LOG.enabled:
-                LOG.event(
-                    "pool.resize", shards=shards, was=len(current)
-                    if shards > len(current) else len(current),
-                )
-            return shards
 
     # -- stats / lifecycle -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        workers = self.workers
         return {
-            "shards": len(workers),
-            "jobs": sum(w.jobs for w in workers),
-            "restarts": sum(w.restarts for w in workers),
+            "shards": len(self.workers),
+            "jobs": sum(w.jobs for w in self.workers),
+            "restarts": sum(w.restarts for w in self.workers),
             "crashes": self.crashes,
             "retries": self.retries,
-            "per_shard_jobs": [w.jobs for w in workers],
+            "per_shard_jobs": [w.jobs for w in self.workers],
         }
 
     def close(self) -> None:
@@ -508,10 +416,9 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        with self._resize_lock:
-            for worker in list(self.workers):
-                with worker.lock:
-                    worker.stop()
+        for worker in self.workers:
+            with worker.lock:
+                worker.stop()
 
 
 __all__ = ["WorkerPool", "MEMO_ENTRIES"]

@@ -53,7 +53,6 @@ from ..ir import parse_program
 from ..ir.printer import format_program
 from ..perf import PERF
 from ..store import ArtifactStore
-from ..store.remote import open_store
 from ..telemetry.log import LOG, bind_request_id, new_request_id
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.promtext import (
@@ -69,12 +68,6 @@ from . import (
     options_from_dict,
     pickle_b64,
 )
-from .admission import (
-    AdmissionController,
-    validate_priority,
-    validate_tenant,
-)
-from .autoscale import Autoscaler, AutoscalerConfig
 from .coalesce import Coalescer
 from .pool import WorkerPool
 
@@ -133,11 +126,6 @@ class ReproService:
         cache_dir: Optional[str] = None,
         job_timeout: float = 300.0,
         test_hooks: bool = False,
-        remote_store_url: Optional[str] = None,
-        tenant_rate: float = 0.0,
-        tenant_burst: float = 0.0,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ):
         self.host = host
         self.port = port
@@ -146,9 +134,6 @@ class ReproService:
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.job_timeout = job_timeout
         self.test_hooks = test_hooks
-        self.remote_store_url = remote_store_url
-        self.min_workers = min_workers
-        self.max_workers = max_workers
 
         # Per-server registry: embedded test servers must not bleed
         # counters into each other, so each instance owns its metrics;
@@ -179,32 +164,13 @@ class ReproService:
 
         self.pool: Optional[WorkerPool] = None
         self.coalescer = Coalescer(metrics=self.metrics)
-        # The server's own store handle (stats + scrape-time gauges):
-        # tiered when a remote L2 is configured, so /metrics shows the
-        # cluster-wide hit picture, not just this node's disk.
-        self.store = open_store(
-            self.cache_dir, remote_store_url, metrics=self.metrics
+        # The server's own store handle (stats + scrape-time gauges);
+        # its op counters fold into this server's Prometheus exposition.
+        self.store = (
+            ArtifactStore(self.cache_dir, metrics=self.metrics)
+            if self.cache_dir
+            else None
         )
-        self.admission = AdmissionController(
-            queue_limit=queue_limit,
-            tenant_rate=tenant_rate,
-            tenant_burst=tenant_burst,
-            metrics=self.metrics,
-        )
-        self.autoscaler: Optional[Autoscaler] = None
-        if min_workers is not None and max_workers is not None:
-            if not 1 <= min_workers <= max_workers:
-                raise ServiceError(
-                    f"need 1 <= min_workers <= max_workers, got "
-                    f"{min_workers}..{max_workers}"
-                )
-            self.autoscaler = Autoscaler(
-                AutoscalerConfig(
-                    min_shards=min_workers, max_shards=max_workers
-                ),
-                metrics=self.metrics,
-            )
-        self._autoscale_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._shutdown = asyncio.Event()
@@ -233,11 +199,6 @@ class ReproService:
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def live_shards(self) -> int:
-        """Current worker count — tracks autoscaler resizes."""
-        return len(self.pool.workers) if self.pool else self.shards
-
     async def start(self) -> None:
         PERF.enable()
         self.pool = WorkerPool(
@@ -246,41 +207,17 @@ class ReproService:
             job_timeout=self.job_timeout,
             test_hooks=self.test_hooks,
             metrics=self.metrics,
-            remote_store_url=self.remote_store_url,
         )
-        # Threads block on worker pipes; spares sized to the scaling
-        # ceiling keep followers and metrics from queueing behind busy
-        # shards even after the autoscaler grows the pool.
+        # Threads block on worker pipes; a couple of spares keep
+        # followers and metrics from queueing behind busy shards.
         self._executor = ThreadPoolExecutor(
-            max_workers=(self.max_workers or self.shards) + 4,
+            max_workers=self.shards + 4,
             thread_name_prefix="repro-serve",
         )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.autoscaler is not None:
-            self._autoscale_task = asyncio.get_running_loop().create_task(
-                self._autoscale_loop()
-            )
-
-    async def _autoscale_loop(self) -> None:
-        """Periodic tick: evaluate the hysteresis policy against the
-        queue-wait histogram and resize the pool off the event loop."""
-        interval = self.autoscaler.config.interval
-        while not self._draining:
-            await asyncio.sleep(interval)
-            if self._draining or self.pool is None:
-                break
-            desired = self.autoscaler.tick(
-                shards=self.live_shards,
-                queue_depth=self.coalescer.depth,
-                queue_wait_snapshot=self.latency["queue_wait"].snapshot(),
-            )
-            if desired != self.live_shards:
-                await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self.pool.resize, desired
-                )
 
     async def serve_forever(self) -> None:
         loop = asyncio.get_running_loop()
@@ -317,13 +254,6 @@ class ReproService:
         """Stop accepting, let in-flight requests finish, stop the
         pool."""
         self._draining = True
-        if self._autoscale_task is not None:
-            self._autoscale_task.cancel()
-            try:
-                await self._autoscale_task
-            except asyncio.CancelledError:
-                pass
-            self._autoscale_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -349,8 +279,6 @@ class ReproService:
             )
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        if self.store is not None and hasattr(self.store, "close"):
-            self.store.close()
 
     # -- connection handling ---------------------------------------------------
 
@@ -495,25 +423,14 @@ class ReproService:
         coalesce_key = "{}:{}:seed={}:trace={}".format(
             kind, key, job.get("seed", 0), bool(job.get("trace"))
         )
-        tenant = job["tenant"]
-        lane = job["priority"]
         self._active += 1
         self._idle.clear()
         leader_rid: Optional[str] = None
         try:
             with bind_request_id(rid):
                 if self.coalescer.has(coalesce_key):
-                    # Followers ride the in-flight leader: no queue
-                    # slot, no worker — but the tenant bucket is still
-                    # charged, so warm-key resubmits can't amplify one
-                    # tenant for free.
-                    verdict = self.admission.check(
-                        tenant, lane, self.coalescer.depth, follower=True
-                    )
-                    if not verdict.admitted:
-                        return self._shed(
-                            kind, key, rid, tenant, lane, verdict
-                        )
+                    # Followers ride the in-flight leader: no admission
+                    # check, no queue slot, no worker.
                     leader_rid = self.coalescer.leader_id(coalesce_key)
                     if LOG.enabled:
                         LOG.event(
@@ -533,13 +450,9 @@ class ReproService:
                                 ServiceError("server is draining"), rid
                             ),
                         )
-                    verdict = self.admission.check(
-                        tenant, lane, self.coalescer.depth
-                    )
-                    if not verdict.admitted:
-                        return self._shed(
-                            kind, key, rid, tenant, lane, verdict
-                        )
+                    depth = self.coalescer.depth
+                    if depth >= self.queue_limit:
+                        return self._shed(kind, key, rid, depth)
                     if LOG.enabled:
                         LOG.event("request.lead", kind=kind, key=key)
                     payload = await self.coalescer.lead(
@@ -640,12 +553,6 @@ class ReproService:
         request_id = request.get("request_id")
         if not isinstance(request_id, str) or not request_id:
             request_id = new_request_id()
-        ok, tenant = validate_tenant(request.get("tenant"))
-        if not ok:
-            raise ServiceError(tenant, rule="service.tenant")
-        ok, priority = validate_priority(request.get("priority"))
-        if not ok:
-            raise ServiceError(priority, rule="service.priority")
         job: Dict[str, Any] = {
             "kind": kind,
             "source": source,
@@ -657,13 +564,9 @@ class ReproService:
             "trace": bool(request.get("trace")),
             "key": key,
             "request_id": request_id,
-            "tenant": tenant,
-            "priority": priority,
         }
         if self.test_hooks:
-            for hook in (
-                "x_crash_once", "x_crash", "x_crash_times", "x_sleep"
-            ):
+            for hook in ("x_crash_once", "x_crash", "x_sleep"):
                 if hook in request:
                     job[hook] = request[hook]
         return job, key
@@ -687,42 +590,25 @@ class ReproService:
         return await loop.run_in_executor(self._executor, run)
 
     def _shed(
-        self,
-        kind: str,
-        key: str,
-        rid: str,
-        tenant: str,
-        lane: str,
-        verdict,
+        self, kind: str, key: str, rid: str, depth: int
     ) -> Tuple[int, Tuple, Dict[str, Any]]:
-        """Build the 429 for a rejected request (queue full or tenant
-        over its rate), with an honest ``Retry-After``."""
+        """The 429 for a job shed because the queue is full, with a
+        ``Retry-After`` scaled to the backlog per shard."""
         self._rejected.inc()
-        depth = self.coalescer.depth
-        if verdict.reason == "queue-full":
-            retry_after = float(max(1, depth // max(1, self.live_shards)))
-            message = (
-                f"queue full ({depth} in flight, lane {lane!r} limit "
-                f"{self.admission.lane_limit(lane)} of "
-                f"{self.queue_limit})"
-            )
-            rule = "service.backpressure"
-        else:
-            retry_after = max(0.05, round(verdict.retry_after, 3))
-            message = (
-                f"tenant {tenant!r} over its rate limit "
-                f"({self.admission.tenant_rate:g}/s)"
-            )
-            rule = "service.tenant-limit"
         if LOG.enabled:
-            LOG.event(
-                "request.shed", kind=kind, key=key, depth=depth,
-                tenant=tenant, lane=lane, reason=verdict.reason,
-            )
+            LOG.event("request.shed", kind=kind, key=key, depth=depth)
+        retry_after = max(1, depth // self.shards)
         return (
             429,
-            (("Retry-After", f"{retry_after:g}"),),
-            self._error_body(ServiceError(message, rule=rule), rid),
+            (("Retry-After", str(retry_after)),),
+            self._error_body(
+                ServiceError(
+                    f"queue full ({depth} in flight, limit "
+                    f"{self.queue_limit})",
+                    rule="service.backpressure",
+                ),
+                rid,
+            ),
         )
 
     # -- response bodies -------------------------------------------------------
@@ -796,7 +682,7 @@ class ReproService:
             "schema": SCHEMA,
             "ok": True,
             "draining": self._draining,
-            "workers": self.live_shards,
+            "workers": self.shards,
             "queue_depth": self.coalescer.depth,
             "queue_limit": self.queue_limit,
             "served": self.served,
@@ -806,8 +692,6 @@ class ReproService:
         store_stats: Dict[str, Any] = {}
         if self.store is not None:
             store_stats = dataclasses.asdict(self.store.stats())
-            if hasattr(self.store, "remote_stats"):
-                store_stats["remote"] = self.store.remote_stats()
         return {
             "schema": SCHEMA,
             "ok": True,
@@ -821,7 +705,6 @@ class ReproService:
                     "limit": self.queue_limit,
                     "rejected": self.rejected,
                 },
-                "admission": self.admission.stats(),
                 "pool": self.pool.stats() if self.pool else {},
                 "store": store_stats,
                 "latency_ms": {
@@ -845,7 +728,7 @@ class ReproService:
         gauges.labels(facet="queue_depth").set(self.coalescer.depth)
         gauges.labels(facet="queue_limit").set(self.queue_limit)
         gauges.labels(facet="draining").set(1 if self._draining else 0)
-        gauges.labels(facet="shards").set(self.live_shards)
+        gauges.labels(facet="shards").set(self.shards)
         if self.store is not None:
             stats = self.store.stats()
             store = self.metrics.gauge(

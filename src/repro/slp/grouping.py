@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engines import engine_names, resolve as resolve_engine_impl
+from ..engines import resolve as resolve_engine_impl
 from ..errors import Diagnostic, OptionsError
 from ..analysis import DependenceGraph
 from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
@@ -81,12 +81,6 @@ SCALAR_SCATTER_PENALTY = 1.0
 #: replication, Section 5.2, or scalar offset assignment, Section 5.1):
 #: only the amortized copy/arena cost remains.
 LAYOUT_FIXABLE_PENALTY = 0.25
-
-#: Engines for the decision loop, in registration order (the registry
-#: in :mod:`repro.engines` is the source of truth; this tuple is kept
-#: for backward compatibility).
-ENGINES = engine_names("grouping")
-
 
 @dataclass(frozen=True, slots=True)
 class PenaltyContext:

@@ -3,9 +3,9 @@
 ``ArtifactStore`` is the on-disk memo of :func:`repro.compiler.
 compile_program` results, shared by the bench runner (``run_suite``'s
 ``cache_dir``), the compile-and-simulate service (``repro serve``), and
-the ``repro cache`` CLI. It grew out of ``repro.bench.suite.
-CompileCache`` (which remains as a deprecation alias) when the service
-needed the same store outside the bench harness.
+the ``repro cache`` CLI. It grew out of the bench runner's private
+compile cache when the service needed the same store outside the bench
+harness.
 
 Design points:
 
@@ -44,12 +44,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..perf import count
-from ..telemetry.metrics import MetricsRegistry
+from .perf import count
+from .telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..compiler import CompilerOptions, CompileResult, Variant
-    from ..vm import MachineModel
+    from .compiler import CompilerOptions, CompileResult, Variant
+    from .vm import MachineModel
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class ArtifactStore:
         machine: "MachineModel",
         options: Optional["CompilerOptions"],
     ) -> str:
-        from ..compiler import CompilerOptions
-        from ..ir.printer import format_program
+        from .compiler import CompilerOptions
+        from .ir.printer import format_program
 
         # The simulation engine plays no part in compilation, so it is
         # normalized out of the key: reference and batched runs share
@@ -303,25 +303,7 @@ class ArtifactStore:
         return removed
 
 
-#: Deprecation alias — the name this class had when it lived in
-#: ``repro.bench.suite``. Old pickles are unaffected (entries hold
-#: ``CompileResult`` objects, never the store class itself).
-CompileCache = ArtifactStore
-
-# The multi-node tier: an HTTP remote store (L2) layered under the
-# on-disk store (L1). Imported at the bottom so ``repro.store`` keeps
-# its historical import cost and ``remote`` can import ArtifactStore.
-from .remote import (  # noqa: E402
-    RemoteStore,
-    StoreServer,
-    TieredStore,
-)
-
 __all__ = [
     "ArtifactStore",
-    "CompileCache",
-    "RemoteStore",
-    "StoreServer",
     "StoreStats",
-    "TieredStore",
 ]

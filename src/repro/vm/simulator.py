@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engines import engine_names, resolve as resolve_engine_impl
+from ..engines import resolve as resolve_engine_impl
 from ..errors import SimulationError
 from ..ir import ArrayRef, Const, Expr, Var
 from ..perf import section as perf_section
@@ -273,19 +273,6 @@ def interpret_program(program, memory: Optional[Memory] = None, seed: int = 0) -
     return memory
 
 
-#: Recognized execution engines, from the :mod:`repro.engines`
-#: registry (kept as a tuple for backward compatibility). ``reference``
-#: is the per-instruction interpreter below; ``batched`` is the
-#: vectorized loop engine in :mod:`repro.vm.batched`, proven
-#: report-identical by differential tests and falling back here
-#: per-unit whenever a loop is not batchable; ``compiled`` additionally
-#: emits one specialized NumPy function per affine loop
-#: (:mod:`repro.vm.compiled`), cached across runs, and falls back to
-#: the batched path per-unit. Engines registered via
-#: ``repro.engines.register_sim_engine`` after import are resolved too;
-#: this tuple snapshots the built-ins.
-ENGINES = engine_names("sim")
-
 #: Environment variable consulted when no engine is given explicitly —
 #: lets existing harnesses (the fig16–fig21 benches, ``run_suite``
 #: callers) switch engines without any signature changes.
@@ -302,7 +289,14 @@ def resolve_engine(engine: Optional[str]) -> str:
 class Simulator:
     """Executes plans with cycle/cache accounting.
 
-    ``engine`` selects the execution strategy (see :data:`ENGINES`);
+    ``engine`` selects the execution strategy, by a name registered in
+    :mod:`repro.engines`. ``reference`` is the per-instruction
+    interpreter below; ``batched`` is the vectorized loop engine in
+    :mod:`repro.vm.batched`, proven report-identical by differential
+    tests and falling back here per-unit whenever a loop is not
+    batchable; ``compiled`` additionally emits one specialized NumPy
+    function per affine loop (:mod:`repro.vm.compiled`), cached across
+    runs, and falls back to the batched path per-unit.
     ``None`` defers to the ``REPRO_SIM_ENGINE`` environment variable and
     then to the reference interpreter. ``kernel_store``, when given, is
     an :class:`repro.store.ArtifactStore` the compiled engine uses to

@@ -15,9 +15,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import CompilerOptions, Variant, compile_program, parse_program
+from repro import (
+    ArtifactStore,
+    CompilerOptions,
+    Variant,
+    compile_program,
+    parse_program,
+)
 from repro.bench import ALL_KERNELS, KERNELS
-from repro.bench.suite import CompileCache, DEFAULT_VARIANTS, run_kernel
+from repro.bench.suite import DEFAULT_VARIANTS, run_kernel
 from repro.ir import (
     Affine,
     ArrayRef,
@@ -32,7 +38,6 @@ from repro.ir import (
 )
 from repro.perf import PERF
 from repro.vm import (
-    ENGINES,
     MACHINES,
     Simulator,
     amd_phenom_ii,
@@ -293,7 +298,6 @@ class TestEngineSelection:
             resolve_engine("simd-ultra")
 
     def test_engines_registry(self):
-        assert ENGINES == ("reference", "batched", "compiled")
         assert set(MACHINES) == {"intel", "amd"}
 
 
@@ -314,14 +318,14 @@ class TestOptionsPlumbing:
     def test_compile_cache_key_ignores_engine(self):
         machine = intel_dunnington()
         program = KERNELS["mg"].build(8)
-        base = CompileCache.key(program, Variant.GLOBAL, machine, None)
-        assert base == CompileCache.key(
+        base = ArtifactStore.key(program, Variant.GLOBAL, machine, None)
+        assert base == ArtifactStore.key(
             program,
             Variant.GLOBAL,
             machine,
             CompilerOptions(engine="batched"),
         )
-        assert base == CompileCache.key(
+        assert base == ArtifactStore.key(
             program,
             Variant.GLOBAL,
             machine,

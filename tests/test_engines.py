@@ -37,19 +37,12 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 
 class TestRegistry:
     def test_builtins_in_legacy_order(self):
-        # Pinned: existing tuple constants and docs enumerate these in
-        # exactly this order.
+        # Pinned: the docs and the fuzz engine matrix enumerate these
+        # in exactly this order.
         assert engine_names("grouping") == (
             "incremental", "reference", "optimal",
         )
         assert engine_names("sim") == ("reference", "batched", "compiled")
-
-    def test_legacy_tuple_constants_come_from_the_registry(self):
-        from repro.slp import grouping as grouping_mod
-        from repro.vm import simulator as simulator_mod
-
-        assert grouping_mod.ENGINES == engine_names("grouping")
-        assert simulator_mod.ENGINES == engine_names("sim")
 
     def test_duplicate_registration_is_an_error(self):
         with pytest.raises(OptionsError, match="duplicate"):

@@ -14,10 +14,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import CompilerOptions, Variant, compile_program
+from repro import ArtifactStore, CompilerOptions, Variant, compile_program
 from repro.analysis import DependenceGraph
 from repro.bench import KERNELS, intel_dunnington
-from repro.bench.suite import CompileCache, run_kernel, run_suite
+from repro.bench.suite import run_kernel, run_suite
 from repro.ir import (
     Affine,
     ArrayRef,
@@ -239,7 +239,7 @@ def test_parallel_suite_matches_sequential():
 def test_compile_cache_round_trip(tmp_path):
     machine = intel_dunnington()
     kernel = KERNELS["mg"]
-    cache = CompileCache(tmp_path)
+    cache = ArtifactStore(tmp_path)
 
     PERF.reset()
     PERF.enable()
@@ -263,19 +263,19 @@ def test_compile_cache_round_trip(tmp_path):
 def test_compile_cache_distinguishes_options(tmp_path):
     machine = intel_dunnington()
     program = KERNELS["mg"].build(8)
-    base = CompileCache.key(program, Variant.GLOBAL, machine, None)
-    assert base == CompileCache.key(
+    base = ArtifactStore.key(program, Variant.GLOBAL, machine, None)
+    assert base == ArtifactStore.key(
         program, Variant.GLOBAL, machine, CompilerOptions()
     )
-    assert base != CompileCache.key(
+    assert base != ArtifactStore.key(
         program, Variant.SLP, machine, CompilerOptions()
     )
-    assert base != CompileCache.key(
+    assert base != ArtifactStore.key(
         program, Variant.GLOBAL, machine.with_datapath(512), CompilerOptions()
     )
-    assert base != CompileCache.key(
+    assert base != ArtifactStore.key(
         program, Variant.GLOBAL, machine, CompilerOptions(unroll_factor=2)
     )
-    assert base != CompileCache.key(
+    assert base != ArtifactStore.key(
         KERNELS["mg"].build(16), Variant.GLOBAL, machine, CompilerOptions()
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fuzz import generate_case
 from repro.ir import (
     ArrayRef,
     BasicBlock,
@@ -311,6 +312,25 @@ class TestRoundTrip:
         printed = format_program(program)
         reparsed = parse_program(printed)
         assert format_program(reparsed) == printed
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_fuzz_programs_round_trip(self, conditional):
+        """Printed fuzz programs reparse to the same text. About a third
+        of these seeds contain a unary minus, which the printer renders
+        as ``neg(...)``."""
+        broken = []
+        for seed in range(400):
+            printed = format_program(
+                generate_case(seed, conditional=conditional).program
+            )
+            try:
+                again = format_program(parse_program(printed))
+            except ParseError as exc:
+                broken.append((seed, str(exc)))
+                continue
+            if again != printed:
+                broken.append((seed, "text changed"))
+        assert not broken, broken[:5]
 
     def test_parse_block_rejects_loops(self):
         with pytest.raises(ParseError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -316,9 +317,13 @@ def test_request_validation(client):
         client._request("GET", "/v1/frobnicate")
 
 
-def test_backpressure_sheds_load(tmp_path):
-    """With queue_limit=1, a second distinct job while the first is
-    in flight is shed with 429 + Retry-After (ServiceBusyError)."""
+@contextmanager
+def queue_held(tmp_path):
+    """A ``queue_limit=1`` server whose only queue slot is held by a
+    slow leader job (``x_sleep=1.5``) when the block starts. Yields
+    ``(client, source, done)``: ``source`` is the slow job's program,
+    and ``done`` receives its outcome once the leader finishes (the
+    block's exit waits for that)."""
     with ServiceThread(
         shards=1,
         queue_limit=1,
@@ -326,39 +331,81 @@ def test_backpressure_sheds_load(tmp_path):
         test_hooks=True,
     ) as thread:
         client = ServiceClient(thread.url, timeout=60.0)
-        slow_done = []
-
-        def slow():
-            slow_done.append(
-                submit_with_hooks(
-                    client, "compile", unique_source(5005), x_sleep=1.5
-                )
+        source = unique_source(5005)
+        done = []
+        leader = threading.Thread(
+            target=lambda: done.append(
+                submit_with_hooks(client, "compile", source, x_sleep=1.5)
             )
-
-        worker = threading.Thread(target=slow)
-        worker.start()
-        deadline = time.time() + 5.0
-        busy = None
+        )
+        leader.start()
         try:
-            # Wait for the slow job to occupy the only queue slot...
-            while time.time() < deadline:
-                if client.metrics()["service"]["queue"]["depth"] >= 1:
-                    break
+            deadline = time.time() + 5.0
+            while client.metrics()["service"]["queue"]["depth"] < 1:
+                assert time.time() < deadline, "slow job never queued"
                 time.sleep(0.02)
-            # ...then distinct keys are shed while it is in flight.
-            while time.time() < deadline:
-                try:
-                    client.compile(source=unique_source(6006))
-                except ServiceBusyError as exc:
-                    busy = exc
-                    break
-                time.sleep(0.05)
+            yield client, source, done
         finally:
-            worker.join()
-        assert busy is not None, "never saw a 429 while the queue was full"
-        assert busy.retry_after >= 1.0
-        assert client.metrics()["service"]["queue"]["rejected"] >= 1
-        assert slow_done and slow_done[0].result is not None
+            leader.join()
+
+
+def test_backpressure_sheds_load(tmp_path):
+    """With queue_limit=1, a second distinct job while the first is
+    in flight is shed with 429 + Retry-After (ServiceBusyError)."""
+    with queue_held(tmp_path) as (client, _source, done):
+        with pytest.raises(ServiceBusyError) as excinfo:
+            client.compile(source=unique_source(6006))
+        rejected = client.metrics()["service"]["queue"]["rejected"]
+    busy = excinfo.value
+    assert "queue full" in str(busy)
+    assert busy.retry_after >= 1.0
+    assert rejected == 1
+    assert done and done[0].result is not None
+
+
+def test_follower_bypasses_full_queue(tmp_path):
+    """A coalescing follower of the in-flight key is not shed while the
+    queue is full: it takes no queue slot and shares the leader's
+    result."""
+    with queue_held(tmp_path) as (client, source, done):
+        follower = client.compile(source=source)
+        rejected = client.metrics()["service"]["queue"]["rejected"]
+    assert follower.coalesced
+    assert rejected == 0
+    assert done and follower.result == done[0].result
+
+
+def test_client_retries_honor_retry_after(tmp_path):
+    """With ``retries=``, a shed client sleeps 0.5-1.5x the advertised
+    Retry-After and resubmits until the queue frees up."""
+    with queue_held(tmp_path) as (client, _source, done):
+        sleeps = []
+
+        def wait_for_leader(seconds):
+            # Record the backoff, then wait for the slot to free up
+            # rather than for the real (jittered) delay.
+            sleeps.append(seconds)
+            deadline = time.time() + 30.0
+            while not done and time.time() < deadline:
+                time.sleep(0.02)
+
+        client._sleep = wait_for_leader
+        outcome = client.compile(source=unique_source(6007), retries=3)
+    assert outcome.result is not None
+    assert sleeps, "the retry path never slept"
+    # queue_limit=1 on one shard advertises Retry-After: 1.
+    assert all(0.5 <= s <= 1.5 for s in sleeps), sleeps
+
+
+def test_retries_exhausted_reraises(tmp_path):
+    """Once ``retries`` resubmits are all shed, the client re-raises
+    the last ServiceBusyError."""
+    with queue_held(tmp_path) as (client, _source, _done):
+        sleeps = []
+        client._sleep = sleeps.append  # no real waiting: queue stays full
+        with pytest.raises(ServiceBusyError):
+            client.compile(source=unique_source(6008), retries=2)
+    assert len(sleeps) == 2
 
 
 # -- observability -------------------------------------------------------------

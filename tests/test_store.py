@@ -1,9 +1,9 @@
 """The content-addressed artifact store (``repro.store``).
 
-Covers the promotion contract (the old ``CompileCache`` import path
-stays alive), the robustness fix for corrupt on-disk entries, LRU
-pruning, and — the part that matters for the service — many processes
-hammering one store directory without torn reads or lost results.
+Covers round trips and keying, the robustness fix for corrupt on-disk
+entries, LRU pruning, and — the part that matters for the service —
+many processes hammering one store directory without torn reads or
+lost results.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import pytest
 
 from repro import ArtifactStore, Variant, compile_program
 from repro.bench import KERNELS
-from repro.store import CompileCache as StoreAlias
-from repro.bench.suite import CompileCache as SuiteAlias
 from repro.vm import MACHINES
 
 
@@ -35,16 +33,6 @@ def compiled(machine):
 
 
 class TestPromotion:
-    def test_old_import_paths_are_the_store(self):
-        assert StoreAlias is ArtifactStore
-        assert SuiteAlias is ArtifactStore
-
-    def test_bench_package_exports_both(self):
-        import repro.bench as bench
-
-        assert bench.CompileCache is ArtifactStore
-        assert bench.ArtifactStore is ArtifactStore
-
     def test_round_trip_equality(self, tmp_path, compiled):
         _program, result, key = compiled
         store = ArtifactStore(tmp_path)
