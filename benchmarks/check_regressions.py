@@ -21,9 +21,7 @@ import argparse
 import pathlib
 import sys
 
-from repro.bench.optimality import check_optimality
-from repro.bench.predication import check_predication
-from repro.bench.regress import render_verdict, run_check
+from repro.bench.regress import check_planes, render_verdict, run_check
 
 DEFAULT_BASELINE = (
     pathlib.Path(__file__).parent / "results" / "BENCH_suite.json"
@@ -64,26 +62,13 @@ def main(argv=None) -> int:
     print(render_verdict(verdict, verbose=args.verbose))
     status = 0 if verdict["status"] == "ok" else 1
 
-    # The optimality-gap plane rides along when its committed baseline
-    # sits next to the suite baseline (same behaviour as
-    # ``repro bench --check``): recompute the deterministic greedy-vs-
-    # optimal packing scores and fail on any drift.
-    optimality_baseline = args.baseline.parent / "BENCH_optimality.json"
-    if optimality_baseline.exists():
-        opt_verdict = check_optimality(optimality_baseline)
-        print("optimality-gap plane:")
-        print(render_verdict(opt_verdict, verbose=args.verbose))
-        if opt_verdict["status"] != "ok":
-            status = 1
-
-    # Likewise the predication plane: branchy-kernel cycle counts and
-    # vselect emission recomputed against BENCH_predication.json.
-    predication_baseline = args.baseline.parent / "BENCH_predication.json"
-    if predication_baseline.exists():
-        pred_verdict = check_predication(predication_baseline)
-        print("predication plane:")
-        print(render_verdict(pred_verdict, verbose=args.verbose))
-        if pred_verdict["status"] != "ok":
+    # The deterministic side planes (optimality gap, predication,
+    # grouping work) ride along when their committed artifacts sit next
+    # to the suite baseline — the same list ``repro bench --check`` runs.
+    for label, side in check_planes(args.baseline.parent):
+        print(f"{label} plane:")
+        print(render_verdict(side, verbose=args.verbose))
+        if side["status"] != "ok":
             status = 1
     return status
 

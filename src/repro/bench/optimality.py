@@ -31,7 +31,6 @@ the greedy-vs-optimal gap cannot land silently.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -40,7 +39,7 @@ from ..analysis import DependenceGraph
 from ..ir import BasicBlock
 from .kernels import ALL_KERNELS, KERNELS
 from .record import read_bench_json, write_bench_json
-from .regress import CHECK_SCHEMA, DETERMINISTIC_TOLERANCE, _check_plane
+from .regress import DETERMINISTIC_TOLERANCE, _check_plane, plane_verdict
 
 #: The unroll factors of the committed baseline grid.
 DEFAULT_UNROLL_FACTORS = (2, 4, 8)
@@ -247,26 +246,7 @@ def check_optimality(
         comparable=True,
         skip_reason=None,
     )
-    failed = [c for c in checks if c["status"] == "fail"]
-    skipped = [c for c in checks if c["status"] == "skipped"]
-    verdict = {
-        "schema": CHECK_SCHEMA,
-        "baseline": str(baseline_path),
-        "fingerprint_match": True,  # score plane is machine-independent
-        "inject_slowdown": 1.0,
-        "counts": {
-            "ok": len(checks) - len(failed) - len(skipped),
-            "fail": len(failed),
-            "skipped": len(skipped),
-        },
-        "status": "fail" if failed else "ok",
-        "checks": checks,
-    }
-    if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-        )
-    return verdict
+    return plane_verdict(baseline_path, checks, out_path=out_path)
 
 
 __all__ = [

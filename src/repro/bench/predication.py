@@ -24,13 +24,12 @@ deterministic tolerance.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from .kernels import BRANCHY_KERNELS, KERNELS
 from .record import read_bench_json, write_bench_json
-from .regress import CHECK_SCHEMA, DETERMINISTIC_TOLERANCE, _check_plane
+from .regress import DETERMINISTIC_TOLERANCE, _check_plane, plane_verdict
 
 #: Baseline problem size (matches the suite baseline's default).
 DEFAULT_N = 64
@@ -167,26 +166,7 @@ def check_predication(
         comparable=True,
         skip_reason=None,
     )
-    failed = [c for c in checks if c["status"] == "fail"]
-    skipped = [c for c in checks if c["status"] == "skipped"]
-    verdict = {
-        "schema": CHECK_SCHEMA,
-        "baseline": str(baseline_path),
-        "fingerprint_match": True,  # every plane is machine-independent
-        "inject_slowdown": 1.0,
-        "counts": {
-            "ok": len(checks) - len(failed) - len(skipped),
-            "fail": len(failed),
-            "skipped": len(skipped),
-        },
-        "status": "fail" if failed else "ok",
-        "checks": checks,
-    }
-    if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-        )
-    return verdict
+    return plane_verdict(baseline_path, checks, out_path=out_path)
 
 
 __all__ = [

@@ -35,9 +35,10 @@ tests.
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .record import (
     fingerprints_match,
@@ -54,6 +55,26 @@ DETERMINISTIC_TOLERANCE = 0.01
 
 #: Relative band for wall-clock metrics on a matching machine.
 WALLCLOCK_TOLERANCE = 0.75
+
+#: The deterministic planes gated alongside the suite baseline, in
+#: report order: ``(label, committed artifact, module, checker)``. Each
+#: artifact sits next to ``BENCH_suite.json``; a plane whose artifact is
+#: absent is not run. Every checker takes the artifact path, recomputes
+#: the plane with the artifact's recorded config and returns a verdict.
+PLANES: Tuple[Tuple[str, str, str, str], ...] = (
+    (
+        "optimality-gap", "BENCH_optimality.json",
+        "repro.bench.optimality", "check_optimality",
+    ),
+    (
+        "predication", "BENCH_predication.json",
+        "repro.bench.predication", "check_predication",
+    ),
+    (
+        "grouping-work", "BENCH_grouping_work.json",
+        "repro.bench.grouping_work", "check_grouping_work",
+    ),
+)
 
 
 def suite_metrics(results: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
@@ -150,6 +171,51 @@ def _check_plane(
     return checks
 
 
+def plane_verdict(
+    baseline_path: Path,
+    checks: List[Dict[str, Any]],
+    *,
+    fingerprint_match: bool = True,
+    inject_slowdown: float = 1.0,
+    out_path: Optional[Path] = None,
+) -> Dict[str, Any]:
+    """The verdict document over a list of :func:`_check_plane` checks;
+    ``fail`` iff any check failed. Optionally written to ``out_path``."""
+    failed = [c for c in checks if c["status"] == "fail"]
+    skipped = [c for c in checks if c["status"] == "skipped"]
+    verdict = {
+        "schema": CHECK_SCHEMA,
+        "baseline": str(baseline_path),
+        "fingerprint_match": fingerprint_match,
+        "inject_slowdown": inject_slowdown,
+        "counts": {
+            "ok": len(checks) - len(failed) - len(skipped),
+            "fail": len(failed),
+            "skipped": len(skipped),
+        },
+        "status": "fail" if failed else "ok",
+        "checks": checks,
+    }
+    if out_path is not None:
+        Path(out_path).write_text(
+            json.dumps(verdict, indent=2, sort_keys=True) + "\n"
+        )
+    return verdict
+
+
+def check_planes(
+    baseline_dir: Path,
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Gate every plane of :data:`PLANES` whose committed artifact sits
+    in ``baseline_dir``; yields ``(label, verdict)`` in report order.
+    Checker errors (unreadable artifact, config mismatch) propagate."""
+    for label, filename, module, checker in PLANES:
+        path = Path(baseline_dir) / filename
+        if path.exists():
+            check = getattr(importlib.import_module(module), checker)
+            yield label, check(path)
+
+
 def check_suite(
     baseline_path: Path,
     results: Dict[str, Any],
@@ -212,21 +278,12 @@ def check_suite(
         ),
     )
 
-    failed = [c for c in checks if c["status"] == "fail"]
-    skipped = [c for c in checks if c["status"] == "skipped"]
-    return {
-        "schema": CHECK_SCHEMA,
-        "baseline": str(baseline_path),
-        "fingerprint_match": same_machine,
-        "inject_slowdown": inject_slowdown,
-        "counts": {
-            "ok": len(checks) - len(failed) - len(skipped),
-            "fail": len(failed),
-            "skipped": len(skipped),
-        },
-        "status": "fail" if failed else "ok",
-        "checks": checks,
-    }
+    return plane_verdict(
+        baseline_path,
+        checks,
+        fingerprint_match=same_machine,
+        inject_slowdown=inject_slowdown,
+    )
 
 
 def render_verdict(verdict: Dict[str, Any], verbose: bool = False) -> str:
@@ -298,8 +355,11 @@ def run_check(
 __all__ = [
     "CHECK_SCHEMA",
     "DETERMINISTIC_TOLERANCE",
+    "PLANES",
     "WALLCLOCK_TOLERANCE",
+    "check_planes",
     "check_suite",
+    "plane_verdict",
     "render_verdict",
     "run_check",
     "suite_metrics",

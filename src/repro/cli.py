@@ -433,6 +433,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         from pathlib import Path
 
         from .bench.regress import (
+            check_planes,
             check_suite,
             render_verdict,
             write_suite_baseline,
@@ -467,51 +468,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(render_verdict(verdict))
             if verdict["status"] != "ok":
                 status = 1
-            # The optimality-gap plane rides along: when a committed
-            # BENCH_optimality.json sits next to the suite baseline,
-            # recompute its deterministic score plane and gate it too
-            # (a grouping-heuristic tweak that widens the greedy-vs-
-            # optimal gap must not land silently).
-            optimality_baseline = (
-                Path(args.baseline).parent / "BENCH_optimality.json"
-            )
-            if optimality_baseline.exists():
-                from .bench.optimality import check_optimality
-
-                try:
-                    opt_verdict = check_optimality(optimality_baseline)
-                except (OSError, ValueError) as exc:
-                    print(
-                        f"repro bench --check (optimality): {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                print("optimality-gap plane:")
-                print(render_verdict(opt_verdict))
-                if opt_verdict["status"] != "ok":
-                    status = 1
-            # Likewise the predication plane: a committed
-            # BENCH_predication.json next to the suite baseline pins
-            # the branchy-kernel if-conversion metrics (vectorization,
-            # vselect counts, cycle planes) and gates them here.
-            predication_baseline = (
-                Path(args.baseline).parent / "BENCH_predication.json"
-            )
-            if predication_baseline.exists():
-                from .bench.predication import check_predication
-
-                try:
-                    pred_verdict = check_predication(predication_baseline)
-                except (OSError, ValueError) as exc:
-                    print(
-                        f"repro bench --check (predication): {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                print("predication plane:")
-                print(render_verdict(pred_verdict))
-                if pred_verdict["status"] != "ok":
-                    status = 1
+            # The deterministic side planes ride along: each one whose
+            # committed artifact sits next to the suite baseline is
+            # recomputed and gated too (see ``regress.PLANES``).
+            try:
+                for label, side in check_planes(Path(args.baseline).parent):
+                    print(f"{label} plane:")
+                    print(render_verdict(side))
+                    if side["status"] != "ok":
+                        status = 1
+            except (OSError, ValueError) as exc:
+                print(f"repro bench --check: {exc}", file=sys.stderr)
+                return 2
     return status
 
 

@@ -215,3 +215,51 @@ def test_committed_suite_baseline_is_versioned_and_consistent():
     deterministic = data["metrics"]["deterministic"]
     assert len(deterministic) >= 16 * 5  # 16 kernels x 5 variants minimum
     assert data["metrics"]["wallclock"]["compile_seconds_total"] > 0
+
+
+# -- side planes ---------------------------------------------------------------
+
+
+def test_every_plane_has_a_committed_artifact():
+    """``PLANES`` names the artifacts ``repro bench --check`` gates next
+    to the suite baseline; each must be committed and load cleanly."""
+    import pathlib
+
+    from repro.bench.regress import PLANES
+
+    results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+    labels = [label for label, *_ in PLANES]
+    assert labels == ["optimality-gap", "predication", "grouping-work"]
+    for _label, filename, _module, _checker in PLANES:
+        assert read_bench_json(results / filename)["metrics"]
+
+
+def test_grouping_work_plane_gates_exactly(tmp_path):
+    from repro.bench.grouping_work import (
+        COUNTERS,
+        check_grouping_work,
+        grouping_work_metrics,
+        write_grouping_work_baseline,
+    )
+    from repro.bench.regress import check_planes
+    from repro.perf import PERF
+
+    PERF.disable()
+    metrics = grouping_work_metrics(kernels=["soplex"])
+    assert set(metrics["work"]) == {f"soplex.{c}" for c in COUNTERS}
+    assert metrics["work"]["soplex.decisions"] > 0
+    assert not PERF.enabled  # the caller's registry state is restored
+    path = tmp_path / "BENCH_grouping_work.json"
+    write_grouping_work_baseline(path, metrics, kernels=["soplex"])
+    assert [label for label, _ in check_planes(tmp_path)] == [
+        "grouping-work"
+    ]
+    assert check_grouping_work(path)["status"] == "ok"
+
+    # One extra exact score is a failure: the tolerance is zero.
+    data = json.loads(path.read_text())
+    data["metrics"]["work"]["soplex.scores_recomputed"] += 1
+    path.write_text(json.dumps(data))
+    verdict = check_grouping_work(path)
+    assert verdict["status"] == "fail"
+    assert verdict["counts"]["fail"] == 1
