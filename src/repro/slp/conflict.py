@@ -11,14 +11,14 @@ that superword.
 Because every edge is induced by a *candidate-level* conflict, the graph
 never materializes per-node adjacency sets: it stores one conflict
 bitset per candidate (bit ``j`` of ``conflict_bits(i)`` says candidates
-``i`` and ``j`` conflict) and derives node neighborhoods on demand. On
-unrolled blocks at wide datapaths the old explicit edge lists held
-hundreds of thousands of entries and dominated graph construction time.
+``i`` and ``j`` conflict), and counts edges from those bitsets. On
+unrolled blocks at wide datapaths an explicit edge list would hold
+hundreds of thousands of entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..analysis import DependenceGraph
 from ..perf import count, section
@@ -37,12 +37,15 @@ class PackNode:
     dominated compile time on wide-datapath blocks.
     """
 
-    __slots__ = ("data", "candidate_index", "position")
+    __slots__ = ("data", "candidate_index", "position", "tid")
 
     def __init__(self, data: PackData, candidate_index: int, position: int):
         self.data = data
         self.candidate_index = candidate_index
         self.position = position
+        # Set by VariablePackGraph: the index of ``data`` in the graph's
+        # sorted ``pack_types``.
+        self.tid = -1
 
     def sort_key(self):
         return (self.data, self.candidate_index, self.position)
@@ -53,39 +56,43 @@ class PackNode:
     __str__ = __repr__
 
 
-def _iter_bits(mask: int):
-    """Yield the set bit positions of a non-negative int, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class VariablePackGraph:
     """VP = (V, T): pack nodes with conflict edges.
 
     Edges are represented implicitly by per-candidate conflict bitsets;
-    ``edge_count`` tracks what the explicit edge set's size would be
+    ``edge_count`` reports what the explicit edge set's size would be
     (each conflicting candidate pair contributes |packs_i| x |packs_j|
-    node edges), so the public accounting is unchanged.
+    node edges).
+
+    ``pack_types`` lists the distinct pack data in sorted order and each
+    node's ``tid`` indexes it, so clients compare and index small ints
+    instead of pack tuples; ``nodes_with_data`` lists nodes in the
+    canonical ``(data, candidate, position)`` order. ``packs`` optionally
+    supplies each candidate's merged pack tuple (``candidate.packs``
+    re-merges on every access).
     """
 
     def __init__(
         self,
         candidates: Sequence[CandidateGroup],
         deps: DependenceGraph,
+        packs: Optional[Sequence[Sequence[PackData]]] = None,
     ):
         self.candidates = list(candidates)
         self.deps = deps
         self.nodes: Set[PackNode] = set()
-        self.edge_count = 0
+        self.pack_types: List[PackData] = []
         self._nodes_of_candidate: Dict[int, List[PackNode]] = {}
         self._nodes_by_data: Dict[PackData, List[PackNode]] = {}
         self._conflict_bits: List[int] = []
         with section("grouping.vp_build"):
-            self._build()
+            self._build(
+                packs
+                if packs is not None
+                else [c.packs for c in self.candidates]
+            )
 
-    def _build(self) -> None:
+    def _build(self, packs: Sequence[Sequence[PackData]]) -> None:
         # Conflict relation between candidates, computed once as
         # bitsets. Two candidates conflict when they share a statement
         # or form a group-level dependence cycle. Instead of testing all
@@ -137,39 +144,39 @@ class VariablePackGraph:
             bits[i] |= (shared | (forward & backward)) & ~self_bit
         self._conflict_bits = bits
 
-        for index, candidate in enumerate(self.candidates):
+        by_data = self._nodes_by_data
+        for index, positions in enumerate(packs):
             new_nodes = [
                 PackNode(data, index, position)
-                for position, data in enumerate(candidate.packs)
+                for position, data in enumerate(positions)
             ]
             self._nodes_of_candidate[index] = new_nodes
+            self.nodes.update(new_nodes)
             for node in new_nodes:
-                self.nodes.add(node)
-                self._nodes_by_data.setdefault(node.data, []).append(node)
-        # Canonical integer rank of every node, consistent with
-        # ``PackNode.sort_key`` ordering. One sort here lets every
-        # downstream tie-break compare small ints instead of whole pack
-        # tuples (which hold Affine subscripts and compare slowly).
-        self.node_rank: Dict[PackNode, int] = {
-            node: position
-            for position, node in enumerate(
-                sorted(self.nodes, key=PackNode.sort_key)
-            )
-        }
-        for i in range(n):
-            size_i = len(self._nodes_of_candidate[i])
-            for j in _iter_bits(bits[i] >> (i + 1)):
-                self.edge_count += size_i * len(
-                    self._nodes_of_candidate[i + 1 + j]
-                )
+                bucket = by_data.get(node.data)
+                if bucket is None:
+                    by_data[node.data] = [node]
+                else:
+                    bucket.append(node)
+        # Type ids in pack order: each data bucket already holds its
+        # nodes in (candidate, position) order, so (tid, candidate,
+        # position) is the canonical ``PackNode.sort_key`` order and
+        # every downstream tie-break compares small ints instead of
+        # whole pack tuples (which hold Affine subscripts and compare
+        # slowly). Only the distinct pack types are sorted.
+        self.pack_types = sorted(by_data)
+        for tid, data in enumerate(self.pack_types):
+            for node in by_data[data]:
+                node.tid = tid
+        edges = self.edge_count
         count("grouping.vp_nodes", len(self.nodes))
-        count("grouping.vp_edges", self.edge_count)
+        count("grouping.vp_edges", edges)
         if TRACE.enabled:
             TRACE.event(
                 "vp.build",
                 candidates=len(self.candidates),
                 nodes=len(self.nodes),
-                edges=self.edge_count,
+                edges=edges,
             )
 
     # -- queries -----------------------------------------------------------------
@@ -186,38 +193,38 @@ class VariablePackGraph:
     def nodes_of_candidate(self, index: int) -> List[PackNode]:
         return list(self._nodes_of_candidate.get(index, ()))
 
-    def neighbors(self, node: PackNode) -> Set[PackNode]:
-        """All live nodes of candidates conflicting with the node's
-        candidate — exactly the explicit edge set of the old
-        representation, derived on demand."""
-        out: Set[PackNode] = set()
-        for j in _iter_bits(self._conflict_bits[node.candidate_index]):
-            out.update(self._nodes_of_candidate.get(j, ()))
-        return out
-
     def nodes_with_data(self, data: PackData) -> List[PackNode]:
-        return list(self._nodes_by_data.get(data, ()))
+        """The live nodes carrying ``data``, in canonical order."""
+        live = self._nodes_of_candidate
+        return [
+            node
+            for node in self._nodes_by_data.get(data, ())
+            if node.candidate_index in live
+        ]
 
-    def iter_nodes_with_data(self, data: PackData) -> Sequence[PackNode]:
-        """Like :meth:`nodes_with_data` but without the defensive copy —
-        for hot read-only loops. Callers must not mutate the graph while
-        iterating."""
-        return self._nodes_by_data.get(data, ())
+    @property
+    def edge_count(self) -> int:
+        """Size of the explicit node-level edge set among live
+        candidates. Candidates are bucketed by node count, so each
+        candidate's weighted conflict degree is a few popcounts."""
+        live = self._nodes_of_candidate
+        by_size: Dict[int, int] = {}
+        for index, nodes in live.items():
+            by_size[len(nodes)] = by_size.get(len(nodes), 0) | (1 << index)
+        twice = 0
+        for index, nodes in live.items():
+            bits = self._conflict_bits[index]
+            twice += len(nodes) * sum(
+                size * (bits & mask).bit_count()
+                for size, mask in by_size.items()
+            )
+        return twice // 2
 
     def remove_candidate(self, index: int) -> None:
         """Drop all pack nodes of one candidate (Figure 10 line 41)."""
         removed = self._nodes_of_candidate.pop(index, None)
-        if removed is None:
-            return
-        for j in _iter_bits(self._conflict_bits[index]):
-            other = self._nodes_of_candidate.get(j)
-            if other is not None:
-                self.edge_count -= len(removed) * len(other)
-        for node in removed:
-            self.nodes.discard(node)
-            bucket = self._nodes_by_data.get(node.data)
-            if bucket and node in bucket:
-                bucket.remove(node)
+        if removed is not None:
+            self.nodes.difference_update(removed)
 
     def coexistence_count(self, data: PackData) -> int:
         """How many mutually-nonconflicting occurrences of a pack exist —

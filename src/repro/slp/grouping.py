@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engines import resolve as resolve_engine_impl
@@ -81,6 +82,24 @@ SCALAR_SCATTER_PENALTY = 1.0
 #: replication, Section 5.2, or scalar offset assignment, Section 5.1):
 #: only the amortized copy/arena cost remains.
 LAYOUT_FIXABLE_PENALTY = 0.25
+
+#: Grouping scores are computed in integer units of ``1 / COST_SCALE``
+#: vector ops: every penalty and saving above is a multiple of 1/4 and
+#: every ``OP_WEIGHTS`` entry is whole, so the arithmetic stays exact
+#: without building a ``Fraction`` per term.
+COST_SCALE = 4
+
+
+def cost_units(value: float) -> int:
+    """``value`` in units of ``1 / COST_SCALE``; raises ``ValueError``
+    unless that is exact (a cost constant off the 1/4 grid)."""
+    units = value * COST_SCALE
+    if units != int(units):
+        raise ValueError(
+            f"pack cost {value!r} is not a multiple of 1/{COST_SCALE}"
+        )
+    return int(units)
+
 
 @dataclass(frozen=True, slots=True)
 class PenaltyContext:
@@ -183,7 +202,7 @@ def pack_adjacency_score(
     candidates (the paper chooses randomly there). ``contiguous``
     optionally supplies a precomputed ``pack_is_contiguous_memory``
     answer so memoizing callers pay for that analysis once per pack."""
-    if len(set(pack)) == 1:
+    if pack[0] == pack[-1]:  # sorted: all lanes equal
         return 1
     if contiguous is None:
         contiguous = pack_is_contiguous_memory(pack, decl_of)
@@ -206,8 +225,8 @@ def pack_materialization_penalty(
     replication, scalar offset assignment) are almost free — the phase
     coupling that lets Global+Layout choose the reuse-maximizing
     grouping the layout stage then repairs."""
-    if len(set(pack)) == 1:
-        return 0.0  # splat: one broadcast
+    if pack[0] == pack[-1]:
+        return 0.0  # splat (the pack is sorted): one broadcast
     kinds = {key[0] for key in pack}
     if kinds == {KIND_CONST}:
         return 0.0  # vector immediate, hoisted out of the loop
@@ -247,8 +266,8 @@ def pack_reuse_saving(
     kinds = {key[0] for key in pack}
     if kinds == {KIND_CONST}:
         return 0.0
-    if len(set(pack)) == 1:
-        return 0.5  # a broadcast
+    if pack[0] == pack[-1]:
+        return 0.5  # a broadcast (the pack is sorted: all lanes equal)
     if kinds == {KIND_REF}:
         if contiguous is None:
             contiguous = pack_is_contiguous_memory(pack, decl_of)
@@ -272,28 +291,24 @@ def pack_reuse_saving(
     return GATHER_PENALTY
 
 
-def candidate_adjacency_score(
-    candidate: CandidateGroup, decl_of: Optional[DeclLookup]
-) -> int:
-    return sum(
-        pack_adjacency_score(pack, decl_of) for pack in candidate.packs
-    )
-
-
 class PackCostModel:
     """Memoized pack-cost queries for one ``(decl_of, penalty_context)``
     pair.
 
-    ``pack_reuse_saving`` / ``pack_materialization_penalty`` (and their
-    ``Fraction(...).limit_denominator(8)`` wrappers) and
-    ``pack_adjacency_score`` depend only on the pack data once the
-    declaration lookup and penalty context are fixed, so one cache can
-    serve every grouping round of a block — the rounds re-derive wider
-    packs, but any pack they share with an earlier round is a hit.
+    ``saving`` / ``build`` return :func:`pack_reuse_saving` /
+    :func:`pack_materialization_penalty` as ints in units of
+    ``1 / COST_SCALE``; ``adjacency`` is :func:`pack_adjacency_score`.
+    All depend only on the pack data once the declaration lookup and
+    penalty context are fixed, so one cache serves every grouping round
+    of a block — the rounds re-derive wider packs, but any pack they
+    share with an earlier round is a hit. Contiguity is decided from
+    each array reference's flattened ``(coeffs, const)``, cached per
+    reference: a wider pack in a later round reuses its lanes' entries.
     """
 
     __slots__ = (
         "decl_of", "context", "_saving", "_build", "_adjacency", "_contig",
+        "_flat",
     )
 
     def __init__(
@@ -303,44 +318,86 @@ class PackCostModel:
     ):
         self.decl_of = decl_of
         self.context = context
-        self._saving: Dict[PackData, Fraction] = {}
-        self._build: Dict[Tuple[PackData, bool], Fraction] = {}
+        self._saving: Dict[PackData, int] = {}
+        self._build: Dict[Tuple[PackData, bool], int] = {}
         self._adjacency: Dict[PackData, int] = {}
         self._contig: Dict[PackData, bool] = {}
+        self._flat: Dict[tuple, Optional[tuple]] = {}
+
+    def _flattened(self, key) -> Optional[tuple]:
+        """``(coeffs, const)`` of one array reference's row-major flat
+        offset, or None when the shape is unknown — the per-lane step
+        of :func:`pack_is_contiguous_memory`."""
+        try:
+            return self._flat[key]
+        except KeyError:
+            pass
+        subscripts = key[2]
+        decl = self.decl_of(key[1]) if self.decl_of is not None else None
+        if decl is not None:
+            shape = decl.shape
+        elif len(subscripts) == 1:
+            shape = (0,)
+        else:
+            self._flat[key] = None
+            return None
+        flat = Affine((), 0)
+        for subscript, dim in zip(subscripts, shape):
+            flat = flat * dim + subscript
+        result = self._flat[key] = (flat.coeffs, flat.const)
+        return result
 
     def contiguous(self, data: PackData) -> bool:
+        """:func:`pack_is_contiguous_memory`: the lanes are one array's
+        references with equal flattened coefficients whose constants
+        form a consecutive run."""
         cached = self._contig.get(data)
         if cached is None:
-            cached = self._contig[data] = pack_is_contiguous_memory(
-                data, self.decl_of
-            )
+            cached = self._contig[data] = self._contiguous(data)
         return cached
 
-    def saving(self, data: PackData) -> Fraction:
+    def _contiguous(self, data: PackData) -> bool:
+        array = data[0][1]
+        for key in data:
+            if key[0] != KIND_REF or key[1] != array:
+                return False
+        coeffs = None
+        consts = []
+        for key in data:
+            flat = self._flattened(key)
+            if flat is None:
+                return False
+            if coeffs is None:
+                coeffs = flat[0]
+            elif flat[0] != coeffs:
+                return False
+            consts.append(flat[1])
+        consts.sort()
+        return consts == list(range(consts[0], consts[0] + len(consts)))
+
+    def saving(self, data: PackData) -> int:
         cached = self._saving.get(data)
         if cached is None:
-            cached = Fraction(
+            cached = self._saving[data] = cost_units(
                 pack_reuse_saving(
                     data, self.decl_of, self.context,
                     contiguous=self.contiguous(data),
                 )
-            ).limit_denominator(8)
-            self._saving[data] = cached
+            )
         else:
             count("grouping.pack_cost_cache_hits")
         return cached
 
-    def build(self, data: PackData, is_store: bool = False) -> Fraction:
+    def build(self, data: PackData, is_store: bool = False) -> int:
         key = (data, is_store)
         cached = self._build.get(key)
         if cached is None:
-            cached = Fraction(
+            cached = self._build[key] = cost_units(
                 pack_materialization_penalty(
                     data, self.decl_of, self.context, is_store=is_store,
                     contiguous=self.contiguous(data),
                 )
-            ).limit_denominator(8)
-            self._build[key] = cached
+            )
         else:
             count("grouping.pack_cost_cache_hits")
         return cached
@@ -431,6 +488,74 @@ def eliminate_conflicts(
     return [n for n in order if n in alive]
 
 
+#: Heap entry flavours: at equal rank a bound entry pops first, so it is
+#: refined before any exact entry it might tie with.
+_BOUND = 0
+_EXACT = 1
+
+
+class _AuxGraph:
+    """One candidate's auxiliary graph, cached for its grouping round.
+
+    ``cands`` are the live candidates that share a pack type with the
+    owner and do not conflict with it (``mask`` as a bitset). The
+    matching nodes are numbered in canonical order (the *local rank*);
+    ``buckets[k]`` holds the local ranks of ``cands[k]``'s nodes,
+    ascending, ``slot_of[r]`` is the owner slot of node ``r``, and
+    ``counts`` is the pre-elimination node count per owner slot.
+    ``neighbors[k]`` lists the local indices conflicting with ``k`` and
+    is built on the first elimination. Candidates only leave a round,
+    so a refresh just filters the removed ones out.
+    """
+
+    __slots__ = ("mask", "cands", "buckets", "counts", "slot_of", "neighbors")
+
+    def __init__(self, mask, cands, buckets, counts, slot_of):
+        self.mask = mask
+        self.cands = cands
+        self.buckets = buckets
+        self.counts = counts
+        self.slot_of = slot_of
+        self.neighbors: Optional[List[List[int]]] = None
+
+    def neighbor_lists(
+        self, conflicts_of: Callable[[int], List[int]]
+    ) -> List[List[int]]:
+        """``neighbors``, built on first use from each candidate's list
+        of conflicting candidates."""
+        neighbors = self.neighbors
+        if neighbors is None:
+            local = {cand: k for k, cand in enumerate(self.cands)}
+            neighbors = self.neighbors = [
+                [local[other] for other in conflicts_of(cand) if other in local]
+                for cand in self.cands
+            ]
+        return neighbors
+
+    def drop(self, live: int) -> None:
+        """Filter out the candidates missing from the ``live`` mask."""
+        keep = [k for k, cand in enumerate(self.cands) if (live >> cand) & 1]
+        counts = self.counts
+        slot_of = self.slot_of
+        kept = set(keep)
+        for k, bucket in enumerate(self.buckets):
+            if k not in kept:
+                for rank in bucket:
+                    counts[slot_of[rank]] -= 1
+        if self.neighbors is not None:
+            new_index = [-1] * len(self.cands)
+            for new, k in enumerate(keep):
+                new_index[k] = new
+            neighbors = self.neighbors
+            self.neighbors = [
+                [new_index[x] for x in neighbors[k] if new_index[x] >= 0]
+                for k in keep
+            ]
+        self.cands = [self.cands[k] for k in keep]
+        self.buckets = [self.buckets[k] for k in keep]
+        self.mask &= live
+
+
 class BasicGrouping:
     """One round of the basic grouping algorithm over a set of units."""
 
@@ -464,50 +589,73 @@ class BasicGrouping:
         self.engine = engine
         self.candidates = find_candidates(self.units, deps, datapath_bits)
         count("grouping.candidates_examined", len(self.candidates))
-        # Per-candidate static precomputes: the merged group node (so
-        # ``CandidateGroup.packs`` — a property that re-merges on every
-        # access — is materialized exactly once per candidate), the pack
-        # tuple, its distinct pack types both as a frozenset (dirty-set
-        # intersections) and sorted (deterministic auxiliary-graph
-        # iteration order).
+        n = len(self.candidates)
+        # The merged group node of each candidate (``CandidateGroup.packs``
+        # re-merges on every access) and its pack tuple, position 0 the
+        # target.
         self._merged: List[GroupNode] = [c.merged() for c in self.candidates]
         self._packs: List[Tuple[PackData, ...]] = [
             node.positions for node in self._merged
         ]
-        self._pack_sets: List[frozenset] = [
-            frozenset(packs) for packs in self._packs
+        self._keys = [c.key() for c in self.candidates]
+        self.vp = VariablePackGraph(self.candidates, deps, self._packs)
+        # Per-round pack type ids (``tid``): indices into the VP graph's
+        # sorted ``pack_types``, so tid order is pack order. Each
+        # candidate keeps its distinct tids ascending (its *slots*), the
+        # multiplicity of each and its target slot; ``_type_members[t]``
+        # lists the candidate of every node of type ``t`` in canonical
+        # order and ``_holders[t]`` is the bitset of candidates holding
+        # type ``t``. The score loops index
+        # these instead of hashing pack tuples (whose Affine subscripts
+        # make hashing and comparison slow).
+        self.cost = cost_model or PackCostModel(decl_of, penalty_context)
+        type_adjacency = [
+            self.cost.adjacency(data) for data in self.vp.pack_types
         ]
-        self._sorted_pack_types: List[Tuple[PackData, ...]] = [
-            tuple(sorted(types)) for types in self._pack_sets
-        ]
-        # Integer-slot views of each candidate's pack types: the weight
-        # and score loops index small lists instead of hashing PackData
-        # tuples (whose Affine subscripts make hashing and comparison
-        # slow) on every recomputation.
-        self._type_slot: List[Dict[PackData, int]] = [
-            {data: slot for slot, data in enumerate(types)}
-            for types in self._sorted_pack_types
-        ]
+        n_types = len(type_adjacency)
+        self._types: List[Tuple[int, ...]] = []
         self._own_list: List[List[int]] = []
         self._target_slot: List[int] = []
-        for slot_of, packs in zip(self._type_slot, self._packs):
-            own = [0] * len(slot_of)
-            for data in packs:
-                own[slot_of[data]] += 1
-            self._own_list.append(own)
-            self._target_slot.append(slot_of[packs[0]])
-        self._cost_rows: List[Optional[tuple]] = [None] * len(
-            self.candidates
-        )
-        self._fcost_rows: List[Optional[tuple]] = [None] * len(
-            self.candidates
-        )
-        # Multiset of decided groups' packs, maintained by ``_commit``
-        # (the public ``weight``/``score`` entry points instead rebuild
-        # it from ``decided_packs`` so direct mutation stays visible).
-        self._decided_counts: Dict[PackData, int] = {}
-        self.vp = VariablePackGraph(self.candidates, deps)
-        self.active: Set[int] = set(range(len(self.candidates)))
+        self._type_members: List[List[int]] = [[] for _ in range(n_types)]
+        self._holders: List[int] = [0] * n_types
+        self.adjacency: List[int] = []
+        for index in range(n):
+            nodes = self.vp.nodes_of_candidate(index)
+            own: Dict[int, int] = {}
+            for node in nodes:
+                own[node.tid] = own.get(node.tid, 0) + 1
+            types = tuple(sorted(own))
+            self._types.append(types)
+            self._own_list.append([own[tid] for tid in types])
+            self._target_slot.append(types.index(nodes[0].tid))
+            for node in nodes:
+                self._type_members[node.tid].append(index)
+            self.adjacency.append(
+                sum(type_adjacency[node.tid] for node in nodes)
+            )
+            bit = 1 << index
+            for tid in types:
+                self._holders[tid] |= bit
+        # Heap ranks: a candidate's score has denominator dividing
+        # ``COST_SCALE * slots``, so scaling by the lcm of those over the
+        # round turns every score (and every pre-elimination bound) into
+        # an exactly comparable int.
+        rank_scale = lcm(*{COST_SCALE * len(types) for types in self._types})
+        self._rank_scale: List[int] = [
+            rank_scale // (COST_SCALE * len(types)) for types in self._types
+        ]
+        self._aux: List[Optional[_AuxGraph]] = [None] * n
+        self._conflict_lists: List[Optional[List[int]]] = [None] * n
+        self._type_costs: List[Optional[Tuple[int, int]]] = [None] * n_types
+        self._cost_rows: List[Optional[tuple]] = [None] * n
+        self._static: List[Optional[int]] = [None] * n
+        # Multiset of decided groups' packs by tid, maintained by
+        # ``_commit`` (the public ``weight``/``score`` entry points
+        # instead rebuild it from ``decided_packs`` so direct mutation
+        # stays visible).
+        self._decided_counts: List[int] = [0] * n_types
+        self.active: Set[int] = set(range(n))
+        self._active_mask = (1 << n) - 1
         self.decided: List[int] = []
         self.decided_packs: List[PackData] = []
         self._decl_of = decl_of
@@ -515,141 +663,169 @@ class BasicGrouping:
         self.decision_mode = decision_mode
         self.engine_options = engine_options
         self.on_diagnostic = on_diagnostic
-        self.cost = cost_model or PackCostModel(decl_of, penalty_context)
-        adjacency_of = self.cost.adjacency
-        self.adjacency = [
-            sum(adjacency_of(p) for p in packs) for packs in self._packs
-        ]
-        self._op_saving_frac: Dict[int, Fraction] = {}
-        self._ref_pack_bonus: Dict[int, int] = {}
 
     # -- cached static pack costs ----------------------------------------------
 
-    def _static_bonus(self, index: int) -> Tuple[Fraction, int]:
-        """The candidate's reuse-independent score terms: the saved ALU
-        work of the merge, and +1 per all-memory pack position."""
-        op = self._op_saving_frac.get(index)
-        if op is None:
-            op = Fraction(
-                candidate_op_saving(self.candidates[index])
-            ).limit_denominator(8)
-            self._op_saving_frac[index] = op
-        bonus = self._ref_pack_bonus.get(index)
+    def _static_bonus(self, index: int) -> int:
+        """The candidate's reuse-independent score terms, in cost units:
+        the saved ALU work of the merge, and +1 per all-memory pack
+        position."""
+        bonus = self._static[index]
         if bonus is None:
-            bonus = sum(
+            ref_positions = sum(
                 1
                 for data in self._packs[index]
                 if all(key[0] == KIND_REF for key in data)
             )
-            self._ref_pack_bonus[index] = bonus
-        return op, bonus
+            bonus = self._static[index] = cost_units(
+                candidate_op_saving(self.candidates[index])
+            ) + ref_positions * COST_SCALE
+        return bonus
+
+    def _type_cost(self, tid: int) -> Tuple[int, int]:
+        """``(saving, build)`` of one pack type, in cost units."""
+        cost = self._type_costs[tid]
+        if cost is None:
+            data = self.vp.pack_types[tid]
+            cost = self._type_costs[tid] = (
+                self.cost.saving(data),
+                self.cost.build(data),
+            )
+        return cost
+
+    def _cost_row(self, index: int) -> Tuple[List[int], List[int], int, int]:
+        """Per-slot reuse savings and materialization penalties for one
+        candidate, plus its target slot and the target's store penalty,
+        in cost units — computed once so score recomputations are pure
+        int arithmetic over slots."""
+        row = self._cost_rows[index]
+        if row is None:
+            costs = [self._type_cost(tid) for tid in self._types[index]]
+            target = self._target_slot[index]
+            store = self.cost.build(
+                self.vp.pack_types[self._types[index][target]], is_store=True
+            )
+            row = self._cost_rows[index] = (
+                [saving for saving, _ in costs],
+                [build for _, build in costs],
+                target,
+                store,
+            )
+        return row
 
     # -- weight computation (Figure 10 lines 22–38) ---------------------------
 
     @staticmethod
     def _eliminate_aux_conflicts(
-        by_cand: Dict[int, List[PackNode]],
-        masks: Dict[int, int],
-        rank: Dict[PackNode, int],
-    ) -> List[PackNode]:
-        """Greedy conflict elimination over the auxiliary graph, exploiting
-        its structure: every node of one candidate has the *same* neighbor
-        set (all nodes of conflicting candidates), hence the same degree.
-        Selecting the victim candidate by ``(degree, best node rank)`` and
-        popping that candidate's highest-ranked node therefore reproduces
-        :func:`eliminate_conflicts` over the expanded node graph victim for
-        victim, without materializing per-node adjacency sets or comparing
-        pack tuples (``rank`` is the graph's precomputed canonical node
-        order). Requires each bucket in ascending canonical order — which
-        the collection loop in :meth:`_counts_list` guarantees (sorted pack
-        types outermost, node position ascending within). Mutates
-        ``by_cand`` in place and returns the victims.
+        buckets: Sequence[Sequence[int]],
+        neighbors: Sequence[Sequence[int]],
+    ) -> List[int]:
+        """Greedy conflict elimination over an auxiliary graph, at
+        candidate granularity: every node of one auxiliary candidate has
+        the *same* neighbor set (all nodes of the candidates conflicting
+        with it), hence the same degree. ``buckets[k]`` holds candidate
+        ``k``'s node ranks (distinct ints in canonical node order),
+        ascending, and ``neighbors[k]`` the candidates conflicting with
+        it. Each step removes the last node of the bucket with the largest
+        ``(degree, last rank)`` — :func:`eliminate_conflicts` over the
+        expanded node graph, victim for victim. Returns the victims'
+        ranks in removal order; the inputs are not modified.
+
+        Each candidate's rule is packed into one int key,
+        ``degree << shift | last rank`` with ``shift`` the ranks' bit
+        width, so the victim is a builtin ``max`` over the keys; removing
+        a node lowers each neighbor's key by one degree unit. (A
+        degree-bucket queue would not help: the neighbor updates already
+        cost as much as the scan.) Small local ranks keep the keys
+        single-digit ints.
         """
-        # Dense local renumbering: the selection loop then runs on plain
-        # lists with integer indices instead of dicts keyed by global
-        # candidate numbers.
-        cands = list(by_cand)
-        pos = {cand: i for i, cand in enumerate(cands)}
-        n = len(cands)
-        buckets = [by_cand[cand] for cand in cands]
         sizes = [len(bucket) for bucket in buckets]
-        local_mask = [0] * n
-        deg = [0] * n
-        for i, cand in enumerate(cands):
-            mask = masks[cand]
-            local = 0
-            total = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                j = pos[low.bit_length() - 1]
-                local |= 1 << j
-                total += sizes[j]
-            local_mask[i] = local
-            deg[i] = total
-        last_rank = [
-            rank[bucket[-1]] if bucket else -1 for bucket in buckets
-        ]
-        victims: List[PackNode] = []
-        while True:
-            # One scan finds the victim candidate (max degree, then max
-            # last-node rank) and the runner-up degree.
-            best_i = -1
-            best_deg = 0
-            best_rank = -1
-            second_deg = 0
-            for i in range(n):
-                d = deg[i]
-                if d <= 0:
-                    continue
-                if d > best_deg:
-                    second_deg = best_deg
-                    best_deg = d
-                    best_i = i
-                    best_rank = last_rank[i]
-                elif d == best_deg:
-                    second_deg = d
-                    if last_rank[i] > best_rank:
-                        best_i = i
-                        best_rank = last_rank[i]
-                elif d > second_deg:
-                    second_deg = d
-            if best_i < 0:
-                return victims
-            bucket = buckets[best_i]
-            if best_deg > second_deg:
-                # Strictly maximal degree: removing the candidate's own
-                # nodes never changes its degree, and every other degree
-                # only decreases — so the greedy drains this whole bucket
-                # (descending rank) before looking anywhere else.
-                removed = len(bucket)
-                victims.extend(reversed(bucket))
-                bucket.clear()
-                deg[best_i] = 0
+        tops = list(sizes)
+        shift = max((b[-1] for b in buckets if b), default=0).bit_length()
+        unit = 1 << shift
+        keys = []
+        for k, bucket in enumerate(buckets):
+            if bucket:
+                degree = 0
+                for x in neighbors[k]:
+                    degree += sizes[x]
+                keys.append(degree << shift | bucket[-1])
             else:
-                removed = 1
-                victims.append(bucket.pop())
-                if bucket:
-                    last_rank[best_i] = rank[bucket[-1]]
+                keys.append(0)
+        victims: List[int] = []
+        while True:
+            best = max(keys, default=0)
+            if best < unit:
+                return victims
+            k = keys.index(best)
+            bucket = buckets[k]
+            top = tops[k] - 1
+            tops[k] = top
+            victims.append(bucket[top])
+            keys[k] = (best >> shift) << shift | bucket[top - 1] if top else 0
+            for x in neighbors[k]:
+                keys[x] -= unit
+
+    def _conflicts_of(self, index: int) -> List[int]:
+        """The candidates conflicting with ``index``, ascending."""
+        conflicts = self._conflict_lists[index]
+        if conflicts is None:
+            conflicts = self._conflict_lists[index] = _bit_indices(
+                self.vp.conflict_bits(index)
+            )
+        return conflicts
+
+    def _aux_graph(self, index: int) -> _AuxGraph:
+        """The candidate's auxiliary graph over the live candidates:
+        built on first use in the round, then filtered as candidates
+        leave."""
+        live = self._active_mask
+        aux = self._aux[index]
+        if aux is not None:
+            if aux.mask & ~live:
+                aux.drop(live)
+            return aux
+        # Walk the owner's types in tid order and each type's nodes in
+        # canonical order, so local ranks follow the canonical order.
+        blocked = self.vp.conflict_bits(index) | 1 << index | ~live
+        holders = self._holders
+        members = self._type_members
+        union = 0
+        cands: List[int] = []
+        buckets: List[List[int]] = []
+        counts: List[int] = []
+        slot_of: List[int] = []
+        local: Dict[int, int] = {}
+        for slot, tid in enumerate(self._types[index]):
+            union |= holders[tid]
+            before = len(slot_of)
+            for cand in members[tid]:
+                if (blocked >> cand) & 1:
+                    continue
+                k = local.get(cand)
+                if k is None:
+                    local[cand] = len(cands)
+                    cands.append(cand)
+                    buckets.append([len(slot_of)])
                 else:
-                    deg[best_i] = 0
-            mask = local_mask[best_i]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                j = low.bit_length() - 1
-                deg[j] -= removed
+                    buckets[k].append(len(slot_of))
+                slot_of.append(slot)
+            counts.append(len(slot_of) - before)
+        aux = self._aux[index] = _AuxGraph(
+            union & ~blocked, cands, buckets, counts, slot_of
+        )
+        return aux
 
     def _counts_list(
         self,
         index: int,
-        decided_counts: Dict[PackData, int],
+        decided_counts: List[int],
         eliminate: bool = True,
     ) -> List[int]:
         """Occurrence counts of the candidate's pack types — across the
         surviving auxiliary-graph nodes, the decided groups' packs
-        (``decided_counts`` multiset) and the candidate itself — as a
-        list aligned with ``self._sorted_pack_types[index]``.
+        (``decided_counts``, by tid) and the candidate itself — as a
+        list aligned with the candidate's slots (``self._types[index]``).
 
         With ``eliminate=False`` the residual-conflict elimination is
         skipped, yielding per-slot counts that can only be *higher* than
@@ -657,78 +833,34 @@ class BasicGrouping:
         lazily-refined heap entries (both weight and score are monotone
         nondecreasing in every count).
         """
-        types = self._sorted_pack_types[index]
-        counts = [0] * len(types)
-        vp = self.vp
-        my_conflicts = vp.conflict_bits(index)
-        aux_mask = 0
-        by_cand: Dict[int, List[PackNode]] = {}
-        for slot, data in enumerate(types):
-            for node in vp.iter_nodes_with_data(data):
-                other = node.candidate_index
-                if other == index or (my_conflicts >> other) & 1:
-                    continue
-                counts[slot] += 1
-                bucket = by_cand.get(other)
-                if bucket is None:
-                    by_cand[other] = [node]
-                    aux_mask |= 1 << other
-                else:
-                    bucket.append(node)
-
-        if eliminate:
-            # Residual conflicts among the auxiliary candidates, as
-            # bitmasks over the auxiliary set. When there are none (the
-            # common case), greedy elimination would keep every node and
-            # the collected counts already stand.
-            masks = {
-                cand: vp.conflict_bits(cand) & aux_mask
-                for cand in by_cand
-            }
-            if any(masks.values()):
-                slot_of = self._type_slot[index]
+        aux = self._aux_graph(index)
+        counts = list(aux.counts)
+        if eliminate and aux.cands:
+            neighbors = aux.neighbor_lists(self._conflicts_of)
+            if any(neighbors):
+                slot_of = aux.slot_of
                 for victim in self._eliminate_aux_conflicts(
-                    by_cand, masks, vp.node_rank
+                    aux.buckets, neighbors
                 ):
-                    counts[slot_of[victim.data]] -= 1
-
+                    counts[slot_of[victim]] -= 1
+            # With no residual conflicts (the common case) greedy
+            # elimination keeps every node: the collected counts stand.
         own = self._own_list[index]
-        for slot, data in enumerate(types):
-            extra = decided_counts.get(data)
-            counts[slot] += own[slot] if extra is None else own[slot] + extra
+        for slot, tid in enumerate(self._types[index]):
+            counts[slot] += own[slot] + decided_counts[tid]
         return counts
 
-    def _decided_multiset(self) -> Dict[PackData, int]:
-        """``decided_packs`` as a multiset — rebuilt fresh so callers of
-        the public entry points see direct mutations of the list."""
-        decided: Dict[PackData, int] = {}
+    def _decided_multiset(self) -> List[int]:
+        """``decided_packs`` as a multiset by tid — rebuilt fresh so
+        callers of the public entry points see direct mutations of the
+        list."""
+        decided = [0] * len(self.vp.pack_types)
+        tid_of = {data: tid for tid, data in enumerate(self.vp.pack_types)}
         for data in self.decided_packs:
-            decided[data] = decided.get(data, 0) + 1
+            tid = tid_of.get(data)
+            if tid is not None:
+                decided[tid] += 1
         return decided
-
-    def _pack_counts(
-        self, index: int
-    ) -> Tuple[Dict[PackData, int], Dict[PackData, int]]:
-        """Occurrence counts of the candidate's pack types across the
-        surviving auxiliary-graph nodes, the decided groups' packs, and
-        the candidate itself; plus the candidate-internal counts.
-
-        Always computed fresh — callers that can reuse counts across
-        queries (the decision loop) memoize the result themselves, so
-        direct users (tests, ``explain``) see the live graph state even
-        after mutating ``decided_packs`` by hand.
-        """
-        types = self._sorted_pack_types[index]
-        counts_list = self._counts_list(index, self._decided_multiset())
-        own_list = self._own_list[index]
-        counts = {data: counts_list[t] for t, data in enumerate(types)}
-        own_counts = {data: own_list[t] for t, data in enumerate(types)}
-        return counts, own_counts
-
-    @staticmethod
-    def _weight_from_counts(counts: Dict[PackData, int]) -> Fraction:
-        reuse = sum(c - 1 for c in counts.values())
-        return Fraction(reuse, len(counts))
 
     @staticmethod
     def _weight_from_list(counts: List[int]) -> Fraction:
@@ -752,89 +884,36 @@ class BasicGrouping:
             self._counts_list(index, self._decided_multiset())
         )
 
-    def _cost_row(
-        self, index: int
-    ) -> Tuple[List[Fraction], List[Fraction], int, Fraction]:
-        """Per-slot reuse savings and materialization penalties for one
-        candidate, plus its target slot and the target's store penalty —
-        computed once so score recomputations are pure Fraction
-        arithmetic over integer slots."""
-        row = self._cost_rows[index]
-        if row is None:
-            types = self._sorted_pack_types[index]
-            saving_of = self.cost.saving
-            build_of = self.cost.build
-            savings = [saving_of(data) for data in types]
-            builds = [build_of(data) for data in types]
-            target = self._target_slot[index]
-            store = build_of(types[target], is_store=True)
-            row = self._cost_rows[index] = (savings, builds, target, store)
-        return row
-
-    def _fcost_row(self, index: int) -> tuple:
-        """Float mirror of :meth:`_cost_row` plus the static bonus, for
-        the bound-score fast path."""
-        row = self._fcost_rows[index]
-        if row is None:
-            savings, builds, target, store = self._cost_row(index)
-            op_saving, ref_bonus = self._static_bonus(index)
-            row = self._fcost_rows[index] = (
-                [float(s) for s in savings],
-                [float(b) for b in builds],
-                target,
-                float(store),
-                float(op_saving + ref_bonus),
-            )
-        return row
-
-    def _score_bound(self, index: int, counts: List[int]) -> float:
-        """Float upper bound on what :meth:`_score_from_list` would
-        return for *any* pointwise-smaller-or-equal counts: the score is
-        monotone nondecreasing in every count, the arithmetic error of
-        the float mirror is far below 1e-9, and the bound inflates by
-        exactly that margin."""
-        savings, builds, target, store, static = self._fcost_row(index)
-        own_counts = self._own_list[index]
-        score = static
-        for slot, count_ in enumerate(counts):
-            score += (count_ - 1) * savings[slot]
-            external = count_ > own_counts[slot]
-            if slot == target:
-                score -= store
-                if own_counts[slot] > 1 and not external:
-                    score -= builds[slot]
-            elif not external:
-                score -= builds[slot]
-        return score / len(counts) + 1e-9
-
-    def _score_from_list(self, index: int, counts: List[int]) -> Fraction:
+    def _score_units(self, index: int, counts: List[int]) -> int:
+        """The score's numerator, in cost units: the candidate's score
+        is this over ``COST_SCALE * len(counts)``."""
         savings, builds, target, store = self._cost_row(index)
         own_counts = self._own_list[index]
-        score = Fraction(0)
-        for slot, count_ in enumerate(counts):
-            # Each extra occurrence saves one materialization of this
-            # pack — valued at what that materialization would cost.
-            score += (count_ - 1) * savings[slot]
-            external = count_ > own_counts[slot]
-            if slot == target:
-                # The result superword is always written back; a
-                # non-contiguous target means a scatter either way.
-                score -= store
-                # Read-modify-write: the same pack is also a source and
-                # nobody else produces it — it must be gathered first.
-                if own_counts[slot] > 1 and not external:
-                    score -= builds[slot]
-            elif not external:
-                # A source pack no other (non-conflicting) group defines
-                # or uses: it must be materialized from scratch.
-                score -= builds[slot]
         # The merge's inherent benefits: one lane's worth of ALU work
         # disappears, and each all-memory position collapses per-lane
         # scalar accesses into one wide access (the gather/scatter
-        # penalties above are charged relative to that baseline).
-        op_saving, ref_bonus = self._static_bonus(index)
-        score += op_saving + ref_bonus
-        return score / len(counts)
+        # penalties below are charged relative to that baseline). The
+        # result superword is always written back; a non-contiguous
+        # target means a scatter either way.
+        total = self._static_bonus(index) - store
+        for slot, count_ in enumerate(counts):
+            # Each extra occurrence saves one materialization of this
+            # pack — valued at what that materialization would cost.
+            total += (count_ - 1) * savings[slot]
+            if count_ <= own_counts[slot] and (
+                slot != target or own_counts[slot] > 1
+            ):
+                # A source pack no other (non-conflicting) group defines
+                # or uses must be materialized from scratch; so must a
+                # read-modify-write target nobody else produces (it is
+                # gathered before being overwritten).
+                total -= builds[slot]
+        return total
+
+    def _score_from_list(self, index: int, counts: List[int]) -> Fraction:
+        return Fraction(
+            self._score_units(index, counts), COST_SCALE * len(counts)
+        )
 
     def score(self, index: int) -> Fraction:
         """The decision score: reuse weight minus expected packing cost.
@@ -864,38 +943,37 @@ class BasicGrouping:
         order-independent, so this is a well-defined set function — the
         quantity the optimal engine maximizes and the optimality-gap
         benchmark reports for every engine."""
-        seen: Dict[PackData, bool] = {}
-        status: Dict[PackData, int] = {}
-        total = Fraction(0)
+        seen: Set[int] = set()
+        status: Dict[int, int] = {}
+        total = 0
         for index in sorted(indices):
             total += self._objective_gain(index, seen, status)
-        return total
+        return Fraction(total, COST_SCALE)
 
-    def _objective_gain(self, index: int, seen, status) -> Fraction:
-        """Marginal objective of adding ``index``; mutates the caller's
-        per-pack-type ``seen`` map and build/produce ``status`` map
-        (0 absent, 1 built as a source, 2 produced as a target)."""
+    def _objective_gain(self, index: int, seen, status) -> int:
+        """Marginal objective of adding ``index``, in cost units;
+        mutates the caller's set of ``seen`` pack tids and their
+        build/produce ``status`` map (0 absent, 1 built as a source, 2
+        produced as a target)."""
         savings, builds, target, store = self._cost_row(index)
-        types = self._sorted_pack_types[index]
         own = self._own_list[index]
-        op_saving, ref_bonus = self._static_bonus(index)
-        gain = op_saving + ref_bonus - store
+        gain = self._static_bonus(index) - store
         rmw = own[target] > 1
-        for slot, data in enumerate(types):
+        for slot, tid in enumerate(self._types[index]):
             gain += own[slot] * savings[slot]
-            if not seen.get(data):
-                seen[data] = True
+            if tid not in seen:
+                seen.add(tid)
                 gain -= savings[slot]
-            state = status.get(data, 0)
+            state = status.get(tid, 0)
             if slot == target:
                 if state == 1:
                     gain += builds[slot]
                 if rmw:
                     gain -= builds[slot]
-                status[data] = 2
+                status[tid] = 2
             elif state == 0:
                 gain -= builds[slot]
-                status[data] = 1
+                status[tid] = 1
         return gain
 
     # -- decision loop (Figure 10 lines 20–43) ----------------------------------
@@ -924,27 +1002,24 @@ class BasicGrouping:
         picked_by: str = "score",
         runners: Sequence[dict] = (),
         proven_optimal: bool = False,
-    ):
+    ) -> List[int]:
         """Record a decision and remove the chosen candidate plus
         everything conflicting with it from both graphs. Returns the
-        touched pack-type set and the indices removed."""
+        indices removed, ascending."""
         candidate = self.candidates[best]
         trace.decisions.append((candidate, weight))
         self.decided.append(best)
         self.decided_packs.extend(self._packs[best])
         decided_counts = self._decided_counts
-        for data in self._packs[best]:
-            decided_counts[data] = decided_counts.get(data, 0) + 1
+        for node in self.vp.nodes_of_candidate(best):
+            decided_counts[node.tid] += 1
         count("grouping.decisions")
-        conflict_bits = self.vp.conflict_bits(best)
-        touched_data = set(self._packs[best])
-        removed = []
-        for index in sorted(self.active):
-            if index == best or (conflict_bits >> index) & 1:
-                self.active.discard(index)
-                touched_data.update(self._packs[index])
-                self.vp.remove_candidate(index)
-                removed.append(index)
+        gone = (self.vp.conflict_bits(best) | 1 << best) & self._active_mask
+        self._active_mask &= ~gone
+        removed = _bit_indices(gone)
+        for index in removed:
+            self.active.discard(index)
+            self.vp.remove_candidate(index)
         if TRACE.enabled:
             block = TRACE.current("block")
             TRACE.event(
@@ -963,7 +1038,25 @@ class BasicGrouping:
                     if r != best
                 ],
             )
-        return touched_data, removed
+        return removed
+
+    def _dirty_mask(self, best: int, removed: Sequence[int]) -> int:
+        """The dirty set of a commit (see ``_run_incremental``) as a
+        bitset over the still-active candidates: every holder of one of
+        ``best``'s pack types, plus every holder of a removed
+        conflictor's type that does not conflict with that conflictor."""
+        holders = self._holders
+        dirty = 0
+        for tid in self._types[best]:
+            dirty |= holders[tid]
+        for r in removed:
+            if r == best:
+                continue
+            reach = 0
+            for tid in self._types[r]:
+                reach |= holders[tid]
+            dirty |= reach & ~self.vp.conflict_bits(r)
+        return dirty & self._active_mask
 
     def _trace_runners(self, best: int, weight_of, score_of) -> List[dict]:
         """The top-2 losing SG edges at commit time, for the trace.
@@ -979,7 +1072,7 @@ class BasicGrouping:
             key=lambda i: (
                 score_of(i),
                 self.adjacency[i],
-                _neg_key(self.candidates[i]),
+                _NegatedKey(self._keys[i]),
             ),
             reverse=True,
         )[:2]
@@ -992,22 +1085,33 @@ class BasicGrouping:
             for i in others
         ]
 
+    def _heap_rank(self, index: int, counts: List[int], cost_aware: bool) -> int:
+        """The decision value of ``counts`` — the score, or the weight
+        in weight-only mode — scaled to an int comparable across the
+        round's candidates (see ``_rank_scale``)."""
+        if cost_aware:
+            units = self._score_units(index, counts)
+        else:
+            units = (sum(counts) - len(counts)) * COST_SCALE
+        return units * self._rank_scale[index]
+
     def _run_incremental(self) -> GroupingTrace:
         """The memoizing decision loop (see module docstring)."""
         trace = GroupingTrace([])
         cost_aware = self.decision_mode == "cost-aware"
 
-        # ``results`` holds the (weight, score) pair of clean candidates
-        # and is dropped on invalidation; ``previous`` survives it, so a
-        # dirty recomputation whose counts come out unchanged reuses the
-        # old Fractions instead of redoing the arithmetic.
-        results: Dict[int, Tuple[Fraction, Fraction]] = {}
-        previous: Dict[int, Tuple[List[int], Fraction, Fraction]] = {}
+        # ``results`` holds the (weight, score, heap rank) of clean
+        # candidates and is dropped on invalidation; ``previous``
+        # survives it, so a dirty recomputation whose counts come out
+        # unchanged reuses the old values instead of recomputing them.
+        results: Dict[int, Tuple[Fraction, Fraction, int]] = {}
+        previous: Dict[int, Tuple[List[int], tuple]] = {}
         generation: Dict[int, int] = {}
         heap: List[tuple] = []
         decided_counts = self._decided_counts
+        keys = self._keys
 
-        def evaluate(index: int) -> Tuple[Fraction, Fraction]:
+        def evaluate(index: int) -> Tuple[Fraction, Fraction, int]:
             got = results.get(index)
             if got is None:
                 count("grouping.scores_recomputed")
@@ -1015,7 +1119,7 @@ class BasicGrouping:
                     counts = self._counts_list(index, decided_counts)
                     old = previous.get(index)
                     if old is not None and old[0] == counts:
-                        got = (old[1], old[2])
+                        got = old[1]
                     else:
                         weight = self._weight_from_list(counts)
                         score = (
@@ -1023,8 +1127,12 @@ class BasicGrouping:
                             if cost_aware
                             else weight
                         )
-                        got = (weight, score)
-                        previous[index] = (counts, weight, score)
+                        got = (
+                            weight,
+                            score,
+                            self._heap_rank(index, counts, cost_aware),
+                        )
+                        previous[index] = (counts, got)
                 results[index] = got
             else:
                 count("grouping.score_cache_hits")
@@ -1047,39 +1155,38 @@ class BasicGrouping:
             # true score. A *bound* entry carries the cheaper
             # pre-elimination score, which can only overestimate (score
             # and weight are monotone nondecreasing in the per-slot
-            # counts, and elimination only lowers counts) — so a bound
-            # entry sorts at or before the candidate's true position,
-            # and is refined to an exact one if it ever reaches the top.
-            # Elimination therefore runs only for candidates that
-            # actually contend for selection.
+            # counts, and elimination only lowers counts) — so with
+            # bounds sorting first among equal values, a bound entry
+            # sorts before the candidate's true position, and is refined
+            # to an exact one if it ever reaches the top. Elimination
+            # therefore runs only for candidates that actually contend
+            # for selection.
             got = results.get(index)
             if got is None and force_exact:
                 got = evaluate(index)
             if got is not None:
-                entry_score = got[1]
-                exact = True
+                rank = got[2]
+                flavour = _EXACT
             else:
                 count("grouping.score_bounds")
                 with section("grouping.weights"):
-                    counts = self._counts_list(
-                        index, decided_counts, eliminate=False
+                    rank = self._heap_rank(
+                        index,
+                        self._counts_list(
+                            index, decided_counts, eliminate=False
+                        ),
+                        cost_aware,
                     )
-                    entry_score = (
-                        self._score_bound(index, counts)
-                        if cost_aware
-                        else (sum(counts) - len(counts)) / len(counts)
-                        + 1e-9
-                    )
-                exact = False
+                flavour = _BOUND
             heapq.heappush(
                 heap,
                 (
-                    -entry_score,
+                    -rank,
+                    flavour,
                     -self.adjacency[index],
-                    self.candidates[index].key(),
+                    keys[index],
                     generation.get(index, 0),
                     index,
-                    exact,
                 ),
             )
 
@@ -1089,13 +1196,13 @@ class BasicGrouping:
         while self.active:
             while heap:
                 entry = heap[0]
-                index = entry[4]
-                if index not in self.active or entry[3] != generation.get(
+                index = entry[5]
+                if index not in self.active or entry[4] != generation.get(
                     index, 0
                 ):
                     heapq.heappop(heap)
                     continue
-                if not entry[5]:
+                if entry[1] == _BOUND:
                     # A bound entry on top: replace it with the exact
                     # one. Every other entry's true score lies at or
                     # below its heap position, so the first exact entry
@@ -1127,7 +1234,7 @@ class BasicGrouping:
                         weight_of(i),
                         score_of(i),
                         self.adjacency[i],
-                        _neg_key(self.candidates[i]),
+                        _NegatedKey(keys[i]),
                     ),
                 )
                 picked_by = "reuse"
@@ -1136,7 +1243,7 @@ class BasicGrouping:
                 if TRACE.enabled
                 else []
             )
-            _touched, removed = self._commit(
+            removed = self._commit(
                 best,
                 trace,
                 weight_of(best),
@@ -1158,22 +1265,10 @@ class BasicGrouping:
             # Dirty candidates lose their caches and get a fresh heap
             # entry; everything else keeps its cached score and live
             # heap entry.
-            best_types = self._pack_sets[best]
-            others = [
-                (r, self._pack_sets[r], self.vp.conflict_bits(r))
-                for r in removed
-                if r != best
-            ]
-            for index in self.active:
-                types = self._pack_sets[index]
-                dirty = bool(best_types & types) or any(
-                    not (r_conflicts >> index) & 1 and (r_types & types)
-                    for _r, r_types, r_conflicts in others
-                )
-                if dirty:
-                    results.pop(index, None)
-                    generation[index] = generation.get(index, 0) + 1
-                    push(index)
+            for index in _bit_indices(self._dirty_mask(best, removed)):
+                results.pop(index, None)
+                generation[index] = generation.get(index, 0) + 1
+                push(index)
         return trace
 
     def _run_reference(self) -> GroupingTrace:
@@ -1182,6 +1277,7 @@ class BasicGrouping:
         trace = GroupingTrace([])
         cost_aware = self.decision_mode == "cost-aware"
         decided_counts = self._decided_counts
+        keys = self._keys
         while self.active:
             weights: Dict[int, Fraction] = {}
             scores: Dict[int, Fraction] = {}
@@ -1200,7 +1296,7 @@ class BasicGrouping:
                 key=lambda i: (
                     scores[i],
                     self.adjacency[i],
-                    _neg_key(self.candidates[i]),
+                    _NegatedKey(keys[i]),
                 ),
             )
             picked_by = "score"
@@ -1216,7 +1312,7 @@ class BasicGrouping:
                         weights[i],
                         scores[i],
                         self.adjacency[i],
-                        _neg_key(self.candidates[i]),
+                        _NegatedKey(keys[i]),
                     ),
                 )
                 picked_by = "reuse"
@@ -1238,6 +1334,16 @@ class BasicGrouping:
         return trace
 
 
+def _bit_indices(mask: int) -> List[int]:
+    """The set bit positions of a non-negative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _NegatedKey:
     """Inverts comparison so ``max`` picks the *smallest* candidate key
     among equal weights — the deterministic stand-in for the paper's
@@ -1253,7 +1359,3 @@ class _NegatedKey:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _NegatedKey) and self.key == other.key
-
-
-def _neg_key(candidate: CandidateGroup) -> _NegatedKey:
-    return _NegatedKey(candidate.key())

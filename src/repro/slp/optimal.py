@@ -46,8 +46,8 @@ one stays pristine — seeds the incumbent, so the reported gap is
 selections.  States ``(position, blocked-set, pack-type statuses
 relevant to the remaining candidates)`` are memoized with dominance
 pruning: reaching a state at a value no better than a previous visit
-cannot improve the incumbent.  All arithmetic is exact — Fractions are
-scaled by the LCM of their denominators to plain ints.
+cannot improve the incumbent.  All arithmetic is exact: the cost rows
+are already ints in units of ``1 / COST_SCALE``.
 
 A configurable node budget (``engine_options={"node_budget": n}``, or
 ``CompilerOptions.optimal_node_budget``) and a candidate-count ceiling
@@ -59,12 +59,11 @@ grouping's ``on_diagnostic`` callback.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import Diagnostic
 from ..perf import count, section
-from .grouping import BasicGrouping, GroupingTrace
+from .grouping import COST_SCALE, BasicGrouping, GroupingTrace
 from ..trace import TRACE
 
 #: Search-node ceiling before falling back to the incremental result.
@@ -96,9 +95,9 @@ class _Spec:
 
 def _build_specs(
     grouping: BasicGrouping, indices: List[int]
-) -> Tuple[List[_Spec], int, int, Dict]:
-    """Scale every cost Fraction of ``indices`` to ints by their common
-    LCM denominator; returns (specs, scale, n_types, tid_of).
+) -> List[_Spec]:
+    """The integer cost rows of ``indices`` (units of
+    ``1 / COST_SCALE``), keyed by the round's pack type ids.
 
     Each spec's ``ub`` is sharpened with instance-wide exclusivity
     facts: a pack type no *other* candidate contains can never have its
@@ -107,56 +106,38 @@ def _build_specs(
     term when some other candidate reads that type as a source.  Both
     facts hold for every possible selection, so the bound stays
     admissible."""
-    denoms = {1}
+    holders: Dict[int, int] = {}         # tid -> candidates containing it
+    source_holders: Dict[int, int] = {}  # tid -> candidates sourcing it
     rows = []
     for j in indices:
         savings, builds, target, store = grouping._cost_row(j)
-        op_saving, ref_bonus = grouping._static_bonus(j)
-        static = op_saving + ref_bonus
-        rows.append((savings, builds, target, store, static))
-        denoms.update(f.denominator for f in savings)
-        denoms.update(f.denominator for f in builds)
-        denoms.add(store.denominator)
-        denoms.add(static.denominator)
-    scale = lcm(*denoms)
-    tid_of: Dict = {}
-    holders: Dict[int, int] = {}         # tid -> candidates containing it
-    source_holders: Dict[int, int] = {}  # tid -> candidates sourcing it
-    slot_lists = []
-    for j, (savings, builds, target, store, static) in zip(indices, rows):
-        types = grouping._sorted_pack_types[j]
         own = grouping._own_list[j]
         slots = []
-        for slot, data in enumerate(types):
-            tid = tid_of.setdefault(data, len(tid_of))
-            saving_i = int(savings[slot] * scale)
-            build_i = int(builds[slot] * scale)
-            slots.append((tid, own[slot], saving_i, build_i, slot == target))
+        for slot, tid in enumerate(grouping._types[j]):
+            slots.append(
+                (tid, own[slot], savings[slot], builds[slot], slot == target)
+            )
             holders[tid] = holders.get(tid, 0) + 1
             if slot != target:
                 source_holders[tid] = source_holders.get(tid, 0) + 1
-        slot_lists.append(slots)
+        rows.append((slots, store, grouping._static_bonus(j)))
     specs = []
-    for slots, (savings, builds, target, store, static) in zip(
-        slot_lists, rows
-    ):
-        store_i = int(store * scale)
-        static_i = int(static * scale)
+    for slots, store, static in rows:
         rmw = False
-        ub = static_i - store_i
-        for tid, mult, saving_i, build_i, is_target in slots:
+        ub = static - store
+        for tid, mult, saving, build, is_target in slots:
             shared = holders[tid] > 1
-            ub += (mult if shared else mult - 1) * saving_i
+            ub += (mult if shared else mult - 1) * saving
             if is_target:
                 rmw = mult > 1
                 if source_holders.get(tid, 0) > 0:
-                    ub += build_i
+                    ub += build
                 if rmw:
-                    ub -= build_i
+                    ub -= build
             elif not shared:
-                ub -= build_i
-        specs.append(_Spec(tuple(slots), store_i, static_i, rmw, ub))
-    return specs, scale, len(tid_of), tid_of
+                ub -= build
+        specs.append(_Spec(tuple(slots), store, static, rmw, ub))
+    return specs
 
 
 def _apply(spec: _Spec, seen, status) -> Tuple[int, list]:
@@ -364,7 +345,7 @@ def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
         # Candidates that can never strictly improve a selection
         # (ub <= 0) are dropped before the search; order the rest by
         # descending bound so the suffix sums prune early.
-        all_specs, scale, n_types, _ = _build_specs(grouping, list(range(n)))
+        all_specs = _build_specs(grouping, list(range(n)))
         order = sorted(
             (j for j in range(n) if all_specs[j].ub > 0),
             key=lambda j: (-all_specs[j].ub, j),
@@ -381,10 +362,10 @@ def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
                     mask |= 1 << q
             masks.append(mask)
 
-        incumbent = int(greedy_value * scale)
+        incumbent = int(greedy_value * COST_SCALE)
         try:
             best_set, best_value, nodes = _search(
-                specs, masks, n_types, incumbent, budget
+                specs, masks, len(grouping.vp.pack_types), incumbent, budget
             )
         except _BudgetExceeded:
             return _fallback(
@@ -406,10 +387,12 @@ def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
             objective=objective,
             nodes_explored=nodes,
         )
-        seen: Dict = {}
-        status: Dict = {}
+        seen: set = set()
+        status: Dict[int, int] = {}
         for index in chosen:
-            gain = grouping._objective_gain(index, seen, status)
+            gain = Fraction(
+                grouping._objective_gain(index, seen, status), COST_SCALE
+            )
             grouping._commit(
                 index,
                 trace,
