@@ -4,8 +4,11 @@ weights (including the paper's 2/3 example), and decision updates."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import CompilerOptions, Variant, compile_program
 from repro.analysis import DependenceGraph
+from repro.bench import ALL_KERNELS, intel_dunnington
 from repro.ir import parse_block
 from repro.slp import (
     BasicGrouping,
@@ -13,10 +16,15 @@ from repro.slp import (
     VariablePackGraph,
     find_candidates,
 )
+from repro.slp.conflict import PackNode
 from repro.slp.grouping import (
+    COST_SCALE,
+    cost_units,
     eliminate_conflicts,
     pack_adjacency_score,
+    pack_is_contiguous_memory,
     pack_materialization_penalty,
+    pack_reuse_saving,
 )
 from repro.slp.model import pack_data
 
@@ -142,10 +150,95 @@ class TestWeights:
         assert after >= before - Fraction(1, 100)
 
 
-class TestConflictElimination:
-    def test_removes_highest_degree_first(self):
-        from repro.slp.conflict import PackNode
+@st.composite
+def aux_graphs(draw):
+    """A random auxiliary graph at candidate granularity: bucket sizes
+    1-3, a random, empty, complete, or cycle-shaped conflict relation
+    (equal bucket sizes force degree ties), and node ranks drawn as a
+    random canonical order."""
+    m = draw(st.integers(min_value=0, max_value=9))
+    shape = draw(st.sampled_from(["random", "empty", "complete", "cycle"]))
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=1, max_value=3))
+        sizes = [size] * m
+    else:
+        sizes = [draw(st.integers(min_value=1, max_value=3)) for _ in range(m)]
+    edges = set()
+    for a in range(m):
+        for b in range(a + 1, m):
+            if (
+                shape == "complete"
+                or (shape == "cycle" and (b == a + 1 or (a, b) == (0, m - 1)))
+                or (shape == "random" and draw(st.booleans()))
+            ):
+                edges.add((a, b))
+    ranks = draw(st.permutations(range(sum(sizes))))
+    buckets, start = [], 0
+    for size in sizes:
+        buckets.append(sorted(ranks[start:start + size]))
+        start += size
+    neighbors = [
+        [b for b in range(m) if (min(a, b), max(a, b)) in edges]
+        for a in range(m)
+    ]
+    return buckets, neighbors
 
+
+class TestConflictElimination:
+    @given(graph=aux_graphs())
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_candidate_elimination_matches_node_oracle(self, graph):
+        """The candidate-granularity elimination the grouping loop runs
+        removes exactly the nodes the node-level oracle removes, and in
+        the order of Figure 7's rule: each victim has the largest
+        (degree, canonical rank) among the nodes still in conflict."""
+        buckets, neighbors = graph
+        snapshot = ([list(b) for b in buckets], [list(r) for r in neighbors])
+        victims = BasicGrouping._eliminate_aux_conflicts(buckets, neighbors)
+        assert (buckets, neighbors) == snapshot  # inputs untouched
+
+        # The same graph at node level; pack data sorts like the rank.
+        node_of = {}
+        for k, bucket in enumerate(buckets):
+            for position, rank in enumerate(bucket):
+                node_of[rank] = PackNode(
+                    pack_data([("var", f"n{rank:03d}")]), k, position
+                )
+        adjacency = {
+            node: {
+                node_of[rank]
+                for other in neighbors[node.candidate_index]
+                for rank in buckets[other]
+            }
+            for node in node_of.values()
+        }
+        survivors = eliminate_conflicts(list(node_of.values()), adjacency)
+        assert {node_of[r] for r in victims} == set(node_of.values()) - set(
+            survivors
+        )
+
+        alive = set(node_of)
+        for victim in victims:
+            degree = {
+                r: len(adjacency[node_of[r]] & {node_of[a] for a in alive})
+                for r in alive
+            }
+            expected = max(
+                (r for r in alive if degree[r] > 0),
+                key=lambda r: (degree[r], r),
+            )
+            assert victim == expected
+            alive.discard(victim)
+        assert not any(
+            adjacency[node_of[r]] & {node_of[a] for a in alive}
+            for r in alive
+        )
+
+    def test_removes_highest_degree_first(self):
         a = PackNode(pack_data([("var", "x"), ("var", "y")]), 0, 0)
         b = PackNode(pack_data([("var", "x"), ("var", "y")]), 1, 0)
         c = PackNode(pack_data([("var", "x"), ("var", "y")]), 2, 0)
@@ -155,8 +248,6 @@ class TestConflictElimination:
         assert set(survivors) == {b, c}
 
     def test_no_edges_keeps_everything(self):
-        from repro.slp.conflict import PackNode
-
         nodes = [
             PackNode(pack_data([("var", "x"), ("var", "y")]), i, 0)
             for i in range(3)
@@ -240,3 +331,65 @@ class TestPackScores:
         scalar_pack = pack_data([("var", "x"), ("var", "y")])
         assert pack_reuse_saving(const_pack, None) == 0.0
         assert pack_reuse_saving(scalar_pack, None) > 0.0
+
+
+class TestPackCostModel:
+    def test_cost_units_are_exact_quarters(self):
+        assert cost_units(0.25) == 1
+        assert cost_units(3.0) == 3 * COST_SCALE
+        with pytest.raises(ValueError, match="multiple of 1/4"):
+            cost_units(0.1)
+
+    @pytest.mark.parametrize("unroll", [None, 8])
+    def test_costs_match_exact_fractions_on_kernel_packs(
+        self, unroll, monkeypatch
+    ):
+        """Every pack type the kernels produce, at the paper
+        configuration and at unroll 8, under both the Global and the
+        Global+Layout penalty contexts: the integer costs are the exact
+        float costs in units of 1/COST_SCALE, and the cached contiguity
+        agrees with ``pack_is_contiguous_memory``."""
+        from repro.slp import iterative
+
+        seen = {}
+
+        class Recording(BasicGrouping):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                packs = seen.setdefault(id(self.cost), (self.cost, set()))[1]
+                packs.update(self.vp.pack_types)
+
+        monkeypatch.setattr(iterative, "BasicGrouping", Recording)
+        machine = intel_dunnington()
+        options = CompilerOptions(unroll_factor=unroll)
+        for kernel in ALL_KERNELS:
+            program = kernel.build(16)
+            for variant in (Variant.GLOBAL, Variant.GLOBAL_LAYOUT):
+                compile_program(program, variant, machine, options)
+
+        checked = 0
+        for model, packs in seen.values():
+            decl_of, context = model.decl_of, model.context
+            for data in packs:
+                def units(value):
+                    exact = Fraction(value).limit_denominator(8) * COST_SCALE
+                    assert exact.denominator == 1
+                    return int(exact)
+
+                assert model.contiguous(data) == pack_is_contiguous_memory(
+                    data, decl_of
+                )
+                assert model.saving(data) == units(
+                    pack_reuse_saving(data, decl_of, context)
+                )
+                for is_store in (False, True):
+                    assert model.build(data, is_store) == units(
+                        pack_materialization_penalty(
+                            data, decl_of, context, is_store=is_store
+                        )
+                    )
+                assert model.adjacency(data) == pack_adjacency_score(
+                    data, decl_of
+                )
+                checked += 1
+        assert checked > 1000

@@ -161,19 +161,31 @@ class TestDifferentialGrouping:
         assert plans["incremental"] == plans["reference"]
 
 
-@pytest.mark.parametrize("name", ["cactusADM", "milc", "ua", "cg"])
-def test_kernels_identical_across_engines(name):
+@pytest.mark.parametrize(
+    "name, n, unroll, datapath",
+    [
+        ("cactusADM", 8, 4, 512),
+        ("milc", 8, 4, 512),
+        ("ua", 8, 4, 512),
+        ("cg", 8, 4, 512),
+        # The repository benchmark's compile-wide regime, where the
+        # auxiliary graphs are dense and elimination does most work.
+        ("sp", 16, 8, 256),
+        ("namd", 16, 8, 256),
+    ],
+)
+def test_kernels_identical_across_engines(name, n, unroll, datapath):
     """Real Table 3 kernels, unrolled wide — the regime the incremental
     engine was built for."""
-    machine = intel_dunnington().with_datapath(512)
-    program = KERNELS[name].build(8)
+    machine = intel_dunnington().with_datapath(datapath)
+    program = KERNELS[name].build(n)
     plans = {}
     for engine in ("incremental", "reference"):
         result = compile_program(
             program,
             Variant.GLOBAL,
             machine,
-            CompilerOptions(unroll_factor=4, grouping_engine=engine),
+            CompilerOptions(unroll_factor=unroll, grouping_engine=engine),
         )
         plans[engine] = disassemble_plan(result.plan)
     assert plans["incremental"] == plans["reference"]
