@@ -497,26 +497,34 @@ _EXACT = 1
 class _AuxGraph:
     """One candidate's auxiliary graph, cached for its grouping round.
 
-    ``cands`` are the live candidates that share a pack type with the
-    owner and do not conflict with it (``mask`` as a bitset). The
-    matching nodes are numbered in canonical order (the *local rank*);
-    ``buckets[k]`` holds the local ranks of ``cands[k]``'s nodes,
-    ascending, ``slot_of[r]`` is the owner slot of node ``r``, and
-    ``counts`` is the pre-elimination node count per owner slot.
-    ``neighbors[k]`` lists the local indices conflicting with ``k`` and
-    is built on the first elimination. Candidates only leave a round,
-    so a refresh just filters the removed ones out.
+    ``cands`` are the candidates that share a pack type with the owner
+    and do not conflict with it; ``mask`` is the bitset of those still
+    live. The matching nodes are numbered in canonical order (the
+    *local rank*): node ``r`` belongs to ``cands[owner[r]]`` (-1 once
+    that candidate left the round) and to the owner's slot
+    ``slot_of[r]``, and ``counts`` is the live node count per owner
+    slot. ``neighbors[k]`` lists the local indices conflicting with
+    ``k``; it is built on the first elimination and keeps the entries
+    of candidates that left, whose buckets are then empty.
     """
 
-    __slots__ = ("mask", "cands", "buckets", "counts", "slot_of", "neighbors")
+    __slots__ = ("mask", "cands", "owner", "slot_of", "counts", "neighbors")
 
-    def __init__(self, mask, cands, buckets, counts, slot_of):
+    def __init__(self, mask, cands, owner, slot_of, counts):
         self.mask = mask
         self.cands = cands
-        self.buckets = buckets
-        self.counts = counts
+        self.owner = owner
         self.slot_of = slot_of
+        self.counts = counts
         self.neighbors: Optional[List[List[int]]] = None
+
+    def buckets(self) -> List[List[int]]:
+        """Each candidate's live node ranks, ascending."""
+        buckets: List[List[int]] = [[] for _ in self.cands]
+        for rank, k in enumerate(self.owner):
+            if k >= 0:
+                buckets[k].append(rank)
+        return buckets
 
     def neighbor_lists(
         self, conflicts_of: Callable[[int], List[int]]
@@ -533,26 +541,15 @@ class _AuxGraph:
         return neighbors
 
     def drop(self, live: int) -> None:
-        """Filter out the candidates missing from the ``live`` mask."""
-        keep = [k for k, cand in enumerate(self.cands) if (live >> cand) & 1]
+        """Remove the nodes of candidates missing from ``live``."""
+        gone = [not (live >> cand) & 1 for cand in self.cands]
+        owner = self.owner
         counts = self.counts
         slot_of = self.slot_of
-        kept = set(keep)
-        for k, bucket in enumerate(self.buckets):
-            if k not in kept:
-                for rank in bucket:
-                    counts[slot_of[rank]] -= 1
-        if self.neighbors is not None:
-            new_index = [-1] * len(self.cands)
-            for new, k in enumerate(keep):
-                new_index[k] = new
-            neighbors = self.neighbors
-            self.neighbors = [
-                [new_index[x] for x in neighbors[k] if new_index[x] >= 0]
-                for k in keep
-            ]
-        self.cands = [self.cands[k] for k in keep]
-        self.buckets = [self.buckets[k] for k in keep]
+        for rank, k in enumerate(owner):
+            if k >= 0 and gone[k]:
+                owner[rank] = -1
+                counts[slot_of[rank]] -= 1
         self.mask &= live
 
 
@@ -792,9 +789,9 @@ class BasicGrouping:
         members = self._type_members
         union = 0
         cands: List[int] = []
-        buckets: List[List[int]] = []
-        counts: List[int] = []
+        owner: List[int] = []
         slot_of: List[int] = []
+        counts: List[int] = []
         local: Dict[int, int] = {}
         for slot, tid in enumerate(self._types[index]):
             union |= holders[tid]
@@ -804,15 +801,13 @@ class BasicGrouping:
                     continue
                 k = local.get(cand)
                 if k is None:
-                    local[cand] = len(cands)
+                    k = local[cand] = len(cands)
                     cands.append(cand)
-                    buckets.append([len(slot_of)])
-                else:
-                    buckets[k].append(len(slot_of))
+                owner.append(k)
                 slot_of.append(slot)
             counts.append(len(slot_of) - before)
         aux = self._aux[index] = _AuxGraph(
-            union & ~blocked, cands, buckets, counts, slot_of
+            union & ~blocked, cands, owner, slot_of, counts
         )
         return aux
 
@@ -835,12 +830,12 @@ class BasicGrouping:
         """
         aux = self._aux_graph(index)
         counts = list(aux.counts)
-        if eliminate and aux.cands:
+        if eliminate and aux.mask:
             neighbors = aux.neighbor_lists(self._conflicts_of)
             if any(neighbors):
                 slot_of = aux.slot_of
                 for victim in self._eliminate_aux_conflicts(
-                    aux.buckets, neighbors
+                    aux.buckets(), neighbors
                 ):
                     counts[slot_of[victim]] -= 1
             # With no residual conflicts (the common case) greedy
