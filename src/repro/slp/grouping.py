@@ -535,7 +535,7 @@ class _AuxGraph:
         if neighbors is None:
             local = {cand: k for k, cand in enumerate(self.cands)}
             neighbors = self.neighbors = [
-                [local[other] for other in conflicts_of(cand) if other in local]
+                [local[other] for other in local.keys() & conflicts_of(cand)]
                 for cand in self.cands
             ]
         return neighbors
@@ -763,6 +763,22 @@ class BasicGrouping:
             for x in neighbors[k]:
                 keys[x] -= unit
 
+    def _eliminate(self, aux: _AuxGraph) -> List[int]:
+        """Per-slot node counts of ``aux`` after greedy elimination of
+        its residual conflicts."""
+        counts = list(aux.counts)
+        if aux.mask:
+            neighbors = aux.neighbor_lists(self._conflicts_of)
+            if any(neighbors):
+                slot_of = aux.slot_of
+                for victim in self._eliminate_aux_conflicts(
+                    aux.buckets(), neighbors
+                ):
+                    counts[slot_of[victim]] -= 1
+            # With no residual conflicts (the common case) greedy
+            # elimination keeps every node: the collected counts stand.
+        return counts
+
     def _conflicts_of(self, index: int) -> List[int]:
         """The candidates conflicting with ``index``, ascending."""
         conflicts = self._conflict_lists[index]
@@ -829,17 +845,7 @@ class BasicGrouping:
         nondecreasing in every count).
         """
         aux = self._aux_graph(index)
-        counts = list(aux.counts)
-        if eliminate and aux.mask:
-            neighbors = aux.neighbor_lists(self._conflicts_of)
-            if any(neighbors):
-                slot_of = aux.slot_of
-                for victim in self._eliminate_aux_conflicts(
-                    aux.buckets(), neighbors
-                ):
-                    counts[slot_of[victim]] -= 1
-            # With no residual conflicts (the common case) greedy
-            # elimination keeps every node: the collected counts stand.
+        counts = self._eliminate(aux) if eliminate else list(aux.counts)
         own = self._own_list[index]
         for slot, tid in enumerate(self._types[index]):
             counts[slot] += own[slot] + decided_counts[tid]
