@@ -602,9 +602,8 @@ class BasicGrouping:
         # multiplicity of each and its target slot; ``_type_members[t]``
         # lists the candidate of every node of type ``t`` in canonical
         # order and ``_holders[t]`` is the bitset of candidates holding
-        # type ``t``. The score loops index
-        # these instead of hashing pack tuples (whose Affine subscripts
-        # make hashing and comparison slow).
+        # type ``t``. The score loops index these instead of hashing
+        # pack tuples (whose Affine subscripts hash and compare slowly).
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
         type_adjacency = [
             self.cost.adjacency(data) for data in self.vp.pack_types
@@ -1021,6 +1020,7 @@ class BasicGrouping:
         for index in removed:
             self.active.discard(index)
             self.vp.remove_candidate(index)
+            self._aux[index] = None
         if TRACE.enabled:
             block = TRACE.current("block")
             TRACE.event(
