@@ -1086,7 +1086,9 @@ class BasicGrouping:
             for i in others
         ]
 
-    def _heap_rank(self, index: int, counts: List[int], cost_aware: bool) -> int:
+    def _heap_rank(
+        self, index: int, counts: List[int], cost_aware: bool
+    ) -> int:
         """The decision value of ``counts`` — the score, or the weight
         in weight-only mode — scaled to an int comparable across the
         round's candidates (see ``_rank_scale``)."""

@@ -340,6 +340,47 @@ class TestPackCostModel:
         with pytest.raises(ValueError, match="multiple of 1/4"):
             cost_units(0.1)
 
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.sampled_from(["A", "A", "B"]),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=5),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        two_d=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_contiguity_matches_oracle(self, lanes, two_d):
+        """Flattened-offset contiguity agrees with
+        ``pack_is_contiguous_memory`` on packs of mixed arrays, strides,
+        index coefficients and shapes."""
+        from types import SimpleNamespace
+
+        from repro.ir import Affine
+        from repro.slp.grouping import PackCostModel
+
+        shape = (4, 8) if two_d else (64,)
+        decl = SimpleNamespace(shape=shape)
+        keys = []
+        for array, ci, cj, const in lanes:
+            if two_d:
+                subscripts = (
+                    Affine.of(const % 4, i=ci),
+                    Affine.of(const, j=cj),
+                )
+            else:
+                subscripts = (Affine.of(const, i=ci, j=cj),)
+            keys.append(("ref", array, subscripts))
+        data = pack_data(keys)
+        model = PackCostModel(lambda name: decl)
+        assert model.contiguous(data) == pack_is_contiguous_memory(
+            data, lambda name: decl
+        )
+
     @pytest.mark.parametrize("unroll", [None, 8])
     def test_costs_match_exact_fractions_on_kernel_packs(
         self, unroll, monkeypatch
