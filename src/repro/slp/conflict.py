@@ -151,13 +151,9 @@ class VariablePackGraph:
                 for position, data in enumerate(positions)
             ]
             self._nodes_of_candidate[index] = new_nodes
-            self.nodes.update(new_nodes)
             for node in new_nodes:
-                bucket = by_data.get(node.data)
-                if bucket is None:
-                    by_data[node.data] = [node]
-                else:
-                    bucket.append(node)
+                self.nodes.add(node)
+                by_data.setdefault(node.data, []).append(node)
         # Type ids in pack order: each data bucket already holds its
         # nodes in (candidate, position) order, so (tid, candidate,
         # position) is the canonical ``PackNode.sort_key`` order and

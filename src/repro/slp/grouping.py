@@ -29,19 +29,25 @@ Two engines implement that loop with **bit-identical decisions**:
   fresh entry pushed onto a lazy max-heap. Everything else keeps its
   cached score, so a decision costs work proportional to the dirty set,
   not to the number of active candidates.
-* ``engine="reference"`` recomputes every active candidate's score from
-  scratch on every iteration — the paper-literal loop, kept as the
-  differential-testing oracle and the baseline the compile-time
-  benchmarks measure the incremental engine against.
+* ``engine="reference"`` recomputes every active candidate's score,
+  conflict elimination included, on every iteration — the
+  paper-literal loop, kept as the differential-testing oracle and the
+  baseline the compile-time benchmarks measure the incremental engine
+  against.
+
+Both share the per-round machinery: pack costs in integer units of
+``1 / COST_SCALE``, pack type ids from the VP graph, and each
+candidate's auxiliary graph, built once per round and filtered as
+candidates leave.
 
 Why the dirty-set rule is sufficient: a candidate's score depends only
 on (a) VP nodes whose data matches one of its pack types, (b) decided
 packs matching one of its pack types, and (c) its own static packs. A
 commit changes (a) only by removing nodes of removed candidates and (b)
 only by appending the committed candidate's packs — both covered by
-``touched_data``, the union of pack types of the committed and removed
-candidates. A candidate sharing no pack type with ``touched_data``
-therefore computes exactly the same counts as before.
+the union of pack types of the committed and removed candidates. A
+candidate sharing no pack type with that union therefore computes
+exactly the same counts as before.
 """
 
 from __future__ import annotations
