@@ -17,9 +17,10 @@ from conftest import write_result
 from repro.bench import ascii_table
 from repro.bench.grouping_work import (
     COUNTERS,
-    DEFAULT_DATAPATH,
-    DEFAULT_N,
-    DEFAULT_UNROLL,
+    DATAPATH,
+    MACHINE,
+    N,
+    UNROLL,
     grouping_work_metrics,
     write_grouping_work_baseline,
 )
@@ -53,7 +54,7 @@ def test_grouping_work(results_dir):
     )
     write_result(
         results_dir / "grouping_work.txt",
-        f"Global grouping work at unroll {DEFAULT_UNROLL} x "
-        f"{DEFAULT_DATAPATH}-bit (intel, n={DEFAULT_N})",
+        f"Global grouping work at unroll {UNROLL} x "
+        f"{DATAPATH}-bit ({MACHINE}, n={N})",
         ascii_table(("kernel", *COUNTERS), rows),
     )

@@ -14,18 +14,19 @@ grouping dominates compile time) and reads the grouping loop's
 * ``vp_nodes`` / ``vp_edges`` — size of the variable pack graphs.
 
 Every counter is exact on any machine, so ``check_grouping_work`` —
-wired into ``repro bench --check`` through ``regress.PLANES`` — gates
-them with tolerance 0. A change that only makes the loop cheaper per
-step leaves this plane untouched; one that changes what the loop
-decides or how many scores it computes moves it.
+one of the side planes ``repro bench --check`` runs through
+``regress.check_planes`` — gates them with tolerance 0. A change that
+only makes the loop cheaper per step leaves this plane untouched; one
+that changes what the loop decides or how many scores it computes moves
+it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from .kernels import ALL_KERNELS, KERNELS
+from .kernels import ALL_KERNELS
 from .record import read_bench_json, write_bench_json
 from .regress import _check_plane, plane_verdict
 
@@ -39,43 +40,33 @@ COUNTERS = (
     "vp_nodes",
     "vp_edges",
 )
-#: The committed cell: compile-wide's biggest blocks at a mid datapath.
-DEFAULT_N = 16
-DEFAULT_UNROLL = 8
-DEFAULT_DATAPATH = 512
+#: The measured cell: compile-wide's biggest blocks at a mid datapath.
+MACHINE = "intel"
+N = 16
+UNROLL = 8
+DATAPATH = 512
 #: Work counters are exact: any drift is a changed grouping loop.
 WORK_TOLERANCE = 0.0
 
 
-def grouping_work_metrics(
-    *,
-    machine_name: str = "intel",
-    n: int = DEFAULT_N,
-    unroll: int = DEFAULT_UNROLL,
-    datapath: int = DEFAULT_DATAPATH,
-    kernels: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, float]]:
-    """``{"work": {"<kernel>.<counter>": value}}`` for the kernel grid.
-    The process-global perf registry is restored afterwards."""
+def grouping_work_metrics() -> Dict[str, Dict[str, float]]:
+    """``{"work": {"<kernel>.<counter>": value}}`` for every kernel at
+    the measured cell. The process-global perf registry is restored
+    afterwards."""
     from ..compiler import CompilerOptions, Variant, compile_program
     from ..perf import PERF
     from ..vm import MACHINES
 
-    machine = MACHINES[machine_name]()
-    options = CompilerOptions(datapath_bits=datapath, unroll_factor=unroll)
-    selected = (
-        [KERNELS[name] for name in kernels]
-        if kernels is not None
-        else ALL_KERNELS
-    )
+    machine = MACHINES[MACHINE]()
+    options = CompilerOptions(datapath_bits=DATAPATH, unroll_factor=UNROLL)
     was_enabled = PERF.enabled
     saved = PERF.snapshot()
     work: Dict[str, float] = {}
     try:
-        for kernel in selected:
+        for kernel in ALL_KERNELS:
             PERF.reset()
             PERF.enable()
-            compile_program(kernel.build(n), Variant.GLOBAL, machine, options)
+            compile_program(kernel.build(N), Variant.GLOBAL, machine, options)
             PERF.disable()
             for name in COUNTERS:
                 work[f"{kernel.name}.{name}"] = float(
@@ -89,25 +80,18 @@ def grouping_work_metrics(
 
 
 def write_grouping_work_baseline(
-    path: Path,
-    metrics: Dict[str, Dict[str, float]],
-    *,
-    machine: str = "intel",
-    n: int = DEFAULT_N,
-    unroll: int = DEFAULT_UNROLL,
-    datapath: int = DEFAULT_DATAPATH,
-    kernels: Optional[Sequence[str]] = None,
+    path: Path, metrics: Dict[str, Dict[str, float]]
 ) -> Dict[str, Any]:
-    """Record ``BENCH_grouping_work.json`` — the committed gate baseline."""
+    """Record ``BENCH_grouping_work.json`` — the committed gate baseline.
+    The config names the measured cell for readers."""
     return write_bench_json(
         path,
         {
             "config": {
-                "machine": machine,
-                "n": n,
-                "unroll": unroll,
-                "datapath": datapath,
-                "kernels": list(kernels) if kernels else None,
+                "machine": MACHINE,
+                "n": N,
+                "unroll": UNROLL,
+                "datapath": DATAPATH,
             },
             "metrics": metrics,
         },
@@ -120,16 +104,9 @@ def check_grouping_work(
     out_path: Optional[Path] = None,
 ) -> Dict[str, Any]:
     """Gate the committed grouping work baseline: recompute the counters
-    with its recorded config and require every one to match exactly."""
+    and require every one to match exactly."""
     baseline = read_bench_json(baseline_path)
-    config = baseline.get("config") or {}
-    current = grouping_work_metrics(
-        machine_name=config.get("machine", "intel"),
-        n=int(config.get("n", DEFAULT_N)),
-        unroll=int(config.get("unroll", DEFAULT_UNROLL)),
-        datapath=int(config.get("datapath", DEFAULT_DATAPATH)),
-        kernels=config.get("kernels") or None,
-    )
+    current = grouping_work_metrics()
     checks = _check_plane(
         "grouping-work",
         (baseline.get("metrics") or {}).get("work") or {},

@@ -35,7 +35,6 @@ tests.
 
 from __future__ import annotations
 
-import importlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -55,26 +54,6 @@ DETERMINISTIC_TOLERANCE = 0.01
 
 #: Relative band for wall-clock metrics on a matching machine.
 WALLCLOCK_TOLERANCE = 0.75
-
-#: The deterministic planes gated alongside the suite baseline, in
-#: report order: ``(label, committed artifact, module, checker)``. Each
-#: artifact sits next to ``BENCH_suite.json``; a plane whose artifact is
-#: absent is not run. Every checker takes the artifact path, recomputes
-#: the plane with the artifact's recorded config and returns a verdict.
-PLANES: Tuple[Tuple[str, str, str, str], ...] = (
-    (
-        "optimality-gap", "BENCH_optimality.json",
-        "repro.bench.optimality", "check_optimality",
-    ),
-    (
-        "predication", "BENCH_predication.json",
-        "repro.bench.predication", "check_predication",
-    ),
-    (
-        "grouping-work", "BENCH_grouping_work.json",
-        "repro.bench.grouping_work", "check_grouping_work",
-    ),
-)
 
 
 def suite_metrics(results: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
@@ -206,13 +185,23 @@ def plane_verdict(
 def check_planes(
     baseline_dir: Path,
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Gate every plane of :data:`PLANES` whose committed artifact sits
-    in ``baseline_dir``; yields ``(label, verdict)`` in report order.
-    Checker errors (unreadable artifact, config mismatch) propagate."""
-    for label, filename, module, checker in PLANES:
+    """Gate the deterministic planes committed next to the suite
+    baseline — optimality gap, predication and grouping work — whose
+    artifacts sit in ``baseline_dir``; yields ``(label, verdict)`` in
+    that order. A plane whose artifact is absent is not run. Checker
+    errors (unreadable artifact, config mismatch) propagate."""
+    # Imported here: the plane modules build on this one.
+    from .grouping_work import check_grouping_work
+    from .optimality import check_optimality
+    from .predication import check_predication
+
+    for label, filename, check in (
+        ("optimality-gap", "BENCH_optimality.json", check_optimality),
+        ("predication", "BENCH_predication.json", check_predication),
+        ("grouping-work", "BENCH_grouping_work.json", check_grouping_work),
+    ):
         path = Path(baseline_dir) / filename
         if path.exists():
-            check = getattr(importlib.import_module(module), checker)
             yield label, check(path)
 
 
@@ -355,7 +344,6 @@ def run_check(
 __all__ = [
     "CHECK_SCHEMA",
     "DETERMINISTIC_TOLERANCE",
-    "PLANES",
     "WALLCLOCK_TOLERANCE",
     "check_planes",
     "check_suite",

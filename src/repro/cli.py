@@ -470,7 +470,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 status = 1
             # The deterministic side planes ride along: each one whose
             # committed artifact sits next to the suite baseline is
-            # recomputed and gated too (see ``regress.PLANES``).
+            # recomputed and gated too (see ``regress.check_planes``).
             try:
                 for label, side in check_planes(Path(args.baseline).parent):
                     print(f"{label} plane:")
