@@ -108,8 +108,8 @@ class CompilerOptions:
     indirect_reuse: Optional[bool] = None
     decision_mode: str = "cost-aware"
     #: Grouping decision-loop implementation: "incremental" (memoized
-    #: dirty-set engine, default) or "reference" (from-scratch
-    #: recomputation every iteration). Both produce identical schedules;
+    #: dirty-set engine, default) or "reference" (recomputes every
+    #: active candidate's score every iteration). Both produce identical schedules;
     #: the reference engine exists for differential testing and
     #: compile-time benchmarking.
     grouping_engine: str = "incremental"

@@ -221,7 +221,7 @@ register_grouping_engine(
 register_grouping_engine(
     "reference",
     _grouping_reference,
-    description="from-scratch greedy loop; the differential oracle",
+    description="non-memoizing greedy loop; the differential oracle",
     equivalence="greedy",
     select_support="predicate-aware packing",
 )

@@ -18,7 +18,7 @@ hundreds of thousands of entries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..analysis import DependenceGraph
 from ..perf import count, section
@@ -64,35 +64,36 @@ class VariablePackGraph:
     (each conflicting candidate pair contributes |packs_i| x |packs_j|
     node edges).
 
+    ``packs[i]`` is candidate ``i``'s merged pack tuple, position 0 the
+    target (``candidate.packs`` re-merges on every access).
     ``pack_types`` lists the distinct pack data in sorted order and each
     node's ``tid`` indexes it, so clients compare and index small ints
-    instead of pack tuples; ``nodes_with_data`` lists nodes in the
-    canonical ``(data, candidate, position)`` order. ``packs`` optionally
-    supplies each candidate's merged pack tuple (``candidate.packs``
-    re-merges on every access).
+    instead of pack tuples; ``type_candidates[tid]`` lists the candidate
+    of every node of that type, and ``nodes_with_data`` the live nodes of
+    one type, both in the canonical ``(data, candidate, position)``
+    order.
     """
 
     def __init__(
         self,
         candidates: Sequence[CandidateGroup],
         deps: DependenceGraph,
-        packs: Optional[Sequence[Sequence[PackData]]] = None,
     ):
         self.candidates = list(candidates)
         self.deps = deps
         self.nodes: Set[PackNode] = set()
+        self.packs: List[Tuple[PackData, ...]] = [
+            c.packs for c in self.candidates
+        ]
         self.pack_types: List[PackData] = []
+        self.type_candidates: List[List[int]] = []
         self._nodes_of_candidate: Dict[int, List[PackNode]] = {}
         self._nodes_by_data: Dict[PackData, List[PackNode]] = {}
         self._conflict_bits: List[int] = []
         with section("grouping.vp_build"):
-            self._build(
-                packs
-                if packs is not None
-                else [c.packs for c in self.candidates]
-            )
+            self._build()
 
-    def _build(self, packs: Sequence[Sequence[PackData]]) -> None:
+    def _build(self) -> None:
         # Conflict relation between candidates, computed once as
         # bitsets. Two candidates conflict when they share a statement
         # or form a group-level dependence cycle. Instead of testing all
@@ -145,7 +146,7 @@ class VariablePackGraph:
         self._conflict_bits = bits
 
         by_data = self._nodes_by_data
-        for index, positions in enumerate(packs):
+        for index, positions in enumerate(self.packs):
             new_nodes = [
                 PackNode(data, index, position)
                 for position, data in enumerate(positions)
@@ -162,8 +163,12 @@ class VariablePackGraph:
         # slowly). Only the distinct pack types are sorted.
         self.pack_types = sorted(by_data)
         for tid, data in enumerate(self.pack_types):
-            for node in by_data[data]:
+            nodes = by_data[data]
+            for node in nodes:
                 node.tid = tid
+            self.type_candidates.append(
+                [node.candidate_index for node in nodes]
+            )
         edges = self.edge_count
         count("grouping.vp_nodes", len(self.nodes))
         count("grouping.vp_edges", edges)

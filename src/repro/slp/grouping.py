@@ -38,7 +38,10 @@ Two engines implement that loop with **bit-identical decisions**:
 Both share the per-round machinery: pack costs in integer units of
 ``1 / COST_SCALE``, pack type ids from the VP graph, and each
 candidate's auxiliary graph, built once per round and filtered as
-candidates leave.
+candidates leave. The reference engine is therefore the oracle of the
+incremental engine's caches and dirty sets, not of the auxiliary
+graphs; the tests check those against the node-level
+:func:`eliminate_conflicts` after every commit.
 
 Why the dirty-set rule is sufficient: a candidate's score depends only
 on (a) VP nodes whose data matches one of its pack types, (b) decided
@@ -593,23 +596,15 @@ class BasicGrouping:
         self.candidates = find_candidates(self.units, deps, datapath_bits)
         count("grouping.candidates_examined", len(self.candidates))
         n = len(self.candidates)
-        # The merged group node of each candidate (``CandidateGroup.packs``
-        # re-merges on every access) and its pack tuple, position 0 the
-        # target.
-        self._merged: List[GroupNode] = [c.merged() for c in self.candidates]
-        self._packs: List[Tuple[PackData, ...]] = [
-            node.positions for node in self._merged
-        ]
         self._keys = [c.key() for c in self.candidates]
-        self.vp = VariablePackGraph(self.candidates, deps, self._packs)
+        self.vp = VariablePackGraph(self.candidates, deps)
         # Per-round pack type ids (``tid``): indices into the VP graph's
         # sorted ``pack_types``, so tid order is pack order. Each
         # candidate keeps its distinct tids ascending (its *slots*), the
-        # multiplicity of each and its target slot; ``_type_members[t]``
-        # lists the candidate of every node of type ``t`` in canonical
-        # order and ``_holders[t]`` is the bitset of candidates holding
-        # type ``t``. The score loops index these instead of hashing
-        # pack tuples (whose Affine subscripts hash and compare slowly).
+        # multiplicity of each and its target slot; ``_holders[t]`` is
+        # the bitset of candidates holding type ``t``. The score loops
+        # index these instead of hashing pack tuples (whose Affine
+        # subscripts hash and compare slowly).
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
         type_adjacency = [
             self.cost.adjacency(data) for data in self.vp.pack_types
@@ -618,7 +613,6 @@ class BasicGrouping:
         self._types: List[Tuple[int, ...]] = []
         self._own_list: List[List[int]] = []
         self._target_slot: List[int] = []
-        self._type_members: List[List[int]] = [[] for _ in range(n_types)]
         self._holders: List[int] = [0] * n_types
         self.adjacency: List[int] = []
         for index in range(n):
@@ -630,8 +624,6 @@ class BasicGrouping:
             self._types.append(types)
             self._own_list.append([own[tid] for tid in types])
             self._target_slot.append(types.index(nodes[0].tid))
-            for node in nodes:
-                self._type_members[node.tid].append(index)
             self.adjacency.append(
                 sum(type_adjacency[node.tid] for node in nodes)
             )
@@ -656,8 +648,8 @@ class BasicGrouping:
         # instead rebuild it from ``decided_packs`` so direct mutation
         # stays visible).
         self._decided_counts: List[int] = [0] * n_types
-        self.active: Set[int] = set(range(n))
-        self._active_mask = (1 << n) - 1
+        # Bitset of the candidates still in the round.
+        self.active = (1 << n) - 1
         self.decided: List[int] = []
         self.decided_packs: List[PackData] = []
         self._decl_of = decl_of
@@ -676,7 +668,7 @@ class BasicGrouping:
         if bonus is None:
             ref_positions = sum(
                 1
-                for data in self._packs[index]
+                for data in self.vp.packs[index]
                 if all(key[0] == KIND_REF for key in data)
             )
             bonus = self._static[index] = cost_units(
@@ -797,7 +789,7 @@ class BasicGrouping:
         """The candidate's auxiliary graph over the live candidates:
         built on first use in the round, then filtered as candidates
         leave."""
-        live = self._active_mask
+        live = self.active
         aux = self._aux[index]
         if aux is not None:
             if aux.mask & ~live:
@@ -807,7 +799,7 @@ class BasicGrouping:
         # canonical order, so local ranks follow the canonical order.
         blocked = self.vp.conflict_bits(index) | 1 << index | ~live
         holders = self._holders
-        members = self._type_members
+        members = self.vp.type_candidates
         union = 0
         cands: List[int] = []
         owner: List[int] = []
@@ -992,7 +984,7 @@ class BasicGrouping:
             if trace.objective is None:
                 trace.objective = self.selection_objective(self.decided)
 
-        decided_groups = [self._merged[i] for i in self.decided]
+        decided_groups = [self.candidates[i].merged() for i in self.decided]
         taken = set()
         for group in decided_groups:
             taken |= group.sid_set
@@ -1015,16 +1007,15 @@ class BasicGrouping:
         candidate = self.candidates[best]
         trace.decisions.append((candidate, weight))
         self.decided.append(best)
-        self.decided_packs.extend(self._packs[best])
+        self.decided_packs.extend(self.vp.packs[best])
         decided_counts = self._decided_counts
         for node in self.vp.nodes_of_candidate(best):
             decided_counts[node.tid] += 1
         count("grouping.decisions")
-        gone = (self.vp.conflict_bits(best) | 1 << best) & self._active_mask
-        self._active_mask &= ~gone
+        gone = (self.vp.conflict_bits(best) | 1 << best) & self.active
+        self.active &= ~gone
         removed = _bit_indices(gone)
         for index in removed:
-            self.active.discard(index)
             self.vp.remove_candidate(index)
             self._aux[index] = None
         if TRACE.enabled:
@@ -1063,7 +1054,7 @@ class BasicGrouping:
             for tid in self._types[r]:
                 reach |= holders[tid]
             dirty |= reach & ~self.vp.conflict_bits(r)
-        return dirty & self._active_mask
+        return dirty & self.active
 
     def _trace_runners(self, best: int, weight_of, score_of) -> List[dict]:
         """The top-2 losing SG edges at commit time, for the trace.
@@ -1075,7 +1066,7 @@ class BasicGrouping:
         """
         block = TRACE.current("block")
         others = sorted(
-            (i for i in self.active if i != best),
+            (i for i in _bit_indices(self.active) if i != best),
             key=lambda i: (
                 score_of(i),
                 self.adjacency[i],
@@ -1199,15 +1190,16 @@ class BasicGrouping:
                 ),
             )
 
-        for index in sorted(self.active):
+        for index in _bit_indices(self.active):
             push(index)
 
         while self.active:
             while heap:
                 entry = heap[0]
                 index = entry[5]
-                if index not in self.active or entry[4] != generation.get(
-                    index, 0
+                if (
+                    not (self.active >> index) & 1
+                    or entry[4] != generation.get(index, 0)
                 ):
                     heapq.heappop(heap)
                     continue
@@ -1233,7 +1225,7 @@ class BasicGrouping:
                 # are left scalar rather than sinking the whole block at
                 # the cost gate.
                 with_reuse = [
-                    i for i in self.active if weight_of(i) > 0
+                    i for i in _bit_indices(self.active) if weight_of(i) > 0
                 ]
                 if not with_reuse:
                     break
@@ -1281,16 +1273,21 @@ class BasicGrouping:
         return trace
 
     def _run_reference(self) -> GroupingTrace:
-        """The from-scratch loop: every iteration recomputes every
-        active candidate's score. Kept as the differential oracle."""
+        """The non-memoizing loop: every iteration recomputes every
+        active candidate's score, conflict elimination included, from
+        the round's shared auxiliary graphs. Kept as the differential
+        oracle of the incremental engine's score caches, dirty sets and
+        heap; the auxiliary graphs themselves are checked against the
+        node-level :func:`eliminate_conflicts` in the tests."""
         trace = GroupingTrace([])
         cost_aware = self.decision_mode == "cost-aware"
         decided_counts = self._decided_counts
         keys = self._keys
         while self.active:
+            active = _bit_indices(self.active)
             weights: Dict[int, Fraction] = {}
             scores: Dict[int, Fraction] = {}
-            for i in self.active:
+            for i in active:
                 counts = self._counts_list(i, decided_counts)
                 weight = self._weight_from_list(counts)
                 weights[i] = weight
@@ -1301,7 +1298,7 @@ class BasicGrouping:
                 )
             count("grouping.scores_recomputed", len(scores))
             best = max(
-                self.active,
+                active,
                 key=lambda i: (
                     scores[i],
                     self.adjacency[i],
@@ -1310,9 +1307,7 @@ class BasicGrouping:
             )
             picked_by = "score"
             if cost_aware and scores[best] < 0:
-                with_reuse = [
-                    i for i in self.active if weights[i] > 0
-                ]
+                with_reuse = [i for i in active if weights[i] > 0]
                 if not with_reuse:
                     break
                 best = max(
