@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import CompilerOptions, Variant, compile_program
 from repro.analysis import DependenceGraph
-from repro.bench import ALL_KERNELS, intel_dunnington
+from repro.bench import ALL_KERNELS, KERNELS, intel_dunnington
 from repro.ir import parse_block
 from repro.slp import (
     BasicGrouping,
@@ -19,6 +19,7 @@ from repro.slp import (
 from repro.slp.conflict import PackNode
 from repro.slp.grouping import (
     COST_SCALE,
+    GroupingTrace,
     cost_units,
     eliminate_conflicts,
     pack_adjacency_score,
@@ -237,6 +238,86 @@ class TestConflictElimination:
             adjacency[node_of[r]] & {node_of[a] for a in alive}
             for r in alive
         )
+
+    @pytest.mark.parametrize("name", ["sp", "namd"])
+    def test_cached_aux_graphs_match_node_oracle_across_commits(
+        self, name, monkeypatch
+    ):
+        """Each round caches every candidate's auxiliary graph and only
+        filters it as commits remove candidates. On the real rounds of a
+        compile-wide cell (n=16, unroll 8 x 256-bit), driven commit by
+        commit to the end, every active candidate's counts — before and
+        after elimination — equal a from-scratch rebuild over the VP
+        graph's live nodes with the node-level oracle."""
+        from repro.slp import iterative
+
+        rounds = []
+
+        class Recording(BasicGrouping):
+            def __init__(self, *args, **kwargs):
+                rounds.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(iterative, "BasicGrouping", Recording)
+        compile_program(
+            KERNELS[name].build(16),
+            Variant.GLOBAL,
+            intel_dunnington().with_datapath(256),
+            CompilerOptions(unroll_factor=8),
+        )
+
+        def from_scratch(grouping, index, eliminate):
+            vp = grouping.vp
+            packs = grouping.candidates[index].packs
+            slots = sorted(set(packs))  # tid order is pack order
+            nodes = [
+                node
+                for data in slots
+                for node in vp.nodes_with_data(data)
+                if node.candidate_index != index
+                and not vp.candidates_conflict(index, node.candidate_index)
+            ]
+            if eliminate:
+                adjacency = {
+                    a: {
+                        b
+                        for b in nodes
+                        if vp.candidates_conflict(
+                            a.candidate_index, b.candidate_index
+                        )
+                    }
+                    for a in nodes
+                }
+                nodes = eliminate_conflicts(nodes, adjacency)
+            return [
+                sum(node.data == data for node in nodes)
+                + packs.count(data)
+                + grouping.decided_packs.count(data)
+                for data in slots
+            ]
+
+        commits = eliminated = 0
+        for args, kwargs in rounds:
+            grouping = BasicGrouping(*args, **kwargs)
+            trace = GroupingTrace([])
+            while grouping.active:
+                scores = {}
+                for index in range(len(grouping.candidates)):
+                    if not (grouping.active >> index) & 1:
+                        continue
+                    decided = grouping._decided_counts
+                    bound = grouping._counts_list(index, decided, False)
+                    assert bound == from_scratch(grouping, index, False)
+                    counts = grouping._counts_list(index, decided)
+                    assert counts == from_scratch(grouping, index, True)
+                    eliminated += counts != bound
+                    scores[index] = grouping._score_from_list(index, counts)
+                best = max(scores, key=lambda i: (scores[i], -i))
+                grouping._commit(best, trace, grouping.weight(best))
+                commits += 1
+        # Both rounds ran, and elimination changed many counts.
+        assert len(rounds) >= 2 and commits > len(rounds)
+        assert eliminated > 100
 
     def test_removes_highest_degree_first(self):
         a = PackNode(pack_data([("var", "x"), ("var", "y")]), 0, 0)

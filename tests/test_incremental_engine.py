@@ -161,7 +161,25 @@ class TestDifferentialGrouping:
         assert plans["incremental"] == plans["reference"]
 
 
-def _plans_across_engines(program, machine, unroll):
+@pytest.mark.parametrize(
+    "name, n, unroll, datapath",
+    [
+        pytest.param(name, 8, 4, 512, id=name)
+        for name in ("cactusADM", "milc", "ua", "cg")
+    ]
+    # Cells of the repository benchmark's compile-wide workload, where
+    # the auxiliary graphs are dense and conflict elimination does most
+    # of the grouping work.
+    + [
+        pytest.param(name, 16, 8, 256, id=f"{name}-u8-256")
+        for name in ("sp", "namd")
+    ],
+)
+def test_kernels_identical_across_engines(name, n, unroll, datapath):
+    """Real Table 3 kernels, unrolled wide — the regime the incremental
+    engine was built for."""
+    machine = intel_dunnington().with_datapath(datapath)
+    program = KERNELS[name].build(n)
     plans = {}
     for engine in ("incremental", "reference"):
         result = compile_program(
@@ -171,25 +189,6 @@ def _plans_across_engines(program, machine, unroll):
             CompilerOptions(unroll_factor=unroll, grouping_engine=engine),
         )
         plans[engine] = disassemble_plan(result.plan)
-    return plans
-
-
-@pytest.mark.parametrize("name", ["cactusADM", "milc", "ua", "cg"])
-def test_kernels_identical_across_engines(name):
-    """Real Table 3 kernels, unrolled wide — the regime the incremental
-    engine was built for."""
-    machine = intel_dunnington().with_datapath(512)
-    plans = _plans_across_engines(KERNELS[name].build(8), machine, 4)
-    assert plans["incremental"] == plans["reference"]
-
-
-@pytest.mark.parametrize("name", ["sp", "namd"])
-def test_compile_wide_kernels_identical_across_engines(name):
-    """Cells of the repository benchmark's compile-wide workload (n=16,
-    unroll 8 x 256-bit), where the auxiliary graphs are dense and
-    conflict elimination does most of the grouping work."""
-    machine = intel_dunnington().with_datapath(256)
-    plans = _plans_across_engines(KERNELS[name].build(16), machine, 8)
     assert plans["incremental"] == plans["reference"]
 
 
