@@ -16,7 +16,7 @@ where their model does not apply):
   set-associative replay — so a warm run does no per-loop decoding or
   Python-level dispatch at all.
 
-This harness does two things:
+This harness does three things:
 
 1. **Grid**: sweeps the fig16 kernel set across every compiler variant
    on both machine models at n=256, times all three engines on the
@@ -29,6 +29,14 @@ This harness does two things:
    kernels prewarmed, and asserts a >= 50x aggregate compiled-vs-
    reference simulate-phase speedup (measured ~55-60x) alongside the
    batched engine's >= 5x grid gate.
+3. **Plan sweep**: the row behind the default engine. Every kernel x
+   variant x machine is compiled fresh at n in {128, 1024} (400 plans)
+   and each engine simulates every plan once per pass, for two passes:
+   pass 1 is cold, pass 2 shows what the compiled engine's kernel memo
+   keeps. It records seconds per pass, kernel emissions and memo hits,
+   and each engine's ``tracemalloc`` peak on the largest run, and
+   asserts report + memory equality with ``reference`` on every run.
+   It has no wall-clock gate.
 
 Results land in ``results/sim_engine.txt`` and machine-readable
 ``results/BENCH_sim_engine.json``. Set ``REPRO_BENCH_SMOKE=1`` (CI) for
@@ -42,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import tracemalloc
 
 from conftest import write_result
 
@@ -57,6 +66,7 @@ from repro.bench.record import write_bench_json
 from repro.bench.suite import DEFAULT_VARIANTS
 from repro.perf import PERF
 from repro.vm import Simulator
+from repro.vm.compiled import clear_kernel_memo
 from repro.vm.simulator import Memory
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -85,6 +95,11 @@ GATE_N = 256 if SMOKE else 1024
 GATE_SPEEDUP = 50.0
 GATE_REPEATS = {"reference": 1, "batched": 8, "compiled": 8}
 GATE_ROUNDS = 1 if SMOKE else 5
+
+#: The plan sweep: suite-sized plans, all compiled before the first
+#: run, as a suite run sees them.
+SWEEP_NS = (128, 1024)
+SWEEP_PASSES = 2
 
 
 def _timed_run(machine, engine, plan):
@@ -116,6 +131,86 @@ def _timed_gate_run(machine, engine, plan):
             report, _ = simulator.run(plan, memory=memory, seed=0)
         best = min(best, (time.perf_counter() - started) / reps)
     return best, report
+
+
+def _plan_sweep():
+    """Seconds per pass per engine over every sweep plan (engines
+    interleaved per plan; the compiled engine's memo still sees the
+    plans in sweep order, pass after pass), with report and memory
+    equality against ``reference`` on every run, then each engine's
+    ``tracemalloc`` peak on the run with the most instructions."""
+    plans = []
+    for machine_name, factory in MACHINES:
+        machine = factory()
+        for kernel in SUITE_KERNELS:
+            for n in SWEEP_NS:
+                program = kernel.build(n)
+                for variant in VARIANTS:
+                    plans.append(
+                        (
+                            f"{kernel.name}/{variant.value}/"
+                            f"{machine_name}/n={n}",
+                            compile_program(program, variant, machine),
+                        )
+                    )
+    clear_kernel_memo()
+    passes = []
+    largest = None
+    for _ in range(SWEEP_PASSES):
+        seconds = {engine: 0.0 for engine in ENGINES}
+        PERF.reset()
+        PERF.enable()
+        for label, compiled in plans:
+            runs = {}
+            for engine in ENGINES:
+                simulator = Simulator(compiled.machine, engine=engine)
+                started = time.perf_counter()
+                runs[engine] = simulator.run(compiled.plan)
+                seconds[engine] += time.perf_counter() - started
+            ref_report, ref_mem = runs["reference"]
+            for engine in ("batched", "compiled"):
+                report, memory = runs[engine]
+                assert report == ref_report, (
+                    f"sweep report diverged: {label}/{engine}"
+                )
+                assert memory.state_equal(ref_mem), (
+                    f"sweep memory diverged: {label}/{engine}"
+                )
+            if largest is None or (
+                ref_report.total_instructions > largest[0]
+            ):
+                largest = (ref_report.total_instructions, label, compiled)
+        PERF.disable()
+        counters = dict(PERF.counters)
+        passes.append(
+            {
+                "seconds": seconds,
+                "kernel_emissions": counters.get("compiled.emissions", 0),
+                "kernel_memo_hits": counters.get(
+                    "compiled.kernel_memo_hits", 0
+                ),
+            }
+        )
+    PERF.reset()
+    instructions, label, compiled = largest
+    clear_kernel_memo()
+    peaks = {}
+    for engine in ENGINES:
+        simulator = Simulator(compiled.machine, engine=engine)
+        tracemalloc.start()
+        simulator.run(compiled.plan)
+        peaks[engine] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return {
+        "ns": list(SWEEP_NS),
+        "plans": len(plans),
+        "passes": passes,
+        "largest_run": {
+            "plan": label,
+            "instructions": instructions,
+            "tracemalloc_peak_bytes": peaks,
+        },
+    }
 
 
 def test_sim_engine(results_dir):
@@ -211,6 +306,7 @@ def test_sim_engine(results_dir):
 
     counters = dict(PERF.counters)
     PERF.reset()
+    sweep = payload["sweep"] = _plan_sweep()
 
     batched_loops = counters.get("simulate.batched_loops", 0)
     fallbacks = counters.get("simulate.batched_fallbacks", 0)
@@ -319,6 +415,34 @@ def test_sim_engine(results_dir):
         )
         + f"\n\ngate aggregate: {gate_aggregate:.1f}x compiled vs "
         f"reference (gate: >={GATE_SPEEDUP:.0f}x)"
+        + f"\n\nplan sweep ({sweep['plans']} fresh plans, n in "
+        f"{{{', '.join(str(n) for n in SWEEP_NS)}}}, every engine "
+        "simulates every plan once per pass; no gate):\n"
+        + ascii_table(
+            ("pass", "reference", "batched", "compiled",
+             "kernel emissions", "memo hits"),
+            [
+                (
+                    str(i + 1),
+                    *(
+                        f"{p['seconds'][engine]:7.2f} s"
+                        for engine in ENGINES
+                    ),
+                    str(p["kernel_emissions"]),
+                    str(p["kernel_memo_hits"]),
+                )
+                for i, p in enumerate(sweep["passes"])
+            ],
+        )
+        + f"\n\nlargest run ({sweep['largest_run']['plan']}, "
+        f"{sweep['largest_run']['instructions']} instructions), "
+        "tracemalloc peak: "
+        + ", ".join(
+            f"{engine} {peak / 2**20:.2f} MiB"
+            for engine, peak in sweep["largest_run"][
+                "tracemalloc_peak_bytes"
+            ].items()
+        )
     )
     write_result(
         results_dir / "sim_engine.txt",

@@ -81,7 +81,10 @@ __version__ = "1.0.0"
 
 
 def simulate(result: CompileResult, seed: int = 0):
-    """Run a compiled variant on the virtual SIMD machine.
+    """Run a compiled variant on the virtual SIMD machine, on the
+    default ``batched`` engine (report- and memory-identical to the
+    reference interpreter; pass ``engine="reference"`` to
+    :class:`repro.vm.Simulator` to run the interpreter itself).
 
     Returns ``(report, memory)``: the instruction/cycle report and the
     final machine state.

@@ -820,9 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--engine", choices=engine_names("sim"),
             default=None,
-            help="simulation engine (default: $REPRO_SIM_ENGINE, then"
-            " the reference interpreter); all produce identical"
-            " reports",
+            help="simulation engine (default: batched; reference is"
+            " the interpreter); all produce identical reports",
         )
         p.add_argument(
             "--grouping-engine", choices=engine_names("grouping"),

@@ -86,10 +86,10 @@ class CompilerOptions:
     **Option precedence** (the single place this rule is defined): an
     explicit ``CompilerOptions`` field value wins; the CLI expresses its
     flags *by building* a ``CompilerOptions`` (so a CLI flag is the same
-    thing as an explicit field); a field left at ``None`` defers to its
-    environment variable (``REPRO_SIM_ENGINE`` for ``engine``,
-    ``REPRO_CHECKS`` for ``checks``); and only then does the built-in
-    default apply. Nothing else consults the environment directly.
+    thing as an explicit field); ``checks`` left at ``None`` defers to
+    the ``REPRO_CHECKS`` environment variable; and only then does the
+    built-in default apply. Nothing else consults the environment
+    directly.
     """
 
     datapath_bits: Optional[int] = None   # None: the machine's width
@@ -119,14 +119,13 @@ class CompilerOptions:
     #: ``repro.slp.optimal.DEFAULT_NODE_BUDGET``. Ignored by the greedy
     #: engines.
     optimal_node_budget: Optional[int] = None
-    #: Simulation engine for runs driven by these options: "reference"
-    #: (per-instruction interpreter), "batched" (vectorized loop
-    #: engine, report-identical — see ``repro.vm.batched``), or
-    #: "compiled" (per-loop NumPy codegen with peephole
-    #: superoptimization, also report-identical — see
-    #: ``repro.vm.compiled``). ``None`` defers to the
-    #: ``REPRO_SIM_ENGINE`` environment variable, then to "reference".
-    #: Compilation itself is engine-independent.
+    #: Simulation engine for runs driven by these options: "batched"
+    #: (vectorized loop engine — see ``repro.vm.batched``; the default
+    #: when ``None``), "reference" (per-instruction interpreter, the
+    #: oracle), or "compiled" (per-loop NumPy codegen with peephole
+    #: superoptimization — see ``repro.vm.compiled``). All three
+    #: produce identical reports and memories. Compilation itself is
+    #: engine-independent.
     engine: Optional[str] = None
     #: Pipeline verifier stages to run during compilation: "none",
     #: "all", or a comma-separated subset of "ir", "schedule", "plan"

@@ -15,10 +15,12 @@ pre-decoded **once** into a slot program —
   buckets, aggregated per slot × trip count instead of per instruction;
 * closed-form affine address streams (``base + stride · i`` over the
   whole iteration range, via :func:`repro.vm.codegen.affine_stream`);
-* lane values evaluated as whole-range NumPy columns with deferred
-  writes and exact-affine store-to-load forwarding;
-* one chronologically interleaved line-ID stream replayed in bulk
-  through the LRU state machine (:meth:`repro.vm.cache.Cache.replay_lines`).
+* lane values evaluated as NumPy columns with deferred writes and
+  exact-affine store-to-load forwarding, one block of at most
+  ``BLOCK_TRIPS`` iterations at a time;
+* each block's chronologically interleaved line-ID stream replayed in
+  bulk through the LRU state machine
+  (:meth:`repro.vm.cache.Cache.replay_lines`).
 
 The result — ``ExecutionReport``, final ``Memory``, cache state — is
 **exactly equal** to the reference interpreter's; the bucketed cycle
@@ -64,6 +66,13 @@ from .report import MISS_CATEGORY, ProvenanceCost
 
 _CONTIG_PACKS = (PackMode.CONTIG_ALIGNED, PackMode.CONTIG_UNALIGNED)
 _CONTIG_STORES = (StoreMode.CONTIG_ALIGNED, StoreMode.CONTIG_UNALIGNED)
+
+#: Iterations of one loop entry evaluated, replayed and written back
+#: together. Columns, deferred writes and line streams are
+#: O(BLOCK_TRIPS x body) instead of O(trips x body). Exact: the safety
+#: analysis admits no iteration reading a cell another one writes, and
+#: the blocks replay the cache in chronological order.
+BLOCK_TRIPS = 256
 
 #: Vectorized twins of the interpreter's ``_OP_FUNCS``. ``+ - * /``,
 #: ``neg``/``abs``/``sqrt`` are IEEE-correctly-rounded elementwise in
@@ -191,14 +200,20 @@ class BatchedEngine:
                 count("simulate.batched_fallbacks")
                 return False
             streams[flat] = stream
-        ivals = np.arange(spec.start, spec.stop, spec.step, dtype=np.int64)
-        entry = _Entry(self, program, trips, ivals, streams)
-        entry.evaluate()
         # _account resolves each slot's provenance sink for this entry,
         # which _replay's per-touch miss attribution relies on.
         self._account(program, trips)
-        self._replay(program, trips, ivals, streams)
-        entry.apply()
+        step = spec.step
+        for done in range(0, trips, BLOCK_TRIPS):
+            block = min(BLOCK_TRIPS, trips - done)
+            start = spec.start + done * step
+            ivals = np.arange(
+                start, start + block * step, step, dtype=np.int64
+            )
+            entry = _Entry(self, program, ivals, streams)
+            entry.evaluate()
+            self._replay(program, block, ivals, streams)
+            entry.apply()
         env.pop(spec.index, None)
         self.batched_loops += 1
         count("simulate.batched_loops")
@@ -280,9 +295,10 @@ class BatchedEngine:
         ivals: np.ndarray,
         streams: Dict[Affine, Tuple[int, int]],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The whole loop's chronological line-ID stream — iteration-
-        major, then slot order, then line order within one access —
-        plus per-element touch attribution and per-touch line totals."""
+        """The chronological line-ID stream of the iterations
+        ``ivals`` — iteration-major, then slot order, then line order
+        within one access — plus per-element touch attribution and
+        per-touch line totals."""
         touches = program.touches
         m = len(touches)
         memory = self.memory
@@ -321,9 +337,9 @@ class BatchedEngine:
         ivals: np.ndarray,
         streams: Dict[Affine, Tuple[int, int]],
     ) -> None:
-        """Replay every cache access of the whole loop, in the exact
-        chronological order the interpreter would issue them, through
-        the LRU state machine, attributing misses per touch."""
+        """Replay every cache access of the iterations ``ivals``, in
+        the exact chronological order the interpreter would issue them,
+        through the LRU state machine, attributing misses per touch."""
         m = len(program.touches)
         if m == 0:
             return
@@ -397,26 +413,25 @@ class BatchedEngine:
 
 
 class _Entry:
-    """Functional (value) execution of one batched loop entry.
+    """Functional (value) execution of one block of a batched loop
+    entry (at most ``BLOCK_TRIPS`` iterations, the values of ``ivals``).
 
-    Values flow as whole-iteration-range columns. Array writes are
-    deferred: reads come either from the store-forwarding map (exact
-    affine match — the only aliasing the safety analysis admits) or
-    from loop-entry memory, then all writes land in body order at the
-    end. Nothing outside this object mutates until :meth:`apply`.
+    Values flow as block-range columns. Array writes are deferred:
+    reads come either from the store-forwarding map (exact affine match
+    — the only aliasing the safety analysis admits) or from block-entry
+    memory, then all writes land in body order at the end. Nothing
+    outside this object mutates until :meth:`apply`.
     """
 
     def __init__(
         self,
         engine: BatchedEngine,
         program: _LoopProgram,
-        trips: int,
         ivals: np.ndarray,
         streams: Dict[Affine, Tuple[int, int]],
     ):
         self.engine = engine
         self.program = program
-        self.trips = trips
         self.ivals = ivals
         self.streams = streams
         self.scalar_cols: Dict[str, object] = {}

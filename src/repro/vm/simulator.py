@@ -11,7 +11,6 @@ the paper's evaluation is built from).
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -273,15 +272,15 @@ def interpret_program(program, memory: Optional[Memory] = None, seed: int = 0) -
     return memory
 
 
-#: Environment variable consulted when no engine is given explicitly —
-#: lets existing harnesses (the fig16–fig21 benches, ``run_suite``
-#: callers) switch engines without any signature changes.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-
 def resolve_engine(engine: Optional[str]) -> str:
+    """The sim engine a run uses: ``engine`` when named, else
+    ``batched``, which keeps pace with ``compiled`` on the plan sweep
+    of ``benchmarks/bench_sim_engine.py`` at half its memory and emits
+    no code per fresh plan. ``reference`` stays the oracle every fast
+    engine is tested against. Unknown names raise
+    :class:`~repro.errors.OptionsError`."""
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "reference"
+        engine = "batched"
     resolve_engine_impl("sim", engine)
     return engine
 
@@ -290,16 +289,15 @@ class Simulator:
     """Executes plans with cycle/cache accounting.
 
     ``engine`` selects the execution strategy, by a name registered in
-    :mod:`repro.engines`. ``reference`` is the per-instruction
-    interpreter below; ``batched`` is the vectorized loop engine in
-    :mod:`repro.vm.batched`, proven report-identical by differential
-    tests and falling back here per-unit whenever a loop is not
-    batchable; ``compiled`` additionally emits one specialized NumPy
-    function per affine loop (:mod:`repro.vm.compiled`), cached across
-    runs, and falls back to the batched path per-unit.
-    ``None`` defers to the ``REPRO_SIM_ENGINE`` environment variable and
-    then to the reference interpreter. ``kernel_store``, when given, is
-    an :class:`repro.store.ArtifactStore` the compiled engine uses to
+    :mod:`repro.engines`. ``batched`` (the default when ``engine`` is
+    ``None``) is the vectorized loop engine in :mod:`repro.vm.batched`,
+    proven report-identical by differential tests and falling back here
+    per-unit whenever a loop is not batchable; ``reference`` is the
+    per-instruction interpreter below, the oracle; ``compiled``
+    additionally emits one specialized NumPy function per affine loop
+    (:mod:`repro.vm.compiled`), cached across runs, and falls back to
+    the batched path per-unit. ``kernel_store``, when given, is an
+    :class:`repro.store.ArtifactStore` the compiled engine uses to
     persist emitted kernels across processes (warm service workers load
     instead of re-emitting).
     """
@@ -328,8 +326,15 @@ class Simulator:
             impl = resolve_engine_impl("sim", self.engine)
             state.batched = impl.factory(self, plan, state)
             env: Dict[str, int] = {}
-            for unit in plan.units:
-                self._run_unit(unit, env, state)
+            try:
+                for unit in plan.units:
+                    self._run_unit(unit, env, state)
+            finally:
+                # The engine points back at ``state``; breaking the
+                # cycle lets the memory, cache and decoded loops go as
+                # soon as the caller drops them, not at the next
+                # cyclic collection.
+                state.batched = None
             report.cache_hits = cache.hits
             report.cache_misses = cache.misses
             return report, memory
@@ -402,7 +407,8 @@ class _RunState:
         self.report = report
         self.cache = cache
         self.vregs: Dict[int, Tuple[float, ...]] = {}
-        #: Set by ``Simulator.run`` when the batched engine is active.
+        #: The fast engine, set by ``Simulator.run`` for the run's
+        #: duration (None under the reference interpreter).
         self.batched = None
 
     # -- memory with cache accounting ----------------------------------------------

@@ -74,12 +74,15 @@ def _assert_identical(plan, machine, seed=0):
 
 
 @pytest.mark.parametrize(
-    "kernel", ALL_KERNELS, ids=[k.name for k in ALL_KERNELS]
+    "kernel,n",
+    [pytest.param(k, 8, id=k.name) for k in ALL_KERNELS]
+    + [pytest.param(k, 1024, id=f"{k.name}-1024") for k in ALL_KERNELS],
 )
-def test_kernel_matrix_identical(kernel):
+def test_kernel_matrix_identical(kernel, n):
     """Every kernel × variant × machine combination produces reports and
-    memories indistinguishable from the reference interpreter."""
-    program = kernel.build(8)
+    memories indistinguishable from the reference interpreter — at
+    n=1024 with loop entries spanning several ``BLOCK_TRIPS`` blocks."""
+    program = kernel.build(n)
     for _, factory in MATRIX_MACHINES:
         machine = factory()
         for variant in DEFAULT_VARIANTS:
@@ -126,13 +129,22 @@ for (i = 0; i < 8; i += 1) {
 }
 """
 
+#: Trip counts straddling the batched engine's block size (256).
+TRIPS = [8, 255, 256, 257, 600]
+
+#: Batchable at any trip count: a scalar temporary and a constant
+#: address, each written before it is read, beside streaming arrays.
 AFFINE_SRC = """
-double A[64];
-double B[64];
-double C[64];
-for (i = 0; i < 64; i += 1) {
-    C[i] = A[i] * B[i] + 2.0;
-}
+double A[{trips}];
+double B[{trips}];
+double C[{trips}];
+double D[4];
+double t;
+for (i = 0; i < {trips}; i += 1) {{
+    t = A[i] * B[i];
+    D[1] = t + 2.0;
+    C[i] = D[1] - A[i];
+}}
 """
 
 
@@ -178,10 +190,15 @@ def test_nested_loop_outer_falls_back_inner_batches():
 
 
 def test_affine_kernel_takes_batched_path():
-    batched, fallbacks, compiled = _counters_for(AFFINE_SRC)
-    assert batched >= 1
-    assert fallbacks == 0
-    _assert_identical(compiled.plan, compiled.machine)
+    """Batched at every trip count, across partial, exact and multiple
+    blocks, and still identical to the interpreter."""
+    for trips in TRIPS:
+        batched, fallbacks, compiled = _counters_for(
+            AFFINE_SRC.format(trips=trips)
+        )
+        assert batched >= 1, trips
+        assert fallbacks == 0, trips
+        _assert_identical(compiled.plan, compiled.machine)
 
 
 def test_vectorized_fallback_mix_identical():
@@ -198,12 +215,14 @@ def test_vectorized_fallback_mix_identical():
 
 SCALARS = ["s0", "s1", "s2", "s3"]
 ARRAYS = ["X", "Y", "Z"]
+MAX_COEFF = 3
+MAX_CONST = 8
 
 
 @st.composite
 def affine_subscripts(draw):
-    coeff = draw(st.sampled_from([1, 1, 1, 2, 3]))
-    const = draw(st.integers(min_value=0, max_value=8))
+    coeff = draw(st.sampled_from([0, 1, 1, 1, 2, MAX_COEFF]))
+    const = draw(st.integers(min_value=0, max_value=MAX_CONST))
     return Affine.of(const, i=coeff)
 
 
@@ -245,12 +264,14 @@ def statements(draw, sid):
 def programs(draw):
     count = draw(st.integers(min_value=2, max_value=8))
     body = BasicBlock([draw(statements(sid)) for sid in range(count)])
+    trips = draw(st.sampled_from(TRIPS))
+    size = MAX_COEFF * (trips - 1) + MAX_CONST + 1
     program = Program("random")
     for name in ARRAYS:
-        program.declare_array(name, (64,), FLOAT64)
+        program.declare_array(name, (size,), FLOAT64)
     for name in SCALARS:
         program.declare_scalar(name, FLOAT64)
-    program.add(Loop("i", 0, 8, 1, body))
+    program.add(Loop("i", 0, trips, 1, body))
     return program
 
 
@@ -277,18 +298,9 @@ class TestRandomDifferential:
 
 
 class TestEngineSelection:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine(None) == "reference"
-        assert Simulator(intel_dunnington()).engine == "reference"
-
-    def test_env_var_selects_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
+    def test_default_is_batched(self):
         assert resolve_engine(None) == "batched"
         assert Simulator(intel_dunnington()).engine == "batched"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
         assert Simulator(
             intel_dunnington(), engine="reference"
         ).engine == "reference"
@@ -305,7 +317,9 @@ class TestOptionsPlumbing:
     def test_run_kernel_engine_option_matches_reference(self):
         machine = intel_dunnington()
         kernel = KERNELS["lbm"]
-        ref = run_kernel(kernel, machine, n=8)
+        ref = run_kernel(
+            kernel, machine, n=8, options=CompilerOptions(engine="reference")
+        )
         bat = run_kernel(
             kernel, machine, n=8, options=CompilerOptions(engine="batched")
         )

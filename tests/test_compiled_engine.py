@@ -529,10 +529,6 @@ class TestBulkReplay:
 
 
 class TestPlumbing:
-    def test_env_var_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
-        assert Simulator(intel_dunnington()).engine == "compiled"
-
     def test_artifact_kinds_do_not_collide(self, tmp_path):
         """A compile entry and a kernel entry with the same hash string
         live at different paths."""

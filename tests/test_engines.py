@@ -11,7 +11,9 @@ and that README's engine table stays generated from the registry.
 
 from __future__ import annotations
 
+import gc
 import pathlib
+import weakref
 
 import pytest
 
@@ -95,11 +97,6 @@ class TestResolutionPaths:
     def test_simulator_rejects_unknown_engine(self):
         with pytest.raises(OptionsError, match="unknown sim engine"):
             Simulator(intel_dunnington(), engine="turbo")
-
-    def test_simulator_rejects_unknown_env_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")
-        with pytest.raises(OptionsError, match="unknown sim engine"):
-            Simulator(intel_dunnington())
 
     def test_cli_rejects_unknown_engine_names(self, capsys):
         from repro.cli import main
@@ -198,6 +195,29 @@ class TestCustomEngine:
         assert seen["called"]
         assert report.cycles > 0
         assert sentinel  # keep flake quiet about the unused sentinel
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("engine", engine_names("sim"))
+    def test_run_state_freed_without_cyclic_gc(self, engine):
+        """A run keeps nothing alive once its caller drops the report
+        and the memory: no reference cycle through the engine holds
+        the ``Memory`` (or the cache and decoded loops beside it) until
+        the next cyclic collection."""
+        machine = intel_dunnington()
+        plan = compile_program(
+            KERNELS["lbm"].build(64), Variant.GLOBAL, machine
+        ).plan
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report, memory = Simulator(machine, engine=engine).run(plan)
+            alive = weakref.ref(memory)
+            del report, memory
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestReadmeTable:

@@ -30,7 +30,6 @@ from repro import (
     Variant,
     WorkerCrashError,
     compile_program,
-    simulate,
 )
 from repro.bench import KERNELS
 from repro.errors import ServiceBusyError
@@ -39,7 +38,7 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
 from repro.telemetry import LOG, bind_request_id, validate_exposition
 from repro.telemetry.log import parse_jsonl
-from repro.vm import MACHINES
+from repro.vm import MACHINES, Simulator
 
 #: Small problem size: the full 16-kernel × 5-variant matrix stays in
 #: the sub-second range locally, and the service adds only HTTP + IPC.
@@ -88,11 +87,14 @@ def submit_with_hooks(client, kind, source, **hooks):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_served_results_equal_local(client, kernel, variant):
-    """Server compile+simulate == local compile+simulate, dataclass-==,
-    for every benchmark kernel × variant."""
+    """Server compile+simulate (default engine) == local compile +
+    reference-interpreter simulate, dataclass-==, for every benchmark
+    kernel × variant."""
     program = KERNELS[kernel].build(N)
     local = compile_program(program, Variant(variant), MACHINES["intel"]())
-    report, memory = simulate(local, seed=7)
+    report, memory = Simulator(local.machine, engine="reference").run(
+        local.plan, seed=7
+    )
 
     outcome = client.simulate(kernel=kernel, n=N, variant=variant, seed=7)
 
