@@ -162,9 +162,7 @@ def optimality_metrics(
                 result = compile_program(
                     program, Variant.GLOBAL, machine, options
                 )
-                report, _ = Simulator(machine, engine="batched").run(
-                    result.plan
-                )
+                report, _ = Simulator(machine).run(result.plan)
                 run_cycles[engine] = float(report.cycles)
             cycles[f"{key}.greedy"] = run_cycles["incremental"]
             cycles[f"{key}.optimal"] = run_cycles["optimal"]

@@ -85,9 +85,7 @@ def predication_metrics(
         plans: Dict[Any, Any] = {}
         for variant in (Variant.SCALAR, Variant.GLOBAL):
             result = compile_program(program, variant, machine, options)
-            report, _ = Simulator(machine, engine="batched").run(
-                result.plan
-            )
+            report, _ = Simulator(machine).run(result.plan)
             run_cycles[variant] = float(report.cycles)
             plans[variant] = result.plan
         scalar_cycles = run_cycles[Variant.SCALAR]
