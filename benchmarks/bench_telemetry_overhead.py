@@ -1,4 +1,4 @@
-"""Disabled-telemetry overhead: ``repro.telemetry`` must be free when off.
+"""Disabled-logging overhead: ``repro.telemetry.log`` must be free when off.
 
 The structured logger follows the tracer's contract — off by default,
 one attribute check when disabled, hot sites guarded by
@@ -17,9 +17,7 @@ and conservatively, the same three steps as ``bench_trace_overhead``:
    request latency with logging OFF.
 
 The estimate overstates the true disabled overhead and must still land
-under 2%. The always-on metric counters are microbenchmarked too
-(informational): one labeled counter increment is a dict lookup and a
-float add, priced in nanoseconds against millisecond requests.
+under 2%.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.bench.record import write_bench_json
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
 from repro.telemetry.log import LOG, parse_jsonl
-from repro.telemetry.metrics import MetricsRegistry
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 KERNEL = "cg"
@@ -90,15 +87,6 @@ def test_disabled_telemetry_overhead(results_dir):
                   ms=0.0)
     per_hook_seconds = (time.perf_counter() - started) / loops
 
-    # Informational: the always-on labeled counter increment.
-    registry = MetricsRegistry()
-    family = registry.counter("bench_inc_total", labels=("shard",))
-    child = family.labels(shard=0)
-    started = time.perf_counter()
-    for _ in range(loops):
-        child.inc()
-    per_inc_seconds = (time.perf_counter() - started) / loops
-
     estimated = hooks_per_request * per_hook_seconds / disabled_median
     payload = {
         "kernel": KERNEL,
@@ -108,7 +96,6 @@ def test_disabled_telemetry_overhead(results_dir):
         "enabled_warm_median_s": round(enabled_median, 6),
         "log_records_per_request": round(hooks_per_request, 2),
         "per_hook_disabled_seconds": per_hook_seconds,
-        "per_counter_inc_seconds": per_inc_seconds,
         "estimated_disabled_overhead_fraction": round(estimated, 6),
         "threshold_fraction": THRESHOLD,
         "smoke": SMOKE,

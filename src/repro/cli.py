@@ -17,8 +17,7 @@ Commands:
   Figure 16/19-style table; ``--check`` gates the run against a
   committed baseline (``--inject-slowdown`` is the CI mutation hook).
 * ``profile FILE`` — collapsed-stack (flamegraph-compatible) profile
-  of a compile: deterministic per-stage self-times by default, or a
-  wall-clock stack sampler with ``--mode sampled``.
+  of a compile: per-stage self-times from the ``repro.perf`` registry.
 * ``kernels`` — list the benchmark kernels (Table 3).
 * ``verify FILE`` — structural well-formedness checks on a source file,
   then a fully-verified compile of every variant.
@@ -576,7 +575,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .perf import PERF
-    from .telemetry.profile import SamplingProfiler, stage_collapsed
+    from .telemetry.profile import stage_collapsed
 
     if args.file:
         program = _read_program(args.file)
@@ -595,32 +594,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
     options = _options(args)
 
-    def workload() -> None:
-        result = compile_program(program, variant, machine, options)
-        if args.run:
-            Simulator(result.machine, engine=options.engine).run(
-                result.plan
-            )
-
-    if args.mode == "stages":
-        PERF.reset()
-        PERF.enable()
-        try:
-            for _ in range(args.repeat):
-                workload()
-            text = stage_collapsed(PERF.snapshot())
-        finally:
-            PERF.disable()
-    else:
-        profiler = SamplingProfiler(interval=args.interval)
-        with profiler:
-            for _ in range(args.repeat):
-                workload()
-        text = profiler.collapsed()
-        print(
-            f"{profiler.samples} samples at {args.interval * 1e3:.1f} ms",
-            file=sys.stderr,
-        )
+    PERF.reset()
+    PERF.enable()
+    try:
+        for _ in range(args.repeat):
+            result = compile_program(program, variant, machine, options)
+            if args.run:
+                Simulator(result.machine, engine=options.engine).run(
+                    result.plan
+                )
+        text = stage_collapsed(PERF.snapshot())
+    finally:
+        PERF.disable()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -1058,7 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="collapsed-stack (flamegraph) profile of a compile",
+        help="collapsed-stack (flamegraph) profile of a compile's stages"
+        " (the set of stacks is stable across runs; the counts are"
+        " wall-clock microseconds and are not)",
     )
     p_profile.add_argument(
         "file", nargs="?", default=None,
@@ -1076,24 +1063,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=sorted(VARIANTS), default="global"
     )
     p_profile.add_argument(
-        "--mode", choices=("stages", "sampled"), default="stages",
-        help="stages: deterministic per-stage self-times from the perf"
-        " registry (byte-stable, diffable); sampled: wall-clock stack"
-        " sampler (default: stages)",
-    )
-    p_profile.add_argument(
         "--run", action="store_true",
         help="profile the simulation too, not just the compile",
     )
     p_profile.add_argument(
         "--repeat", type=int, default=1,
-        help="workload repetitions (sampled mode needs enough wall time"
-        " to collect samples; try 50)",
-    )
-    p_profile.add_argument(
-        "--interval", type=float, default=0.005,
-        help="sampling interval in seconds for --mode sampled"
-        " (default: 0.005)",
+        help="workload repetitions, summed into one profile",
     )
     p_profile.add_argument(
         "--out", default=None, metavar="PATH",

@@ -17,9 +17,9 @@ of interest::
 
 Sections are identified by dotted names. Nesting is tracked dynamically:
 a section entered while another is open records under
-``outer;inner`` as well as its own flat name, so the report can show
-both the flat totals and where the time actually sat. Counters are plain
-named integers.
+``outer;inner`` as well as its own flat name: the report shows the flat
+totals, and the stage profile (``repro.telemetry.profile``) shows where
+the time actually sat. Counters are plain named integers.
 
 The registry also supports snapshot/merge so worker processes (the
 parallel bench runner) can ship their measurements back to the parent.
@@ -27,7 +27,6 @@ parallel bench runner) can ship their measurements back to the parent.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -172,15 +171,10 @@ class PerfRegistry:
         for name, value in snapshot.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + value
 
-    def report(self, nested: bool = False) -> str:
-        """Human-readable timings table; flat names only unless
-        ``nested``."""
+    def report(self) -> str:
+        """Human-readable timings table of the flat section names."""
         lines = ["-- timings --"]
-        names = [
-            name
-            for name in self.sections
-            if nested or ";" not in name
-        ]
+        names = [name for name in self.sections if ";" not in name]
         width = max((len(n) for n in names), default=0)
         for name in sorted(
             names, key=lambda n: -self.sections[n].seconds
@@ -198,9 +192,6 @@ class PerfRegistry:
                     f"  {name:<{cwidth}}  {self.counters[name]}"
                 )
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
 
 #: The process-global registry every call site shares.

@@ -201,18 +201,6 @@ class ServiceClient:
     def metrics(self) -> Dict[str, Any]:
         return self._request("GET", "/metrics")
 
-    def metrics_prometheus(self) -> str:
-        """The Prometheus text exposition (``/metrics?format=
-        prometheus``), returned raw — it is not JSON."""
-        status, raw, _headers = self._round_trip(
-            "GET", "/metrics?format=prometheus", None, {}, self.timeout
-        )
-        if status != 200:
-            raise ServiceError(
-                f"HTTP {status} from /metrics?format=prometheus"
-            )
-        return raw.decode("utf-8")
-
     def is_up(self, timeout: float = 2.0) -> bool:
         """Is a compatible server answering? Used by ``repro submit``
         to decide between the service and local compilation."""

@@ -17,10 +17,8 @@ owning loop. ``has``/``join``/``lead`` are split (rather than one
 ``do``) so the server can make the admission-control decision between
 them — a follower consumes no queue slot.
 
-Counters live in a :class:`~repro.telemetry.metrics.MetricsRegistry`
-(``repro_coalesce_total{role=leader|follower}``); ``leads`` and
-``coalesced`` remain as integer properties for the JSON ``/metrics``
-body and existing callers.
+``leads`` and ``coalesced`` count this instance's leaders and followers
+for the JSON ``/metrics`` body.
 """
 
 from __future__ import annotations
@@ -28,29 +26,16 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from ..telemetry.metrics import METRICS, MetricsRegistry
-
 
 class Coalescer:
     """Single-flight execution keyed by content hash."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._inflight: Dict[
             str, Tuple[asyncio.Future, Optional[str]]
         ] = {}
-        self._roles = (metrics or METRICS).counter(
-            "repro_coalesce_total",
-            "Requests by coalescing role",
-            labels=("role",),
-        )
-
-    @property
-    def leads(self) -> int:
-        return int(self._roles.labels(role="leader").value)
-
-    @property
-    def coalesced(self) -> int:
-        return int(self._roles.labels(role="follower").value)
+        self.leads = 0
+        self.coalesced = 0
 
     def has(self, key: str) -> bool:
         """Is a leader currently running this key?"""
@@ -69,7 +54,7 @@ class Coalescer:
         """Follow the in-flight leader for ``key``. The shield keeps a
         cancelled follower (dropped connection) from cancelling the
         shared future under everyone else."""
-        self._roles.labels(role="follower").inc()
+        self.coalesced += 1
         return await asyncio.shield(self._inflight[key][0])
 
     async def lead(
@@ -83,7 +68,7 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[key] = (future, request_id)
-        self._roles.labels(role="leader").inc()
+        self.leads += 1
         try:
             result = await thunk()
         except BaseException as exc:

@@ -39,7 +39,6 @@ from ..errors import ReproError, ServiceError, WorkerCrashError
 from ..perf import PERF
 from ..store import ArtifactStore
 from ..telemetry.log import LOG, bind_request_id
-from ..telemetry.metrics import METRICS, MetricsRegistry
 from ..trace import TRACE, fold_report, summarize
 
 #: In-worker memo entries kept per shard (FIFO evicted). Small: the
@@ -187,29 +186,17 @@ def _worker_main(conn, store_dir: Optional[str], test_hooks: bool) -> None:
 
 
 class _Worker:
-    """One shard: a process, its pipe, and a lock serializing jobs.
-
-    ``jobs``/``restarts`` live as per-shard labeled counters in the
-    pool's metrics registry; the integer properties keep the
-    ``stats()`` shape unchanged."""
+    """One shard: a process, its pipe, and a lock serializing jobs."""
 
     def __init__(self, index: int, pool: "WorkerPool"):
         self.index = index
         self.pool = pool
         self.lock = threading.Lock()
-        self._jobs = pool._jobs_family.labels(shard=index)
-        self._restarts = pool._restarts_family.labels(shard=index)
+        self.jobs = 0
+        self.restarts = 0
         self.process: Optional[multiprocessing.Process] = None
         self.conn = None
         self.spawn()
-
-    @property
-    def jobs(self) -> int:
-        return int(self._jobs.value)
-
-    @property
-    def restarts(self) -> int:
-        return int(self._restarts.value)
 
     def spawn(self) -> None:
         ctx = self.pool._ctx
@@ -240,7 +227,7 @@ class _Worker:
     def respawn(self) -> None:
         self.kill()
         self.spawn()
-        self._restarts.inc()
+        self.restarts += 1
 
     def stop(self) -> None:
         """Graceful: ask the loop to exit, then join."""
@@ -274,7 +261,6 @@ class WorkerPool:
         store_dir: Optional[str] = None,
         job_timeout: float = 300.0,
         test_hooks: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if shards < 1:
             raise ServiceError(f"need at least 1 worker shard, got {shards}")
@@ -283,35 +269,11 @@ class WorkerPool:
         self.test_hooks = test_hooks
         self._ctx = multiprocessing.get_context()
         self._merge_lock = threading.Lock()
-        registry = metrics or METRICS
-        self._jobs_family = registry.counter(
-            "repro_pool_jobs_total",
-            "Jobs completed per worker shard",
-            labels=("shard",),
-        )
-        self._restarts_family = registry.counter(
-            "repro_pool_restarts_total",
-            "Worker respawns per shard",
-            labels=("shard",),
-        )
-        self._crashes = registry.counter(
-            "repro_pool_crashes_total",
-            "Worker deaths observed mid-job",
-        )
-        self._retries = registry.counter(
-            "repro_pool_retries_total",
-            "Jobs transparently retried after a worker death",
-        )
+        #: Worker deaths observed mid-job, and jobs retried after one.
+        self.crashes = 0
+        self.retries = 0
         self._closed = False
         self.workers = [_Worker(i, self) for i in range(shards)]
-
-    @property
-    def crashes(self) -> int:
-        return int(self._crashes.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
 
     # -- routing ---------------------------------------------------------------
 
@@ -347,10 +309,10 @@ class WorkerPool:
                     OSError,
                     TimeoutError,
                 ) as transport:
-                    self._crashes.inc()
+                    self.crashes += 1
                     worker.respawn()
                     if attempt == 0:
-                        self._retries.inc()
+                        self.retries += 1
                         if LOG.enabled:
                             LOG.event(
                                 "pool.retry",
@@ -376,7 +338,7 @@ class WorkerPool:
                             cause=type(transport).__name__,
                         )
                     raise crash
-                worker._jobs.inc()
+                worker.jobs += 1
                 if snapshot:
                     # The worker's perf snapshot merges under the same
                     # correlation ID the job ran with.

@@ -18,8 +18,7 @@ Endpoints (wire schema ``repro.service/1``, see
 * ``GET /healthz``      — liveness + drain state.
 * ``GET /metrics``      — service counters, per-stage latency
   histograms, pool/store stats, and the merged ``repro.perf``
-  registry from every worker (JSON by default;
-  ``?format=prometheus`` returns the text exposition v0.0.4).
+  registry from every worker, as JSON.
 
 Failure and backpressure model:
 
@@ -43,7 +42,6 @@ import json
 import signal
 import sys
 import time
-import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
@@ -54,11 +52,6 @@ from ..ir.printer import format_program
 from ..perf import PERF
 from ..store import ArtifactStore
 from ..telemetry.log import LOG, bind_request_id, new_request_id
-from ..telemetry.metrics import Histogram, MetricsRegistry
-from ..telemetry.promtext import (
-    CONTENT_TYPE as PROM_CONTENT_TYPE,
-    render_prometheus,
-)
 from ..vm import MACHINES
 
 from . import (
@@ -89,18 +82,50 @@ MAX_BODY_BYTES = 64 << 20
 
 _VARIANTS = {v.value: v for v in Variant}
 
+#: The routed paths. ``/metrics`` counts requests under these names and
+#: every other path under ``"other"``, so its table stays bounded.
+_ENDPOINTS = ("/healthz", "/metrics", "/v1/compile", "/v1/simulate")
 
-# ``Histogram`` migrated to repro.telemetry.metrics (unchanged bucket
-# bounds and ``snapshot()`` JSON shape); the name stays importable from
-# here for existing callers.
 
+class Histogram:
+    """A fixed-bucket latency histogram in milliseconds.
 
-@dataclasses.dataclass
-class _PlainText:
-    """A non-JSON response body (the Prometheus exposition)."""
+    ``observe`` takes *seconds* (what ``time.perf_counter`` math hands
+    you); an observation equal to a bound counts in that bound's bucket.
+    """
 
-    content_type: str
-    text: str
+    #: Bucket upper bounds (ms). The JSON ``/metrics`` bucket keys
+    #: (``le_1`` ... ``le_5000``, ``inf``) are derived from them.
+    BOUNDS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
+
+    __slots__ = ("counts", "total", "sum_ms")
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(self.BOUNDS_MS) + 1)
+        self.total = 0
+        self.sum_ms = 0.0
+
+    def observe(self, seconds: float) -> None:
+        ms = seconds * 1e3
+        self.total += 1
+        self.sum_ms += ms
+        for index, bound in enumerate(self.BOUNDS_MS):
+            if ms <= bound:
+                self.counts[index] += 1
+                return
+        self.counts[-1] += 1
+
+    def snapshot(self) -> Dict[str, Any]:
+        buckets = {
+            f"le_{bound:g}": count
+            for bound, count in zip(self.BOUNDS_MS, self.counts)
+        }
+        buckets["inf"] = self.counts[-1]
+        return {
+            "count": self.total,
+            "sum_ms": round(self.sum_ms, 3),
+            "buckets": buckets,
+        }
 
 
 class _CloseRequested(Exception):
@@ -135,41 +160,21 @@ class ReproService:
         self.job_timeout = job_timeout
         self.test_hooks = test_hooks
 
-        # Per-server registry: embedded test servers must not bleed
-        # counters into each other, so each instance owns its metrics;
-        # the process-global METRICS stays the default elsewhere.
-        self.metrics = MetricsRegistry()
-        self._requests_family = self.metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests by path",
-            labels=("path",),
-        )
-        self._served = self.metrics.counter(
-            "repro_requests_served_total",
-            "Successfully answered job requests",
-        )
-        self._rejected = self.metrics.counter(
-            "repro_requests_shed_total",
-            "Job requests shed with 429 under backpressure",
-        )
-        self._latency_family = self.metrics.histogram(
-            "repro_request_stage_latency_ms",
-            "Per-stage request latency (milliseconds)",
-            labels=("stage",),
-        )
+        #: Requests by path (``_ENDPOINTS`` or ``"other"``).
+        self.requests: Dict[str, int] = {}
+        #: Job requests answered successfully, and shed with a 429.
+        self.served = 0
+        self.rejected = 0
         self.latency = {
-            name: self._latency_family.labels(stage=name)
+            name: Histogram()
             for name in ("parse", "queue_wait", "execute", "total")
         }
 
         self.pool: Optional[WorkerPool] = None
-        self.coalescer = Coalescer(metrics=self.metrics)
-        # The server's own store handle (stats + scrape-time gauges);
-        # its op counters fold into this server's Prometheus exposition.
+        self.coalescer = Coalescer()
+        # The server's own store handle, read for the /metrics stats.
         self.store = (
-            ArtifactStore(self.cache_dir, metrics=self.metrics)
-            if self.cache_dir
-            else None
+            ArtifactStore(self.cache_dir) if self.cache_dir else None
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -181,22 +186,6 @@ class ReproService:
         #: Open keep-alive connections; drain force-closes stragglers.
         self._conns: set = set()
 
-    @property
-    def requests(self) -> Dict[str, int]:
-        """Request counts by path (the JSON ``/metrics`` shape)."""
-        return {
-            values[0]: int(child.value)
-            for values, child in self._requests_family.samples()
-        }
-
-    @property
-    def served(self) -> int:
-        return int(self._served.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value)
-
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
@@ -206,7 +195,6 @@ class ReproService:
             store_dir=self.cache_dir,
             job_timeout=self.job_timeout,
             test_hooks=self.test_hooks,
-            metrics=self.metrics,
         )
         # Threads block on worker pipes; a couple of spares keep
         # followers and metrics from queueing behind busy shards.
@@ -310,17 +298,12 @@ class ReproService:
                     # oversized body we never read); never risk parsing
                     # the next request against a stale stream.
                     close_after = True
-                if isinstance(payload, _PlainText):
-                    body = payload.text.encode("utf-8")
-                    content_type = payload.content_type
-                else:
-                    body = json.dumps(payload).encode("utf-8")
-                    content_type = "application/json"
+                body = json.dumps(payload).encode("utf-8")
                 connection = "close" if close_after else "keep-alive"
                 head = (
                     f"HTTP/1.1 {status} "
                     f"{_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
+                    "Content-Type: application/json\r\n"
                     f"Content-Length: {len(body)}\r\n"
                     + "".join(
                         f"{name}: {value}\r\n" for name, value in headers
@@ -379,27 +362,25 @@ class ReproService:
             else b""
         )
 
-        path, _, query = path.partition("?")
-        response = await self._dispatch(method, path, query, body)
+        path = path.partition("?")[0]
+        response = await self._dispatch(method, path, body)
         if client_close:
             raise _CloseRequested(response)
         return response
 
     async def _dispatch(
-        self, method: str, path: str, query: str, body: bytes
+        self, method: str, path: str, body: bytes
     ) -> Tuple[int, Tuple, Dict[str, Any]]:
-        self._requests_family.labels(path=path).inc()
+        counted = path if path in _ENDPOINTS else "other"
+        self.requests[counted] = self.requests.get(counted, 0) + 1
         if method == "GET" and path == "/healthz":
             return 200, (), self._healthz_body()
         if method == "GET" and path == "/metrics":
-            params = urllib.parse.parse_qs(query)
-            if params.get("format", ["json"])[-1] == "prometheus":
-                return 200, (), self._metrics_prometheus()
             return 200, (), self._metrics_body()
         if method == "POST" and path in ("/v1/compile", "/v1/simulate"):
             kind = "compile" if path == "/v1/compile" else "simulate"
             return await self._handle_job(kind, body)
-        if path in ("/healthz", "/metrics", "/v1/compile", "/v1/simulate"):
+        if path in _ENDPOINTS:
             return 405, (), self._error_body(
                 ServiceError(f"{method} not allowed on {path}")
             )
@@ -477,7 +458,7 @@ class ReproService:
             if self._active == 0:
                 self._idle.set()
 
-        self._served.inc()
+        self.served += 1
         total = time.perf_counter() - started
         self.latency["total"].observe(total)
         if LOG.enabled:
@@ -594,7 +575,7 @@ class ReproService:
     ) -> Tuple[int, Tuple, Dict[str, Any]]:
         """The 429 for a job shed because the queue is full, with a
         ``Retry-After`` scaled to the backlog per shard."""
-        self._rejected.inc()
+        self.rejected += 1
         if LOG.enabled:
             LOG.event("request.shed", kind=kind, key=key, depth=depth)
         retry_after = max(1, depth // self.shards)
@@ -696,7 +677,7 @@ class ReproService:
             "schema": SCHEMA,
             "ok": True,
             "service": {
-                "requests": dict(self.requests),
+                "requests": dict(sorted(self.requests.items())),
                 "served": self.served,
                 "coalesced": self.coalescer.coalesced,
                 "leads": self.coalescer.leads,
@@ -715,34 +696,6 @@ class ReproService:
             },
             "perf": PERF.snapshot(),
         }
-
-    def _metrics_prometheus(self) -> _PlainText:
-        """The Prometheus exposition: the per-server registry plus a
-        handful of gauges refreshed at scrape time (queue depth, drain
-        state, store stats) and the merged ``repro.perf`` bridge."""
-        gauges = self.metrics.gauge(
-            "repro_service_state",
-            "Point-in-time service state",
-            labels=("facet",),
-        )
-        gauges.labels(facet="queue_depth").set(self.coalescer.depth)
-        gauges.labels(facet="queue_limit").set(self.queue_limit)
-        gauges.labels(facet="draining").set(1 if self._draining else 0)
-        gauges.labels(facet="shards").set(self.shards)
-        if self.store is not None:
-            stats = self.store.stats()
-            store = self.metrics.gauge(
-                "repro_store_stat",
-                "Artifact store statistics at scrape time",
-                labels=("stat",),
-            )
-            for name, value in dataclasses.asdict(stats).items():
-                if isinstance(value, (int, float)):
-                    store.labels(stat=name).set(value)
-        text = render_prometheus(
-            self.metrics, perf_snapshot=PERF.snapshot()
-        )
-        return _PlainText(PROM_CONTENT_TYPE, text)
 
 
 # -- embedding helpers (tests, benchmarks) -------------------------------------
@@ -797,4 +750,4 @@ class ServiceThread:
         self.stop()
 
 
-__all__ = ["Histogram", "MAX_BODY_BYTES", "ReproService", "ServiceThread"]
+__all__ = ["MAX_BODY_BYTES", "ReproService", "ServiceThread"]

@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from .perf import count
-from .telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .compiler import CompilerOptions, CompileResult, Variant
@@ -78,46 +77,14 @@ class ArtifactStore:
     #: compile key; both kinds participate in :meth:`stats`/:meth:`prune`.
     KERNEL_SUFFIX = ".kern.pkl"
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # Op counters live in a metrics registry — per-handle by
-        # default (a fresh private registry), preserving the documented
-        # StoreStats semantics: two processes sharing a directory each
-        # count their own traffic. Pass a shared registry to fold them
-        # into a server's Prometheus exposition instead.
-        self._ops = (metrics or MetricsRegistry()).counter(
-            "repro_store_ops_total",
-            "Artifact store operations by this handle",
-            labels=("op",),
-        )
-
-    def _op(self, name: str) -> int:
-        return int(self._ops.labels(op=name).value)
-
-    @property
-    def hits(self) -> int:
-        return self._op("hit")
-
-    @property
-    def misses(self) -> int:
-        return self._op("miss")
-
-    @property
-    def puts(self) -> int:
-        return self._op("put")
-
-    @property
-    def corrupt_evictions(self) -> int:
-        return self._op("corrupt_eviction")
-
-    @property
-    def pruned(self) -> int:
-        return self._op("pruned")
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
+        self.corrupt_evictions = 0
+        self.pruned = 0
 
     # -- keying ----------------------------------------------------------------
 
@@ -156,7 +123,7 @@ class ArtifactStore:
             with open(path, "rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            self._ops.labels(op="miss").inc()
+            self.misses += 1
             count("compile_cache.misses")
             return None
         except Exception:
@@ -165,8 +132,8 @@ class ArtifactStore:
             # it trips on (ValueError, KeyError, EOFError, ...). Treat
             # it as a miss, and delete the bad file so it cannot keep
             # poisoning readers (the recompile will rewrite it).
-            self._ops.labels(op="miss").inc()
-            self._ops.labels(op="corrupt_eviction").inc()
+            self.misses += 1
+            self.corrupt_evictions += 1
             count("compile_cache.misses")
             count("store.corrupt_evictions")
             try:
@@ -174,7 +141,7 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
-        self._ops.labels(op="hit").inc()
+        self.hits += 1
         count("compile_cache.hits")
         try:
             # Refresh recency so prune() evicts genuinely cold entries.
@@ -189,7 +156,7 @@ class ArtifactStore:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(result, handle)
             os.replace(tmp, self._path(key))
-            self._ops.labels(op="put").inc()
+            self.puts += 1
         except OSError:  # pragma: no cover - store is best-effort
             try:
                 os.unlink(tmp)
@@ -210,12 +177,12 @@ class ArtifactStore:
             with open(path, "rb") as handle:
                 artifact = pickle.load(handle)
         except FileNotFoundError:
-            self._ops.labels(op="miss").inc()
+            self.misses += 1
             count("kernel_store.misses")
             return None
         except Exception:
-            self._ops.labels(op="miss").inc()
-            self._ops.labels(op="corrupt_eviction").inc()
+            self.misses += 1
+            self.corrupt_evictions += 1
             count("kernel_store.misses")
             count("store.corrupt_evictions")
             try:
@@ -223,7 +190,7 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
-        self._ops.labels(op="hit").inc()
+        self.hits += 1
         count("kernel_store.hits")
         try:
             os.utime(path)
@@ -237,7 +204,7 @@ class ArtifactStore:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(artifact, handle)
             os.replace(tmp, self._kernel_path(fingerprint))
-            self._ops.labels(op="put").inc()
+            self.puts += 1
             count("kernel_store.puts")
         except OSError:  # pragma: no cover - store is best-effort
             try:
@@ -298,8 +265,7 @@ class ArtifactStore:
                 continue
             total -= size
             removed += 1
-        if removed:
-            self._ops.labels(op="pruned").inc(removed)
+        self.pruned += removed
         return removed
 
 

@@ -1,35 +1,25 @@
-"""``repro.telemetry`` — the unified observability subsystem.
+"""``repro.telemetry`` — request correlation and collapsed-stack profiles.
 
-Before this package, observability was fragmented across three
-generations of ad-hoc tooling: ``repro.perf`` section timers (PR 1),
-the ``repro.trace`` decision tracer (PR 2), and a private latency
-``Histogram`` plus plain-int counters buried in the compile service
-(PR 5). Each answered one question in one format; none composed.
+The compile-time half of observability lives in ``repro.perf`` (section
+timers and counters) and ``repro.trace`` (the decision tracer). This
+package holds the two operational pieces that build on them:
 
-This package is the single place the answers meet:
-
-* :mod:`repro.telemetry.metrics` — labeled Counter / Gauge / Histogram
-  families in a :class:`~repro.telemetry.metrics.MetricsRegistry`.
-  The process-global default registry is :data:`METRICS`; components
-  that need isolation (an embedded test server) construct their own.
-* :mod:`repro.telemetry.promtext` — Prometheus text exposition
-  (format version 0.0.4) over any registry, a bridge folding
-  ``repro.perf`` snapshots into the same exposition, and a pure-python
-  exposition validator used by tests and CI.
 * :mod:`repro.telemetry.log` — structured JSON-lines logging plus the
   request/correlation-ID machinery: IDs are minted client-side,
   travel in the wire envelope, bind to a context variable on the
   server, and come back stamped on responses, errors, and traces.
-* :mod:`repro.telemetry.profile` — a sampling wall-clock profiler and
-  a deterministic per-stage profile derived from ``repro.perf``
-  nesting paths, both emitting collapsed-stack (flamegraph-compatible)
-  output; the ``repro profile`` CLI fronts them.
+* :mod:`repro.telemetry.profile` — a per-stage profile derived from
+  ``repro.perf`` nesting paths, emitted as collapsed-stack
+  (flamegraph-compatible) lines; the ``repro profile`` CLI fronts it.
 
-Everything here follows the house observability contract established
-by ``perf`` and ``trace``: **off by default, one attribute check when
-disabled** — the disabled-telemetry overhead gate
-(``benchmarks/bench_telemetry_overhead.py``) holds the whole package
-under 2% of compile time.
+The service's counters and latency histograms are plain attributes of
+the objects that own them (``repro.service``), read back through the
+JSON ``/metrics`` body.
+
+Logging follows the house observability contract established by
+``perf`` and ``trace``: **off by default, one attribute check when
+disabled** — ``benchmarks/bench_telemetry_overhead.py`` holds the
+disabled hooks under 2% of request latency.
 """
 
 from __future__ import annotations
@@ -41,26 +31,11 @@ from .log import (
     current_request_id,
     new_request_id,
 )
-from .metrics import (
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .promtext import render_prometheus, validate_exposition
 
 __all__ = [
     "LOG",
-    "METRICS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JsonLogger",
-    "MetricsRegistry",
     "bind_request_id",
     "current_request_id",
     "new_request_id",
-    "render_prometheus",
-    "validate_exposition",
 ]

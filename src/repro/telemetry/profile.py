@@ -1,129 +1,26 @@
-"""Profilers emitting collapsed-stack (flamegraph-compatible) output.
+"""A collapsed-stack (flamegraph-compatible) profile of the compile stages.
 
-Two complementary views, one output format — the classic
-``frame;frame;frame count`` collapsed-stack lines that
-``flamegraph.pl``, speedscope, and every flame viewer ingest:
+The output is the classic ``frame;frame;frame count`` collapsed-stack
+format that ``flamegraph.pl``, speedscope, and every flame viewer
+ingest. :func:`stage_collapsed` derives it from a ``repro.perf``
+snapshot: ``PerfRegistry`` already records every section under its
+``;``-joined dynamic nesting path (``compile;grouping;grouping.decide``)
+— exactly a collapsed stack, with wall seconds instead of sample
+counts. This module rebuilds the tree, computes per-node *self* time,
+and emits counts in microseconds.
 
-* :class:`SamplingProfiler` — a wall-clock sampler. A daemon thread
-  snapshots the target thread's Python stack via
-  ``sys._current_frames()`` at a fixed interval; counts are samples.
-  Zero instrumentation in the profiled code, statistically honest,
-  non-deterministic.
-* :func:`stage_collapsed` — a *deterministic* profile derived from a
-  ``repro.perf`` snapshot. ``PerfRegistry`` already records every
-  section under its ``;``-joined dynamic nesting path
-  (``compile;grouping;grouping.decide``) — exactly a collapsed stack,
-  with wall seconds instead of sample counts. This function rebuilds
-  the tree, computes per-node *self* time, and emits counts in
-  microseconds. Same compile, same profile, byte for byte — which
-  makes it diffable and CI-artifact-friendly where a sampler is not.
+Only the set of stacks is stable: which sections ran inside which
+depends on the compile alone, so two profiles of one compile list the
+same stacks in the same order (a stack whose self time rounds to 0 µs
+is left out). The counts are wall-clock microseconds and differ on
+every run.
 
-The ``repro profile`` CLI fronts both (``--mode stages`` is the
-default; ``--mode sampled`` wraps the same compile in the sampler).
+The ``repro profile`` CLI fronts it.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-from typing import Any, Dict, List, Optional, Tuple
-
-#: Sampling interval of the wall-clock profiler (5 ms ~= 200 Hz).
-DEFAULT_INTERVAL = 0.005
-
-
-def _frame_label(frame) -> str:
-    code = frame.f_code
-    module = frame.f_globals.get("__name__", "?")
-    return f"{module}:{code.co_name}"
-
-
-class SamplingProfiler:
-    """Periodic stack sampler for one thread (default: the caller's).
-
-    Use as a context manager around the region of interest::
-
-        with SamplingProfiler() as prof:
-            compile_program(...)
-        print(prof.collapsed())
-    """
-
-    def __init__(
-        self,
-        interval: float = DEFAULT_INTERVAL,
-        target_thread_id: Optional[int] = None,
-    ):
-        self.interval = interval
-        self.target_thread_id = (
-            target_thread_id
-            if target_thread_id is not None
-            else threading.get_ident()
-        )
-        self.stacks: Dict[Tuple[str, ...], int] = {}
-        self.samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            frame = sys._current_frames().get(self.target_thread_id)
-            if frame is not None:
-                stack: List[str] = []
-                while frame is not None:
-                    stack.append(_frame_label(frame))
-                    frame = frame.f_back
-                key = tuple(reversed(stack))  # outermost first
-                self.stacks[key] = self.stacks.get(key, 0) + 1
-                self.samples += 1
-            self._stop.wait(self.interval)
-
-    def start(self) -> "SamplingProfiler":
-        if self._thread is not None:
-            raise RuntimeError("profiler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> "SamplingProfiler":
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        return self
-
-    def __enter__(self) -> "SamplingProfiler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def collapsed(self, trim_prefix: bool = True) -> str:
-        """Collapsed-stack lines, one per distinct stack. With
-        ``trim_prefix`` the frames below (and including) the profiler's
-        own start site's caller chain common to *every* stack are
-        dropped — the interpreter/pytest bootstrap adds ~10 identical
-        frames of noise."""
-        stacks = dict(self.stacks)
-        if trim_prefix and len(stacks) > 1:
-            common = 0
-            first = min(stacks)
-            limit = min(len(stack) for stack in stacks)
-            while common < limit - 1 and all(
-                stack[common] == first[common] for stack in stacks
-            ):
-                common += 1
-            stacks = {stack[common:]: n for stack, n in stacks.items()}
-        lines = [
-            ";".join(stack) + f" {count}"
-            for stack, count in sorted(stacks.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-# -- deterministic per-stage profile from repro.perf ---------------------------
+from typing import Any, Dict, Tuple
 
 
 def stage_tree(
@@ -180,9 +77,4 @@ def stage_collapsed(perf_snapshot: Dict[str, Any]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-__all__ = [
-    "DEFAULT_INTERVAL",
-    "SamplingProfiler",
-    "stage_collapsed",
-    "stage_tree",
-]
+__all__ = ["stage_collapsed", "stage_tree"]

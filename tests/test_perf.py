@@ -35,9 +35,8 @@ def test_nested_sections_record_the_path():
         with reg.section("inner"):
             pass
     assert set(reg.sections) == {"outer", "inner", "outer;inner"}
-    # The flat report hides the nesting paths; the nested one shows them.
+    # The report lists flat names only; the paths feed the stage profile.
     assert "outer;inner" not in reg.report()
-    assert "outer;inner" in reg.report(nested=True)
 
 
 def test_counters_accumulate():
@@ -64,7 +63,8 @@ def test_snapshot_merge_and_json():
     assert parent.counters["kernels"] == 3
     assert parent.sections["compile"].calls == 2
 
-    decoded = json.loads(parent.to_json())
+    # /metrics embeds the snapshot in its JSON body.
+    decoded = json.loads(json.dumps(parent.snapshot()))
     assert decoded["counters"]["kernels"] == 3
 
 
@@ -193,7 +193,7 @@ def test_snapshot_merge_is_associative():
     assert left.sections["compile"].seconds == 1.75
 
 
-def test_report_nested_renders_paths_with_timings():
+def test_report_renders_flat_timings_and_counters():
     reg = PerfRegistry()
     reg.enable()
     with reg.section("outer"):
@@ -201,14 +201,13 @@ def test_report_nested_renders_paths_with_timings():
             time.sleep(0.001)
     reg.count("events", 7)
 
-    flat = reg.report()
-    nested = reg.report(nested=True)
-    for text in (flat, nested):
-        assert text.startswith("-- timings --")
-        assert "-- counters --" in text
-        assert "events" in text and "7" in text
-    # Flat view lists only top-level names; nested adds the `;` paths.
-    assert "outer;inner" not in flat
-    nested_lines = [l for l in nested.splitlines() if "outer;inner" in l]
-    assert len(nested_lines) == 1
-    assert "ms" in nested_lines[0] and "x1" in nested_lines[0]
+    text = reg.report()
+    assert text.startswith("-- timings --")
+    assert "-- counters --" in text
+    assert "events" in text and "7" in text
+    assert "outer;inner" not in text
+    inner_lines = [
+        line for line in text.splitlines() if line.split()[0] == "inner"
+    ]
+    assert len(inner_lines) == 1
+    assert "ms" in inner_lines[0] and "x1" in inner_lines[0]

@@ -15,6 +15,7 @@ starts it with ``test_hooks=True``.
 
 from __future__ import annotations
 
+import asyncio
 import io
 import threading
 import time
@@ -24,6 +25,7 @@ import pytest
 
 from repro import (
     FLOAT32,
+    CompilerOptions,
     ParseError,
     ProgramBuilder,
     ServiceError,
@@ -35,8 +37,9 @@ from repro.bench import KERNELS
 from repro.errors import ServiceBusyError
 from repro.ir.printer import format_program
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread
-from repro.telemetry import LOG, bind_request_id, validate_exposition
+from repro.service.coalesce import Coalescer
+from repro.service.server import Histogram, ServiceThread
+from repro.telemetry import LOG, bind_request_id
 from repro.telemetry.log import parse_jsonl
 from repro.vm import MACHINES, Simulator
 
@@ -414,11 +417,17 @@ def test_retries_exhausted_reraises(tmp_path):
 
 
 def test_healthz_and_metrics_shape(server, client):
+    client.compile(source=unique_source(9009))
+    client.simulate(
+        source=unique_source(9010),
+        options=CompilerOptions(engine="compiled"),
+    )
     health = client.healthz()
     assert health["ok"] and not health["draining"]
     assert health["workers"] == 2
 
-    service = client.metrics()["service"]
+    metrics = client.metrics()
+    service = metrics["service"]
     assert service["served"] > 0
     assert service["requests"]["/v1/simulate"] > 0
     assert service["pool"]["shards"] == 2
@@ -430,8 +439,93 @@ def test_healthz_and_metrics_shape(server, client):
         "le_1", "le_2", "le_5", "le_10", "le_20", "le_50", "le_100",
         "le_200", "le_500", "le_1000", "le_2000", "le_5000", "inf",
     ]
-    # The merged cross-worker perf registry is exported too.
-    assert client.metrics()["perf"]
+    # What perfbench's serve-mixed workload reads (metrics_delta).
+    for stage in ("parse", "queue_wait", "execute", "total"):
+        assert {"count", "sum_ms"} <= set(service["latency_ms"][stage])
+    assert {"/v1/compile", "/v1/simulate"} <= set(service["requests"])
+    assert isinstance(service["coalesced"], int)
+    # The merged cross-worker perf registry: sections are
+    # (seconds, calls) pairs, counters plain integers.
+    seconds, calls = metrics["perf"]["sections"]["simulate"]
+    assert isinstance(seconds, float) and isinstance(calls, int)
+    assert calls > 0
+    assert metrics["perf"]["counters"]["compiled.emissions"] > 0
+
+
+def test_unknown_paths_share_one_request_count(server, client):
+    """``/metrics`` counts requests by endpoint; every unknown path
+    lands in one ``other`` entry, so the table cannot grow without
+    bound."""
+    for index in range(300):
+        status, _raw, _headers = client._round_trip(
+            "GET", f"/no/such/path/{index}", None, {}, 30.0
+        )
+        assert status == 404
+    requests = client.metrics()["service"]["requests"]
+    assert set(requests) <= {
+        "/healthz", "/metrics", "/v1/compile", "/v1/simulate", "other",
+    }
+    assert requests["other"] >= 300
+
+
+def test_coalescers_count_separately():
+    """Each coalescer counts its own leaders and followers."""
+
+    async def scenario():
+        first, second = Coalescer(), Coalescer()
+        gate = asyncio.Event()
+
+        async def work():
+            await gate.wait()
+            return "done"
+
+        leader = asyncio.ensure_future(first.lead("key", work))
+        await asyncio.sleep(0)
+        follower = asyncio.ensure_future(first.join("key"))
+        await asyncio.sleep(0)
+        gate.set()
+        assert await leader == await follower == "done"
+        return first, second
+
+    first, second = asyncio.run(scenario())
+    assert (first.leads, first.coalesced) == (1, 1)
+    assert (second.leads, second.coalesced) == (0, 0)
+
+
+# -- the latency histogram behind /metrics -------------------------------------
+
+
+def test_histogram_bucket_boundary_is_inclusive():
+    """An observation landing exactly on a bound goes in that bucket
+    (``ms <= bound``)."""
+    hist = Histogram()
+    hist.observe(0.001)   # exactly 1 ms -> le_1
+    hist.observe(0.0010001)  # just over -> le_2
+    snap = hist.snapshot()
+    assert snap["buckets"]["le_1"] == 1
+    assert snap["buckets"]["le_2"] == 1
+
+
+def test_histogram_overflow_goes_to_inf():
+    hist = Histogram()
+    hist.observe(6.0)  # 6000 ms, past the last 5000 ms bound
+    snap = hist.snapshot()
+    assert snap["buckets"]["inf"] == 1
+    assert snap["count"] == 1
+
+
+def test_histogram_snapshot_shape_is_the_service_json_shape():
+    """The exact keys the service's JSON ``/metrics`` exposes."""
+    hist = Histogram()
+    hist.observe(0.003)
+    snap = hist.snapshot()
+    assert set(snap) == {"count", "sum_ms", "buckets"}
+    assert list(snap["buckets"]) == [
+        "le_1", "le_2", "le_5", "le_10", "le_20", "le_50", "le_100",
+        "le_200", "le_500", "le_1000", "le_2000", "le_5000", "inf",
+    ]
+    assert snap["count"] == 1
+    assert snap["sum_ms"] == 3.0
 
 
 def test_request_ids_minted_and_echoed(client):
@@ -467,20 +561,6 @@ def test_log_events_share_the_request_correlation_id(server, client):
     done = next(r for r in records if r["event"] == "request.done")
     assert done["service"] == "test-serve"
     assert done["ms"] >= 0
-
-
-def test_prometheus_exposition_is_valid_and_opt_in(server, client):
-    """``?format=prometheus`` serves exposition-format text that the
-    validator accepts; the default ``/metrics`` stays JSON."""
-    client.compile(kernel="cg", n=N, variant="global")
-    text = client.metrics_prometheus()
-    assert validate_exposition(text) == []
-    assert "# TYPE repro_requests_served_total counter" in text
-    assert "repro_request_stage_latency_ms_bucket" in text
-    assert 'repro_service_state{facet="shards"} 2' in text
-    assert "repro_perf_section_seconds_total" in text
-    # JSON default unchanged by the new format.
-    assert client.metrics()["service"]["served"] > 0
 
 
 def test_trace_requests_carry_a_summary(client):
