@@ -19,7 +19,10 @@ by both sides: payloads are JSON envelopes; compiled artifacts travel
 as base64-pickles inside them (a ``CompileResult`` is a graph of
 dataclasses — JSON cannot carry it losslessly, and bit-identical
 results are the service's contract), next to a small plain-JSON
-summary for non-Python consumers.
+summary for non-Python consumers. Each artifact is pickled once, by
+the worker that built or loaded it; the server base64-encodes those
+bytes into the envelope without unpickling them, and the client
+unpickles them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 import base64
 import dataclasses
 import pickle
-from typing import Any, Dict, Optional
+import typing
+from typing import Any, Dict, Optional, Tuple
 
 from ..compiler import CompilerOptions
 from ..errors import ReproError, ServiceError
@@ -39,9 +43,14 @@ SCHEMA = "repro.service/1"
 DEFAULT_PORT = 8642
 
 
+def bytes_b64(blob: bytes) -> str:
+    """Encode an already-pickled artifact for a JSON envelope."""
+    return base64.b64encode(blob).decode("ascii")
+
+
 def pickle_b64(obj: Any) -> str:
     """Encode an artifact for a JSON envelope."""
-    return base64.b64encode(pickle.dumps(obj)).decode("ascii")
+    return bytes_b64(pickle.dumps(obj))
 
 
 def unpickle_b64(blob: str) -> Any:
@@ -56,6 +65,22 @@ _OPTION_FIELDS = frozenset(
     for f in dataclasses.fields(CompilerOptions)
     if f.name != "debug_schedule_mutator"
 )
+
+
+def _wire_types(hint: Any) -> Tuple[type, ...]:
+    """The Python types a JSON value may decode to for a field typed
+    ``hint`` (``Optional[int]`` -> ``int`` or ``None``; a ``float``
+    also takes an ``int``)."""
+    args = typing.get_args(hint) or (hint,)
+    types = tuple(t for t in args if isinstance(t, type))
+    return types + (int,) if float in types else types
+
+
+_OPTION_TYPES = {
+    name: _wire_types(hint)
+    for name, hint in typing.get_type_hints(CompilerOptions).items()
+    if name in _OPTION_FIELDS
+}
 
 
 def options_to_dict(options: Optional[CompilerOptions]) -> Dict[str, Any]:
@@ -74,14 +99,31 @@ def options_to_dict(options: Optional[CompilerOptions]) -> Dict[str, Any]:
 
 
 def options_from_dict(payload: Optional[Dict[str, Any]]) -> CompilerOptions:
-    """Reconstruct request options; unknown fields are a client error."""
+    """Reconstruct request options. A non-object payload, an unknown
+    field, or a value of the wrong JSON type is a client error."""
     payload = payload or {}
+    if not isinstance(payload, dict):
+        raise ServiceError(
+            f"'options' must be a JSON object, got {payload!r}",
+            rule="service.options",
+        )
     unknown = set(payload) - _OPTION_FIELDS
     if unknown:
         raise ServiceError(
             f"unknown compiler option(s): {', '.join(sorted(unknown))}",
             rule="service.options",
         )
+    for name, value in payload.items():
+        types = _OPTION_TYPES[name]
+        # bool is an int subclass; only a bool field takes true/false.
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise ServiceError(
+                f"compiler option {name!r} has the wrong type: "
+                f"{value!r}",
+                rule="service.options",
+            )
     return CompilerOptions(**payload)
 
 
@@ -134,6 +176,7 @@ __all__ = [
     "SCHEMA",
     "ReproError",
     "ServiceError",
+    "bytes_b64",
     "error_payload",
     "options_from_dict",
     "options_to_dict",

@@ -1,11 +1,20 @@
 """The sharded warm worker pool behind the compile service.
 
 Each shard is a long-lived worker process holding a warm interpreter,
-an in-memory memo of recent ``CompileResult`` objects, and a handle on
-the shared on-disk :class:`repro.store.ArtifactStore`. Jobs are routed
-to shards by content key, so repeated compiles of the same program hit
+an in-memory memo of recent compile artifacts, and a handle on the
+shared on-disk :class:`repro.store.ArtifactStore`. Jobs are routed to
+shards by content key, so repeated compiles of the same program hit
 the same worker's warm memo; different keys spread across shards and
 run in parallel.
+
+The worker is the only process that pickles or unpickles artifacts.
+A memo entry keeps a compile's pickle, the ``CompileResult`` itself
+(simulate runs it) and its JSON summary. A hit answers by the job's
+key from the memo or the store without parsing the program; a miss
+parses, compiles and pickles once, and writes those same bytes to the
+store. A job's payload carries ``result`` (and for simulate ``report``
+and ``memory``) as pickled bytes beside the JSON summaries the
+response needs, so the server forwards bytes and never re-pickles.
 
 Failure model (the part the acceptance tests pin):
 
@@ -27,9 +36,11 @@ pool merges them into the parent registry on collection, so
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -45,30 +56,60 @@ from ..trace import TRACE, fold_report, summarize
 #: memo only needs to absorb the warm working set; the artifact store
 #: holds everything else.
 MEMO_ENTRIES = 64
+#: Distinct request sources whose printed form the server keeps (FIFO
+#: evicted), so a repeated source is parsed once per server process.
+SOURCE_MEMO_ENTRIES = 256
+
+
+class _Artifact:
+    """A compiled program as a worker memoizes it: the pickle that is
+    stored and forwarded, the object simulate runs, and the JSON summary
+    the response envelope carries."""
+
+    __slots__ = ("blob", "result", "summary", "diagnostics")
+
+    def __init__(self, blob: bytes, result) -> None:
+        self.blob = blob
+        self.result = result
+        self.summary = dataclasses.asdict(result.stats)
+        self.diagnostics = [
+            dataclasses.asdict(diag) for diag in result.diagnostics
+        ]
+
+
+def _compile(job: Dict[str, Any], options) -> _Artifact:
+    from ..compiler import Variant, compile_program
+    from ..ir import parse_program
+    from ..vm import MACHINES
+
+    machine = MACHINES[job["machine"]]()
+    if job.get("datapath"):
+        machine = machine.with_datapath(job["datapath"])
+    result = compile_program(
+        parse_program(job["source"]), Variant(job["variant"]), machine,
+        options,
+    )
+    return _Artifact(pickle.dumps(result), result)
 
 
 def _execute_job(
     job: Dict[str, Any],
     store: Optional[ArtifactStore],
-    memo: Dict[str, Any],
+    memo: Dict[str, _Artifact],
     test_hooks: bool,
 ) -> Dict[str, Any]:
-    """Run one compile / compile+simulate job inside a worker."""
-    from ..compiler import Variant, compile_program
-    from ..ir import parse_program
-    from ..vm import MACHINES, Simulator
+    """Run one compile / compile+simulate job inside a worker. A hit
+    answers by the job's key from the memo or the store, without
+    parsing; artifacts leave as pickled bytes next to their JSON
+    summaries."""
+    from ..vm import Simulator
 
     from . import options_from_dict
 
     if test_hooks:
         _run_test_hooks(job)
 
-    program = parse_program(job["source"])
-    machine = MACHINES[job["machine"]]()
-    if job.get("datapath"):
-        machine = machine.with_datapath(job["datapath"])
     options = options_from_dict(job.get("options"))
-    variant = Variant(job["variant"])
     key = job["key"]
     trace = bool(job.get("trace"))
 
@@ -79,40 +120,51 @@ def _execute_job(
         # The correlation ID lands in the trace header, so a saved
         # trace joins against the request's log lines.
         TRACE.reset()
-        meta = {"key": key[:12], "variant": variant.value}
+        meta = {"key": key[:12], "variant": job["variant"]}
         if job.get("request_id"):
             meta["request_id"] = job["request_id"]
         TRACE.enable(**meta)
 
     try:
-        result = None if trace else memo.get(key)
-        cached = result is not None
-        if result is None and store is not None and not trace:
-            result = store.get(key)
-            cached = result is not None
-        if result is None:
-            result = compile_program(program, variant, machine, options)
-            if not trace:
-                if store is not None:
-                    store.put(key, result)
+        artifact = None if trace else memo.get(key)
+        cached = artifact is not None
+        if artifact is None and store is not None and not trace:
+            entry = store.read(key)
+            if entry is not None:
+                artifact = _Artifact(*entry)
+                cached = True
+        if artifact is None:
+            artifact = _compile(job, options)
+            if store is not None and not trace:
+                store.write(key, artifact.blob)
         if not trace and key not in memo:
-            memo[key] = result
+            memo[key] = artifact
             while len(memo) > MEMO_ENTRIES:
                 memo.pop(next(iter(memo)))
 
         payload: Dict[str, Any] = {
-            "result": result,
+            "result": artifact.blob,
+            "summary": artifact.summary,
+            "diagnostics": artifact.diagnostics,
             "cached": cached,
             "key": key,
         }
         if job["kind"] == "simulate":
+            result = artifact.result
             report, memory = Simulator(
                 result.machine, engine=options.engine, kernel_store=store
             ).run(result.plan, seed=job.get("seed", 0))
             if trace:
                 fold_report(report)
-            payload["report"] = report
-            payload["memory"] = memory
+            payload["report"] = pickle.dumps(report)
+            payload["report_summary"] = {
+                "cycles": report.cycles,
+                "dynamic_instructions": report.dynamic_instructions,
+                "pack_unpack_ops": report.pack_unpack_ops,
+                "cache_hits": report.cache_hits,
+                "cache_misses": report.cache_misses,
+            }
+            payload["memory"] = pickle.dumps(memory)
         if trace:
             payload["trace_summary"] = summarize(TRACE.records())
         return payload
@@ -285,8 +337,9 @@ class WorkerPool:
 
     def submit(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """Run one job on its shard (blocking); returns the worker's
-        payload dict. Re-raises job errors; retries once across a
-        worker death, then raises :class:`WorkerCrashError`."""
+        payload dict: artifacts as pickled bytes, everything else plain
+        JSON. Re-raises job errors; retries once across a worker death,
+        then raises :class:`WorkerCrashError`."""
         if self._closed:
             raise ServiceError("pool is closed")
         request_id = job.get("request_id")
@@ -383,4 +436,4 @@ class WorkerPool:
                 worker.stop()
 
 
-__all__ = ["WorkerPool", "MEMO_ENTRIES"]
+__all__ = ["WorkerPool", "MEMO_ENTRIES", "SOURCE_MEMO_ENTRIES"]

@@ -17,12 +17,21 @@ Endpoints (wire schema ``repro.service/1``, see
   the ``ExecutionReport`` and final ``Memory``.
 * ``GET /healthz``      — liveness + drain state.
 * ``GET /metrics``      — service counters, per-stage latency
-  histograms, pool/store stats, and the merged ``repro.perf``
-  registry from every worker, as JSON.
+  histograms, pool stats, the store directory's size, and the merged
+  ``repro.perf`` registry from every worker (which carries the store
+  traffic), as JSON.
+
+The server routes bytes: it parses a request's program only to key
+it (once per distinct source text, through a FIFO memo of
+``SOURCE_MEMO_ENTRIES`` printed programs), and base64-encodes the
+pickled artifacts the worker returns into the envelope without
+unpickling them.
 
 Failure and backpressure model:
 
-* malformed requests → 400 with a structured error payload;
+* malformed requests (bad JSON, a field of the wrong type, an unknown
+  kernel, variant, machine or option) → 400 with a structured error
+  payload;
 * job failures (``ReproError`` from parse/verify/compile) → 422 with
   the pickled exception so Python clients re-raise the exact type;
 * more than ``queue_limit`` admitted jobs → 429 + ``Retry-After``
@@ -37,7 +46,6 @@ Failure and backpressure model:
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import signal
 import sys
@@ -57,12 +65,12 @@ from ..vm import MACHINES
 from . import (
     DEFAULT_PORT,
     SCHEMA,
+    bytes_b64,
     error_payload,
     options_from_dict,
-    pickle_b64,
 )
 from .coalesce import Coalescer
-from .pool import WorkerPool
+from .pool import SOURCE_MEMO_ENTRIES, WorkerPool
 
 _REASONS = {
     200: "OK",
@@ -128,6 +136,22 @@ class Histogram:
         }
 
 
+def _field(request: Dict[str, Any], name: str, kind: type, default: Any):
+    """``request[name]`` checked against its JSON type (``null`` and a
+    missing field mean ``default``); a mismatch is a client error."""
+    value = request.get(name)
+    if value is None:
+        return default
+    # bool is an int subclass; true/false is not an integer field.
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ServiceError(
+            f"field {name!r} must be a JSON "
+            f"{'string' if kind is str else 'integer'}, got {value!r}",
+            rule="service.request",
+        )
+    return value
+
+
 class _CloseRequested(Exception):
     """Carries a response that must be the connection's last (the
     client sent ``Connection: close``)."""
@@ -176,6 +200,8 @@ class ReproService:
         self.store = (
             ArtifactStore(self.cache_dir) if self.cache_dir else None
         )
+        #: Request source text -> printed program (FIFO-bounded).
+        self._sources: Dict[str, str] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._shutdown = asyncio.Event()
@@ -495,41 +521,39 @@ class ReproService:
                 rule="service.schema",
             )
 
-        source = request.get("program")
-        kernel_name = request.get("kernel")
+        source = _field(request, "program", str, None)
+        kernel_name = _field(request, "kernel", str, None)
         if kernel_name is not None:
             from ..bench.kernels import KERNELS
 
             if kernel_name not in KERNELS:
                 raise ServiceError(f"unknown kernel {kernel_name!r}")
-            program = KERNELS[kernel_name].build(int(request.get("n") or 0))
+            program = KERNELS[kernel_name].build(_field(request, "n", int, 0))
             source = format_program(program)
         elif source is None:
             raise ServiceError("request needs 'program' or 'kernel'")
 
-        variant_name = request.get("variant", "global")
+        variant_name = _field(request, "variant", str, "global")
         if variant_name not in _VARIANTS:
             raise ServiceError(
                 f"unknown variant {variant_name!r} "
                 f"(choose from {', '.join(sorted(_VARIANTS))})"
             )
-        machine_name = request.get("machine", "intel")
+        machine_name = _field(request, "machine", str, "intel")
         if machine_name not in MACHINES:
             raise ServiceError(
                 f"unknown machine {machine_name!r} "
                 f"(choose from {', '.join(sorted(MACHINES))})"
             )
-        datapath = request.get("datapath")
+        datapath = _field(request, "datapath", int, 0)
+        seed = _field(request, "seed", int, 0)
         options = options_from_dict(request.get("options"))
 
-        # Parse here (not just in the worker): it validates the program
-        # early and gives the canonical content key.
-        program = parse_program(source)
         machine = MACHINES[machine_name]()
         if datapath:
-            machine = machine.with_datapath(int(datapath))
-        key = ArtifactStore.key(
-            program, _VARIANTS[variant_name], machine, options
+            machine = machine.with_datapath(datapath)
+        key = ArtifactStore.text_key(
+            self._printed(source), _VARIANTS[variant_name], machine, options
         )
         request_id = request.get("request_id")
         if not isinstance(request_id, str) or not request_id:
@@ -541,7 +565,7 @@ class ReproService:
             "machine": machine_name,
             "datapath": datapath,
             "options": request.get("options") or {},
-            "seed": int(request.get("seed") or 0),
+            "seed": seed,
             "trace": bool(request.get("trace")),
             "key": key,
             "request_id": request_id,
@@ -551,6 +575,18 @@ class ReproService:
                 if hook in request:
                     job[hook] = request[hook]
         return job, key
+
+    def _printed(self, source: str) -> str:
+        """The printed program the content key hashes. Parsing here
+        validates the program early; the memo parses each distinct
+        source text once per process."""
+        printed = self._sources.get(source)
+        if printed is None:
+            printed = format_program(parse_program(source))
+            self._sources[source] = printed
+            while len(self._sources) > SOURCE_MEMO_ENTRIES:
+                self._sources.pop(next(iter(self._sources)))
+        return printed
 
     async def _run_job(self, job: Dict[str, Any]) -> Dict[str, Any]:
         """Leader path: ship the job to its shard via the executor,
@@ -621,7 +657,6 @@ class ReproService:
         request_id: Optional[str] = None,
         leader_request_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        result = payload["result"]
         body: Dict[str, Any] = {
             "schema": SCHEMA,
             "ok": True,
@@ -630,26 +665,17 @@ class ReproService:
             "cached": payload["cached"],
             "coalesced": coalesced,
             "result": {
-                "pickle": pickle_b64(result),
-                "summary": dataclasses.asdict(result.stats),
+                "pickle": bytes_b64(payload["result"]),
+                "summary": payload["summary"],
             },
-            "diagnostics": [
-                dataclasses.asdict(diag) for diag in result.diagnostics
-            ],
+            "diagnostics": payload["diagnostics"],
         }
         if "report" in payload:
-            report = payload["report"]
             body["report"] = {
-                "pickle": pickle_b64(report),
-                "summary": {
-                    "cycles": report.cycles,
-                    "dynamic_instructions": report.dynamic_instructions,
-                    "pack_unpack_ops": report.pack_unpack_ops,
-                    "cache_hits": report.cache_hits,
-                    "cache_misses": report.cache_misses,
-                },
+                "pickle": bytes_b64(payload["report"]),
+                "summary": payload["report_summary"],
             }
-            body["memory"] = {"pickle": pickle_b64(payload["memory"])}
+            body["memory"] = {"pickle": bytes_b64(payload["memory"])}
         if "trace_summary" in payload:
             body["trace_summary"] = payload["trace_summary"]
         if request_id:
@@ -672,7 +698,15 @@ class ReproService:
     def _metrics_body(self) -> Dict[str, Any]:
         store_stats: Dict[str, Any] = {}
         if self.store is not None:
-            store_stats = dataclasses.asdict(self.store.stats())
+            # Directory figures only: this handle never reads or writes.
+            # The workers' store traffic (hits, misses, corrupt
+            # evictions) arrives in the merged perf counters.
+            stats = self.store.stats()
+            store_stats = {
+                "root": stats.root,
+                "entries": stats.entries,
+                "bytes": stats.bytes,
+            }
         return {
             "schema": SCHEMA,
             "ok": True,

@@ -15,12 +15,18 @@ Design points:
   replaces (the printer is a faithful round-trippable rendering of the
   IR, and both ``MachineModel`` and ``CompilerOptions`` are plain
   dataclasses whose reprs enumerate every field).
-* **Torn-write safety.** Values are pickled ``CompileResult`` objects;
-  writes go through a temp file + rename so concurrent workers sharing
-  one store directory never observe a torn entry.
-* **Corruption tolerance.** A truncated or otherwise unreadable entry
-  is treated as a miss, *deleted* so it cannot poison later readers,
-  and counted in ``corrupt_evictions``.
+* **Torn-write safety.** Each entry is one plain pickle of a
+  ``CompileResult``; writes go through a temp file + rename so
+  concurrent workers sharing one store directory never observe a torn
+  entry.
+* **Bytes in, bytes out.** :meth:`read`/:meth:`write` move the pickle
+  itself, so the service's workers store and forward the bytes they
+  already hold; :meth:`get`/:meth:`put` are the object view built on
+  them.
+* **Corruption tolerance.** Every read decodes the entry before handing
+  it out. A truncated or otherwise undecodable entry is treated as a
+  miss, *deleted* so it cannot poison later readers, and counted in
+  ``corrupt_evictions``.
 * **Bounded size.** :meth:`prune` evicts least-recently-used entries
   (hits refresh an entry's mtime) until the store fits a byte budget.
 * **Two artifact kinds.** Compile results (``.pkl``) are keyed by
@@ -42,7 +48,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 from .perf import count
 
@@ -95,8 +101,22 @@ class ArtifactStore:
         machine: "MachineModel",
         options: Optional["CompilerOptions"],
     ) -> str:
-        from .compiler import CompilerOptions
         from .ir.printer import format_program
+
+        return ArtifactStore.text_key(
+            format_program(program), variant, machine, options
+        )
+
+    @staticmethod
+    def text_key(
+        printed: str,
+        variant: "Variant",
+        machine: "MachineModel",
+        options: Optional["CompilerOptions"],
+    ) -> str:
+        """:meth:`key` from the program's printed text, for a caller
+        that already holds it (the service memoizes it per source)."""
+        from .compiler import CompilerOptions
 
         # The simulation engine plays no part in compilation, so it is
         # normalized out of the key: reference and batched runs share
@@ -104,7 +124,7 @@ class ArtifactStore:
         normalized = replace(options or CompilerOptions(), engine=None)
         blob = "\x00".join(
             (
-                format_program(program),
+                printed,
                 variant.value,
                 repr(machine),
                 repr(normalized),
@@ -117,14 +137,17 @@ class ArtifactStore:
 
     # -- read/write ------------------------------------------------------------
 
-    def get(self, key: str) -> Optional["CompileResult"]:
-        path = self._path(key)
+    def _read(self, path: Path, counter: str) -> Optional[Tuple[bytes, Any]]:
+        """``(blob, value)`` of the entry at ``path``, or ``None``. The
+        blob is decoded before it is returned, so an undecodable entry
+        never leaves the store."""
         try:
             with open(path, "rb") as handle:
-                result = pickle.load(handle)
+                blob = handle.read()
+            value = pickle.loads(blob)
         except FileNotFoundError:
             self.misses += 1
-            count("compile_cache.misses")
+            count(f"{counter}.misses")
             return None
         except Exception:
             # A torn, truncated, or otherwise corrupt entry must never
@@ -134,7 +157,7 @@ class ArtifactStore:
             # poisoning readers (the recompile will rewrite it).
             self.misses += 1
             self.corrupt_evictions += 1
-            count("compile_cache.misses")
+            count(f"{counter}.misses")
             count("store.corrupt_evictions")
             try:
                 os.unlink(path)
@@ -142,26 +165,45 @@ class ArtifactStore:
                 pass
             return None
         self.hits += 1
-        count("compile_cache.hits")
+        count(f"{counter}.hits")
         try:
             # Refresh recency so prune() evicts genuinely cold entries.
             os.utime(path)
         except OSError:
             pass
-        return result
+        return blob, value
 
-    def put(self, key: str, result: "CompileResult") -> None:
+    def _write(self, path: Path, blob: bytes) -> bool:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle)
-            os.replace(tmp, self._path(key))
-            self.puts += 1
+                handle.write(blob)
+            os.replace(tmp, path)
         except OSError:  # pragma: no cover - store is best-effort
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+            return False
+        self.puts += 1
+        return True
+
+    def read(self, key: str) -> Optional[Tuple[bytes, "CompileResult"]]:
+        """The entry's pickle and the ``CompileResult`` it decodes to,
+        or ``None`` on a miss. A caller that forwards the pickle never
+        pickles the result again."""
+        return self._read(self._path(key), "compile_cache")
+
+    def write(self, key: str, blob: bytes) -> None:
+        """Store an already-pickled ``CompileResult`` under ``key``."""
+        self._write(self._path(key), blob)
+
+    def get(self, key: str) -> Optional["CompileResult"]:
+        entry = self.read(key)
+        return None if entry is None else entry[1]
+
+    def put(self, key: str, result: "CompileResult") -> None:
+        self.write(key, pickle.dumps(result))
 
     # -- compiled-engine kernels -----------------------------------------------
 
@@ -172,45 +214,14 @@ class ArtifactStore:
         """Load a pickled :class:`repro.vm.compiled.PlanKernelsArtifact`
         by kernel fingerprint, or ``None``. Same corruption policy as
         :meth:`get`: unreadable entries are evicted and count as misses."""
-        path = self._kernel_path(fingerprint)
-        try:
-            with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            count("kernel_store.misses")
-            return None
-        except Exception:
-            self.misses += 1
-            self.corrupt_evictions += 1
-            count("kernel_store.misses")
-            count("store.corrupt_evictions")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        count("kernel_store.hits")
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return artifact
+        entry = self._read(self._kernel_path(fingerprint), "kernel_store")
+        return None if entry is None else entry[1]
 
     def put_kernel(self, fingerprint: str, artifact) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(artifact, handle)
-            os.replace(tmp, self._kernel_path(fingerprint))
-            self.puts += 1
+        if self._write(
+            self._kernel_path(fingerprint), pickle.dumps(artifact)
+        ):
             count("kernel_store.puts")
-        except OSError:  # pragma: no cover - store is best-effort
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     # -- maintenance -----------------------------------------------------------
 

@@ -16,7 +16,10 @@ starts it with ``test_hooks=True``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
+import json
+import pickle
 import threading
 import time
 from contextlib import contextmanager
@@ -25,6 +28,7 @@ import pytest
 
 from repro import (
     FLOAT32,
+    ArtifactStore,
     CompilerOptions,
     ParseError,
     ProgramBuilder,
@@ -35,10 +39,13 @@ from repro import (
 )
 from repro.bench import KERNELS
 from repro.errors import ServiceBusyError
+from repro.ir import parse_program
 from repro.ir.printer import format_program
 from repro.service.client import ServiceClient
 from repro.service.coalesce import Coalescer
-from repro.service.server import Histogram, ServiceThread
+from repro.service import server as server_module
+from repro.service.pool import SOURCE_MEMO_ENTRIES, WorkerPool
+from repro.service.server import Histogram, ReproService, ServiceThread
 from repro.telemetry import LOG, bind_request_id
 from repro.telemetry.log import parse_jsonl
 from repro.vm import MACHINES, Simulator
@@ -107,6 +114,31 @@ def test_served_results_equal_local(client, kernel, variant):
     assert (
         outcome.summary["total_statements"] == local.stats.total_statements
     )
+
+    # The envelope's JSON summaries (built in the worker, next to the
+    # pickles the server forwards) match the local objects.
+    envelope = client._request(
+        "POST",
+        "/v1/simulate",
+        ServiceClient._job_request(
+            None, kernel, N, variant, "intel", None, None,
+            seed=7, trace=False,
+        ),
+    )
+    summary = dict(envelope["result"]["summary"])
+    expected = dataclasses.asdict(local.stats)
+    del summary["compile_seconds"], expected["compile_seconds"]
+    assert summary == expected
+    assert envelope["diagnostics"] == json.loads(
+        json.dumps([dataclasses.asdict(d) for d in local.diagnostics])
+    )
+    assert envelope["report"]["summary"] == {
+        "cycles": report.cycles,
+        "dynamic_instructions": report.dynamic_instructions,
+        "pack_unpack_ops": report.pack_unpack_ops,
+        "cache_hits": report.cache_hits,
+        "cache_misses": report.cache_misses,
+    }
 
 
 def test_source_and_kernel_requests_agree(client):
@@ -320,6 +352,22 @@ def test_request_validation(client):
         client._request("GET", "/v1/compile")
     with pytest.raises(ServiceError, match="no such endpoint"):
         client._request("GET", "/v1/frobnicate")
+    # A field of the wrong JSON type is client-shaped too: a 400, not a
+    # 500 from wherever the value is first used.
+    for request in (
+        {"kernel": "milc", "n": N, "seed": "abc"},
+        {"kernel": "milc", "n": "x"},
+        {"kernel": "milc", "n": N, "datapath": "wide"},
+        {"program": 5},
+        {"kernel": "milc", "n": N, "variant": ["global"]},
+        {"kernel": "milc", "n": N, "options": [1, 2]},
+        {"kernel": "milc", "n": N, "options": {"unroll_factor": "eight"}},
+    ):
+        status, raw, _headers = client._round_trip(
+            "POST", "/v1/compile", json.dumps(request).encode(), {}, 30.0
+        )
+        assert status == 400, request
+        assert json.loads(raw)["error"]["type"] == "ServiceError", request
 
 
 @contextmanager
@@ -450,6 +498,88 @@ def test_healthz_and_metrics_shape(server, client):
     assert isinstance(seconds, float) and isinstance(calls, int)
     assert calls > 0
     assert metrics["perf"]["counters"]["compiled.emissions"] > 0
+
+
+def test_corrupt_store_entry_is_a_counted_miss(server, client):
+    """A garbage store entry never reaches a client: the worker evicts
+    it, counts it in the merged perf counters, recompiles and rewrites
+    the entry. ``service.store`` reports only the directory figures —
+    the server's own handle sees none of the workers' traffic."""
+    source = unique_source(9100)
+    program = parse_program(source)
+    machine = MACHINES["intel"]()
+    store = ArtifactStore(server.service.cache_dir)
+    key = ArtifactStore.key(program, Variant.GLOBAL, machine, None)
+    store._path(key).write_bytes(b"not a pickle at all")
+    before = client.metrics()["perf"]["counters"]
+
+    outcome = client.compile(source=source)
+
+    local = compile_program(program, Variant.GLOBAL, machine)
+    assert outcome.key == key
+    assert not outcome.cached
+    assert outcome.result == local
+    metrics = client.metrics()
+    evictions = metrics["perf"]["counters"]["store.corrupt_evictions"]
+    assert evictions - before.get("store.corrupt_evictions", 0) == 1
+    assert set(metrics["service"]["store"]) == {"root", "entries", "bytes"}
+    assert store.get(key) == local
+
+
+def test_pool_returns_artifacts_as_bytes(tmp_path):
+    """The server holds no artifacts: a job's payload carries each one
+    as the worker's pickle, and everything else as plain JSON."""
+    service = ReproService(cache_dir=str(tmp_path / "store"))
+    pool = WorkerPool(shards=1, store_dir=service.cache_dir)
+    local = compile_program(
+        KERNELS["milc"].build(N), Variant.GLOBAL, MACHINES["intel"]()
+    )
+    try:
+        for kind, artifacts in (
+            ("compile", {"result"}),
+            ("simulate", {"result", "report", "memory"}),
+        ):
+            job, _key = service._build_job(
+                kind, json.dumps({"kernel": "milc", "n": N}).encode()
+            )
+            payload = pool.submit(job)
+            as_bytes = {
+                name for name, value in payload.items()
+                if isinstance(value, bytes)
+            }
+            assert as_bytes == artifacts, kind
+            # json.dumps rejects bytes and arbitrary objects.
+            json.dumps(
+                {name: payload[name] for name in payload.keys() - artifacts}
+            )
+            assert pickle.loads(payload["result"]) == local
+    finally:
+        pool.close()
+
+
+def test_source_memo_parses_each_source_once(monkeypatch):
+    """The server parses a repeated source once, keys it exactly as
+    ``ArtifactStore.key`` does, and keeps a bounded FIFO of sources."""
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_program(text)
+
+    monkeypatch.setattr(server_module, "parse_program", counting_parse)
+    service = ReproService()
+    source = unique_source(9200)
+    body = json.dumps({"program": source, "variant": "slp"}).encode()
+    _job, key = service._build_job("compile", body)
+    _job, again = service._build_job("simulate", body)
+    assert parsed == [source]
+    assert key == again == ArtifactStore.key(
+        parse_program(source), Variant.SLP, MACHINES["intel"](), None
+    )
+    for tag in range(SOURCE_MEMO_ENTRIES):
+        service._printed(unique_source(10_000 + tag))
+    assert len(service._sources) == SOURCE_MEMO_ENTRIES
+    assert source not in service._sources
 
 
 def test_unknown_paths_share_one_request_count(server, client):

@@ -41,6 +41,18 @@ class TestPromotion:
         assert store.get(key) == result
         assert (store.hits, store.misses, store.puts) == (1, 1, 1)
 
+    def test_bytes_and_objects_share_entries(self, tmp_path, compiled):
+        # read/write move the entry's pickle itself; get/put read and
+        # write the very same entries.
+        _program, result, key = compiled
+        store = ArtifactStore(tmp_path)
+        store.write(key, pickle.dumps(result))
+        assert store.get(key) == result
+        store.put(key + "b", result)
+        blob, value = store.read(key + "b")
+        assert blob == store._path(key + "b").read_bytes()
+        assert value == result
+
     def test_key_covers_the_whole_compile_input(self, machine, compiled):
         program, _result, key = compiled
         other = KERNELS["lbm"].build(8)
