@@ -79,7 +79,11 @@ def _timed_compile(program, machine, options):
 
 
 def _grouping_seconds(snapshot):
-    return snapshot["sections"].get("grouping", (0.0, 0))[0]
+    return sum(
+        seconds
+        for path, (seconds, _calls) in snapshot["sections"].items()
+        if path.rpartition(";")[2] == "slp.grouping"
+    )
 
 
 def _exact_scores(snapshot):

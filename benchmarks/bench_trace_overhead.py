@@ -1,7 +1,7 @@
 """Disabled-tracer overhead: ``repro.trace`` must be free when off.
 
 Every hook the tracer threads through the pipeline is either a
-``TRACE.span(...)`` context (cold, per-phase/per-block) or an
+``repro.perf.span(...)`` context (cold, per-layer/per-block) or an
 ``if TRACE.enabled:`` guard (hot, per-decision). A direct
 enabled-vs-disabled timing shows the *enabled* cost; the disabled cost
 is too small to measure that way — it drowns in compile-time noise. So

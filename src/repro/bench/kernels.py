@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from ..errors import OptionsError
 from ..ir import FLOAT64, Program, ProgramBuilder
 
 
@@ -35,6 +36,11 @@ class Kernel:
     default_n: int = 256
 
     def build(self, n: int = 0) -> Program:
+        """The kernel at size ``n``; 0 means ``default_n``."""
+        if n < 0:
+            raise OptionsError(
+                f"kernel {self.name!r}: size n={n} is negative"
+            )
         return self.builder(n or self.default_n)
 
 

@@ -82,7 +82,6 @@ def pairing_objectives(
             default_scalar_layout(program)
         )
     )
-    options = {"node_budget": node_budget} if node_budget else None
     total = Fraction(0)
     proven = True
     nodes = 0
@@ -96,7 +95,7 @@ def pairing_objectives(
             context,
             "cost-aware",
             engine,
-            engine_options=options,
+            node_budget=node_budget,
         )
         _, _, trace = grouping.run()
         total += trace.objective or Fraction(0)

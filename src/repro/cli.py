@@ -17,7 +17,7 @@ Commands:
   Figure 16/19-style table; ``--check`` gates the run against a
   committed baseline (``--inject-slowdown`` is the CI mutation hook).
 * ``profile FILE`` — collapsed-stack (flamegraph-compatible) profile
-  of a compile: per-stage self-times from the ``repro.perf`` registry.
+  of a compile: the self time of every ``repro.perf`` span path.
 * ``kernels`` — list the benchmark kernels (Table 3).
 * ``verify FILE`` — structural well-formedness checks on a source file,
   then a fully-verified compile of every variant.
@@ -575,7 +575,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .perf import PERF
-    from .telemetry.profile import stage_collapsed
 
     if args.file:
         program = _read_program(args.file)
@@ -603,7 +602,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 Simulator(result.machine, engine=options.engine).run(
                     result.plan
                 )
-        text = stage_collapsed(PERF.snapshot())
+        text = PERF.collapsed()
     finally:
         PERF.disable()
     if args.out:
@@ -849,7 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--perf", action="store_true",
-        help="collect stage timings/counters, printed to stderr",
+        help="print per-layer self times, span totals and counters"
+        " to stderr",
     )
     common(p_compile)
     p_compile.set_defaults(func=cmd_compile)
@@ -908,8 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--timings", action="store_true",
-        help="collect compile/simulate stage timings and counters, "
-        "printed to stderr after the table",
+        help="collect compile/simulate per-layer self times and counters,"
+        " printed to stderr after the table",
     )
     p_bench.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1043,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="collapsed-stack (flamegraph) profile of a compile's stages"
+        help="collapsed-stack (flamegraph) profile of a compile's layers"
         " (the set of stacks is stable across runs; the counts are"
         " wall-clock microseconds and are not)",
     )

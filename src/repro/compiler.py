@@ -38,8 +38,9 @@ from .layout import (
     plan_array_layout,
 )
 from .layout.scalar import ScalarArena
-from .perf import section as perf_section
+from .perf import span
 from .slp import (
+    DECISION_MODES,
     PenaltyContext,
     Schedule,
     ScheduledSingle,
@@ -152,13 +153,26 @@ class CompilerOptions:
     )
 
     def __post_init__(self):
-        # Engine names resolve through the one registry, so an unknown
-        # name fails here — at options construction — with a structured
-        # error listing what is registered, identically for the API,
-        # the CLI, and the service wire schema.
+        # Every knob with a closed set of values fails here — at options
+        # construction — with a structured error, identically for the
+        # API, the CLI, and the service wire schema (a 400, before a
+        # queue slot or a worker is spent). Engine names resolve through
+        # the one registry, so the error lists what is registered.
         engines.resolve("grouping", self.grouping_engine)
         if self.engine is not None:
             engines.resolve("sim", self.engine)
+        if self.decision_mode not in DECISION_MODES:
+            raise OptionsError(
+                f"unknown decision mode {self.decision_mode!r}; "
+                f"expected one of {DECISION_MODES}"
+            )
+        if self.checks is not None:
+            resolve_checks(self.checks)
+        if self.on_error not in ("raise", "fallback"):
+            raise OptionsError(
+                f"unknown on_error {self.on_error!r}; "
+                f"expected 'raise' or 'fallback'"
+            )
 
 
 @dataclass
@@ -216,15 +230,18 @@ def _schedule_block(
     datapath_bits: int,
     decision_mode: str = "cost-aware",
     grouping_engine: str = "incremental",
-    engine_options: Optional[dict] = None,
+    node_budget: Optional[int] = None,
     on_diagnostic: Optional[Callable[[Diagnostic], None]] = None,
 ) -> Schedule:
-    deps = DependenceGraph(block)
+    with span("analysis.deps"):
+        deps = DependenceGraph(block)
     decl_of = lambda name: program.arrays[name]  # noqa: E731
     if variant is Variant.NATIVE:
-        return native_schedule(block, deps, decl_of, datapath_bits)
+        with span("slp.baseline"):
+            return native_schedule(block, deps, decl_of, datapath_bits)
     if variant is Variant.SLP:
-        return greedy_slp_schedule(block, deps, decl_of, datapath_bits)
+        with span("slp.baseline"):
+            return greedy_slp_schedule(block, deps, decl_of, datapath_bits)
     if variant.uses_layout:
         # Phase coupling: the layout stage can turn read-only strided
         # gathers and scattered scalar superwords into contiguous
@@ -245,7 +262,7 @@ def _schedule_block(
     return holistic_slp_schedule(
         block, deps, datapath_bits, decl_of, penalty_context,
         decision_mode, grouping_engine,
-        engine_options=engine_options,
+        node_budget=node_budget,
         on_diagnostic=on_diagnostic,
     )
 
@@ -270,7 +287,7 @@ def compile_program(
     """Run the full framework on a program for one variant."""
     options = options or CompilerOptions()
     datapath = options.datapath_bits or machine.datapath_bits
-    with TRACE.span("compile", variant=variant.value, datapath=datapath):
+    with span("compile", variant=variant.value, datapath=datapath):
         return _compile(program, variant, machine, options, datapath)
 
 
@@ -285,11 +302,6 @@ def _compile(
     started = time.perf_counter()
     stats = CompileStats()
     checks = resolve_checks(options.checks)
-    if options.on_error not in ("raise", "fallback"):
-        raise OptionsError(
-            f"unknown on_error {options.on_error!r}; "
-            f"expected 'raise' or 'fallback'"
-        )
     fallback = options.on_error == "fallback"
     diagnostics: List[Diagnostic] = []
     fallback_blocks: List[str] = []
@@ -304,7 +316,8 @@ def _compile(
     # predicated straight-line form, so the differential oracle compares
     # identical select semantics across variants. Programs without
     # regions pass through untouched (same object).
-    converted = if_convert_program(program)
+    with span("transform"):
+        converted = if_convert_program(program)
     if converted is not program:
         if "ir" in checks:
             # The lowering must preserve well-formedness; a violation
@@ -321,7 +334,7 @@ def _compile(
 
     pre = program
     try:
-        with perf_section("compile.preprocess"), TRACE.span("preprocess"):
+        with span("transform"):
             if options.peel_for_alignment:
                 from .transform import choose_unroll_factor, peel_program
 
@@ -363,158 +376,149 @@ def _compile(
     # Phase 1: superword statement generation per optimizable block.
     scheduled: List[Tuple[object, Optional[Schedule], Optional[LoopContext]]] = []
     forced_scalar: set = set()
-    with perf_section("compile.schedule"), TRACE.span("schedule"):
-        # Blocks are identified by their position in the program body;
-        # the ``b<position>`` label qualifies provenance IDs because
-        # statement IDs restart at zero in every block.
-        for position, item in enumerate(pre.body):
-            label = f"b{position}"
-            if isinstance(item, BasicBlock):
-                blk, ctx = item, None
-                span_kwargs = dict(block=label, kind="straight")
-            else:
-                chain = _loop_chain(item)
-                innermost = chain[-1]
-                blk = innermost.body
-                ctx = LoopContext(
-                    innermost.index,
-                    innermost.start,
-                    innermost.stop,
-                    innermost.step,
-                )
-                span_kwargs = dict(
-                    block=label, kind="loop", index=innermost.index
-                )
-            # Engine-level notes (e.g. the optimal engine's budget
-            # fallback) land on the result's diagnostics with their
-            # block label filled in; they are informational, not
-            # failures, so they are collected under both error policies.
-            def _note(diag: Diagnostic, _label: str = label) -> None:
-                diagnostics.append(
-                    diag if diag.block else replace(diag, block=_label)
-                )
+    # Blocks are identified by their position in the program body; the
+    # ``b<position>`` label qualifies provenance IDs because statement
+    # IDs restart at zero in every block.
+    for position, item in enumerate(pre.body):
+        label = f"b{position}"
+        if isinstance(item, BasicBlock):
+            blk, ctx = item, None
+            span_kwargs = dict(block=label, kind="straight")
+        else:
+            chain = _loop_chain(item)
+            innermost = chain[-1]
+            blk = innermost.body
+            ctx = LoopContext(
+                innermost.index,
+                innermost.start,
+                innermost.stop,
+                innermost.step,
+            )
+            span_kwargs = dict(
+                block=label, kind="loop", index=innermost.index
+            )
+        # Engine-level notes (e.g. the optimal engine's budget
+        # fallback) land on the result's diagnostics with their block
+        # label filled in; they are informational, not failures, so
+        # they are collected under both error policies.
+        def _note(diag: Diagnostic, _label: str = label) -> None:
+            diagnostics.append(
+                diag if diag.block else replace(diag, block=_label)
+            )
 
+        try:
+            with span("block", **span_kwargs):
+                schedule = _schedule_block(
+                    blk, variant, pre, datapath, options.decision_mode,
+                    options.grouping_engine,
+                    node_budget=options.optimal_node_budget,
+                    on_diagnostic=_note,
+                )
+            if options.debug_schedule_mutator is not None:
+                mutated = options.debug_schedule_mutator(schedule, label)
+                if mutated is not None:
+                    schedule = mutated
+            if "schedule" in checks:
+                verify_schedule(blk, schedule, datapath, block=label)
+        except Exception as exc:
+            if not fallback:
+                if isinstance(exc, ReproError):
+                    exc.with_context(stage="schedule", block=label)
+                raise
+            diagnostics.append(
+                Diagnostic.from_error(exc, stage="schedule", block=label)
+            )
+            fallback_blocks.append(label)
+            forced_scalar.add(position)
+            schedule = scalar_schedule(blk)
+        scheduled.append((item, schedule, ctx))
+
+    # Phase 2 (Global+Layout only): data layout optimization.
+    arenas = default_scalar_layout(pre)
+    layout_plans: Dict[int, ArrayLayoutPlan] = {}
+    if variant.uses_layout:
+        schedules_only = [s for _, s, _ in scheduled if s is not None]
+        with span("layout"):
+            arenas = optimized_scalar_layout(pre, schedules_only)
+        budget = options.layout_budget_elements
+        for index, (item, schedule, ctx) in enumerate(scheduled):
+            if schedule is None or ctx is None or index in forced_scalar:
+                continue
+            label = f"b{index}"
             try:
-                with TRACE.span("block", **span_kwargs):
-                    schedule = _schedule_block(
-                        blk, variant, pre, datapath, options.decision_mode,
-                        options.grouping_engine,
-                        engine_options=(
-                            {"node_budget": options.optimal_node_budget}
-                            if options.optimal_node_budget is not None
-                            else None
-                        ),
-                        on_diagnostic=_note,
-                    )
-                if options.debug_schedule_mutator is not None:
-                    mutated = options.debug_schedule_mutator(schedule, label)
-                    if mutated is not None:
-                        schedule = mutated
-                if "schedule" in checks:
-                    verify_schedule(blk, schedule, datapath, block=label)
+                with span("block", block=label), span("layout"):
+                    plan = plan_array_layout(pre, schedule, ctx, budget)
             except Exception as exc:
                 if not fallback:
                     if isinstance(exc, ReproError):
-                        exc.with_context(stage="schedule", block=label)
+                        exc.with_context(stage="layout", block=label)
                     raise
+                # Layout is an optimization: skip it for the block and
+                # keep the (already verified) vector schedule.
                 diagnostics.append(
-                    Diagnostic.from_error(exc, stage="schedule", block=label)
+                    Diagnostic.from_error(
+                        exc, stage="layout", block=label, action="skipped"
+                    )
                 )
-                fallback_blocks.append(label)
-                forced_scalar.add(position)
-                schedule = scalar_schedule(blk)
-            scheduled.append((item, schedule, ctx))
-
-    # Phase 2 (Global+Layout only): data layout optimization.
-    with perf_section("compile.layout"), TRACE.span("layout"):
-        arenas = default_scalar_layout(pre)
-        layout_plans: Dict[int, ArrayLayoutPlan] = {}
-        if variant.uses_layout:
-            schedules_only = [s for _, s, _ in scheduled if s is not None]
-            candidate_arenas = optimized_scalar_layout(pre, schedules_only)
-            arenas = candidate_arenas
-            budget = options.layout_budget_elements
-            for index, (item, schedule, ctx) in enumerate(scheduled):
-                if schedule is None or ctx is None or index in forced_scalar:
-                    continue
-                label = f"b{index}"
-                try:
-                    with TRACE.span("block", block=label):
-                        plan = plan_array_layout(pre, schedule, ctx, budget)
-                except Exception as exc:
-                    if not fallback:
-                        if isinstance(exc, ReproError):
-                            exc.with_context(stage="layout", block=label)
-                        raise
-                    # Layout is an optimization: skip it for the block
-                    # and keep the (already verified) vector schedule.
-                    diagnostics.append(
-                        Diagnostic.from_error(
-                            exc, stage="layout", block=label, action="skipped"
-                        )
-                    )
-                    continue
-                if not plan.replications:
-                    continue
-                budget -= plan.total_elements
-                for replication in plan.replications:
-                    pre.declare_array(
-                        replication.new_name,
-                        (replication.elements,),
-                        pre.arrays[replication.source].type,
-                    )
-                layout_plans[index] = plan
+                continue
+            if not plan.replications:
+                continue
+            budget -= plan.total_elements
+            for replication in plan.replications:
+                pre.declare_array(
+                    replication.new_name,
+                    (replication.elements,),
+                    pre.arrays[replication.source].type,
+                )
+            layout_plans[index] = plan
 
     # Phase 3: code generation with the per-block cost gate.
     result_plan = ExecutablePlan(pre, arenas)
     used_schedules: List[Schedule] = []
-    with perf_section("compile.codegen"), TRACE.span("codegen"):
-        for index, (item, schedule, ctx) in enumerate(scheduled):
-            label = f"b{index}"
-            if index in forced_scalar:
-                # An earlier stage already degraded this block; emit the
-                # plain scalar lowering, bit-identical to Variant.SCALAR.
-                result_plan.units.append(_scalar_item(item, pre))
-                continue
-            layout_plan = layout_plans.get(index)
-            try:
-                with TRACE.span("block", block=label):
-                    unit, copies, used_schedule = _emit_item(
-                        item, schedule, ctx, layout_plan, pre, machine,
-                        arenas, options, stats, variant, block_label=label,
-                    )
-                if "plan" in checks:
-                    for copy in copies:
-                        verify_unit(
-                            copy, pre, machine, result_plan, block=label
-                        )
-                    verify_unit(unit, pre, machine, result_plan, block=label)
-            except Exception as exc:
-                if not fallback:
-                    if isinstance(exc, ReproError):
-                        exc.with_context(stage="codegen", block=label)
-                    raise
-                diagnostics.append(
-                    Diagnostic.from_error(exc, stage="codegen", block=label)
+    for index, (item, schedule, ctx) in enumerate(scheduled):
+        label = f"b{index}"
+        if index in forced_scalar:
+            # An earlier stage already degraded this block; emit the
+            # plain scalar lowering, bit-identical to Variant.SCALAR.
+            result_plan.units.append(_scalar_item(item, pre))
+            continue
+        layout_plan = layout_plans.get(index)
+        try:
+            with span("block", block=label):
+                unit, copies, used_schedule = _emit_item(
+                    item, schedule, ctx, layout_plan, pre, machine,
+                    arenas, options, stats, variant, block_label=label,
                 )
-                fallback_blocks.append(label)
-                forced_scalar.add(index)
-                result_plan.units.append(_scalar_item(item, pre))
-                continue
-            for copy in copies:
-                # Replicated arrays are declared in `pre`, so the plan's
-                # memory image allocates them like any other array; the
-                # copy unit fills them before the kernel runs.
-                result_plan.units.append(copy)
-            result_plan.units.append(unit)
-            if used_schedule is not None:
-                used_schedules.append(used_schedule)
-                stats.superword_statements += sum(
-                    1 for _ in used_schedule.superwords()
-                )
-                stats.grouped_statements += sum(
-                    sw.size for sw in used_schedule.superwords()
-                )
+            if "plan" in checks:
+                for copy in copies:
+                    verify_unit(copy, pre, machine, result_plan, block=label)
+                verify_unit(unit, pre, machine, result_plan, block=label)
+        except Exception as exc:
+            if not fallback:
+                if isinstance(exc, ReproError):
+                    exc.with_context(stage="codegen", block=label)
+                raise
+            diagnostics.append(
+                Diagnostic.from_error(exc, stage="codegen", block=label)
+            )
+            fallback_blocks.append(label)
+            forced_scalar.add(index)
+            result_plan.units.append(_scalar_item(item, pre))
+            continue
+        for copy in copies:
+            # Replicated arrays are declared in `pre`, so the plan's
+            # memory image allocates them like any other array; the
+            # copy unit fills them before the kernel runs.
+            result_plan.units.append(copy)
+        result_plan.units.append(unit)
+        if used_schedule is not None:
+            used_schedules.append(used_schedule)
+            stats.superword_statements += sum(
+                1 for _ in used_schedule.superwords()
+            )
+            stats.grouped_statements += sum(
+                sw.size for sw in used_schedule.superwords()
+            )
     stats.blocks_total = len(scheduled)
     stats.total_statements = sum(
         len(s.block) for _, s, _ in scheduled if s is not None
@@ -615,9 +619,10 @@ def _emit_item(
     block = innermost.body
     used_schedule = schedule
     if layout_plan is not None and layout_plan.rewrites:
-        block, used_schedule = apply_array_layout(
-            block, schedule, layout_plan
-        )
+        with span("layout"):
+            block, used_schedule = apply_array_layout(
+                block, schedule, layout_plan
+            )
         for replication in layout_plan.replications:
             copies.append(
                 CompiledCopy(replication, options.layout_amortization)

@@ -3,6 +3,7 @@
 statement grouping graphs, iterative widening, and reuse-driven
 scheduling — plus the Larsen–Amarasinghe and Native baselines."""
 
+from ..perf import span
 from .baseline import (
     GreedyConfig,
     GreedySLP,
@@ -12,6 +13,7 @@ from .baseline import (
 from .candidates import find_candidates
 from .conflict import PackNode, VariablePackGraph
 from .grouping import (
+    DECISION_MODES,
     BasicGrouping,
     GroupingTrace,
     PenaltyContext,
@@ -46,7 +48,7 @@ def holistic_slp_schedule(
     decision_mode: str = "cost-aware",
     engine: str = "incremental",
     *,
-    engine_options=None,
+    node_budget=None,
     on_diagnostic=None,
 ) -> Schedule:
     """The paper's "Global" algorithm for one basic block: iterative
@@ -57,19 +59,23 @@ def holistic_slp_schedule(
     paper-literal weight-only ranking (for ablations); ``engine``
     selects the grouping decision loop from the :mod:`repro.engines`
     registry (both greedy loops produce identical results; ``"optimal"``
-    runs the exact search of :mod:`repro.slp.optimal`, honoring
-    ``engine_options={"node_budget": ...}`` and reporting budget
-    fallbacks through ``on_diagnostic``)."""
-    units, _traces = iterative_grouping(
-        block, deps, datapath_bits, decl_of, penalty_context,
-        decision_mode, engine,
-        engine_options=engine_options,
-        on_diagnostic=on_diagnostic,
-    )
-    return Scheduler(block, deps, units).run()
+    runs the exact search of :mod:`repro.slp.optimal` within
+    ``node_budget`` search nodes, reporting budget fallbacks through
+    ``on_diagnostic``)."""
+    with span("slp.grouping"):
+        units, _traces = iterative_grouping(
+            block, deps, datapath_bits, decl_of, penalty_context,
+            decision_mode, engine,
+            node_budget=node_budget,
+            on_diagnostic=on_diagnostic,
+        )
+    scheduler = Scheduler(block, deps, units)
+    with span("slp.schedule"):
+        return scheduler.run()
 
 
 __all__ = [
+    "DECISION_MODES",
     "BasicGrouping",
     "CandidateGroup",
     "GreedyConfig",

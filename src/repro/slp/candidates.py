@@ -12,7 +12,7 @@ import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis import DependenceGraph
-from ..perf import count, section
+from ..perf import count
 from ..trace import TRACE
 from .model import CandidateGroup, GroupNode
 
@@ -31,28 +31,27 @@ def find_candidates(
     skipped before any pairing work, and the final sort only runs when
     something was actually found.
     """
-    with section("grouping.candidates"):
-        by_signature: Dict[Tuple, List[GroupNode]] = {}
-        for unit in units:
-            by_signature.setdefault(unit.signature, []).append(unit)
+    by_signature: Dict[Tuple, List[GroupNode]] = {}
+    for unit in units:
+        by_signature.setdefault(unit.signature, []).append(unit)
 
-        candidates: List[CandidateGroup] = []
-        pairs_examined = 0
-        for bucket in by_signature.values():
-            if len(bucket) < 2:
-                continue
-            for a, b in itertools.combinations(bucket, 2):
-                pairs_examined += 1
-                if a.can_merge_with(b, deps, datapath_bits):
-                    candidates.append(CandidateGroup(a, b))
-        count("candidates.pairs_examined", pairs_examined)
-        if candidates:
-            candidates.sort(key=lambda c: c.key())
-        if TRACE.enabled:
-            TRACE.event(
-                "candidates.search",
-                units=len(units),
-                pairs_examined=pairs_examined,
-                found=len(candidates),
-            )
-        return candidates
+    candidates: List[CandidateGroup] = []
+    pairs_examined = 0
+    for bucket in by_signature.values():
+        if len(bucket) < 2:
+            continue
+        for a, b in itertools.combinations(bucket, 2):
+            pairs_examined += 1
+            if a.can_merge_with(b, deps, datapath_bits):
+                candidates.append(CandidateGroup(a, b))
+    count("candidates.pairs_examined", pairs_examined)
+    if candidates:
+        candidates.sort(key=lambda c: c.key())
+    if TRACE.enabled:
+        TRACE.event(
+            "candidates.search",
+            units=len(units),
+            pairs_examined=pairs_examined,
+            found=len(candidates),
+        )
+    return candidates

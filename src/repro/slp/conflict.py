@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..analysis import DependenceGraph
-from ..perf import count, section
+from ..perf import count
 from ..trace import TRACE
 from .model import CandidateGroup, PackData
 
@@ -90,8 +90,7 @@ class VariablePackGraph:
         self._nodes_of_candidate: Dict[int, List[PackNode]] = {}
         self._nodes_by_data: Dict[PackData, List[PackNode]] = {}
         self._conflict_bits: List[int] = []
-        with section("grouping.vp_build"):
-            self._build()
+        self._build()
 
     def _build(self) -> None:
         # Conflict relation between candidates, computed once as

@@ -67,13 +67,17 @@ from ..analysis import DependenceGraph
 from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
 from ..ir import Affine
 from ..ir.expr import OP_WEIGHTS
-from ..perf import count, section
+from ..perf import count, span
 from .candidates import find_candidates
 from ..trace import TRACE, provenance_id
 from .conflict import PackNode, VariablePackGraph
 from .model import CandidateGroup, GroupNode, PackData
 
 DeclLookup = Callable[[str], object]
+
+#: The grouping rankings: the cost-aware decision score (default) and
+#: the paper-literal weight-only ranking (for ablations).
+DECISION_MODES = ("cost-aware", "weight-only")
 
 #: Packing-cost constants for the decision score, in vector-op units,
 #: calibrated to the machine models' deltas for two lanes:
@@ -576,10 +580,10 @@ class BasicGrouping:
         engine: str = "incremental",
         cost_model: Optional[PackCostModel] = None,
         *,
-        engine_options: Optional[dict] = None,
+        node_budget: Optional[int] = None,
         on_diagnostic: Optional[Callable[[Diagnostic], None]] = None,
     ):
-        if decision_mode not in ("cost-aware", "weight-only"):
+        if decision_mode not in DECISION_MODES:
             raise OptionsError(f"unknown decision mode {decision_mode!r}")
         self._engine_impl = resolve_engine_impl("grouping", engine)
         if cost_model is not None and (
@@ -597,7 +601,8 @@ class BasicGrouping:
         count("grouping.candidates_examined", len(self.candidates))
         n = len(self.candidates)
         self._keys = [c.key() for c in self.candidates]
-        self.vp = VariablePackGraph(self.candidates, deps)
+        with span("slp.vp_graph"):
+            self.vp = VariablePackGraph(self.candidates, deps)
         # Per-round pack type ids (``tid``): indices into the VP graph's
         # sorted ``pack_types``, so tid order is pack order. Each
         # candidate keeps its distinct tids ascending (its *slots*), the
@@ -655,7 +660,7 @@ class BasicGrouping:
         self._decl_of = decl_of
         self._penalty_context = penalty_context
         self.decision_mode = decision_mode
-        self.engine_options = engine_options
+        self.node_budget = node_budget
         self.on_diagnostic = on_diagnostic
 
     # -- cached static pack costs ----------------------------------------------
@@ -978,11 +983,10 @@ class BasicGrouping:
 
     def run(self) -> Tuple[List[GroupNode], List[GroupNode], GroupingTrace]:
         """Returns (decided groups, leftover units, trace)."""
-        with section("grouping.decide"):
-            trace = self._engine_impl.factory(self)
-            trace.engine = self.engine
-            if trace.objective is None:
-                trace.objective = self.selection_objective(self.decided)
+        trace = self._engine_impl.factory(self)
+        trace.engine = self.engine
+        if trace.objective is None:
+            trace.objective = self.selection_objective(self.decided)
 
         decided_groups = [self.candidates[i].merged() for i in self.decided]
         taken = set()
@@ -1115,24 +1119,23 @@ class BasicGrouping:
             got = results.get(index)
             if got is None:
                 count("grouping.scores_recomputed")
-                with section("grouping.weights"):
-                    counts = self._counts_list(index, decided_counts)
-                    old = previous.get(index)
-                    if old is not None and old[0] == counts:
-                        got = old[1]
-                    else:
-                        weight = self._weight_from_list(counts)
-                        score = (
-                            self._score_from_list(index, counts)
-                            if cost_aware
-                            else weight
-                        )
-                        got = (
-                            weight,
-                            score,
-                            self._heap_rank(index, counts, cost_aware),
-                        )
-                        previous[index] = (counts, got)
+                counts = self._counts_list(index, decided_counts)
+                old = previous.get(index)
+                if old is not None and old[0] == counts:
+                    got = old[1]
+                else:
+                    weight = self._weight_from_list(counts)
+                    score = (
+                        self._score_from_list(index, counts)
+                        if cost_aware
+                        else weight
+                    )
+                    got = (
+                        weight,
+                        score,
+                        self._heap_rank(index, counts, cost_aware),
+                    )
+                    previous[index] = (counts, got)
                 results[index] = got
             else:
                 count("grouping.score_cache_hits")
@@ -1169,14 +1172,11 @@ class BasicGrouping:
                 flavour = _EXACT
             else:
                 count("grouping.score_bounds")
-                with section("grouping.weights"):
-                    rank = self._heap_rank(
-                        index,
-                        self._counts_list(
-                            index, decided_counts, eliminate=False
-                        ),
-                        cost_aware,
-                    )
+                rank = self._heap_rank(
+                    index,
+                    self._counts_list(index, decided_counts, eliminate=False),
+                    cost_aware,
+                )
                 flavour = _BOUND
             heapq.heappush(
                 heap,

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from ..analysis import DependenceGraph
 from ..ir import BasicBlock
-from ..perf import count, section
+from ..perf import count, span
 from ..trace import TRACE
 from .grouping import BasicGrouping, GroupingTrace, PackCostModel
 from .model import GroupNode
@@ -29,7 +29,7 @@ def iterative_grouping(
     decision_mode: str = "cost-aware",
     engine: str = "incremental",
     *,
-    engine_options=None,
+    node_budget=None,
     on_diagnostic=None,
 ) -> Tuple[List[GroupNode], List[GroupingTrace]]:
     """Run grouping rounds to fixpoint.
@@ -39,7 +39,9 @@ def iterative_grouping(
     ``decl_of`` (array name -> declaration) enables exact memory
     adjacency tie-breaking for multi-dimensional arrays. ``engine``
     selects the decision-loop implementation (see
-    :mod:`repro.slp.grouping`); both produce identical results.
+    :mod:`repro.slp.grouping`); both greedy loops produce identical
+    results, and ``node_budget`` bounds the ``"optimal"`` engine's
+    search per round.
     """
     units: List[GroupNode] = [GroupNode.of_statement(s) for s in block]
     traces: List[GroupingTrace] = []
@@ -47,31 +49,30 @@ def iterative_grouping(
     # wider packs, but everything they share with earlier rounds (and
     # every repeated query within a round) is a hit.
     cost_model = PackCostModel(decl_of, penalty_context)
-    with section("grouping"):
-        round_index = 0
-        while True:
-            count("grouping.rounds")
-            with TRACE.span("round", round=round_index):
-                round_pass = BasicGrouping(
-                    units, deps, datapath_bits, decl_of, penalty_context,
-                    decision_mode, engine, cost_model,
-                    engine_options=engine_options,
-                    on_diagnostic=on_diagnostic,
-                )
-                decided, leftovers, trace = round_pass.run()
-            traces.append(trace)
-            if TRACE.enabled:
-                TRACE.event(
-                    "grouping.round",
-                    round=round_index,
-                    units=len(units),
-                    decided=len(decided),
-                    leftovers=len(leftovers),
-                )
-            round_index += 1
-            if not decided:
-                return units, traces
-            units = decided + leftovers
-            # Every unit is as wide as the datapath allows: nothing more to do.
-            if all(u.width_bits * 2 > datapath_bits for u in units):
-                return units, traces
+    round_index = 0
+    while True:
+        count("grouping.rounds")
+        with span("round", round=round_index):
+            round_pass = BasicGrouping(
+                units, deps, datapath_bits, decl_of, penalty_context,
+                decision_mode, engine, cost_model,
+                node_budget=node_budget,
+                on_diagnostic=on_diagnostic,
+            )
+            decided, leftovers, trace = round_pass.run()
+        traces.append(trace)
+        if TRACE.enabled:
+            TRACE.event(
+                "grouping.round",
+                round=round_index,
+                units=len(units),
+                decided=len(decided),
+                leftovers=len(leftovers),
+            )
+        round_index += 1
+        if not decided:
+            return units, traces
+        units = decided + leftovers
+        # Every unit is as wide as the datapath allows: nothing more to do.
+        if all(u.width_bits * 2 > datapath_bits for u in units):
+            return units, traces

@@ -49,7 +49,7 @@ pruning: reaching a state at a value no better than a previous visit
 cannot improve the incumbent.  All arithmetic is exact: the cost rows
 are already ints in units of ``1 / COST_SCALE``.
 
-A configurable node budget (``engine_options={"node_budget": n}``, or
+A configurable node budget (the grouping's ``node_budget``, set from
 ``CompilerOptions.optimal_node_budget``) and a candidate-count ceiling
 fall back to the bit-exact incremental result, emitting a structured
 :class:`~repro.errors.Diagnostic` (``action="note"``) through the
@@ -62,7 +62,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import Diagnostic
-from ..perf import count, section
+from ..perf import count
 from .grouping import COST_SCALE, BasicGrouping, GroupingTrace
 from ..trace import TRACE
 
@@ -326,8 +326,7 @@ def _fallback(
 def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
     """The ``grouping_engine="optimal"`` entry point (see module
     docstring); registered in :mod:`repro.engines`."""
-    options = grouping.engine_options or {}
-    budget = int(options.get("node_budget") or DEFAULT_NODE_BUDGET)
+    budget = grouping.node_budget or DEFAULT_NODE_BUDGET
     n = len(grouping.candidates)
     if n == 0:
         return GroupingTrace(
@@ -338,67 +337,66 @@ def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
             grouping, 0, f"{n} candidates > ceiling {MAX_CANDIDATES}"
         )
 
-    with section("grouping.optimal"):
-        greedy_selection = _greedy_incumbent(grouping)
-        greedy_value = grouping.selection_objective(greedy_selection)
+    greedy_selection = _greedy_incumbent(grouping)
+    greedy_value = grouping.selection_objective(greedy_selection)
 
-        # Candidates that can never strictly improve a selection
-        # (ub <= 0) are dropped before the search; order the rest by
-        # descending bound so the suffix sums prune early.
-        all_specs = _build_specs(grouping, list(range(n)))
-        order = sorted(
-            (j for j in range(n) if all_specs[j].ub > 0),
-            key=lambda j: (-all_specs[j].ub, j),
+    # Candidates that can never strictly improve a selection
+    # (ub <= 0) are dropped before the search; order the rest by
+    # descending bound so the suffix sums prune early.
+    all_specs = _build_specs(grouping, list(range(n)))
+    order = sorted(
+        (j for j in range(n) if all_specs[j].ub > 0),
+        key=lambda j: (-all_specs[j].ub, j),
+    )
+    specs = [all_specs[j] for j in order]
+    masks = []
+    conflict_rows = [grouping.vp.conflict_bits(j) for j in order]
+    for p, j in enumerate(order):
+        mask = 0
+        for q, k in enumerate(order):
+            if p != q and (
+                (conflict_rows[p] >> k) & 1 or (conflict_rows[q] >> j) & 1
+            ):
+                mask |= 1 << q
+        masks.append(mask)
+
+    incumbent = int(greedy_value * COST_SCALE)
+    try:
+        best_set, best_value, nodes = _search(
+            specs, masks, len(grouping.vp.pack_types), incumbent, budget
         )
-        specs = [all_specs[j] for j in order]
-        masks = []
-        conflict_rows = [grouping.vp.conflict_bits(j) for j in order]
-        for p, j in enumerate(order):
-            mask = 0
-            for q, k in enumerate(order):
-                if p != q and (
-                    (conflict_rows[p] >> k) & 1 or (conflict_rows[q] >> j) & 1
-                ):
-                    mask |= 1 << q
-            masks.append(mask)
+    except _BudgetExceeded:
+        return _fallback(
+            grouping, budget, f"node budget {budget} exhausted"
+        )
 
-        incumbent = int(greedy_value * COST_SCALE)
-        try:
-            best_set, best_value, nodes = _search(
-                specs, masks, len(grouping.vp.pack_types), incumbent, budget
-            )
-        except _BudgetExceeded:
-            return _fallback(
-                grouping, budget, f"node budget {budget} exhausted"
-            )
-
-        count("grouping.optimal.nodes", nodes)
-        if best_set is not None:
-            chosen = sorted(order[p] for p in best_set)
-            objective = grouping.selection_objective(chosen)
-            if objective <= greedy_value:  # defensive; search is exact
-                chosen, objective = greedy_selection, greedy_value
-        else:
+    count("grouping.optimal.nodes", nodes)
+    if best_set is not None:
+        chosen = sorted(order[p] for p in best_set)
+        objective = grouping.selection_objective(chosen)
+        if objective <= greedy_value:  # defensive; search is exact
             chosen, objective = greedy_selection, greedy_value
+    else:
+        chosen, objective = greedy_selection, greedy_value
 
-        trace = GroupingTrace(
-            [],
-            proven_optimal=True,
-            objective=objective,
-            nodes_explored=nodes,
+    trace = GroupingTrace(
+        [],
+        proven_optimal=True,
+        objective=objective,
+        nodes_explored=nodes,
+    )
+    seen: set = set()
+    status: Dict[int, int] = {}
+    for index in chosen:
+        gain = Fraction(
+            grouping._objective_gain(index, seen, status), COST_SCALE
         )
-        seen: set = set()
-        status: Dict[int, int] = {}
-        for index in chosen:
-            gain = Fraction(
-                grouping._objective_gain(index, seen, status), COST_SCALE
-            )
-            grouping._commit(
-                index,
-                trace,
-                gain,
-                score=gain,
-                picked_by="optimal",
-                proven_optimal=True,
-            )
+        grouping._commit(
+            index,
+            trace,
+            gain,
+            score=gain,
+            picked_by="optimal",
+            proven_optimal=True,
+        )
     return trace

@@ -1,16 +1,13 @@
-"""``repro.telemetry`` — request correlation and collapsed-stack profiles.
+"""``repro.telemetry`` — request correlation.
 
-The compile-time half of observability lives in ``repro.perf`` (section
-timers and counters) and ``repro.trace`` (the decision tracer). This
-package holds the two operational pieces that build on them:
-
-* :mod:`repro.telemetry.log` — structured JSON-lines logging plus the
-  request/correlation-ID machinery: IDs are minted client-side,
-  travel in the wire envelope, bind to a context variable on the
-  server, and come back stamped on responses, errors, and traces.
-* :mod:`repro.telemetry.profile` — a per-stage profile derived from
-  ``repro.perf`` nesting paths, emitted as collapsed-stack
-  (flamegraph-compatible) lines; the ``repro profile`` CLI fronts it.
+The compile-time half of observability lives in ``repro.perf`` (the one
+span primitive, its timings and counters, and the collapsed-stack
+profile) and ``repro.trace`` (the decision tracer). This package holds
+the operational piece that builds on them:
+:mod:`repro.telemetry.log` — structured JSON-lines logging plus the
+request/correlation-ID machinery: IDs are minted client-side, travel in
+the wire envelope, bind to a context variable on the server, and come
+back stamped on responses, errors, and traces.
 
 The service's counters and latency histograms are plain attributes of
 the objects that own them (``repro.service``), read back through the

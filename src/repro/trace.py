@@ -1,14 +1,17 @@
 """Structured decision tracing with runtime cost attribution.
 
-``repro.perf`` (PR 1) answers *how long* each compiler phase took; this
-module answers *what the compiler decided and what each decision cost at
-runtime*. A global :data:`TRACE` registry collects a flat, ordered list
-of events, with spans (``compile`` > ``block`` > ``round`` ...) giving
-them hierarchical context. Every pass emits its decisions: candidate
-search, VP graph construction, SG edge commits (winning weight plus the
-runner-up edges that lost), iterative fusion rounds, scheduler reuse
-hits against the live superword set, permutation orderings tried,
-layout replication choices, and codegen pack/shuffle-reuse events.
+``repro.perf`` answers *how long* each layer took; this module answers
+*what the compiler decided and what each decision cost at runtime*. A
+global :data:`TRACE` registry collects a flat, ordered list of events.
+Their hierarchical context comes from ``repro.perf.span``, the one span
+primitive (``compile`` > ``block`` > ``slp.grouping`` > ``round`` ...):
+while tracing is on, each span emits ``span.begin``/``span.end`` and
+every event carries the ``;``-joined path of the spans open around it.
+Every pass emits its decisions: candidate search, VP graph
+construction, SG edge commits (winning weight plus the runner-up edges
+that lost), iterative fusion rounds, scheduler reuse hits against the
+live superword set, permutation orderings tried, layout replication
+choices, and codegen pack/shuffle-reuse events.
 
 Each committed group gets a stable **provenance ID** —
 ``b<block>:S<sid>+S<sid>+...`` — that codegen stamps onto the emitted
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import json
-import time
 from fractions import Fraction
 from typing import (
     Any,
@@ -40,6 +42,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from .perf import PERF, span
 
 #: Versioned schema tag written into every trace header. Bump on any
 #: backwards-incompatible change to event kinds or required fields.
@@ -136,68 +140,6 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-class _NullSpan:
-    """Shared no-op context manager returned while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _Span:
-    """Context manager emitting ``span.begin``/``span.end`` events.
-
-    ``__exit__`` is generation-guarded the same way ``perf._Section`` is:
-    a ``reset()`` while the span is open invalidates it, so unwinding
-    cannot pop frames that belong to a newer trace.
-    """
-
-    __slots__ = ("registry", "name", "fields", "started", "_generation", "_depth")
-
-    def __init__(self, registry: "TraceRegistry", name: str, fields: Dict[str, Any]):
-        self.registry = registry
-        self.name = name
-        self.fields = fields
-        self.started = 0.0
-        self._generation = -1
-        self._depth = 0
-
-    def __enter__(self) -> "_Span":
-        registry = self.registry
-        registry._emit("span.begin", {"name": self.name, **self.fields})
-        registry._stack.append((self.name, self.fields))
-        registry._path = ";".join(name for name, _ in registry._stack)
-        self._generation = registry._generation
-        self._depth = len(registry._stack)
-        self.started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        registry = self.registry
-        wall_ms = (time.perf_counter() - self.started) * 1e3
-        stack = registry._stack
-        if (
-            registry._generation != self._generation
-            or len(stack) != self._depth
-            or not stack
-            or stack[-1][0] != self.name
-        ):
-            return  # reset() intervened; this frame no longer exists
-        stack.pop()
-        registry._path = ";".join(name for name, _ in stack)
-        if registry.enabled:
-            registry._emit(
-                "span.end", {"name": self.name, "wall_ms": round(wall_ms, 3)}
-            )
-
-
 class TraceRegistry:
     """Process-global trace collector (see module docstring)."""
 
@@ -206,9 +148,6 @@ class TraceRegistry:
         self.meta: Dict[str, Any] = {}
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
-        self._stack: List[Tuple[str, Dict[str, Any]]] = []
-        self._path = ""
-        self._generation = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -221,22 +160,14 @@ class TraceRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Discard all state. Safe with spans still open: bumping the
-        generation invalidates their pending ``__exit__``."""
+        """Discard all state. Safe with spans still open: they are
+        dropped from the spine, so their exits emit nothing."""
         self.meta.clear()
         self.events.clear()
         self._seq = 0
-        self._stack.clear()
-        self._path = ""
-        self._generation += 1
+        PERF.drop_open_spans()
 
     # -- emission ----------------------------------------------------------
-
-    def span(self, name: str, **fields: Any) -> Any:
-        """Open a named span; nested events carry its path for context."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name, fields)
 
     def event(self, kind: str, /, **fields: Any) -> None:
         """Record one event. Call sites on hot paths should guard with
@@ -249,21 +180,22 @@ class TraceRegistry:
 
     def _emit(self, kind: str, fields: Dict[str, Any]) -> None:
         self._seq += 1
+        stack = PERF.stack
         record: Dict[str, Any] = {
             "seq": self._seq,
             "ev": kind,
-            "span": self._path,
+            "span": stack[-1].path if stack else "",
         }
         for key, value in fields.items():
             record[key] = json_safe(value)
         self.events.append(record)
 
     def current(self, key: str) -> Any:
-        """Field value from the innermost enclosing span that set it
-        (e.g. ``TRACE.current("block")`` inside a per-block span)."""
-        for _name, fields in reversed(self._stack):
-            if key in fields:
-                return fields[key]
+        """Field value from the innermost open span that set it (e.g.
+        ``TRACE.current("block")`` inside a per-block span)."""
+        for frame in reversed(PERF.stack):
+            if key in frame.fields:
+                return frame.fields[key]
         return None
 
     # -- export ------------------------------------------------------------
@@ -386,7 +318,7 @@ def fold_report(report: Any) -> None:
     them. No-op when tracing is disabled."""
     if not TRACE.enabled:
         return
-    with TRACE.span("runtime"):
+    with span("runtime"):
         for prov in sorted(report.provenance):
             cost = report.provenance[prov]
             TRACE.event(

@@ -44,6 +44,7 @@ from ..ir import (
 )
 from ..layout.array import ArrayReplication
 from ..layout.scalar import ScalarArena
+from ..perf import span
 from ..slp.model import Schedule, ScheduledSingle, SuperwordStatement
 from ..slp.scheduling import keys_may_alias
 from ..trace import TRACE, provenance_id
@@ -170,7 +171,8 @@ def _collect_ops(expr: Expr) -> List[str]:
 def compile_scalar_block(
     block: BasicBlock, program: Program
 ) -> List[Instruction]:
-    return [compile_scalar_statement(stmt, program) for stmt in block]
+    with span("codegen.scalar"):
+        return [compile_scalar_statement(stmt, program) for stmt in block]
 
 
 # -- vector codegen ------------------------------------------------------------------
@@ -231,18 +233,19 @@ class VectorCodegen:
     # -- public -----------------------------------------------------------------------
 
     def compile(self, schedule: Schedule) -> Tuple[List[Instruction], List[Instruction]]:
-        for stmt in schedule.block:
-            if isinstance(stmt.target, Var):
-                self._written_scalars.add(stmt.target.name)
-            else:
-                self._written_arrays.add(stmt.target.array)
-        for item in schedule.items:
-            if isinstance(item, SuperwordStatement):
-                self._emit_superword(item)
-            else:
-                assert isinstance(item, ScheduledSingle)
-                self._emit_single(item.statement)
-        return self.preheader, self.body
+        with span("codegen.vector"):
+            for stmt in schedule.block:
+                if isinstance(stmt.target, Var):
+                    self._written_scalars.add(stmt.target.name)
+                else:
+                    self._written_arrays.add(stmt.target.array)
+            for item in schedule.items:
+                if isinstance(item, SuperwordStatement):
+                    self._emit_superword(item)
+                else:
+                    assert isinstance(item, ScheduledSingle)
+                    self._emit_single(item.statement)
+            return self.preheader, self.body
 
     def _emit(self, instr: Instruction) -> None:
         """Append to the body, stamping the current provenance ID on

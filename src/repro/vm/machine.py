@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
+from ..errors import OptionsError
 from ..ir.expr import COMPARE_OPS, OP_WEIGHTS
 from .cache import CacheConfig
 
@@ -71,7 +72,15 @@ class MachineModel:
 
     def with_datapath(self, datapath_bits: int) -> "MachineModel":
         """The same platform with a hypothetical SIMD width — Figure 18
-        sweeps 128 through 1024 bits."""
+        sweeps 128 through 1024 bits. Raises :class:`OptionsError`
+        unless the width is a power of two of at least 64 bits: lanes
+        are ``datapath_bits // element_bits``, so any other width
+        means nothing to the cost model or the code generator."""
+        if datapath_bits < 64 or datapath_bits & (datapath_bits - 1):
+            raise OptionsError(
+                f"datapath of {datapath_bits} bits; expected a power of"
+                f" two of at least 64"
+            )
         return replace(self, datapath_bits=datapath_bits)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..engines import resolve as resolve_engine_impl
 from ..errors import SimulationError
 from ..ir import ArrayRef, Const, Expr, Var
-from ..perf import section as perf_section
+from ..perf import span
 from .cache import Cache
 from .codegen import (
     CompiledCopy,
@@ -318,7 +318,7 @@ class Simulator:
         memory: Optional[Memory] = None,
         seed: int = 0,
     ) -> Tuple[ExecutionReport, Memory]:
-        with perf_section("simulate"):
+        with span("simulate"):
             memory = memory or Memory(plan, seed=seed)
             report = ExecutionReport()
             cache = Cache(self.machine.l1)

@@ -241,7 +241,7 @@ class TestBudgetFallback:
         diagnostics = []
         starved = _fresh_grouping(
             pre, "optimal", datapath=128,
-            engine_options={"node_budget": 1},
+            node_budget=1,
             on_diagnostic=diagnostics.append,
         )
         _, _, trace = starved.run()

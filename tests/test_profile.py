@@ -1,78 +1,61 @@
-"""Tests for the collapsed-stack stage profile and ``repro profile``."""
+"""Tests for the collapsed-stack profile and ``repro profile``."""
 
 from __future__ import annotations
 
 from repro.cli import main
-from repro.telemetry.profile import stage_collapsed, stage_tree
+from repro.perf import PerfRegistry
 
 # A synthetic perf snapshot shaped exactly like PerfRegistry.snapshot():
-# flat totals include every nested occurrence; nested paths carry the
-# ``;``-joined dynamic nesting.
+# every span records under its ``;``-joined path only.
 SNAPSHOT = {
     "sections": {
         "compile": (1.0, 2),
-        "grouping": (0.4, 2),
-        "codegen": (0.2, 2),
-        "compile;grouping": (0.4, 2),
-        "compile;grouping;decide": (0.1, 6),
-        "compile;codegen": (0.2, 2),
+        "compile;slp.grouping": (0.4, 2),
+        "compile;slp.grouping;slp.vp_graph": (0.1, 6),
+        "compile;codegen.vector": (0.2, 2),
+        "simulate": (0.5, 1),
     },
     "counters": {},
 }
 
 
+def collapsed(snapshot) -> str:
+    registry = PerfRegistry()
+    registry.merge(snapshot)
+    return registry.collapsed()
+
+
 # -- deterministic stage profile -----------------------------------------------
-
-
-def test_stage_tree_attributes_root_share():
-    tree = stage_tree(SNAPSHOT)
-    # grouping/codegen totals are fully explained by their nested
-    # occurrences under compile, so they get no root-level node.
-    assert ("grouping",) not in tree
-    assert ("codegen",) not in tree
-    assert tree[("compile",)] == 1.0
-    assert tree[("compile", "grouping")] == 0.4
-    assert tree[("compile", "grouping", "decide")] == 0.1
-    assert tree[("compile", "codegen")] == 0.2
-
-
-def test_stage_tree_keeps_genuine_top_level_sections():
-    snapshot = {
-        "sections": {"simulate": (0.5, 1), "compile": (1.0, 1)},
-        "counters": {},
-    }
-    tree = stage_tree(snapshot)
-    assert tree[("simulate",)] == 0.5
-    assert tree[("compile",)] == 1.0
 
 
 def test_stage_collapsed_emits_self_times_in_microseconds():
     lines = dict(
-        line.rsplit(" ", 1)
-        for line in stage_collapsed(SNAPSHOT).splitlines()
+        line.rsplit(" ", 1) for line in collapsed(SNAPSHOT).splitlines()
     )
     # compile self = 1.0 - (0.4 grouping + 0.2 codegen) = 0.4s
     assert int(lines["compile"]) == 400_000
     # grouping self = 0.4 - 0.1 = 0.3s
-    assert int(lines["compile;grouping"]) == 300_000
-    assert int(lines["compile;grouping;decide"]) == 100_000
-    assert int(lines["compile;codegen"]) == 200_000
+    assert int(lines["compile;slp.grouping"]) == 300_000
+    assert int(lines["compile;slp.grouping;slp.vp_graph"]) == 100_000
+    assert int(lines["compile;codegen.vector"]) == 200_000
+    # A second root keeps its own stack.
+    assert int(lines["simulate"]) == 500_000
 
 
 def test_stage_collapsed_totals_reconstruct_by_summation():
-    lines = stage_collapsed(SNAPSHOT).splitlines()
+    lines = collapsed(SNAPSHOT).splitlines()
     total_us = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
-    # Every self-time sums back to the root total — the flame-graph
+    # Every self-time sums back to the root totals — the flame-graph
     # invariant a viewer relies on.
-    assert total_us == 1_000_000
+    assert total_us == 1_500_000
 
 
 def test_stage_collapsed_is_deterministic():
-    assert stage_collapsed(SNAPSHOT) == stage_collapsed(SNAPSHOT)
+    assert collapsed(SNAPSHOT) == collapsed(SNAPSHOT)
 
 
 def test_stage_collapsed_empty_snapshot():
-    assert stage_collapsed({"sections": {}, "counters": {}}) == ""
+    assert collapsed({"sections": {}, "counters": {}}) == ""
 
 
 # -- the CLI -------------------------------------------------------------------
@@ -89,6 +72,7 @@ def test_profile_cli_stages_mode(tmp_path, capsys):
         lines = out.read_text().splitlines()
         assert lines, "stage profile must not be empty"
         assert any(line.startswith("compile") for line in lines)
+        assert any(";slp.grouping" in line for line in lines)
         for line in lines:
             stack, count = line.rsplit(" ", 1)
             assert int(count) > 0
@@ -113,3 +97,33 @@ def test_profile_cli_run_includes_simulation(tmp_path):
         line.startswith("simulate")
         for line in out.read_text().splitlines()
     )
+
+
+def test_compile_perf_prints_self_times_adding_up(tmp_path, capsys):
+    source = tmp_path / "stencil.slp"
+    source.write_text(
+        "double A[200]; double B[200];\n"
+        "double tl; double tr;\n"
+        "for (i = 1; i < 65; i += 1) {\n"
+        "    tl = A[i-1] + A[i];\n"
+        "    tr = A[i] + A[i+1];\n"
+        "    B[i] = B[i] + (tr - tl) * 0.5;\n"
+        "}\n"
+    )
+    assert main(
+        ["compile", str(source), "--datapath", "512", "--perf", "--quiet",
+         "--emit-plan"]
+    ) == 0
+    err = capsys.readouterr().err.split("-- self time --")[1]
+    self_part, rest = err.split("-- total --")
+    self_rows = [line.split() for line in self_part.splitlines()[1:]]
+    total_rows = [line.split() for line in rest.splitlines()[1:]]
+    names = {row[0] for row in self_rows}
+    assert {"compile", "slp.grouping", "codegen.vector"} <= names
+    assert "block" not in names and "round" not in names
+    assert total_rows[0][0] == "compile"
+    # Rows print at 0.01 ms: the self times add up to the compile total
+    # within one rounding step per row.
+    assert abs(
+        sum(float(row[1]) for row in self_rows) - float(total_rows[0][1])
+    ) <= 0.005 * (len(self_rows) + 1)

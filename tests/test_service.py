@@ -370,6 +370,39 @@ def test_request_validation(client):
         assert json.loads(raw)["error"]["type"] == "ServiceError", request
 
 
+@pytest.mark.parametrize(
+    "request_body, named",
+    [
+        ({"options": {"decision_mode": "bogus"}}, "decision mode"),
+        ({"options": {"checks": "bogus"}}, "check stage"),
+        ({"options": {"on_error": "bogus"}}, "on_error"),
+        ({"datapath": -128}, "-128 bits"),
+        ({"datapath": 8}, "8 bits"),
+        ({"datapath": 100}, "100 bits"),
+        ({"n": -3}, "n=-3"),
+    ],
+)
+def test_meaningless_values_are_client_errors(client, request_body, named):
+    """A value of the right JSON type that names no configuration fails
+    while the request is built: a 400 naming it, not a worker's 422, a
+    200 with an all-scalar plan, or a parse error about source the
+    client never sent."""
+    request = {"kernel": "milc", "n": N, **request_body}
+    status, raw, _headers = client._round_trip(
+        "POST", "/v1/compile", json.dumps(request).encode(), {}, 30.0
+    )
+    assert status == 400, request
+    error = json.loads(raw)["error"]
+    assert error["type"] == "OptionsError", error
+    assert named in error["message"], error
+
+
+def test_power_of_two_datapaths_still_compile(client):
+    for datapath in (128, 256, 512, 1024):
+        outcome = client.compile(kernel="milc", n=N, datapath=datapath)
+        assert outcome.result.machine.datapath_bits == datapath
+
+
 @contextmanager
 def queue_held(tmp_path):
     """A ``queue_limit=1`` server whose only queue slot is held by a
