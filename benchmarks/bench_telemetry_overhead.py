@@ -1,4 +1,4 @@
-"""Disabled-logging overhead: ``repro.telemetry.log`` must be free when off.
+"""Disabled-logging overhead: ``repro.service.log`` must be free when off.
 
 The structured logger follows the tracer's contract — off by default,
 one attribute check when disabled, hot sites guarded by
@@ -32,7 +32,7 @@ from conftest import write_result
 from repro.bench.record import write_bench_json
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
-from repro.telemetry.log import LOG, parse_jsonl
+from repro.service.log import LOG, parse_jsonl
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 KERNEL = "cg"

@@ -35,7 +35,7 @@ Examples::
 
     python -m repro compile saxpy.slp --variant global --emit-plan
     python -m repro compare saxpy.slp --machine amd
-    python -m repro trace saxpy.slp --diff global:baseline
+    python -m repro trace saxpy.slp --diff global:slp
     python -m repro bench --n 64
     python -m repro bench --check --baseline benchmarks/results/BENCH_suite.json
     python -m repro profile --kernel cg --out cg.collapsed
@@ -55,11 +55,12 @@ from typing import List, Optional
 
 from .bench import ALL_KERNELS, ascii_table, percent, run_suite
 from .compiler import CompilerOptions, Variant, compile_program
-from .engines import engine_names
 from .errors import ReproError, SuiteError
 from .ir import parse_program
+from .slp.grouping import GROUPING_ENGINES
 from .vm import MACHINES, Simulator, reduction
 from .vm.pretty import disassemble_plan
+from .vm.simulator import SIM_ENGINES
 
 VARIANTS = {v.value: v for v in Variant}
 
@@ -75,18 +76,20 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
     """The CompilerOptions a command's flags describe.
 
     The CLI expresses every knob *by building options* — see the
-    precedence rule on :class:`CompilerOptions`: a flag left unset
-    stays ``None`` and defers to the knob's environment variable, then
-    to the built-in default. No command consults ``os.environ``.
+    precedence rule on :class:`CompilerOptions`: only the flags that
+    were set are passed, so an unset one keeps the field's default
+    (for ``checks``, the environment variable). No command consults
+    ``os.environ``.
     """
-    return CompilerOptions(
-        engine=getattr(args, "engine", None),
-        grouping_engine=getattr(args, "grouping_engine", None)
-        or "incremental",
-        optimal_node_budget=getattr(args, "optimal_node_budget", None),
-        checks=getattr(args, "checks", None),
-        on_error=getattr(args, "on_error", None) or "raise",
+    flags = (
+        "engine", "grouping_engine", "optimal_node_budget", "checks",
+        "on_error",
     )
+    return CompilerOptions(**{
+        name: getattr(args, name)
+        for name in flags
+        if getattr(args, name, None) is not None
+    })
 
 
 def _read_program(path: str):
@@ -133,25 +136,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-# Friendlier spellings accepted by ``trace --diff`` (and anywhere a
-# variant name is resolved through :func:`_resolve_variant`).
-VARIANT_ALIASES = {
-    "baseline": "slp",
-    "layout": "global+layout",
-}
-
-
-def _resolve_variant(name: str) -> Variant:
-    resolved = VARIANT_ALIASES.get(name, name)
-    if resolved not in VARIANTS:
-        choices = sorted(VARIANTS) + sorted(VARIANT_ALIASES)
-        raise SystemExit(
-            f"repro trace: unknown variant {name!r}"
-            f" (choose from {', '.join(choices)})"
-        )
-    return VARIANTS[resolved]
 
 
 def _traced_compile(
@@ -207,9 +191,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     "repro trace: --diff A:B needs a DSL source file"
                     " to compile, not a saved .jsonl trace"
                 )
-            name_a, name_b = spec.split(":", 1)
-            variant_a = _resolve_variant(name_a)
-            variant_b = _resolve_variant(name_b)
+            names = spec.split(":", 1)
+            for name in names:
+                if name not in VARIANTS:
+                    raise SystemExit(
+                        f"repro trace: unknown variant {name!r}"
+                        f" (choose from {', '.join(sorted(VARIANTS))})"
+                    )
+            variant_a, variant_b = (VARIANTS[name] for name in names)
             records_a = _traced_compile(
                 args.file, variant_a, machine, options
             )
@@ -222,7 +211,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 records_a = _load_trace_file(args.file)
                 label_a = os.path.basename(args.file)
             else:
-                variant_a = _resolve_variant(args.variant)
+                variant_a = VARIANTS[args.variant]
                 records_a = _traced_compile(
                     args.file, variant_a, machine, options
                 )
@@ -236,7 +225,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         records = _load_trace_file(args.file)
     else:
         records = _traced_compile(
-            args.file, _resolve_variant(args.variant), machine, options
+            args.file, VARIANTS[args.variant], machine, options
         )
 
     status = 0
@@ -618,7 +607,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .service.server import ReproService
-    from .telemetry.log import LOG
+    from .service.log import LOG
 
     if args.log_json is not None:
         if args.log_json == "-":
@@ -751,41 +740,6 @@ def cmd_kernels(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_engines(args: argparse.Namespace) -> int:
-    """List the registered grouping/sim engines — the same registry
-    every ``--engine``/``--grouping-engine`` flag, ``CompilerOptions``,
-    the fuzzer, and the service wire schema resolve against."""
-    from . import engines as registry
-
-    if args.markdown:
-        print(registry.markdown_table())
-        return 0
-    rows = []
-    for kind in registry.KINDS:
-        for engine in registry.engines(kind):
-            flags = []
-            if engine.equivalence:
-                flags.append(f"class={engine.equivalence}")
-            if engine.proves_optimal:
-                flags.append("proves-optimal")
-            rows.append(
-                (
-                    kind,
-                    engine.name,
-                    engine.description,
-                    engine.select_support,
-                    " ".join(flags),
-                )
-            )
-    print(
-        ascii_table(
-            ("kind", "engine", "description", "select support", "notes"),
-            rows,
-        )
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -793,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def machine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--machine", choices=sorted(MACHINES), default="intel"
         )
@@ -801,17 +755,19 @@ def build_parser() -> argparse.ArgumentParser:
             "--datapath", type=int, default=None,
             help="SIMD width in bits (default: the machine's)",
         )
+
+    def common(p: argparse.ArgumentParser) -> None:
+        machine_flags(p)
         p.add_argument(
-            "--engine", choices=engine_names("sim"),
-            default=None,
+            "--engine", choices=SIM_ENGINES, default=None,
             help="simulation engine (default: batched; reference is"
             " the interpreter); all produce identical reports",
         )
         p.add_argument(
-            "--grouping-engine", choices=engine_names("grouping"),
+            "--grouping-engine", choices=GROUPING_ENGINES,
             default=None, dest="grouping_engine",
-            help="grouping decision loop (default: incremental); see"
-            " `repro engines`",
+            help="grouping decision loop (default: incremental;"
+            " reference is its oracle, optimal the exact search)",
         )
         p.add_argument(
             "--optimal-node-budget", type=int, default=None,
@@ -863,8 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a DSL source file to compile, or a saved .jsonl trace",
     )
     p_trace.add_argument(
-        "--variant", default="global",
-        help="variant to compile (accepts aliases 'baseline', 'layout')",
+        "--variant", choices=sorted(VARIANTS), default="global"
     )
     p_trace.add_argument(
         "--json", action="store_true",
@@ -897,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="show the grouping decisions for one DSL file"
     )
     p_explain.add_argument("file")
-    common(p_explain)
+    machine_flags(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_bench = sub.add_parser("bench", help="run the Table 3 suite")
@@ -1150,15 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernels = sub.add_parser("kernels", help="list the benchmarks")
     p_kernels.set_defaults(func=cmd_kernels)
-
-    p_engines = sub.add_parser(
-        "engines", help="list the registered grouping/sim engines"
-    )
-    p_engines.add_argument(
-        "--markdown", action="store_true",
-        help="emit the README's engine table (GitHub markdown)",
-    )
-    p_engines.set_defaults(func=cmd_engines)
     return parser
 
 

@@ -21,13 +21,13 @@ better than scalar, the block is left scalar (end of Section 4.3).
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import engines
 from .analysis import DependenceGraph
-from .errors import Diagnostic, OptionsError, ReproError
+from .errors import Diagnostic, OptionsError, ReproError, choose
 from .ir import BasicBlock, Loop, Program
 from .layout import (
     ArrayLayoutPlan,
@@ -48,6 +48,7 @@ from .slp import (
     holistic_slp_schedule,
     native_schedule,
 )
+from .slp.grouping import GROUPING_ENGINES
 from .trace import TRACE
 from .transform import if_convert_program, unroll_program
 from .verify import (
@@ -66,6 +67,8 @@ from .vm import (
     VectorCodegen,
     compile_scalar_block,
 )
+from .vm.machine import check_datapath
+from .vm.simulator import SIM_ENGINES
 
 
 class Variant(enum.Enum):
@@ -78,6 +81,52 @@ class Variant(enum.Enum):
     @property
     def uses_layout(self) -> bool:
         return self is Variant.GLOBAL_LAYOUT
+
+
+def _one_of(what: str, choices) -> Callable[[str, Any], None]:
+    return lambda _name, value: choose(what, choices, value)
+
+
+def _at_least(low: int) -> Callable[[str, Any], None]:
+    def check(name: str, value: int) -> None:
+        if value < low:
+            raise OptionsError(
+                f"compiler option {name!r} is {value!r}; expected at "
+                f"least {low}"
+            )
+
+    return check
+
+
+def _finite_above_zero(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise OptionsError(
+            f"compiler option {name!r} is {value!r}; expected a finite "
+            f"number above 0"
+        )
+
+
+_NONE = type(None)
+
+#: What each field a caller (or the service wire) may set accepts: its
+#: types, ``None`` only where listed, and the range, closed set or rule
+#: its value must pass. ``CompilerOptions`` checks every row when it is
+#: built; ``debug_schedule_mutator`` is a test hook and has no row.
+OPTION_RULES: Dict[str, Tuple[Tuple[type, ...], Optional[Callable]]] = {
+    "datapath_bits": ((int, _NONE), lambda _, bits: check_datapath(bits)),
+    "unroll_factor": ((int, _NONE), _at_least(1)),
+    "cost_gate": ((bool,), None),
+    "layout_budget_elements": ((int,), _at_least(0)),
+    "layout_amortization": ((float, int), _finite_above_zero),
+    "peel_for_alignment": ((bool,), None),
+    "indirect_reuse": ((bool, _NONE), None),
+    "decision_mode": ((str,), _one_of("decision mode", DECISION_MODES)),
+    "grouping_engine": ((str,), _one_of("grouping engine", GROUPING_ENGINES)),
+    "optimal_node_budget": ((int, _NONE), _at_least(1)),
+    "engine": ((str, _NONE), _one_of("sim engine", SIM_ENGINES)),
+    "checks": ((str, _NONE), lambda _, spec: resolve_checks(spec)),
+    "on_error": ((str,), _one_of("on_error", ("raise", "fallback"))),
+}
 
 
 @dataclass(frozen=True)
@@ -94,10 +143,15 @@ class CompilerOptions:
     """
 
     datapath_bits: Optional[int] = None   # None: the machine's width
-    unroll: bool = True
-    unroll_factor: Optional[int] = None   # None: fill the datapath
+    #: Loop unrolling before grouping. ``None`` picks a factor per loop
+    #: (the lane count of its narrowest element type); 1 keeps every
+    #: loop rolled.
+    unroll_factor: Optional[int] = None
     cost_gate: bool = True
+    #: Elements the layout stage may replicate in all (0: none).
     layout_budget_elements: int = 1 << 20
+    #: A replication copy is charged 1/``layout_amortization`` of its
+    #: cost per run: the paper's applications run each kernel many times.
     layout_amortization: float = 16.0
     #: Extension (off in the paper's configuration): peel leading loop
     #: iterations so the dominant memory streams start superword-aligned.
@@ -108,11 +162,12 @@ class CompilerOptions:
     #: paper-literal "weight-only" grouping ranking.
     indirect_reuse: Optional[bool] = None
     decision_mode: str = "cost-aware"
-    #: Grouping decision-loop implementation: "incremental" (memoized
-    #: dirty-set engine, default) or "reference" (recomputes every
-    #: active candidate's score every iteration). Both produce identical schedules;
-    #: the reference engine exists for differential testing and
-    #: compile-time benchmarking.
+    #: Grouping decision loop, a key of
+    #: :data:`repro.slp.grouping.GROUPING_ENGINES`: "incremental"
+    #: (memoized dirty-set engine, default), "reference" (recomputes
+    #: every active candidate's score every iteration; same schedules,
+    #: kept for differential testing and compile-time benchmarking) or
+    #: "optimal" (exact search, :mod:`repro.slp.optimal`).
     grouping_engine: str = "incremental"
     #: Search-node budget for ``grouping_engine="optimal"`` before it
     #: falls back (per grouping round) to the incremental result with a
@@ -153,26 +208,25 @@ class CompilerOptions:
     )
 
     def __post_init__(self):
-        # Every knob with a closed set of values fails here — at options
-        # construction — with a structured error, identically for the
-        # API, the CLI, and the service wire schema (a 400, before a
-        # queue slot or a worker is spent). Engine names resolve through
-        # the one registry, so the error lists what is registered.
-        engines.resolve("grouping", self.grouping_engine)
-        if self.engine is not None:
-            engines.resolve("sim", self.engine)
-        if self.decision_mode not in DECISION_MODES:
-            raise OptionsError(
-                f"unknown decision mode {self.decision_mode!r}; "
-                f"expected one of {DECISION_MODES}"
-            )
-        if self.checks is not None:
-            resolve_checks(self.checks)
-        if self.on_error not in ("raise", "fallback"):
-            raise OptionsError(
-                f"unknown on_error {self.on_error!r}; "
-                f"expected 'raise' or 'fallback'"
-            )
+        # A value that means nothing fails here, at construction, with
+        # an OptionsError naming it — identically for the API, the CLI
+        # and the service wire (a 400, before a queue slot or a worker
+        # is spent).
+        for name, (types, check) in OPTION_RULES.items():
+            value = getattr(self, name)
+            # bool is an int subclass; only a bool field takes it.
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                expected = " or ".join(
+                    "None" if t is _NONE else t.__name__ for t in types
+                )
+                raise OptionsError(
+                    f"compiler option {name!r} must be {expected}, got "
+                    f"{value!r}"
+                )
+            if value is not None and check is not None:
+                check(name, value)
 
 
 @dataclass
@@ -341,8 +395,7 @@ def _compile(
                 pre, _peeled = peel_program(
                     pre, lambda loop: choose_unroll_factor(loop, datapath)
                 )
-            if options.unroll:
-                pre = unroll_program(pre, datapath, options.unroll_factor)
+            pre = unroll_program(pre, datapath, options.unroll_factor)
         if "ir" in checks and pre is not program:
             # The compiler's own preprocessing must preserve
             # well-formedness; a violation here is a compiler bug.

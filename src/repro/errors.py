@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Collection, Dict, Optional
 
 
 def _rebuild(cls, message, stage, block, provenance, rule):
@@ -185,9 +185,22 @@ class BuilderError(IRError, RuntimeError):
 
 
 class OptionsError(ReproError, ValueError):
-    """An unknown knob value (engine, decision mode, checks spec...)."""
+    """A knob value that means nothing: an unknown engine or decision
+    mode, a bad checks spec, a wrong type, a value out of range..."""
 
     default_stage = "options"
+
+
+def choose(what: str, choices: Collection[str], name: str) -> str:
+    """``name`` when it is one of ``choices`` (a closed set, or a table
+    keyed by name), else an :class:`OptionsError` listing them. Engine
+    names and every other closed-set knob are looked up through here."""
+    if name not in choices:
+        raise OptionsError(
+            f"unknown {what} {name!r}; expected one of: "
+            f"{', '.join(choices)}"
+        )
+    return name
 
 
 class VerifyError(ReproError, ValueError):
@@ -343,5 +356,6 @@ __all__ = [
     "SuiteError",
     "VerifyError",
     "WorkerCrashError",
+    "choose",
     "format_failure",
 ]

@@ -7,11 +7,12 @@ Three pieces:
   blocks, mixed-arity expressions, comments, and alignment-hostile
   strides. The same seed always produces the same program.
 * :func:`differential_check` — the oracle. Every generated program is
-  compiled under every vector variant × both grouping engines and run
-  on both simulation engines; the resulting memory image must equal
+  compiled under every vector variant × every grouping engine and run
+  on every simulation engine; the resulting memory image must equal
   the scalar baseline *bit for bit* (SLP packs isomorphic statements
   without re-associating, so even float results must match exactly).
-  The two grouping engines must additionally produce identical plans.
+  The two greedy grouping engines must additionally produce identical
+  plans.
 * :func:`reduce_program` — a greedy delta-debugging reducer that
   shrinks a failing program (drop items, drop statements, shrink trip
   counts, un-loop, prune expressions) while the divergence reproduces.
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .compiler import CompilerOptions, Variant, compile_program
-from .engines import engine_names, resolve
 from .errors import format_failure
 from .ir import (
     Affine,
@@ -62,8 +62,10 @@ from .ir import (
 )
 from .transform import has_regions
 from .ir.printer import format_program
+from .slp.grouping import GROUPING_ENGINES
 from .slp.model import Schedule
 from .vm import MachineModel, Simulator, intel_dunnington
+from .vm.simulator import SIM_ENGINES
 from .vm.pretty import disassemble_plan
 
 VECTOR_VARIANTS = (
@@ -72,9 +74,10 @@ VECTOR_VARIANTS = (
     Variant.GLOBAL,
     Variant.GLOBAL_LAYOUT,
 )
-#: The grouping/sim engine axes come from the :mod:`repro.engines`
-#: registry at check time, so a newly registered engine is fuzzed
-#: automatically — no frozen module-scope lists.
+#: The grouping engines whose plans must be identical: the greedy loop
+#: and its non-memoizing oracle. ``optimal`` may pick different groups,
+#: so it is held to the semantic checks only.
+GREEDY_PAIR = ("incremental", "reference")
 
 # ---------------------------------------------------------------------------
 # Program generator
@@ -498,14 +501,11 @@ def differential_check(
                 "interpret", "scalar", "-", "interpreter", mismatch
             )
 
-    sim_engines = engine_names("sim")
     for variant in VECTOR_VARIANTS:
         # The grouping engine only participates in the holistic
         # decision loop; the greedy baselines never touch it.
         holistic = variant in (Variant.GLOBAL, Variant.GLOBAL_LAYOUT)
-        groupings = engine_names("grouping") if holistic else (
-            "incremental",
-        )
+        groupings = GROUPING_ENGINES if holistic else ("incremental",)
         plans = {}
         for grouping in groupings:
             opts = replace(base, grouping_engine=grouping)
@@ -518,7 +518,7 @@ def differential_check(
                 )
             plans[grouping] = result
             reports = {}
-            for sim_engine in sim_engines:
+            for sim_engine in SIM_ENGINES:
                 try:
                     report, mem = Simulator(machine, engine=sim_engine).run(
                         result.plan, seed=sim_seed
@@ -550,30 +550,15 @@ def differential_check(
                         f"{sim_engine} ExecutionReport differs from "
                         "reference",
                     )
-        # Grouping engines sharing a plan-equivalence class (see
-        # ``Engine.equivalence``) must emit bit-identical plans: both
-        # greedy loops are in class "greedy"; the optimal engine may
-        # legitimately choose different groups, so it sits alone and is
-        # only held to the semantic checks above.
-        classes: Dict[str, List[str]] = {}
-        for grouping in plans:
-            tag = resolve("grouping", grouping).equivalence
-            if tag is not None:
-                classes.setdefault(tag, []).append(grouping)
-        for tag, members in classes.items():
-            if len(members) < 2:
-                continue
-            texts = {
-                g: disassemble_plan(plans[g].plan) for g in members
-            }
-            first = members[0]
-            for other in members[1:]:
-                if texts[other] != texts[first]:
-                    return diverged(
-                        "plan", variant.value, f"{first}+{other}", None,
-                        f"grouping engines of class {tag!r} produced "
-                        "different plans",
-                    )
+        if holistic:
+            first, other = GREEDY_PAIR
+            if disassemble_plan(plans[first].plan) != disassemble_plan(
+                plans[other].plan
+            ):
+                return diverged(
+                    "plan", variant.value, f"{first}+{other}", None,
+                    "the greedy grouping engines produced different plans",
+                )
     return CaseResult("ok")
 
 

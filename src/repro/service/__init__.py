@@ -13,6 +13,8 @@ package provides:
 * :class:`repro.service.client.ServiceClient` — a blocking client
   (``repro submit`` uses it, falling back to local compilation when no
   server is reachable).
+* :mod:`repro.service.log` — structured JSON-lines request logs and the
+  correlation IDs that join client, server and worker lines.
 
 This module holds the wire schema (``repro.service/1``) helpers shared
 by both sides: payloads are JSON envelopes; compiled artifacts travel
@@ -28,12 +30,10 @@ unpickles them.
 from __future__ import annotations
 
 import base64
-import dataclasses
 import pickle
-import typing
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..compiler import CompilerOptions
+from ..compiler import OPTION_RULES, CompilerOptions
 from ..errors import ReproError, ServiceError
 
 #: The versioned wire schema stamped on every request and response.
@@ -58,31 +58,6 @@ def unpickle_b64(blob: str) -> Any:
     return pickle.loads(base64.b64decode(blob.encode("ascii")))
 
 
-#: CompilerOptions fields a request may set. ``debug_schedule_mutator``
-#: is deliberately absent: callables do not travel over a wire.
-_OPTION_FIELDS = frozenset(
-    f.name
-    for f in dataclasses.fields(CompilerOptions)
-    if f.name != "debug_schedule_mutator"
-)
-
-
-def _wire_types(hint: Any) -> Tuple[type, ...]:
-    """The Python types a JSON value may decode to for a field typed
-    ``hint`` (``Optional[int]`` -> ``int`` or ``None``; a ``float``
-    also takes an ``int``)."""
-    args = typing.get_args(hint) or (hint,)
-    types = tuple(t for t in args if isinstance(t, type))
-    return types + (int,) if float in types else types
-
-
-_OPTION_TYPES = {
-    name: _wire_types(hint)
-    for name, hint in typing.get_type_hints(CompilerOptions).items()
-    if name in _OPTION_FIELDS
-}
-
-
 def options_to_dict(options: Optional[CompilerOptions]) -> Dict[str, Any]:
     """The JSON form of a :class:`CompilerOptions` — only fields that
     differ from the defaults, so the wire stays readable and the
@@ -91,7 +66,7 @@ def options_to_dict(options: Optional[CompilerOptions]) -> Dict[str, Any]:
         return {}
     defaults = CompilerOptions()
     out = {}
-    for name in _OPTION_FIELDS:
+    for name in OPTION_RULES:
         value = getattr(options, name)
         if value != getattr(defaults, name):
             out[name] = value
@@ -99,31 +74,24 @@ def options_to_dict(options: Optional[CompilerOptions]) -> Dict[str, Any]:
 
 
 def options_from_dict(payload: Optional[Dict[str, Any]]) -> CompilerOptions:
-    """Reconstruct request options. A non-object payload, an unknown
-    field, or a value of the wrong JSON type is a client error."""
+    """Reconstruct request options. A non-object payload or an unknown
+    field is a client error here; ``CompilerOptions`` itself rejects a
+    value of the wrong type or out of range. The settable fields are
+    the rows of :data:`repro.compiler.OPTION_RULES`
+    (``debug_schedule_mutator`` is not one: callables do not travel
+    over a wire)."""
     payload = payload or {}
     if not isinstance(payload, dict):
         raise ServiceError(
             f"'options' must be a JSON object, got {payload!r}",
             rule="service.options",
         )
-    unknown = set(payload) - _OPTION_FIELDS
+    unknown = set(payload) - OPTION_RULES.keys()
     if unknown:
         raise ServiceError(
             f"unknown compiler option(s): {', '.join(sorted(unknown))}",
             rule="service.options",
         )
-    for name, value in payload.items():
-        types = _OPTION_TYPES[name]
-        # bool is an int subclass; only a bool field takes true/false.
-        if not isinstance(value, types) or (
-            isinstance(value, bool) and bool not in types
-        ):
-            raise ServiceError(
-                f"compiler option {name!r} has the wrong type: "
-                f"{value!r}",
-                rule="service.options",
-            )
     return CompilerOptions(**payload)
 
 

@@ -35,7 +35,6 @@ from typing import Any, Dict, Optional
 
 from ..compiler import CompileResult, CompilerOptions
 from ..errors import ServiceBusyError, ServiceError
-from ..telemetry.log import current_request_id, new_request_id
 from ..vm import ExecutionReport
 
 from . import (
@@ -45,6 +44,7 @@ from . import (
     raise_from_payload,
     unpickle_b64,
 )
+from .log import current_request_id, new_request_id
 
 
 @dataclass

@@ -21,7 +21,9 @@ This module gives each request a **correlation ID**:
 
 :data:`LOG` follows the house rule: off by default, one attribute
 check when disabled. Hot paths must guard with ``if LOG.enabled:``
-before building kwargs — same discipline as ``TRACE``.
+before building kwargs — same discipline as ``TRACE``;
+``benchmarks/bench_telemetry_overhead.py`` holds the disabled hooks
+under 2% of request latency.
 """
 
 from __future__ import annotations

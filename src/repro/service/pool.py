@@ -49,8 +49,8 @@ from typing import Any, Dict, Optional
 from ..errors import ReproError, ServiceError, WorkerCrashError
 from ..perf import PERF
 from ..store import ArtifactStore
-from ..telemetry.log import LOG, bind_request_id
 from ..trace import TRACE, fold_report, summarize
+from .log import LOG, bind_request_id
 
 #: In-worker memo entries kept per shard (FIFO evicted). Small: the
 #: memo only needs to absorb the warm working set; the artifact store

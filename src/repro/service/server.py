@@ -30,8 +30,8 @@ unpickling them.
 Failure and backpressure model:
 
 * malformed requests (bad JSON, a field of the wrong type, an unknown
-  kernel, variant, machine or option) → 400 with a structured error
-  payload;
+  kernel, variant, machine or option, an option value
+  ``CompilerOptions`` rejects) → 400 with a structured error payload;
 * job failures (``ReproError`` from parse/verify/compile) → 422 with
   the pickled exception so Python clients re-raise the exact type;
 * more than ``queue_limit`` admitted jobs → 429 + ``Retry-After``
@@ -59,7 +59,6 @@ from ..ir import parse_program
 from ..ir.printer import format_program
 from ..perf import PERF
 from ..store import ArtifactStore
-from ..telemetry.log import LOG, bind_request_id, new_request_id
 from ..vm import MACHINES
 
 from . import (
@@ -70,6 +69,7 @@ from . import (
     options_from_dict,
 )
 from .coalesce import Coalescer
+from .log import LOG, bind_request_id, new_request_id
 from .pool import SOURCE_MEMO_ENTRIES, WorkerPool
 
 _REASONS = {

@@ -57,11 +57,11 @@ def holistic_slp_schedule(
     whether the data layout stage will run afterwards; ``decision_mode``
     selects between the cost-aware decision score (default) and the
     paper-literal weight-only ranking (for ablations); ``engine``
-    selects the grouping decision loop from the :mod:`repro.engines`
-    registry (both greedy loops produce identical results; ``"optimal"``
-    runs the exact search of :mod:`repro.slp.optimal` within
-    ``node_budget`` search nodes, reporting budget fallbacks through
-    ``on_diagnostic``)."""
+    selects the grouping decision loop, a key of
+    :data:`repro.slp.grouping.GROUPING_ENGINES` (both greedy loops
+    produce identical results; ``"optimal"`` runs the exact search of
+    :mod:`repro.slp.optimal` within ``node_budget`` search nodes,
+    reporting budget fallbacks through ``on_diagnostic``)."""
     with span("slp.grouping"):
         units, _traces = iterative_grouping(
             block, deps, datapath_bits, decl_of, penalty_context,

@@ -61,8 +61,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engines import resolve as resolve_engine_impl
-from ..errors import Diagnostic, OptionsError
+from ..errors import Diagnostic, OptionsError, choose
 from ..analysis import DependenceGraph
 from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
 from ..ir import Affine
@@ -583,9 +582,10 @@ class BasicGrouping:
         node_budget: Optional[int] = None,
         on_diagnostic: Optional[Callable[[Diagnostic], None]] = None,
     ):
-        if decision_mode not in DECISION_MODES:
-            raise OptionsError(f"unknown decision mode {decision_mode!r}")
-        self._engine_impl = resolve_engine_impl("grouping", engine)
+        choose("decision mode", DECISION_MODES, decision_mode)
+        self._run_engine = GROUPING_ENGINES[
+            choose("grouping engine", GROUPING_ENGINES, engine)
+        ]
         if cost_model is not None and (
             cost_model.decl_of is not decl_of
             or cost_model.context != penalty_context
@@ -983,7 +983,7 @@ class BasicGrouping:
 
     def run(self) -> Tuple[List[GroupNode], List[GroupNode], GroupingTrace]:
         """Returns (decided groups, leftover units, trace)."""
-        trace = self._engine_impl.factory(self)
+        trace = self._run_engine(self)
         trace.engine = self.engine
         if trace.objective is None:
             trace.objective = self.selection_objective(self.decided)
@@ -1336,6 +1336,24 @@ class BasicGrouping:
                 runners=runners,
             )
         return trace
+
+
+def _run_optimal(grouping: BasicGrouping) -> GroupingTrace:
+    from .optimal import run_optimal
+
+    return run_optimal(grouping)
+
+
+#: The grouping decision loops by name. Each takes the constructed
+#: :class:`BasicGrouping`, decides through ``BasicGrouping._commit`` and
+#: returns the round's :class:`GroupingTrace`. ``incremental`` and
+#: ``reference`` must emit identical plans (the fuzzer checks it);
+#: ``optimal`` may pick different, better-scoring groups.
+GROUPING_ENGINES: Dict[str, Callable[[BasicGrouping], GroupingTrace]] = {
+    "incremental": BasicGrouping._run_incremental,
+    "reference": BasicGrouping._run_reference,
+    "optimal": _run_optimal,
+}
 
 
 def _bit_indices(mask: int) -> List[int]:

@@ -325,7 +325,7 @@ def _fallback(
 
 def run_optimal(grouping: BasicGrouping) -> GroupingTrace:
     """The ``grouping_engine="optimal"`` entry point (see module
-    docstring); registered in :mod:`repro.engines`."""
+    docstring); listed in :data:`repro.slp.grouping.GROUPING_ENGINES`."""
     budget = grouping.node_budget or DEFAULT_NODE_BUDGET
     n = len(grouping.candidates)
     if n == 0:

@@ -72,16 +72,22 @@ class MachineModel:
 
     def with_datapath(self, datapath_bits: int) -> "MachineModel":
         """The same platform with a hypothetical SIMD width — Figure 18
-        sweeps 128 through 1024 bits. Raises :class:`OptionsError`
-        unless the width is a power of two of at least 64 bits: lanes
-        are ``datapath_bits // element_bits``, so any other width
-        means nothing to the cost model or the code generator."""
-        if datapath_bits < 64 or datapath_bits & (datapath_bits - 1):
-            raise OptionsError(
-                f"datapath of {datapath_bits} bits; expected a power of"
-                f" two of at least 64"
-            )
+        sweeps 128 through 1024 bits. The width must pass
+        :func:`check_datapath`."""
+        check_datapath(datapath_bits)
         return replace(self, datapath_bits=datapath_bits)
+
+
+def check_datapath(datapath_bits: int) -> None:
+    """Raises :class:`OptionsError` unless the SIMD width is a power of
+    two of at least 64 bits: lanes are ``datapath_bits //
+    element_bits``, so any other width means nothing to the cost model
+    or the code generator."""
+    if datapath_bits < 64 or datapath_bits & (datapath_bits - 1):
+        raise OptionsError(
+            f"datapath of {datapath_bits} bits; expected a power of"
+            f" two of at least 64"
+        )
 
 
 def intel_dunnington() -> MachineModel:

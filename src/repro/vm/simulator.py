@@ -15,10 +15,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engines import resolve as resolve_engine_impl
-from ..errors import SimulationError
+from ..errors import SimulationError, choose
 from ..ir import ArrayRef, Const, Expr, Var
 from ..perf import span
+from .batched import BatchedEngine
 from .cache import Cache
 from .codegen import (
     CompiledCopy,
@@ -27,6 +27,7 @@ from .codegen import (
     CompiledUnit,
     ExecutablePlan,
 )
+from .compiled import CompiledEngine, load_plan_kernels
 from .isa import (
     ImmRef,
     Instruction,
@@ -272,6 +273,25 @@ def interpret_program(program, memory: Optional[Memory] = None, seed: int = 0) -
     return memory
 
 
+def _compiled_engine(simulator: "Simulator", plan, state) -> CompiledEngine:
+    kernels = load_plan_kernels(
+        plan, simulator.machine, simulator.kernel_store
+    )
+    return CompiledEngine(state, plan, kernels)
+
+
+#: The execution engines by name. Each takes ``(simulator, plan,
+#: state)`` and returns the fast engine ``Simulator.run`` installs on
+#: ``state.batched`` for the run, or ``None`` to run every unit on the
+#: per-instruction interpreter below. All produce identical reports and
+#: memories.
+SIM_ENGINES: Dict[str, Callable] = {
+    "reference": lambda simulator, plan, state: None,
+    "batched": lambda simulator, plan, state: BatchedEngine(state),
+    "compiled": _compiled_engine,
+}
+
+
 def resolve_engine(engine: Optional[str]) -> str:
     """The sim engine a run uses: ``engine`` when named, else
     ``batched``, which keeps pace with ``compiled`` on the plan sweep
@@ -280,16 +300,15 @@ def resolve_engine(engine: Optional[str]) -> str:
     engine is tested against. Unknown names raise
     :class:`~repro.errors.OptionsError`."""
     if engine is None:
-        engine = "batched"
-    resolve_engine_impl("sim", engine)
-    return engine
+        return "batched"
+    return choose("sim engine", SIM_ENGINES, engine)
 
 
 class Simulator:
     """Executes plans with cycle/cache accounting.
 
-    ``engine`` selects the execution strategy, by a name registered in
-    :mod:`repro.engines`. ``batched`` (the default when ``engine`` is
+    ``engine`` selects the execution strategy, by a key of
+    :data:`SIM_ENGINES`. ``batched`` (the default when ``engine`` is
     ``None``) is the vectorized loop engine in :mod:`repro.vm.batched`,
     proven report-identical by differential tests and falling back here
     per-unit whenever a loop is not batchable; ``reference`` is the
@@ -323,8 +342,7 @@ class Simulator:
             report = ExecutionReport()
             cache = Cache(self.machine.l1)
             state = _RunState(self.machine, memory, report, cache)
-            impl = resolve_engine_impl("sim", self.engine)
-            state.batched = impl.factory(self, plan, state)
+            state.batched = SIM_ENGINES[self.engine](self, plan, state)
             env: Dict[str, int] = {}
             try:
                 for unit in plan.units:

@@ -1,15 +1,19 @@
 """The end-to-end framework driver: variants, cost gate, layout stage,
 differential correctness."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
     CompilerOptions,
+    OptionsError,
     Variant,
     compile_program,
     intel_dunnington,
     simulate,
 )
+from repro.compiler import OPTION_RULES
 from repro.ir import parse_program
 from repro.vm import CompiledCopy, CompiledLoop, CompiledStraight
 
@@ -134,6 +138,40 @@ class TestLayoutStage:
 
 
 class TestOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("layout_amortization", -1.0),
+            ("layout_amortization", 0),
+            ("datapath_bits", 100),
+            ("unroll_factor", -2),
+            ("unroll_factor", 0),
+            ("unroll_factor", "eight"),
+            ("unroll_factor", True),
+            ("layout_budget_elements", -5),
+            ("optimal_node_budget", 0),
+            ("cost_gate", 1),
+        ],
+    )
+    def test_meaningless_values_raise_at_construction(self, field, value):
+        with pytest.raises(OptionsError):
+            CompilerOptions(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        CompilerOptions(
+            unroll_factor=1,
+            layout_budget_elements=0,
+            layout_amortization=16,
+            optimal_node_budget=1,
+            datapath_bits=64,
+        )
+
+    def test_rules_cover_every_field_the_wire_can_set(self):
+        names = [f.name for f in dataclasses.fields(CompilerOptions)]
+        assert list(OPTION_RULES) == [
+            name for name in names if name != "debug_schedule_mutator"
+        ]
+
     def test_datapath_override(self):
         program = parse_program(REUSE_RICH)
         wide = compile_program(
@@ -153,7 +191,7 @@ class TestOptions:
             program,
             Variant.GLOBAL,
             intel_dunnington(),
-            CompilerOptions(unroll=False),
+            CompilerOptions(unroll_factor=1),
         )
         loops = [
             u for u in result.plan.units if isinstance(u, CompiledLoop)

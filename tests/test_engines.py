@@ -1,38 +1,31 @@
-"""The pluggable engine registry (``repro.engines``).
+"""The engine tables: ``GROUPING_ENGINES`` (``repro.slp.grouping``) and
+``SIM_ENGINES`` (``repro.vm.simulator``).
 
 Every layer that names an engine — ``CompilerOptions``, the simulator,
-the CLI, the fuzzer, the service wire — resolves through the one
-registry; these tests pin the registration contract (duplicates are
-loud, unknown names raise one structured ``OptionsError`` listing what
-is registered), the legacy string literals and tuple constants, the
-custom-engine extension path end to end through ``compile_program``,
-and that README's engine table stays generated from the registry.
+``BasicGrouping``, the CLI, the fuzzer, the service wire — looks it up
+in one of these two dicts; these tests pin that unknown names raise one
+structured ``OptionsError`` listing the table's keys on every path, that
+an engine put into a table (``monkeypatch.setitem``) is reachable end to
+end through ``compile_program`` and ``Simulator``, and that README's
+engine table names exactly the keys.
 """
 
 from __future__ import annotations
 
 import gc
 import pathlib
+import re
 import weakref
 
 import pytest
 
 from repro import CompilerOptions, Variant, compile_program
 from repro.bench import KERNELS, intel_dunnington
-from repro.engines import (
-    engine_names,
-    engines,
-    markdown_table,
-    register,
-    register_grouping_engine,
-    register_sim_engine,
-    resolve,
-    temporary_engine,
-    unregister,
-)
-from repro.errors import OptionsError, ReproError
+from repro.errors import OptionsError, ReproError, choose
 from repro.service import ServiceError, options_from_dict, options_to_dict
+from repro.slp.grouping import GROUPING_ENGINES, GroupingTrace
 from repro.vm import Simulator
+from repro.vm.simulator import SIM_ENGINES
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -41,48 +34,18 @@ class TestRegistry:
     def test_builtins_in_legacy_order(self):
         # Pinned: the docs and the fuzz engine matrix enumerate these
         # in exactly this order.
-        assert engine_names("grouping") == (
+        assert tuple(GROUPING_ENGINES) == (
             "incremental", "reference", "optimal",
         )
-        assert engine_names("sim") == ("reference", "batched", "compiled")
-
-    def test_duplicate_registration_is_an_error(self):
-        with pytest.raises(OptionsError, match="duplicate"):
-            register_grouping_engine("incremental", lambda g: None)
-        with pytest.raises(OptionsError, match="duplicate"):
-            register_sim_engine("batched", lambda sim, plan, state: None)
-
-    def test_unknown_kind_is_an_error(self):
-        with pytest.raises(OptionsError, match="unknown engine kind"):
-            register("scheduler", "x", lambda: None)
-        with pytest.raises(OptionsError, match="unknown engine kind"):
-            resolve("scheduler", "x")
-        with pytest.raises(OptionsError, match="unknown engine kind"):
-            engine_names("scheduler")
+        assert tuple(SIM_ENGINES) == ("reference", "batched", "compiled")
 
     def test_unknown_name_lists_registered_engines(self):
         with pytest.raises(OptionsError) as err:
-            resolve("grouping", "astar")
+            choose("grouping engine", GROUPING_ENGINES, "astar")
         message = str(err.value)
-        assert "astar" in message
-        for name in engine_names("grouping"):
+        assert "unknown grouping engine 'astar'" in message
+        for name in GROUPING_ENGINES:
             assert name in message
-
-    def test_equivalence_and_optimality_flags(self):
-        by_name = {e.name: e for e in engines("grouping")}
-        assert by_name["incremental"].equivalence == "greedy"
-        assert by_name["reference"].equivalence == "greedy"
-        assert by_name["optimal"].equivalence != "greedy"
-        assert by_name["optimal"].proves_optimal
-        assert not by_name["incremental"].proves_optimal
-
-    def test_temporary_engine_scopes_the_registration(self):
-        with temporary_engine("grouping", "toy", lambda g: None):
-            assert "toy" in engine_names("grouping")
-            with pytest.raises(OptionsError, match="duplicate"):
-                register_grouping_engine("toy", lambda g: None)
-        assert "toy" not in engine_names("grouping")
-        unregister("grouping", "toy")  # idempotent on absent names
 
 
 class TestResolutionPaths:
@@ -98,11 +61,11 @@ class TestResolutionPaths:
         with pytest.raises(OptionsError, match="unknown sim engine"):
             Simulator(intel_dunnington(), engine="turbo")
 
-    def test_cli_rejects_unknown_engine_names(self, capsys):
+    def test_cli_rejects_unknown_engines(self, capsys):
         from repro.cli import main
 
-        # argparse choices come from the registry: both flags fail fast
-        # with a usage error, not deep in the pipeline.
+        # argparse choices are the tables: both flags fail fast with a
+        # usage error, not deep in the pipeline.
         with pytest.raises(SystemExit) as err:
             main(["bench", "--grouping-engine", "astar"])
         assert err.value.code == 2
@@ -111,21 +74,13 @@ class TestResolutionPaths:
             main(["bench", "--engine", "turbo"])
         assert err.value.code == 2
 
-    def test_cli_engines_lists_the_registry(self, capsys):
+    def test_cli_has_no_engines_subcommand(self, capsys):
         from repro.cli import main
 
-        assert main(["engines"]) == 0
-        out = capsys.readouterr().out
-        for kind in ("grouping", "sim"):
-            for name in engine_names(kind):
-                assert name in out
-        assert "proves-optimal" in out
-
-    def test_cli_engines_markdown_matches_registry(self, capsys):
-        from repro.cli import main
-
-        assert main(["engines", "--markdown"]) == 0
-        assert capsys.readouterr().out.strip() == markdown_table().strip()
+        with pytest.raises(SystemExit) as err:
+            main(["engines"])
+        assert err.value.code == 2
+        assert "invalid choice: 'engines'" in capsys.readouterr().err
 
     def test_service_wire_rejects_unknown_engine(self):
         # The wire schema accepts the field; the value is validated by
@@ -147,20 +102,17 @@ class TestResolutionPaths:
 
 
 class TestCustomEngine:
-    def test_custom_grouping_engine_compiles_end_to_end(self):
+    def test_custom_grouping_engine_compiles_end_to_end(self, monkeypatch):
         # A degenerate engine that refuses every candidate: valid (all
         # statements stay scalar), observably different from greedy, and
-        # reachable purely through the public registry + options path.
-        from repro.slp.grouping import GroupingTrace
-
+        # reachable purely through the table + options path.
         def no_packing(grouping):
             return GroupingTrace([])
 
         program = KERNELS["milc"].build(16)
         machine = intel_dunnington()
-        with temporary_engine(
-            "grouping", "nopack", no_packing, description="test stub"
-        ):
+        with monkeypatch.context() as patch:
+            patch.setitem(GROUPING_ENGINES, "nopack", no_packing)
             result = compile_program(
                 program, Variant.GLOBAL, machine,
                 CompilerOptions(grouping_engine="nopack"),
@@ -179,8 +131,9 @@ class TestCustomEngine:
         with pytest.raises(OptionsError, match="unknown grouping engine"):
             CompilerOptions(grouping_engine="nopack")
 
-    def test_custom_sim_engine_resolves_through_simulator(self):
-        sentinel = object()
+    def test_custom_sim_engine_resolves_through_simulator(
+        self, monkeypatch
+    ):
         seen = {}
 
         def factory(simulator, plan, state):
@@ -190,15 +143,14 @@ class TestCustomEngine:
         program = KERNELS["cg"].build(8)
         machine = intel_dunnington()
         plan = compile_program(program, Variant.SCALAR, machine).plan
-        with temporary_engine("sim", "spy", factory):
-            report, _ = Simulator(machine, engine="spy").run(plan)
+        monkeypatch.setitem(SIM_ENGINES, "spy", factory)
+        report, _ = Simulator(machine, engine="spy").run(plan)
         assert seen["called"]
         assert report.cycles > 0
-        assert sentinel  # keep flake quiet about the unused sentinel
 
 
 class TestRunLifetime:
-    @pytest.mark.parametrize("engine", engine_names("sim"))
+    @pytest.mark.parametrize("engine", SIM_ENGINES)
     def test_run_state_freed_without_cyclic_gc(self, engine):
         """A run keeps nothing alive once its caller drops the report
         and the memory: no reference cycle through the engine holds
@@ -221,12 +173,14 @@ class TestRunLifetime:
 
 
 class TestReadmeTable:
-    def test_readme_engine_table_is_generated_from_the_registry(self):
+    def test_readme_engine_table_names_the_table_keys(self):
         text = README.read_text()
-        begin = text.index("<!-- engines:begin")
-        begin = text.index("\n", begin) + 1
-        end = text.index("<!-- engines:end -->")
-        assert text[begin:end].strip() == markdown_table().strip(), (
-            "README engine table is stale; regenerate with "
-            "`python -m repro engines --markdown`"
+        section = text[text.index("\n## Engines\n"):]
+        section = section[:section.index("\n## ", 1)]
+        rows = re.findall(r"^\| (grouping|sim) \| `([^`]+)` \|", section, re.M)
+        assert [name for kind, name in rows if kind == "grouping"] == list(
+            GROUPING_ENGINES
+        )
+        assert [name for kind, name in rows if kind == "sim"] == list(
+            SIM_ENGINES
         )

@@ -12,7 +12,6 @@ from repro import (
 )
 from repro.bench import BRANCHY_KERNELS
 from repro.bench.predication import count_vselects
-from repro.engines import engine_names
 from repro.ir import (
     FLOAT64,
     Predicate,
@@ -21,6 +20,7 @@ from repro.ir import (
     parse_program,
     select,
 )
+from repro.slp.grouping import GROUPING_ENGINES
 from repro.transform import (
     convert_region,
     has_regions,
@@ -28,7 +28,7 @@ from repro.transform import (
     if_convert_program,
 )
 from repro.vm import Simulator
-from repro.vm.simulator import interpret_program
+from repro.vm.simulator import SIM_ENGINES, interpret_program
 
 
 def _diamond_program():
@@ -172,12 +172,12 @@ class TestDifferentialOracle:
         program = self.PROGRAMS[name]()
         assert has_regions(program)
         oracle = interpret_program(program, seed=0)
-        for grouping in engine_names("grouping"):
+        for grouping in GROUPING_ENGINES:
             options = CompilerOptions(
                 grouping_engine=grouping, on_error="raise"
             )
             result = compile_program(program, variant, machine, options)
-            for sim_engine in engine_names("sim"):
+            for sim_engine in SIM_ENGINES:
                 _, memory = Simulator(machine, engine=sim_engine).run(
                     result.plan, seed=0
                 )

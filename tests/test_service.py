@@ -46,8 +46,7 @@ from repro.service.coalesce import Coalescer
 from repro.service import server as server_module
 from repro.service.pool import SOURCE_MEMO_ENTRIES, WorkerPool
 from repro.service.server import Histogram, ReproService, ServiceThread
-from repro.telemetry import LOG, bind_request_id
-from repro.telemetry.log import parse_jsonl
+from repro.service.log import LOG, bind_request_id, parse_jsonl
 from repro.vm import MACHINES, Simulator
 
 #: Small problem size: the full 16-kernel × 5-variant matrix stays in
@@ -361,7 +360,6 @@ def test_request_validation(client):
         {"program": 5},
         {"kernel": "milc", "n": N, "variant": ["global"]},
         {"kernel": "milc", "n": N, "options": [1, 2]},
-        {"kernel": "milc", "n": N, "options": {"unroll_factor": "eight"}},
     ):
         status, raw, _headers = client._round_trip(
             "POST", "/v1/compile", json.dumps(request).encode(), {}, 30.0
@@ -380,21 +378,34 @@ def test_request_validation(client):
         ({"datapath": 8}, "8 bits"),
         ({"datapath": 100}, "100 bits"),
         ({"n": -3}, "n=-3"),
+        ({"options": {"layout_amortization": -1.0}}, "layout_amortization"),
+        ({"options": {"layout_amortization": 0}}, "layout_amortization"),
+        ({"options": {"datapath_bits": 100}}, "100 bits"),
+        ({"options": {"unroll_factor": -2}}, "unroll_factor"),
+        ({"options": {"unroll_factor": 0}}, "unroll_factor"),
+        (
+            {"options": {"layout_budget_elements": -5}},
+            "layout_budget_elements",
+        ),
+        ({"options": {"optimal_node_budget": 0}}, "optimal_node_budget"),
+        ({"options": {"unroll_factor": "eight"}}, "unroll_factor"),
     ],
 )
 def test_meaningless_values_are_client_errors(client, request_body, named):
-    """A value of the right JSON type that names no configuration fails
-    while the request is built: a 400 naming it, not a worker's 422, a
-    200 with an all-scalar plan, or a parse error about source the
-    client never sent."""
+    """A value that names no configuration — or has the wrong JSON type
+    for its option — fails while the request is built, on both job
+    endpoints: a 400 naming it, not a worker's 422, a 200 with an
+    all-scalar plan or negative cycles, or a parse error about source
+    the client never sent."""
     request = {"kernel": "milc", "n": N, **request_body}
-    status, raw, _headers = client._round_trip(
-        "POST", "/v1/compile", json.dumps(request).encode(), {}, 30.0
-    )
-    assert status == 400, request
-    error = json.loads(raw)["error"]
-    assert error["type"] == "OptionsError", error
-    assert named in error["message"], error
+    for path in ("/v1/compile", "/v1/simulate"):
+        status, raw, _headers = client._round_trip(
+            "POST", path, json.dumps(request).encode(), {}, 30.0
+        )
+        assert status == 400, (path, request)
+        error = json.loads(raw)["error"]
+        assert error["type"] == "OptionsError", error
+        assert named in error["message"], error
 
 
 def test_power_of_two_datapaths_still_compile(client):

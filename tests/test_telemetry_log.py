@@ -6,7 +6,7 @@ import io
 import json
 import threading
 
-from repro.telemetry.log import (
+from repro.service.log import (
     JsonLogger,
     bind_request_id,
     current_request_id,
