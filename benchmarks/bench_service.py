@@ -2,7 +2,8 @@
 
 The service exists to amortize process startup, imports, and the
 deliberately expensive global optimization behind a long-lived process
-with warm workers, an in-worker memo, and the shared artifact store.
+with warm workers, the server's result memo, and the shared artifact
+store.
 This harness measures that amortization directly:
 
 * **cold** — what scripting the CLI costs: one fresh
@@ -11,7 +12,8 @@ This harness measures that amortization directly:
 * **warm** — the same requests against an embedded
   :class:`~repro.service.server.ServiceThread` over real HTTP, after one
   priming request per job so the measured requests exercise the warm
-  path (memo/store hit + IPC), exactly what a repeat client sees.
+  path (a result-memo hit the server answers without a worker),
+  exactly what a repeat client sees.
 
 Asserts bit-for-bit result equality between both paths on every kernel,
 and — the acceptance gate — a **>= 5x median latency reduction**

@@ -53,7 +53,7 @@ def _warm_latencies(client: ServiceClient, count: int) -> list:
 def test_disabled_telemetry_overhead(results_dir):
     with ServiceThread(shards=1) as thread:
         client = ServiceClient(thread.url)
-        client.compile(kernel=KERNEL, n=N)  # prime the worker memo
+        client.compile(kernel=KERNEL, n=N)  # prime the server's memo
 
         LOG.disable()
         disabled_median = statistics.median(

@@ -55,7 +55,7 @@ from typing import List, Optional
 
 from .bench import ALL_KERNELS, ascii_table, percent, run_suite
 from .compiler import CompilerOptions, Variant, compile_program
-from .errors import ReproError, SuiteError
+from .errors import OptionsError, ReproError, SuiteError
 from .ir import parse_program
 from .slp.grouping import GROUPING_ENGINES
 from .vm import MACHINES, Simulator, reduction
@@ -1109,9 +1109,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command. A meaningless option value or a missing input
+    file is a usage error: one ``repro: error:`` line and status 2,
+    like argparse's own, not a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OptionsError as exc:
+        print(f"repro: error: {exc.message}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(
+            f"repro: error: {exc.filename}: {exc.strerror}", file=sys.stderr
+        )
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

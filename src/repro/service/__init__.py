@@ -8,6 +8,7 @@ package provides:
 
 * :class:`repro.service.server.ReproService` — a stdlib-only asyncio
   HTTP/JSON server (``repro serve``) with a sharded warm worker pool,
+  a result memo that answers repeated compiles without a worker,
   in-flight request coalescing, a shared content-addressed artifact
   store, bounded admission with backpressure, and graceful drain.
 * :class:`repro.service.client.ServiceClient` — a blocking client
@@ -24,7 +25,9 @@ results are the service's contract), next to a small plain-JSON
 summary for non-Python consumers. Each artifact is pickled once, by
 the worker that built or loaded it; the server base64-encodes those
 bytes into the envelope without unpickling them, and the client
-unpickles them.
+unpickles them. The server keeps recent compile pickles as bytes, so
+a warm compile is answered from them and a warm simulate ships them
+back to a worker, which is the only side that unpickles.
 """
 
 from __future__ import annotations

@@ -1,20 +1,24 @@
-"""The sharded warm worker pool behind the compile service.
+"""The sharded worker pool behind the compile service.
 
-Each shard is a long-lived worker process holding a warm interpreter,
-an in-memory memo of recent compile artifacts, and a handle on the
-shared on-disk :class:`repro.store.ArtifactStore`. Jobs are routed to
-shards by content key, so repeated compiles of the same program hit
-the same worker's warm memo; different keys spread across shards and
-run in parallel.
+Each shard is a long-lived worker process holding a warm interpreter
+and a handle on the shared on-disk :class:`repro.store.ArtifactStore`.
+Jobs are routed to shards by content key, so repeated simulates of
+one program reach the worker whose compiled-engine kernel memo
+already holds its kernels, while different keys spread across shards
+and run in parallel. The workers keep no compile memo: the server
+answers a warm compile from its result memo without a worker, and
+ships a warm simulate's compile pickle in the job.
 
 The worker is the only process that pickles or unpickles artifacts.
-A memo entry keeps a compile's pickle, the ``CompileResult`` itself
-(simulate runs it) and its JSON summary. A hit answers by the job's
-key from the memo or the store without parsing the program; a miss
-parses, compiles and pickles once, and writes those same bytes to the
-store. A job's payload carries ``result`` (and for simulate ``report``
-and ``memory``) as pickled bytes beside the JSON summaries the
-response needs, so the server forwards bytes and never re-pickles.
+A job that carries ``artifact`` (the pickle the server memoized)
+unpickles it and simulates; any other job answers by its key from the
+store without parsing the program, or on a miss parses, compiles and
+pickles once, and writes those same bytes to the store. A job's
+payload carries ``result`` (and for simulate ``report`` and
+``memory``) as pickled bytes beside the JSON summaries the response
+needs, so the server forwards bytes and never re-pickles; a job that
+shipped its ``artifact`` gets back only the simulate fields, since
+the server already holds the rest.
 
 Failure model (the part the acceptance tests pin):
 
@@ -52,32 +56,12 @@ from ..store import ArtifactStore
 from ..trace import TRACE, fold_report, summarize
 from .log import LOG, bind_request_id
 
-#: In-worker memo entries kept per shard (FIFO evicted). Small: the
-#: memo only needs to absorb the warm working set; the artifact store
-#: holds everything else.
-MEMO_ENTRIES = 64
 #: Distinct request sources whose printed form the server keeps (FIFO
 #: evicted), so a repeated source is parsed once per server process.
 SOURCE_MEMO_ENTRIES = 256
 
 
-class _Artifact:
-    """A compiled program as a worker memoizes it: the pickle that is
-    stored and forwarded, the object simulate runs, and the JSON summary
-    the response envelope carries."""
-
-    __slots__ = ("blob", "result", "summary", "diagnostics")
-
-    def __init__(self, blob: bytes, result) -> None:
-        self.blob = blob
-        self.result = result
-        self.summary = dataclasses.asdict(result.stats)
-        self.diagnostics = [
-            dataclasses.asdict(diag) for diag in result.diagnostics
-        ]
-
-
-def _compile(job: Dict[str, Any], options) -> _Artifact:
+def _compile(job: Dict[str, Any], options):
     from ..compiler import Variant, compile_program
     from ..ir import parse_program
     from ..vm import MACHINES
@@ -85,23 +69,21 @@ def _compile(job: Dict[str, Any], options) -> _Artifact:
     machine = MACHINES[job["machine"]]()
     if job.get("datapath"):
         machine = machine.with_datapath(job["datapath"])
-    result = compile_program(
+    return compile_program(
         parse_program(job["source"]), Variant(job["variant"]), machine,
         options,
     )
-    return _Artifact(pickle.dumps(result), result)
 
 
 def _execute_job(
     job: Dict[str, Any],
     store: Optional[ArtifactStore],
-    memo: Dict[str, _Artifact],
     test_hooks: bool,
 ) -> Dict[str, Any]:
-    """Run one compile / compile+simulate job inside a worker. A hit
-    answers by the job's key from the memo or the store, without
-    parsing; artifacts leave as pickled bytes next to their JSON
-    summaries."""
+    """Run one compile / compile+simulate job inside a worker. A job
+    with a shipped ``artifact`` unpickles it; otherwise a hit answers
+    by the job's key from the store, without parsing. Artifacts leave
+    as pickled bytes next to their JSON summaries."""
     from ..vm import Simulator
 
     from . import options_from_dict
@@ -114,11 +96,11 @@ def _execute_job(
     trace = bool(job.get("trace"))
 
     if trace:
-        # Per-request tracing bypasses the memo and store: a cache hit
-        # replays a stored plan without running the compiler, leaving
-        # the trace with no compile-time decisions to attribute to.
-        # The correlation ID lands in the trace header, so a saved
-        # trace joins against the request's log lines.
+        # Per-request tracing bypasses the store (and the server's
+        # memo): a cache hit replays a stored plan without running the
+        # compiler, leaving the trace with no compile-time decisions to
+        # attribute to. The correlation ID lands in the trace header,
+        # so a saved trace joins against the request's log lines.
         TRACE.reset()
         meta = {"key": key[:12], "variant": job["variant"]}
         if job.get("request_id"):
@@ -126,31 +108,31 @@ def _execute_job(
         TRACE.enable(**meta)
 
     try:
-        artifact = None if trace else memo.get(key)
-        cached = artifact is not None
-        if artifact is None and store is not None and not trace:
-            entry = store.read(key)
-            if entry is not None:
-                artifact = _Artifact(*entry)
-                cached = True
-        if artifact is None:
-            artifact = _compile(job, options)
-            if store is not None and not trace:
-                store.write(key, artifact.blob)
-        if not trace and key not in memo:
-            memo[key] = artifact
-            while len(memo) > MEMO_ENTRIES:
-                memo.pop(next(iter(memo)))
-
-        payload: Dict[str, Any] = {
-            "result": artifact.blob,
-            "summary": artifact.summary,
-            "diagnostics": artifact.diagnostics,
-            "cached": cached,
-            "key": key,
-        }
+        shipped = job.get("artifact")
+        if shipped is not None:
+            # The server's memo holds this compile's pickle and JSON
+            # summaries; only the simulate fields travel back.
+            result = pickle.loads(shipped)
+            payload: Dict[str, Any] = {"cached": True, "key": key}
+        else:
+            entry = None if store is None or trace else store.read(key)
+            if entry is None:
+                result = _compile(job, options)
+                blob = pickle.dumps(result)
+                if store is not None and not trace:
+                    store.write(key, blob)
+            else:
+                blob, result = entry
+            payload = {
+                "result": blob,
+                "summary": dataclasses.asdict(result.stats),
+                "diagnostics": [
+                    dataclasses.asdict(diag) for diag in result.diagnostics
+                ],
+                "cached": entry is not None,
+                "key": key,
+            }
         if job["kind"] == "simulate":
-            result = artifact.result
             report, memory = Simulator(
                 result.machine, engine=options.engine, kernel_store=store
             ).run(result.plan, seed=job.get("seed", 0))
@@ -199,7 +181,6 @@ def _worker_main(conn, store_dir: Optional[str], test_hooks: bool) -> None:
     perf_snapshot)``, repeat until the pipe closes or ``None`` arrives."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     store = ArtifactStore(store_dir) if store_dir else None
-    memo: Dict[str, Any] = {}
     while True:
         try:
             job = conn.recv()
@@ -211,7 +192,7 @@ def _worker_main(conn, store_dir: Optional[str], test_hooks: bool) -> None:
         PERF.enable()
         try:
             with bind_request_id(job.get("request_id")):
-                payload = _execute_job(job, store, memo, test_hooks)
+                payload = _execute_job(job, store, test_hooks)
             response = ("ok", payload, PERF.snapshot())
         except Exception as exc:
             response = ("error", exc, PERF.snapshot())
@@ -303,8 +284,7 @@ class WorkerPool:
 
     Thread-safe: ``submit`` may be called from many threads (the
     server's executor); jobs routed to the same shard serialize on the
-    shard's lock, which is exactly the warm-path semantics sharding is
-    for.
+    shard's lock.
     """
 
     def __init__(
@@ -436,4 +416,4 @@ class WorkerPool:
                 worker.stop()
 
 
-__all__ = ["WorkerPool", "MEMO_ENTRIES", "SOURCE_MEMO_ENTRIES"]
+__all__ = ["WorkerPool", "SOURCE_MEMO_ENTRIES"]

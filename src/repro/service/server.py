@@ -4,9 +4,10 @@ A stdlib-only asyncio HTTP/1.1 + JSON server that amortizes the
 framework's deliberately expensive global optimization behind a
 long-lived process. Request lifecycle::
 
-    parse/validate ──► coalesce ──► admit ──► shard ──► worker pool
-         │                │           │                  (warm memo +
-         400              │           429 + Retry-After   artifact store)
+    parse/validate ──► coalesce ──► memo ──► admit ──► shard ──► worker pool
+         │                │          │         │               (artifact store)
+         400              │          │         429 + Retry-After
+                          │          └─ a warm compile is answered here
                           └─ followers share the leader's result
 
 Endpoints (wire schema ``repro.service/1``, see
@@ -25,7 +26,12 @@ The server routes bytes: it parses a request's program only to key
 it (once per distinct source text, through a FIFO memo of
 ``SOURCE_MEMO_ENTRIES`` printed programs), and base64-encodes the
 pickled artifacts the worker returns into the envelope without
-unpickling them.
+unpickling them. It keeps the ``RESULT_MEMO_ENTRIES`` most recently
+used compile pickles it forwarded, with their JSON summaries, in a
+memo: a repeated compile is answered from it on the event loop
+(no executor thread, pipe, shard lock or worker), and a repeated
+simulate ships the pickle in its job so the worker skips the store.
+Trace requests neither read nor fill it; errors are never stored.
 
 Failure and backpressure model:
 
@@ -35,8 +41,8 @@ Failure and backpressure model:
 * job failures (``ReproError`` from parse/verify/compile) → 422 with
   the pickled exception so Python clients re-raise the exact type;
 * more than ``queue_limit`` admitted jobs → 429 + ``Retry-After``
-  (followers of an in-flight compile bypass admission — they consume
-  no worker);
+  (followers of an in-flight compile and warm compiles answered from
+  the memo bypass admission — they consume no worker);
 * a worker death mid-job → transparent restart + single retry, then a
   structured 500 (``WorkerCrashError``) — never a hung client;
 * SIGTERM/SIGINT → graceful drain: stop accepting, finish in-flight
@@ -87,6 +93,11 @@ _REASONS = {
 #: Upper bound on request bodies (a printed program is a few KB; this
 #: is pure abuse protection).
 MAX_BODY_BYTES = 64 << 20
+
+#: Compile results the server keeps for warm requests (least recently
+#: used evicted). The 120-key serve-mixed hot set averages ~4.6 KB a
+#: pickle, so a full memo holds it in about 1.2 MB.
+RESULT_MEMO_ENTRIES = 256
 
 _VARIANTS = {v.value: v for v in Variant}
 
@@ -202,6 +213,15 @@ class ReproService:
         )
         #: Request source text -> printed program (FIFO-bounded).
         self._sources: Dict[str, str] = {}
+        #: Content key -> the compile payload fields a warm request
+        #: reuses (``result`` pickle, ``summary``, ``diagnostics``,
+        #: ``cached``), least recently used first.
+        self._results: Dict[str, Dict[str, Any]] = {}
+        #: Compiles answered from the memo, simulates that shipped its
+        #: pickle to a worker, and non-trace leaders that found no entry.
+        self.memo_hits = 0
+        self.memo_shipped = 0
+        self.memo_misses = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._shutdown = asyncio.Event()
@@ -433,6 +453,7 @@ class ReproService:
         self._active += 1
         self._idle.clear()
         leader_rid: Optional[str] = None
+        coalesced = False
         try:
             with bind_request_id(rid):
                 if self.coalescer.has(coalesce_key):
@@ -448,26 +469,37 @@ class ReproService:
                         )
                     payload = await self.coalescer.join(coalesce_key)
                     coalesced = True
-                else:
-                    if self._draining:
-                        return (
-                            503,
-                            (("Retry-After", "1"),),
-                            self._error_body(
-                                ServiceError("server is draining"), rid
-                            ),
-                        )
-                    depth = self.coalescer.depth
-                    if depth >= self.queue_limit:
-                        return self._shed(kind, key, rid, depth)
-                    if LOG.enabled:
-                        LOG.event("request.lead", kind=kind, key=key)
-                    payload = await self.coalescer.lead(
-                        coalesce_key,
-                        lambda: self._run_job(job),
-                        request_id=rid,
+                elif self._draining:
+                    return (
+                        503,
+                        (("Retry-After", "1"),),
+                        self._error_body(
+                            ServiceError("server is draining"), rid
+                        ),
                     )
-                    coalesced = False
+                else:
+                    entry = None if job["trace"] else self._recall(key)
+                    if entry is not None and kind == "compile":
+                        self.memo_hits += 1
+                        if LOG.enabled:
+                            LOG.event("request.memo_hit", kind=kind, key=key)
+                        payload = entry
+                    else:
+                        depth = self.coalescer.depth
+                        if depth >= self.queue_limit:
+                            return self._shed(kind, key, rid, depth)
+                        if entry is not None:
+                            job["artifact"] = entry["result"]
+                            self.memo_shipped += 1
+                        elif not job["trace"]:
+                            self.memo_misses += 1
+                        if LOG.enabled:
+                            LOG.event("request.lead", kind=kind, key=key)
+                        payload = await self.coalescer.lead(
+                            coalesce_key,
+                            lambda: self._run_job(job, entry),
+                            request_id=rid,
+                        )
         except WorkerCrashError as exc:
             if LOG.enabled:
                 LOG.event(
@@ -588,9 +620,21 @@ class ReproService:
                 self._sources.pop(next(iter(self._sources)))
         return printed
 
-    async def _run_job(self, job: Dict[str, Any]) -> Dict[str, Any]:
+    def _recall(self, key: str) -> Optional[Dict[str, Any]]:
+        """The memo entry for ``key``, moved to the most recently used
+        end, or ``None``."""
+        entry = self._results.pop(key, None)
+        if entry is not None:
+            self._results[key] = entry
+        return entry
+
+    async def _run_job(
+        self, job: Dict[str, Any], entry: Optional[Dict[str, Any]]
+    ) -> Dict[str, Any]:
         """Leader path: ship the job to its shard via the executor,
-        recording queue-wait and execute latency."""
+        recording queue-wait and execute latency. A job that shipped
+        the memo ``entry`` gets its compile fields back from it; any
+        other successful non-trace job fills the memo."""
         loop = asyncio.get_running_loop()
         admitted_at = time.perf_counter()
 
@@ -604,7 +648,20 @@ class ReproService:
                     time.perf_counter() - started
                 )
 
-        return await loop.run_in_executor(self._executor, run)
+        payload = await loop.run_in_executor(self._executor, run)
+        if entry is not None:
+            return {**entry, **payload}
+        if not job["trace"]:
+            self._results.pop(job["key"], None)
+            self._results[job["key"]] = {
+                "result": payload["result"],
+                "summary": payload["summary"],
+                "diagnostics": payload["diagnostics"],
+                "cached": True,
+            }
+            while len(self._results) > RESULT_MEMO_ENTRIES:
+                self._results.pop(next(iter(self._results)))
+        return payload
 
     def _shed(
         self, kind: str, key: str, rid: str, depth: int
@@ -720,6 +777,13 @@ class ReproService:
                     "limit": self.queue_limit,
                     "rejected": self.rejected,
                 },
+                "memo": {
+                    "entries": len(self._results),
+                    "limit": RESULT_MEMO_ENTRIES,
+                    "hits": self.memo_hits,
+                    "shipped": self.memo_shipped,
+                    "misses": self.memo_misses,
+                },
                 "pool": self.pool.stats() if self.pool else {},
                 "store": store_stats,
                 "latency_ms": {
@@ -784,4 +848,6 @@ class ServiceThread:
         self.stop()
 
 
-__all__ = ["MAX_BODY_BYTES", "ReproService", "ServiceThread"]
+__all__ = [
+    "MAX_BODY_BYTES", "RESULT_MEMO_ENTRIES", "ReproService", "ServiceThread",
+]

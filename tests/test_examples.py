@@ -1,13 +1,15 @@
 """Smoke tests: every example script runs to completion and prints what
-its docstring promises."""
+its docstring promises, and every example file README.md names exists."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+README = EXAMPLES.parent / "README.md"
 
 
 def run_example(name: str) -> str:
@@ -64,3 +66,10 @@ def test_inspect_pipeline():
     assert "vpack" in out
     assert "max live superwords" in out
     assert "spills: 0" in out
+
+
+def test_readme_names_only_existing_examples():
+    named = set(re.findall(r"examples/([\w.-]+\.\w+)", README.read_text()))
+    assert named, "README names no example file"
+    missing = sorted(name for name in named if not (EXAMPLES / name).is_file())
+    assert not missing, missing

@@ -16,6 +16,10 @@ from repro.vm.pretty import (
 from repro.vm.isa import ImmRef, MemRef, PackMode, ScalarRef, VPack
 from repro.ir import Affine
 
+COMPLEX_MULTIPLY = (
+    pathlib.Path(__file__).parent.parent / "examples" / "complex_multiply.slp"
+)
+
 SRC = """
 double X[64]; double Y[64];
 double a;
@@ -152,6 +156,25 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "cycles" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--optimal-node-budget", "0"], "'optimal_node_budget' is 0"),
+            (["--datapath", "100"], "datapath of 100 bits"),
+        ],
+    )
+    def test_meaningless_flag_is_a_usage_error(self, flags, message, capsys):
+        assert main(["compile", str(COMPLEX_MULTIPLY), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.slp"
+        assert main(["compile", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {missing}: No such file or directory\n"
 
     def test_unknown_variant_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

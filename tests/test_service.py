@@ -166,6 +166,116 @@ def test_repeat_request_is_cached(client):
     assert second.report == first.report
 
 
+def test_warm_compile_is_answered_by_the_server(client):
+    """A repeated compile comes from the server's result memo: cached,
+    equal to a local compile, and no worker job or execute stage."""
+    source = unique_source(1100)
+    first = client.compile(source=source, variant="slp")
+    before = client.metrics()["service"]
+    second = client.compile(source=source, variant="slp")
+    after = client.metrics()["service"]
+
+    assert not first.cached and second.cached
+    assert second.result == compile_program(
+        parse_program(source), Variant.SLP, MACHINES["intel"]()
+    )
+    assert after["pool"]["jobs"] == before["pool"]["jobs"]
+    assert after["memo"]["hits"] - before["memo"]["hits"] == 1
+    assert (
+        after["latency_ms"]["execute"]["count"]
+        == before["latency_ms"]["execute"]["count"]
+    )
+
+
+def test_result_memo_keeps_recently_used_keys(monkeypatch):
+    """The memo is bounded and least-recently-used: a key touched once
+    outlives ``RESULT_MEMO_ENTRIES - 1`` later fills, while the oldest
+    untouched key is evicted. The server has no store, so ``cached``
+    says whether the memo answered."""
+    limit = 4
+    monkeypatch.setattr(server_module, "RESULT_MEMO_ENTRIES", limit)
+    with ServiceThread(shards=1) as thread:
+        client = ServiceClient(thread.url, timeout=60.0)
+
+        def compile_checked(tag):
+            outcome = client.compile(source=unique_source(tag))
+            memo = client.metrics()["service"]["memo"]
+            assert memo["entries"] <= memo["limit"] == limit
+            return outcome
+
+        for tag in range(1200, 1200 + limit):
+            assert not compile_checked(tag).cached
+        assert compile_checked(1200).cached
+        for tag in range(1300, 1300 + limit - 1):
+            assert not compile_checked(tag).cached
+        assert compile_checked(1200).cached
+        assert not compile_checked(1201).cached
+        client.close()
+
+
+def test_warm_simulate_ships_the_memoized_compile(client):
+    """A simulate of a memoized key carries the compile pickle to the
+    worker, which neither reads the store nor compiles; the report and
+    memory still equal a local run."""
+    source = unique_source(1400)
+    client.compile(source=source)
+    before = client.metrics()
+    outcome = client.simulate(source=source, seed=7)
+    after = client.metrics()
+
+    local = compile_program(
+        parse_program(source), Variant.GLOBAL, MACHINES["intel"]()
+    )
+    report, memory = Simulator(local.machine, engine="reference").run(
+        local.plan, seed=7
+    )
+    assert outcome.cached
+    assert outcome.result == local
+    assert outcome.report == report
+    assert outcome.memory.state_equal(memory)
+    counters = before["perf"]["counters"], after["perf"]["counters"]
+    for name in ("compile_cache.hits", "compile_cache.misses"):
+        assert counters[0].get(name, 0) == counters[1].get(name, 0), name
+    shipped = after["service"]["memo"]["shipped"]
+    assert shipped - before["service"]["memo"]["shipped"] == 1
+
+
+def test_storeless_server_answers_repeat_simulate_warm():
+    """Without an artifact store, a repeated simulate is still cached
+    and compiles nothing: the server's memo supplies the compile."""
+    with ServiceThread(shards=1) as thread:
+        client = ServiceClient(thread.url, timeout=60.0)
+        source = unique_source(1500)
+        first = client.simulate(source=source)
+        _seconds, compiles = client.metrics()["perf"]["sections"]["compile"]
+        second = client.simulate(source=source)
+        metrics = client.metrics()
+        client.close()
+    assert not first.cached and second.cached
+    assert second.result == first.result
+    assert second.report == first.report
+    assert metrics["perf"]["sections"]["compile"][1] == compiles
+    assert metrics["service"]["memo"]["shipped"] == 1
+
+
+def test_traced_repeat_compiles_and_leaves_the_memo_alone(client):
+    """A traced request neither reads nor fills the result memo: it
+    always reaches a worker and compiles."""
+    source = unique_source(1600)
+    client.compile(source=source)
+    before = client.metrics()["service"]
+    traced = client.compile(source=source, trace=True)
+    after = client.metrics()["service"]
+    assert traced.trace_summary is not None
+    assert not traced.cached
+    assert after["pool"]["jobs"] - before["pool"]["jobs"] == 1
+    assert after["memo"] == before["memo"]
+
+    fresh = unique_source(1601)
+    client.compile(source=fresh, trace=True)
+    assert not client.compile(source=fresh).cached
+
+
 def test_concurrent_identical_requests_coalesce(server, client):
     """N identical in-flight requests trigger exactly one compile; the
     followers share the leader's payload."""
