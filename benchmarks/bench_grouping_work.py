@@ -5,7 +5,7 @@ one cell of the repository benchmark's compile-wide grid) and records
 the grouping loop's host-independent work counters — rounds, decisions,
 candidates, exact scores, bound scores, VP nodes and edges — in
 ``results/BENCH_grouping_work.json`` and ``results/grouping_work.txt``.
-``repro bench --check`` and ``check_regressions.py`` gate the JSON
+``repro bench --check`` (the regression gate CI runs) gates the JSON
 exactly (see ``repro.bench.grouping_work``): a constant-factor speed-up
 of the loop must leave every counter where it was.
 """

@@ -95,9 +95,3 @@ def alignment_with_induction(
         elif coeff % lanes:
             return None
     return residue % lanes
-
-
-def is_aligned_in_loop(
-    base: Affine, lanes: int, index: str, start: int, step: int
-) -> bool:
-    return alignment_with_induction(base, lanes, index, start, step) == 0

@@ -14,10 +14,9 @@ record a dependence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..ir import ArrayRef, BasicBlock, Statement, Var
 
@@ -155,9 +154,3 @@ class DependenceGraph:
         return self.group_depends(group_a, group_b) and self.group_depends(
             group_b, group_a
         )
-
-    def iter_pairs_independent(self) -> Iterator[Tuple[int, int]]:
-        statements = list(self.block)
-        for a, b in itertools.combinations(statements, 2):
-            if self.independent(a.sid, b.sid):
-                yield (a.sid, b.sid)

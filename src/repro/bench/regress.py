@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .record import (
     fingerprints_match,
@@ -308,39 +308,6 @@ def render_verdict(verdict: Dict[str, Any], verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def run_check(
-    baseline_path: Path,
-    *,
-    machine_name: str = "intel",
-    n: int = 64,
-    variants: Optional[Sequence[Any]] = None,
-    inject_slowdown: float = 1.0,
-    out_path: Optional[Path] = None,
-) -> Dict[str, Any]:
-    """Run the suite fresh and gate it against ``baseline_path``;
-    optionally write the verdict JSON. The entry point both
-    ``repro bench --check`` and ``benchmarks/check_regressions.py``
-    share."""
-    from ..vm import MACHINES
-    from .suite import run_suite
-
-    kwargs: Dict[str, Any] = {"n": n}
-    if variants is not None:
-        kwargs["variants"] = variants
-    results = run_suite(MACHINES[machine_name](), **kwargs)
-    verdict = check_suite(
-        baseline_path,
-        results,
-        inject_slowdown=inject_slowdown,
-        config={"machine": machine_name, "n": n},
-    )
-    if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(verdict, indent=2, sort_keys=True) + "\n"
-        )
-    return verdict
-
-
 __all__ = [
     "CHECK_SCHEMA",
     "DETERMINISTIC_TOLERANCE",
@@ -349,7 +316,6 @@ __all__ = [
     "check_suite",
     "plane_verdict",
     "render_verdict",
-    "run_check",
     "suite_metrics",
     "write_suite_baseline",
 ]

@@ -26,7 +26,7 @@ from ..compiler import (
 from ..errors import Diagnostic, SuiteError, format_failure
 from ..perf import PERF
 from ..store import ArtifactStore
-from ..trace import TRACE, fold_report, summarize, to_jsonl
+from ..trace import summarize, to_jsonl, traced_run
 from ..vm import (
     ExecutionReport,
     MachineModel,
@@ -131,26 +131,26 @@ def run_kernel(
     program = kernel.build(n)
     for variant in variants:
         if trace_dir is not None:
-            run, summary, diags = _traced_run(
-                kernel, program, variant, machine, options, seed, trace_dir
+            run = traced_run(
+                program, variant, machine, options, seed=seed,
+                meta={"kernel": kernel.name, "variant": variant.value},
             )
-            result.runs[variant] = run
-            result.trace_summaries[variant] = summary
-            if diags:
-                result.diagnostics[variant] = diags
-            continue
-        compiled = None
-        key = ""
-        if cache is not None:
-            key = cache.key(program, variant, machine, options)
-            compiled = cache.get(key)
-        if compiled is None:
-            compiled = compile_program(program, variant, machine, options)
+            _write_trace(trace_dir, kernel, variant, run.records)
+            result.trace_summaries[variant] = summarize(run.records)
+            compiled, report, memory = run.result, run.report, run.memory
+        else:
+            compiled = None
+            key = ""
             if cache is not None:
-                cache.put(key, compiled)
-        report, memory = Simulator(
-            compiled.machine, engine=options.engine if options else None
-        ).run(compiled.plan, seed=seed)
+                key = cache.key(program, variant, machine, options)
+                compiled = cache.get(key)
+            if compiled is None:
+                compiled = compile_program(program, variant, machine, options)
+                if cache is not None:
+                    cache.put(key, compiled)
+            report, memory = Simulator(
+                compiled.machine, engine=options.engine if options else None
+            ).run(compiled.plan, seed=seed)
         result.runs[variant] = VariantRun(
             variant, report, compiled.stats, memory
         )
@@ -166,41 +166,20 @@ def _result_diagnostics(compiled: CompileResult) -> Tuple[Diagnostic, ...]:
     return tuple(getattr(compiled, "diagnostics", None) or ())
 
 
-def _traced_run(
-    kernel: Kernel,
-    program,
-    variant: Variant,
-    machine: MachineModel,
-    options: Optional[CompilerOptions],
-    seed: int,
+def _write_trace(
     trace_dir: Union[str, Path],
-) -> Tuple[VariantRun, dict, Tuple[Diagnostic, ...]]:
-    """Compile and simulate one variant with tracing enabled, writing
-    the JSONL trace into ``trace_dir``. Deliberately bypasses the
-    compile cache: a cache hit replays a stored plan without running
-    the compiler, which would leave the trace with no compile-time
-    decisions to attribute runtime costs to.
-    """
+    kernel: Kernel,
+    variant: Variant,
+    records: Sequence[dict],
+) -> None:
+    """Write one kernel x variant trace into ``trace_dir``. Traced runs
+    bypass the compile cache (see :func:`repro.trace.traced_run`)."""
     root = Path(trace_dir)
     root.mkdir(parents=True, exist_ok=True)
-    TRACE.reset()
-    TRACE.enable(kernel=kernel.name, variant=variant.value)
-    try:
-        compiled = compile_program(program, variant, machine, options)
-        report, memory = Simulator(
-            compiled.machine, engine=options.engine if options else None
-        ).run(compiled.plan, seed=seed)
-        fold_report(report)
-        records = TRACE.records()
-    finally:
-        TRACE.disable()
-        TRACE.reset()
     stem = f"{kernel.name}__{variant.value.replace('+', '_')}"
     (root / f"{stem}.jsonl").write_text(
         to_jsonl(records), encoding="utf-8"
     )
-    run = VariantRun(variant, report, compiled.stats, memory)
-    return run, summarize(records), _result_diagnostics(compiled)
 
 
 def _run_kernel_task(payload):

@@ -7,9 +7,10 @@ Commands:
   report.
 * ``compare FILE`` — run all variants on one source file and print the
   per-variant cycle/instruction comparison.
-* ``explain FILE`` — show the holistic grouping decisions (candidate
-  groups with their SG-edge reuse weights and cost-aware scores) for
-  every optimizable block of a source file.
+* ``explain FILE`` — per optimizable block of a source file, the
+  decisions one traced compile made (SG-edge commits with their reuse
+  weights, cost-aware scores and runner-up edges), the runtime cost
+  attributed to each, and the cost gate's verdict.
 * ``trace FILE`` — compile (and simulate) with the structured tracer
   enabled and show the decision/cost tree; diff two variants or two
   saved traces with ``--diff``.
@@ -36,6 +37,7 @@ Examples::
     python -m repro compile saxpy.slp --variant global --emit-plan
     python -m repro compare saxpy.slp --machine amd
     python -m repro trace saxpy.slp --diff global:slp
+    python -m repro explain saxpy.slp --variant global+layout
     python -m repro bench --n 64
     python -m repro bench --check --baseline benchmarks/results/BENCH_suite.json
     python -m repro profile --kernel cg --out cg.collapsed
@@ -55,7 +57,7 @@ from typing import List, Optional
 
 from .bench import ALL_KERNELS, ascii_table, percent, run_suite
 from .compiler import CompilerOptions, Variant, compile_program
-from .errors import OptionsError, ReproError, SuiteError
+from .errors import OptionsError, ParseError, ReproError, SuiteError
 from .ir import parse_program
 from .slp.grouping import GROUPING_ENGINES
 from .vm import MACHINES, Simulator, reduction
@@ -138,30 +140,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traced_compile(
-    path: str,
-    variant: Variant,
-    machine,
-    options: Optional[CompilerOptions] = None,
-) -> list:
-    """Compile+simulate one source file with tracing on; returns the
-    trace records (runtime costs folded in)."""
-    from .trace import TRACE, fold_report
+def _trace_file(
+    path: str, variant: Variant, machine, options: CompilerOptions
+):
+    """One traced compile+simulate of a source file (see
+    :func:`repro.trace.traced_run`)."""
+    from .trace import traced_run
 
-    options = options or CompilerOptions()
-    program = _read_program(path)
-    TRACE.reset()
-    TRACE.enable(file=os.path.basename(path), variant=variant.value)
-    try:
-        result = compile_program(program, variant, machine, options)
-        report, _memory = Simulator(
-            result.machine, engine=options.engine
-        ).run(result.plan)
-        fold_report(report)
-        return TRACE.records()
-    finally:
-        TRACE.disable()
-        TRACE.reset()
+    return traced_run(
+        _read_program(path), variant, machine, options,
+        meta={"file": os.path.basename(path), "variant": variant.value},
+    )
 
 
 def _load_trace_file(path: str) -> list:
@@ -183,6 +172,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     options = _options(args)
     is_trace_file = args.file.endswith(".jsonl")
 
+    def traced(variant_name: str) -> list:
+        return _trace_file(
+            args.file, VARIANTS[variant_name], machine, options
+        ).records
+
     if args.diff:
         spec = args.diff
         if ":" in spec and not os.path.exists(spec):
@@ -198,35 +192,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         f"repro trace: unknown variant {name!r}"
                         f" (choose from {', '.join(sorted(VARIANTS))})"
                     )
-            variant_a, variant_b = (VARIANTS[name] for name in names)
-            records_a = _traced_compile(
-                args.file, variant_a, machine, options
-            )
-            records_b = _traced_compile(
-                args.file, variant_b, machine, options
-            )
-            label_a, label_b = variant_a.value, variant_b.value
+            records_a, records_b = (traced(name) for name in names)
+            label_a, label_b = names
         else:
             if is_trace_file:
                 records_a = _load_trace_file(args.file)
                 label_a = os.path.basename(args.file)
             else:
-                variant_a = VARIANTS[args.variant]
-                records_a = _traced_compile(
-                    args.file, variant_a, machine, options
-                )
-                label_a = variant_a.value
+                records_a, label_a = traced(args.variant), args.variant
             records_b = _load_trace_file(spec)
             label_b = os.path.basename(spec)
         print(diff_records(records_a, records_b, label_a, label_b))
         return 0
 
-    if is_trace_file:
-        records = _load_trace_file(args.file)
-    else:
-        records = _traced_compile(
-            args.file, VARIANTS[args.variant], machine, options
-        )
+    records = (
+        _load_trace_file(args.file) if is_trace_file
+        else traced(args.variant)
+    )
 
     status = 0
     if args.validate:
@@ -248,64 +230,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from .analysis import DependenceGraph
-    from .ir import BasicBlock
-    from .slp import BasicGrouping, GroupNode, iterative_grouping
-    from .transform import if_convert_program, unroll_program
+    from .trace import render_explain
 
-    program = _read_program(args.file)
-    machine = _machine(args.machine, args.datapath)
-    # Same pipeline order as compile_program: regions flatten to
-    # predicated selects before unrolling ever sees the block.
-    pre = unroll_program(if_convert_program(program), machine.datapath_bits)
-    decl_of = lambda name: pre.arrays[name]  # noqa: E731
-
-    blocks = []
-    for item in pre.body:
-        if isinstance(item, BasicBlock):
-            blocks.append(("straight-line block", item))
-        else:
-            loop = item
-            while loop.inner is not None:
-                loop = loop.inner
-            blocks.append((f"loop {loop.index} body", loop.body))
-
-    for label, block in blocks:
-        print(f"=== {label} ===")
-        print(block)
-        deps = DependenceGraph(block)
-        units = [GroupNode.of_statement(s) for s in block]
-        grouping = BasicGrouping(
-            units, deps, machine.datapath_bits, decl_of
-        )
-        print(f"{len(grouping.candidates)} candidate groups:")
-        for index, candidate in enumerate(grouping.candidates):
-            sids = "{" + ", ".join(
-                f"S{s}" for s in sorted(candidate.sid_set)
-            ) + "}"
-            print(
-                f"  {sids:14s} weight {str(grouping.weight(index)):>6s}"
-                f"  score {str(grouping.score(index)):>8s}"
-                f"  adjacency {grouping.adjacency[index]}"
-            )
-        final_units, traces = iterative_grouping(
-            block, deps, machine.datapath_bits, decl_of
-        )
-        print("decisions:")
-        for round_index, trace in enumerate(traces):
-            for candidate, weight in trace.decisions:
-                sids = "{" + ", ".join(
-                    f"S{s}" for s in sorted(candidate.sid_set)
-                ) + "}"
-                print(
-                    f"  round {round_index}: {sids:14s} weight {weight}"
-                )
-        groups = [u for u in final_units if u.size > 1]
-        singles = [u for u in final_units if u.size == 1]
-        print(
-            f"result: {len(groups)} superword statements, "
-            f"{len(singles)} scalar statements\n"
-        )
+    run = _trace_file(
+        args.file, VARIANTS[args.variant],
+        _machine(args.machine, args.datapath), _options(args),
+    )
+    for diagnostic in run.result.diagnostics:
+        print(f"note: {diagnostic}", file=sys.stderr)
+    print(render_explain(run))
     return 0
 
 
@@ -849,10 +782,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_explain = sub.add_parser(
-        "explain", help="show the grouping decisions for one DSL file"
+        "explain",
+        help="per block: the compile's grouping decisions, their runtime"
+        " cost and the cost gate's verdict",
     )
     p_explain.add_argument("file")
-    machine_flags(p_explain)
+    p_explain.add_argument(
+        "--variant", choices=sorted(VARIANTS), default="global"
+    )
+    common(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_bench = sub.add_parser("bench", help="run the Table 3 suite")
@@ -1109,16 +1047,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command. A meaningless option value or a missing input
-    file is a usage error: one ``repro: error:`` line and status 2,
-    like argparse's own, not a traceback."""
+    """Run one command. A meaningless option value, an input file that
+    is missing or is a directory, and a source or saved trace that does
+    not parse are usage errors: one ``repro: error:`` line and status
+    2, like argparse's own, not a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except OptionsError as exc:
         print(f"repro: error: {exc.message}", file=sys.stderr)
-    except FileNotFoundError as exc:
+    except ParseError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(
             f"repro: error: {exc.filename}: {exc.strerror}", file=sys.stderr
         )

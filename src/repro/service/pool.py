@@ -53,7 +53,7 @@ from typing import Any, Dict, Optional
 from ..errors import ReproError, ServiceError, WorkerCrashError
 from ..perf import PERF
 from ..store import ArtifactStore
-from ..trace import TRACE, fold_report, summarize
+from ..trace import summarize, traced_run
 from .log import LOG, bind_request_id
 
 #: Distinct request sources whose printed form the server keeps (FIFO
@@ -61,18 +61,16 @@ from .log import LOG, bind_request_id
 SOURCE_MEMO_ENTRIES = 256
 
 
-def _compile(job: Dict[str, Any], options):
-    from ..compiler import Variant, compile_program
+def _compile_inputs(job: Dict[str, Any]):
+    """The ``(program, variant, machine)`` a job compiles."""
+    from ..compiler import Variant
     from ..ir import parse_program
     from ..vm import MACHINES
 
     machine = MACHINES[job["machine"]]()
     if job.get("datapath"):
         machine = machine.with_datapath(job["datapath"])
-    return compile_program(
-        parse_program(job["source"]), Variant(job["variant"]), machine,
-        options,
-    )
+    return parse_program(job["source"]), Variant(job["variant"]), machine
 
 
 def _execute_job(
@@ -84,6 +82,7 @@ def _execute_job(
     with a shipped ``artifact`` unpickles it; otherwise a hit answers
     by the job's key from the store, without parsing. Artifacts leave
     as pickled bytes next to their JSON summaries."""
+    from ..compiler import compile_program
     from ..vm import Simulator
 
     from . import options_from_dict
@@ -93,67 +92,61 @@ def _execute_job(
 
     options = options_from_dict(job.get("options"))
     key = job["key"]
-    trace = bool(job.get("trace"))
-
-    if trace:
-        # Per-request tracing bypasses the store (and the server's
-        # memo): a cache hit replays a stored plan without running the
-        # compiler, leaving the trace with no compile-time decisions to
-        # attribute to. The correlation ID lands in the trace header,
-        # so a saved trace joins against the request's log lines.
-        TRACE.reset()
+    simulate = job["kind"] == "simulate"
+    seed = job.get("seed", 0)
+    run = None
+    if job.get("trace"):
+        # A traced job compiles even when the store or the server's
+        # memo holds the result (see ``repro.trace.traced_run``). The
+        # correlation ID lands in the trace header, so a saved trace
+        # joins against the request's log lines.
         meta = {"key": key[:12], "variant": job["variant"]}
         if job.get("request_id"):
             meta["request_id"] = job["request_id"]
-        TRACE.enable(**meta)
-
-    try:
-        shipped = job.get("artifact")
-        if shipped is not None:
-            # The server's memo holds this compile's pickle and JSON
-            # summaries; only the simulate fields travel back.
-            result = pickle.loads(shipped)
-            payload: Dict[str, Any] = {"cached": True, "key": key}
+        run = traced_run(
+            *_compile_inputs(job), options, simulate=simulate, seed=seed,
+            kernel_store=store, meta=meta,
+        )
+        result, blob, cached = run.result, pickle.dumps(run.result), False
+    elif job.get("artifact") is not None:
+        # The server's memo holds this compile's pickle and JSON
+        # summaries; only the simulate fields travel back.
+        result, blob, cached = pickle.loads(job["artifact"]), None, True
+    else:
+        entry = None if store is None else store.read(key)
+        if entry is None:
+            result = compile_program(*_compile_inputs(job), options)
+            blob, cached = pickle.dumps(result), False
+            if store is not None:
+                store.write(key, blob)
         else:
-            entry = None if store is None or trace else store.read(key)
-            if entry is None:
-                result = _compile(job, options)
-                blob = pickle.dumps(result)
-                if store is not None and not trace:
-                    store.write(key, blob)
-            else:
-                blob, result = entry
-            payload = {
-                "result": blob,
-                "summary": dataclasses.asdict(result.stats),
-                "diagnostics": [
-                    dataclasses.asdict(diag) for diag in result.diagnostics
-                ],
-                "cached": entry is not None,
-                "key": key,
-            }
-        if job["kind"] == "simulate":
+            (blob, result), cached = entry, True
+    payload: Dict[str, Any] = {"cached": cached, "key": key}
+    if blob is not None:
+        payload["result"] = blob
+        payload["summary"] = dataclasses.asdict(result.stats)
+        payload["diagnostics"] = [
+            dataclasses.asdict(diag) for diag in result.diagnostics
+        ]
+    if simulate:
+        if run is None:
             report, memory = Simulator(
                 result.machine, engine=options.engine, kernel_store=store
-            ).run(result.plan, seed=job.get("seed", 0))
-            if trace:
-                fold_report(report)
-            payload["report"] = pickle.dumps(report)
-            payload["report_summary"] = {
-                "cycles": report.cycles,
-                "dynamic_instructions": report.dynamic_instructions,
-                "pack_unpack_ops": report.pack_unpack_ops,
-                "cache_hits": report.cache_hits,
-                "cache_misses": report.cache_misses,
-            }
-            payload["memory"] = pickle.dumps(memory)
-        if trace:
-            payload["trace_summary"] = summarize(TRACE.records())
-        return payload
-    finally:
-        if trace:
-            TRACE.disable()
-            TRACE.reset()
+            ).run(result.plan, seed=seed)
+        else:
+            report, memory = run.report, run.memory
+        payload["report"] = pickle.dumps(report)
+        payload["report_summary"] = {
+            "cycles": report.cycles,
+            "dynamic_instructions": report.dynamic_instructions,
+            "pack_unpack_ops": report.pack_unpack_ops,
+            "cache_hits": report.cache_hits,
+            "cache_misses": report.cache_misses,
+        }
+        payload["memory"] = pickle.dumps(memory)
+    if run is not None:
+        payload["trace_summary"] = summarize(run.records)
+    return payload
 
 
 def _run_test_hooks(job: Dict[str, Any]) -> None:

@@ -462,10 +462,6 @@ class GroupingTrace:
     proven_optimal: bool = False
     nodes_explored: int = 0
 
-    def chosen_sids(self) -> List[Tuple[int, ...]]:
-        return [tuple(sorted(c.sid_set)) for c, _ in self.decisions]
-
-
 def eliminate_conflicts(
     nodes: Sequence[PackNode],
     adjacency: Dict[PackNode, Set[PackNode]],
@@ -914,11 +910,6 @@ class BasicGrouping:
         return total
 
     def _score_from_list(self, index: int, counts: List[int]) -> Fraction:
-        return Fraction(
-            self._score_units(index, counts), COST_SCALE * len(counts)
-        )
-
-    def score(self, index: int) -> Fraction:
         """The decision score: reuse weight minus expected packing cost.
 
         Documented deviation from the paper (see DESIGN.md): the paper
@@ -932,16 +923,17 @@ class BasicGrouping:
         scalar gather ≈ half; near-zero when the layout stage will run
         and can rewrite the pack — see :class:`PenaltyContext`).
         """
-        return self._score_from_list(
-            index, self._counts_list(index, self._decided_multiset())
+        return Fraction(
+            self._score_units(index, counts), COST_SCALE * len(counts)
         )
 
     # -- whole-selection objective (shared with repro.slp.optimal) --------------
 
     def selection_objective(self, indices) -> Fraction:
         """The packing value of a pairwise non-conflicting selection, in
-        vector-op units: the additive analog of :meth:`score` (see
-        ``repro.slp.optimal`` for the exact definition).  Evaluated in
+        vector-op units: the additive analog of the decision score
+        (:meth:`_score_from_list`; ``repro.slp.optimal`` has the exact
+        definition).  Evaluated in
         ascending index order; the per-candidate marginal procedure is
         order-independent, so this is a well-defined set function — the
         quantity the optimal engine maximizes and the optimality-gap

@@ -135,17 +135,6 @@ class CandidateGroup:
         """Deterministic identity for tie-breaking and hashing."""
         return tuple(sorted((self.left.sids, self.right.sids)))
 
-    def conflicts_with(
-        self, other: "CandidateGroup", deps: DependenceGraph
-    ) -> bool:
-        """Section 4.2.1: conflicting candidates share a statement or
-        form a group-level dependence cycle."""
-        if self.sid_set & other.sid_set:
-            return True
-        return deps.group_depends(self.sid_set, other.sid_set) and \
-            deps.group_depends(other.sid_set, self.sid_set)
-
-
 @dataclass(frozen=True, slots=True)
 class SuperwordStatement:
     """A SIMD group with fixed lane order — one lane per member."""

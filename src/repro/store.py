@@ -32,7 +32,9 @@ Design points:
 * **Two artifact kinds.** Compile results (``.pkl``) are keyed by
   :meth:`key`, which normalizes the simulation engine *out* — the
   engine plays no part in compilation, so reference/batched/compiled
-  runs share compile entries. Compiled-engine kernels (``.kern.pkl``,
+  runs share compile entries — and keys on the SIMD width the compile
+  uses, however it was set (machine or ``datapath_bits`` option).
+  Compiled-engine kernels (``.kern.pkl``,
   :meth:`get_kernel`/:meth:`put_kernel`) are keyed separately by the
   kernel fingerprint from :func:`repro.vm.compiled.kernel_fingerprint`,
   which covers the plan content, machine, and codegen version — so warm
@@ -120,8 +122,14 @@ class ArtifactStore:
 
         # The simulation engine plays no part in compilation, so it is
         # normalized out of the key: reference and batched runs share
-        # store entries.
-        normalized = replace(options or CompilerOptions(), engine=None)
+        # store entries. ``datapath_bits`` only overrides the machine's
+        # SIMD width, so it moves onto the machine — the width the
+        # compile uses (``compile_program``'s rule) — and a width set
+        # either way hashes to one key.
+        options = options or CompilerOptions()
+        if options.datapath_bits:
+            machine = machine.with_datapath(options.datapath_bits)
+        normalized = replace(options, engine=None, datapath_bits=None)
         blob = "\x00".join(
             (
                 printed,

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import enum
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -43,7 +45,14 @@ from typing import (
     Tuple,
 )
 
+from .errors import ParseError
 from .perf import PERF, span
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from .compiler import CompileResult, CompilerOptions, Variant
+    from .ir import Program
+    from .store import ArtifactStore
+    from .vm import ExecutionReport, MachineModel, Memory
 
 #: Versioned schema tag written into every trace header. Bump on any
 #: backwards-incompatible change to event kinds or required fields.
@@ -239,7 +248,8 @@ def canonical_jsonl(records: Sequence[Dict[str, Any]]) -> str:
 
 
 def load_jsonl(text: str) -> List[Dict[str, Any]]:
-    """Parse a trace back into records; raises ``ValueError`` on a
+    """Parse a trace back into records; raises :class:`ParseError` (a
+    ``ValueError``) on a line that is not a JSON object or a
     missing/incompatible schema header."""
     records: List[Dict[str, Any]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -248,15 +258,15 @@ def load_jsonl(text: str) -> List[Dict[str, Any]]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not JSON ({exc})") from exc
+            raise ParseError(f"line {lineno}: not JSON ({exc})") from exc
         if not isinstance(record, dict):
-            raise ValueError(f"line {lineno}: expected an object")
+            raise ParseError(f"line {lineno}: expected an object")
         records.append(record)
     if not records:
-        raise ValueError("empty trace")
+        raise ParseError("empty trace")
     header = records[0]
     if header.get("schema") != SCHEMA:
-        raise ValueError(
+        raise ParseError(
             f"unsupported trace schema {header.get('schema')!r}"
             f" (expected {SCHEMA!r})"
         )
@@ -348,6 +358,59 @@ def fold_report(report: Any) -> None:
             cache_hits=report.cache_hits,
             cache_misses=report.cache_misses,
         )
+
+
+# -- one traced run ------------------------------------------------------------
+
+
+@dataclass
+class TracedRun:
+    """One traced compile: its result, the simulator's report and final
+    memory (``None`` unless simulated) and the trace records."""
+
+    result: "CompileResult"
+    report: Optional["ExecutionReport"]
+    memory: Optional["Memory"]
+    records: List[Dict[str, Any]]
+
+
+def traced_run(
+    program: "Program",
+    variant: "Variant",
+    machine: "MachineModel",
+    options: Optional["CompilerOptions"] = None,
+    *,
+    simulate: bool = True,
+    seed: int = 0,
+    kernel_store: Optional["ArtifactStore"] = None,
+    meta: Optional[Dict[str, Any]] = None,
+) -> TracedRun:
+    """Compile ``program`` with tracing on and, unless ``simulate`` is
+    off, run the plan and fold the report in; ``meta`` lands in the
+    trace header. The one place the tracer is switched on (``repro
+    trace``/``explain``, ``bench --trace-dir``, traced service jobs),
+    and it is off and empty again when this returns or raises. It reads
+    no compile cache: a hit would replay a plan without the compiler's
+    decisions to attribute costs to."""
+    from .compiler import CompilerOptions, compile_program
+    from .vm import Simulator
+
+    options = options or CompilerOptions()
+    TRACE.reset()
+    TRACE.enable(**(meta or {}))
+    try:
+        result = compile_program(program, variant, machine, options)
+        report = memory = None
+        if simulate:
+            report, memory = Simulator(
+                result.machine, engine=options.engine,
+                kernel_store=kernel_store,
+            ).run(result.plan, seed=seed)
+            fold_report(report)
+        return TracedRun(result, report, memory, TRACE.records())
+    finally:
+        TRACE.disable()
+        TRACE.reset()
 
 
 # -- human views ---------------------------------------------------------------
@@ -571,4 +634,95 @@ def diff_records(
             f" pack_unpack {tot_a.get('pack_unpack', 0)} -> "
             f"{tot_b.get('pack_unpack', 0)}"
         )
+    return "\n".join(lines)
+
+
+# -- the explain view ----------------------------------------------------------
+
+
+def render_explain(run: TracedRun) -> str:
+    """Per-block view of one traced run — what ``repro explain`` prints:
+    the block's statements from the compiled plan's own program (so the
+    S-numbers are the ones the decisions name), every grouping commit or
+    baseline pack with its runner-ups and attributed runtime cost, the
+    grouping rounds, and the cost gate's verdict with the superword
+    statements the block kept."""
+    from .ir import BasicBlock
+
+    runtime = _runtime_index(run.records)
+    # block label -> (grouping round, event) for the events inside it.
+    events: Dict[str, List[Tuple[Any, Dict[str, Any]]]] = {}
+    block = round_index = None
+    for record in run.records[1:]:
+        kind, name = record["ev"], record.get("name")
+        if kind == "span.begin" and name in ("block", "round"):
+            block = record.get("block", block)
+            round_index = record.get("round")
+        elif kind == "span.end" and name == "block":
+            block = None
+        elif block is not None and not kind.startswith("span."):
+            events.setdefault(block, []).append((round_index, record))
+
+    # One kept schedule per block the gate vectorized, in block order.
+    kept = iter(run.result.schedules)
+    lines: List[str] = []
+    for position, item in enumerate(run.result.plan.program.body):
+        label, title = f"b{position}", "straight-line block"
+        if not isinstance(item, BasicBlock):
+            while item.inner is not None:
+                item = item.inner
+            title, item = f"loop {item.index} body", item.body
+        decisions: List[str] = []
+        rounds: List[str] = []
+        gate = None
+        for round_index, record in events.get(label, ()):
+            kind = record["ev"]
+            if kind in DECISION_EVENTS:
+                where = f"round {round_index}"
+                if kind == "baseline.pack":
+                    where = "pack"
+                decisions.append(
+                    f"  {where}: {record['prov']}"
+                    f"  {_describe_decision(record)}"
+                    f"  [{_runtime_note(runtime.get(record['prov']))}]"
+                )
+                runners = "; ".join(
+                    f"{r['prov']} weight={r['weight']} score={r['score']}"
+                    for r in record.get("runners_up") or ()
+                )
+                if runners:
+                    decisions.append(f"    runners-up: {runners}")
+            elif kind == "grouping.round":
+                rounds.append(
+                    f"  round {record['round']}: {record['units']} units,"
+                    f" {record['decided']} decided,"
+                    f" {record['leftovers']} leftovers"
+                )
+            elif kind == "codegen.gate":
+                gate = record
+        lines += [f"=== {label}: {title} ===", str(item), "decisions:"]
+        lines += decisions or ["  (none)"]
+        if rounds:
+            lines += ["rounds:", *rounds]
+        superwords, scalars = 0, len(item)
+        if gate is None:
+            lines.append("gate: no verdict (compiled scalar)")
+        else:
+            vector, scalar = gate["vector_cycles"], gate["scalar_cycles"]
+            lines.append(
+                f"gate: vector {vector} cycles < scalar {scalar} cycles:"
+                " vectorized"
+                if gate["vectorized"]
+                else f"gate: vector {vector} cycles >= scalar {scalar}"
+                " cycles: kept scalar"
+            )
+            if gate["vectorized"] and label not in run.result.fallback_blocks:
+                schedule = next(kept)
+                superwords = sum(1 for _ in schedule.superwords())
+                scalars = sum(1 for _ in schedule.singles())
+        lines += [
+            f"result: {superwords} superword statements,"
+            f" {scalars} scalar statements",
+            "",
+        ]
     return "\n".join(lines)

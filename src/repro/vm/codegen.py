@@ -125,15 +125,6 @@ class ExecutablePlan:
     units: List[CompiledUnit] = field(default_factory=list)
     replicated_decls: Dict[str, int] = field(default_factory=dict)  # name -> elements
 
-    def static_cycles(self, machine: MachineModel) -> float:
-        """Cache-oblivious cycle estimate — the cost model that gates
-        the transformation (Section 4.3 / Larsen's thesis model)."""
-        total = 0.0
-        for unit in self.units:
-            total += _static_unit_cycles(unit, machine)
-        return total
-
-
 # -- scalar reference helpers -------------------------------------------------------
 
 

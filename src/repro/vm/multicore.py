@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from ..errors import SimulationError
 from dataclasses import dataclass
-from typing import Sequence
 
 from .machine import MachineModel
 from .report import reduction
@@ -63,7 +62,3 @@ class MulticorePoint:
     @property
     def reduction(self) -> float:
         return reduction(self.scalar_cycles, self.variant_cycles)
-
-
-def speedup_curve(points: Sequence[MulticorePoint]) -> Sequence[float]:
-    return [p.reduction for p in points]

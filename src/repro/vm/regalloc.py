@@ -3,11 +3,14 @@
 The code generator produces an unbounded stream of virtual vector
 registers; this pass maps them onto the machine's physical vector
 register file (16 XMM registers on both evaluation machines) with a
-linear-scan allocator over live ranges, inserting spill stores/reloads
-when pressure exceeds the file. On the paper's workloads pressure stays
-comfortably below 16, so spills are rare — but the allocator makes that
-a *checked* property instead of an assumption, and the simulator charges
-any spill traffic it does insert.
+linear-scan allocator over live ranges, recording which virtual
+registers would spill when pressure exceeds the file. On the paper's
+workloads pressure stays comfortably below 16, so spills are rare.
+
+Nothing in the compile pipeline runs the allocator and the simulator
+charges no spill traffic: the module is the checker behind the "at
+most 16 live superwords" property (``tests/test_regalloc.py``), which
+makes that a *checked* property instead of an assumption.
 """
 
 from __future__ import annotations

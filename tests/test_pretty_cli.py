@@ -114,7 +114,6 @@ class TestCli:
     def test_explain_shows_weights_and_decisions(self, tmp_path, capsys):
         assert main(["explain", self._write(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "candidate groups" in out
         assert "weight" in out and "score" in out
         assert "decisions:" in out
         assert "superword statements" in out
@@ -175,6 +174,39 @@ class TestCli:
         assert main(["compile", str(missing)]) == 2
         err = capsys.readouterr().err
         assert err == f"repro: error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["compile", "trace", "explain"])
+    def test_unparsable_source_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        source = tmp_path / "bad.slp"
+        source.write_text("this is not a program\n")
+        assert main([command, str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: line 1:1: ")
+        assert err.count("\n") == 1
+
+    def test_directory_as_input_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["compile", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"ev": "span.begin"}\n', "unsupported trace schema None"),
+            ("not json\n", "line 1: not JSON"),
+        ],
+    )
+    def test_rejected_saved_trace_is_a_usage_error(
+        self, text, message, tmp_path, capsys
+    ):
+        saved = tmp_path / "saved.jsonl"
+        saved.write_text(text)
+        assert main(["trace", str(saved), "--validate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_unknown_variant_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -258,6 +258,23 @@ def test_storeless_server_answers_repeat_simulate_warm():
     assert metrics["service"]["memo"]["shipped"] == 1
 
 
+def test_datapath_field_and_option_share_one_compile():
+    """The top-level ``datapath`` and ``options.datapath_bits`` set the
+    same width: the second spelling is answered from the first
+    compile, with no second worker job."""
+    with ServiceThread(shards=1) as thread:
+        client = ServiceClient(thread.url, timeout=60.0)
+        first = client.compile(kernel="milc", n=16, datapath=512)
+        second = client.compile(
+            kernel="milc", n=16, options=CompilerOptions(datapath_bits=512)
+        )
+        metrics = client.metrics()
+        client.close()
+    assert not first.cached and second.cached
+    assert second.result == first.result
+    assert metrics["service"]["pool"]["jobs"] == 1
+
+
 def test_traced_repeat_compiles_and_leaves_the_memo_alone(client):
     """A traced request neither reads nor fills the result memo: it
     always reaches a worker and compiles."""

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro import ArtifactStore, Variant, compile_program
+from repro import ArtifactStore, CompilerOptions, Variant, compile_program
 from repro.bench import KERNELS
 from repro.vm import MACHINES
 
@@ -64,6 +64,27 @@ class TestPromotion:
         )
         assert key != ArtifactStore.key(
             program, Variant.GLOBAL, machine.with_datapath(256), None
+        )
+
+    def test_key_holds_the_width_the_compile_uses(self, machine, compiled):
+        # A machine width and the ``datapath_bits`` option set the same
+        # compile, so both spellings share one key; the option wins
+        # over the machine, as in ``compile_program``.
+        program, _result, key = compiled
+        wide = ArtifactStore.key(
+            program, Variant.GLOBAL, machine.with_datapath(512), None
+        )
+        assert wide == ArtifactStore.key(
+            program, Variant.GLOBAL, machine,
+            CompilerOptions(datapath_bits=512),
+        )
+        assert wide == ArtifactStore.key(
+            program, Variant.GLOBAL, machine.with_datapath(256),
+            CompilerOptions(datapath_bits=512),
+        )
+        assert key == ArtifactStore.key(
+            program, Variant.GLOBAL, machine,
+            CompilerOptions(datapath_bits=machine.datapath_bits),
         )
 
 
@@ -153,7 +174,7 @@ def _hammer(payload):
     space, occasionally poisoning an entry to simulate a torn write.
     Returns (cycles-per-key, corrupt_evictions) for cross-checking."""
     root, worker_index, rounds = payload
-    from repro import ArtifactStore, Variant, compile_program
+    from repro import ArtifactStore, CompilerOptions, Variant, compile_program
     from repro.bench import KERNELS
     from repro.vm import MACHINES, Simulator
 

@@ -11,12 +11,12 @@ from repro.trace import (
     TRACE,
     canonical_jsonl,
     diff_records,
-    fold_report,
     load_jsonl,
     provenance_id,
     render_tree,
     summarize,
     to_jsonl,
+    traced_run,
     validate_records,
 )
 from repro.vm import MACHINES, Simulator
@@ -46,22 +46,11 @@ def _clean_tracer():
 
 
 def traced_compile(variant=Variant.GLOBAL, simulate=True, src=SRC):
-    program = parse_program(src)
-    machine = MACHINES["intel"]()
-    TRACE.reset()
-    TRACE.enable(variant=variant.value)
-    try:
-        result = compile_program(
-            program, variant, machine, CompilerOptions()
-        )
-        if simulate:
-            report, _memory = Simulator(result.machine).run(result.plan)
-            fold_report(report)
-        records = TRACE.records()
-    finally:
-        TRACE.disable()
-        TRACE.reset()
-    return result, records
+    run = traced_run(
+        parse_program(src), variant, MACHINES["intel"](),
+        simulate=simulate, meta={"variant": variant.value},
+    )
+    return run.result, run.records
 
 
 def plan_instructions(plan):
