@@ -32,6 +32,7 @@ assertions.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import time
@@ -64,9 +65,13 @@ N = 16
 def _timed_compile(program, machine, options):
     """Best-of-``REPEATS`` wall time plus the perf snapshot and plan
     fingerprint of the final run (counters are deterministic across
-    repeats; timings take the minimum to shed scheduler noise)."""
+    repeats; timings take the minimum to shed scheduler noise). Each
+    timed compile starts right after a full garbage collection, outside
+    the timer: otherwise a collection of the whole test session's heap
+    can land inside one few-millisecond compile and swamp it."""
     best = math.inf
     for _ in range(REPEATS):
+        gc.collect()
         PERF.reset()
         PERF.enable()
         started = time.perf_counter()

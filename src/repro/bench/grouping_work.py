@@ -10,7 +10,8 @@ grouping dominates compile time) and reads the grouping loop's
 * ``decisions`` — committed SIMD groups;
 * ``candidates_examined`` — candidate groups over all rounds;
 * ``scores_recomputed`` — exact (post-elimination) score evaluations;
-* ``score_bounds`` — cheap pre-elimination bound evaluations;
+* ``score_bounds`` — cheap bound evaluations (heap entries pushed
+  without running elimination);
 * ``vp_nodes`` / ``vp_edges`` — size of the variable pack graphs.
 
 Every counter is exact on any machine, so ``check_grouping_work`` —
@@ -18,7 +19,8 @@ one of the side planes ``repro bench --check`` runs through
 ``regress.check_planes`` — gates them with tolerance 0. A change that
 only makes the loop cheaper per step leaves this plane untouched; one
 that changes what the loop decides or how many scores it computes moves
-it.
+it — a tighter heap bound, for one, lowers ``scores_recomputed`` alone,
+since fewer bound entries surface above the winner.
 """
 
 from __future__ import annotations

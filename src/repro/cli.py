@@ -1050,11 +1050,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one command. A meaningless option value, an input file that
     is missing or is a directory, and a source or saved trace that does
     not parse are usage errors: one ``repro: error:`` line and status
-    2, like argparse's own, not a traceback."""
+    2, like argparse's own, not a traceback. A reader that closes the
+    output pipe early (``repro trace FILE | head -1``) ends the command
+    quietly with status 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so the flush at
+        # interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except OptionsError as exc:
         print(f"repro: error: {exc.message}", file=sys.stderr)
     except ParseError as exc:

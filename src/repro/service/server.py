@@ -26,11 +26,12 @@ The server routes bytes: it parses a request's program only to key
 it (once per distinct source text, through a FIFO memo of
 ``SOURCE_MEMO_ENTRIES`` printed programs), and base64-encodes the
 pickled artifacts the worker returns into the envelope without
-unpickling them. It keeps the ``RESULT_MEMO_ENTRIES`` most recently
-used compile pickles it forwarded, with their JSON summaries, in a
-memo: a repeated compile is answered from it on the event loop
-(no executor thread, pipe, shard lock or worker), and a repeated
-simulate ships the pickle in its job so the worker skips the store.
+unpickling them. It keeps up to ``RESULT_MEMO_ENTRIES`` compile
+pickles it forwarded, with their JSON summaries, in a segmented memo
+(see ``ReproService._remember``): a repeated compile is answered from
+it on the event loop (no executor thread, pipe, shard lock or worker),
+and a repeated simulate ships the pickle in its job so the worker
+skips the store.
 Trace requests neither read nor fill it; errors are never stored.
 
 Failure and backpressure model:
@@ -94,9 +95,10 @@ _REASONS = {
 #: is pure abuse protection).
 MAX_BODY_BYTES = 64 << 20
 
-#: Compile results the server keeps for warm requests (least recently
-#: used evicted). The 120-key serve-mixed hot set averages ~4.6 KB a
-#: pickle, so a full memo holds it in about 1.2 MB.
+#: Compile results the server keeps for warm requests. The 120-key
+#: serve-mixed hot set averages ~4.6 KB a pickle, so a full memo holds
+#: it in about 1.2 MB. At most three quarters of them are protected
+#: (keys hit since they were filled; see ``ReproService._remember``).
 RESULT_MEMO_ENTRIES = 256
 
 _VARIANTS = {v.value: v for v in Variant}
@@ -215,8 +217,11 @@ class ReproService:
         self._sources: Dict[str, str] = {}
         #: Content key -> the compile payload fields a warm request
         #: reuses (``result`` pickle, ``summary``, ``diagnostics``,
-        #: ``cached``), least recently used first.
-        self._results: Dict[str, Dict[str, Any]] = {}
+        #: ``cached``), in two segments, each least recently used
+        #: first: keys filled and not hit since (probation), and keys
+        #: hit at least once (protected).
+        self._probation: Dict[str, Dict[str, Any]] = {}
+        self._protected: Dict[str, Dict[str, Any]] = {}
         #: Compiles answered from the memo, simulates that shipped its
         #: pickle to a worker, and non-trace leaders that found no entry.
         self.memo_hits = 0
@@ -622,11 +627,34 @@ class ReproService:
 
     def _recall(self, key: str) -> Optional[Dict[str, Any]]:
         """The memo entry for ``key``, moved to the most recently used
-        end, or ``None``."""
-        entry = self._results.pop(key, None)
-        if entry is not None:
-            self._results[key] = entry
+        end of the protected segment, or ``None``. A protected segment
+        over three quarters of ``RESULT_MEMO_ENTRIES`` demotes its
+        oldest key back to probation."""
+        protected = self._protected
+        entry = protected.pop(key, None)
+        if entry is None:
+            entry = self._probation.pop(key, None)
+            if entry is None:
+                return None
+        protected[key] = entry
+        if len(protected) > RESULT_MEMO_ENTRIES * 3 // 4:
+            oldest = next(iter(protected))
+            self._probation[oldest] = protected.pop(oldest)
         return entry
+
+    def _remember(self, key: str, entry: Dict[str, Any]) -> None:
+        """Fill the memo. A new key enters probation, so a stream of
+        one-off compiles evicts other one-off keys (probation's oldest
+        first) and leaves the keys requested again alone."""
+        if key in self._protected:
+            self._protected[key] = entry
+            return
+        probation = self._probation
+        probation.pop(key, None)
+        probation[key] = entry
+        while len(probation) + len(self._protected) > RESULT_MEMO_ENTRIES:
+            segment = probation or self._protected
+            segment.pop(next(iter(segment)))
 
     async def _run_job(
         self, job: Dict[str, Any], entry: Optional[Dict[str, Any]]
@@ -652,15 +680,15 @@ class ReproService:
         if entry is not None:
             return {**entry, **payload}
         if not job["trace"]:
-            self._results.pop(job["key"], None)
-            self._results[job["key"]] = {
-                "result": payload["result"],
-                "summary": payload["summary"],
-                "diagnostics": payload["diagnostics"],
-                "cached": True,
-            }
-            while len(self._results) > RESULT_MEMO_ENTRIES:
-                self._results.pop(next(iter(self._results)))
+            self._remember(
+                job["key"],
+                {
+                    "result": payload["result"],
+                    "summary": payload["summary"],
+                    "diagnostics": payload["diagnostics"],
+                    "cached": True,
+                },
+            )
         return payload
 
     def _shed(
@@ -778,7 +806,7 @@ class ReproService:
                     "rejected": self.rejected,
                 },
                 "memo": {
-                    "entries": len(self._results),
+                    "entries": len(self._probation) + len(self._protected),
                     "limit": RESULT_MEMO_ENTRIES,
                     "hits": self.memo_hits,
                     "shipped": self.memo_shipped,

@@ -56,7 +56,7 @@ exactly the same counts as before.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -113,6 +113,19 @@ def cost_units(value: float) -> int:
     return int(units)
 
 
+#: The cost constants in cost units, as :meth:`PackCostModel.classify`
+#: returns them: a one-wide-access reuse saving, a broadcast's, a scalar
+#: pack's (see :func:`pack_reuse_saving` for why it is half a scalar
+#: gather), and the penalties above.
+_WIDE = cost_units(1.0)
+_BROADCAST = cost_units(0.5)
+_SCALAR_SAVING = cost_units(1.5)
+_GATHER = cost_units(GATHER_PENALTY)
+_SCALAR_GATHER = cost_units(SCALAR_GATHER_PENALTY)
+_SCALAR_SCATTER = cost_units(SCALAR_SCATTER_PENALTY)
+_FIXABLE = cost_units(LAYOUT_FIXABLE_PENALTY)
+
+
 @dataclass(frozen=True, slots=True)
 class PenaltyContext:
     """What the code generator and downstream stages will see, for
@@ -127,18 +140,21 @@ class PenaltyContext:
 
     replicable_arrays: Optional[frozenset] = None
     scalar_slots: Optional[Tuple[Tuple[str, Tuple[str, int]], ...]] = None
+    #: ``scalar_slots`` as a lookup table, derived once.
+    _slot_table: Dict[str, Tuple[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for name, slot in self.scalar_slots or ():
+            self._slot_table.setdefault(name, slot)
 
     @property
     def assume_layout(self) -> bool:
         return self.replicable_arrays is not None
 
     def slot_of(self, name: str) -> Optional[Tuple[str, int]]:
-        if self.scalar_slots is None:
-            return None
-        for entry, slot in self.scalar_slots:
-            if entry == name:
-                return slot
-        return None
+        return self._slot_table.get(name)
 
     @staticmethod
     def from_arenas(arenas) -> Tuple[Tuple[str, Tuple[str, int]], ...]:
@@ -204,21 +220,19 @@ def pack_is_contiguous_memory(
 
 
 def pack_adjacency_score(
-    pack: PackData,
-    decl_of: Optional[DeclLookup],
-    contiguous: Optional[bool] = None,
+    pack: PackData, decl_of: Optional[DeclLookup]
 ) -> int:
     """Static desirability of a pack absent any reuse: contiguous memory
     (one wide load/store) scores 2, a splat (all lanes equal) scores 1,
     anything else 0. Used as a tie-break between equal-weight
-    candidates (the paper chooses randomly there). ``contiguous``
-    optionally supplies a precomputed ``pack_is_contiguous_memory``
-    answer so memoizing callers pay for that analysis once per pack."""
+    candidates (the paper chooses randomly there).
+
+    This and the two cost functions below are the reference
+    definitions: grouping rounds call :meth:`PackCostModel.classify`,
+    and the tests check it against them."""
     if pack[0] == pack[-1]:  # sorted: all lanes equal
         return 1
-    if contiguous is None:
-        contiguous = pack_is_contiguous_memory(pack, decl_of)
-    if contiguous:
+    if pack_is_contiguous_memory(pack, decl_of):
         return 2
     return 0
 
@@ -228,7 +242,6 @@ def pack_materialization_penalty(
     decl_of: Optional[DeclLookup],
     context: Optional[PenaltyContext] = None,
     is_store: bool = False,
-    contiguous: Optional[bool] = None,
 ) -> float:
     """Overhead of building (or scattering, for ``is_store``) this pack
     when nothing in the block reuses it, relative to a contiguous wide
@@ -243,9 +256,7 @@ def pack_materialization_penalty(
     if kinds == {KIND_CONST}:
         return 0.0  # vector immediate, hoisted out of the loop
     if kinds == {KIND_REF}:
-        if contiguous is None:
-            contiguous = pack_is_contiguous_memory(pack, decl_of)
-        if contiguous:
+        if pack_is_contiguous_memory(pack, decl_of):
             return 0.0
         if (
             not is_store
@@ -268,7 +279,6 @@ def pack_reuse_saving(
     pack: PackData,
     decl_of: Optional[DeclLookup],
     context: Optional[PenaltyContext] = None,
-    contiguous: Optional[bool] = None,
 ) -> float:
     """What one *reuse* of this pack saves, in vector-op units: the cost
     of the materialization it avoids. A constant vector is hoisted out
@@ -281,9 +291,7 @@ def pack_reuse_saving(
     if pack[0] == pack[-1]:
         return 0.5  # a broadcast (the pack is sorted: all lanes equal)
     if kinds == {KIND_REF}:
-        if contiguous is None:
-            contiguous = pack_is_contiguous_memory(pack, decl_of)
-        if contiguous:
+        if pack_is_contiguous_memory(pack, decl_of):
             return 1.0  # one wide load
         if (
             context is not None
@@ -304,24 +312,21 @@ def pack_reuse_saving(
 
 
 class PackCostModel:
-    """Memoized pack-cost queries for one ``(decl_of, penalty_context)``
+    """Pack-cost classification for one ``(decl_of, penalty_context)``
     pair.
 
-    ``saving`` / ``build`` return :func:`pack_reuse_saving` /
-    :func:`pack_materialization_penalty` as ints in units of
-    ``1 / COST_SCALE``; ``adjacency`` is :func:`pack_adjacency_score`.
-    All depend only on the pack data once the declaration lookup and
-    penalty context are fixed, so one cache serves every grouping round
-    of a block — the rounds re-derive wider packs, but any pack they
-    share with an earlier round is a hit. Contiguity is decided from
-    each array reference's flattened ``(coeffs, const)``, cached per
-    reference: a wider pack in a later round reuses its lanes' entries.
+    :meth:`classify` derives everything the grouping score needs of one
+    pack type from a single contiguity test: :func:`pack_reuse_saving`
+    and :func:`pack_materialization_penalty` (as a source and as a
+    store) as ints in units of ``1 / COST_SCALE``, and
+    :func:`pack_adjacency_score`. A grouping round classifies each of
+    its pack types once; the rounds build new, wider packs, so the
+    model keeps no per-pack memo. Contiguity is decided from each array
+    reference's flattened ``(coeffs, const)``, cached per reference: a
+    wider pack in a later round reuses its lanes' entries.
     """
 
-    __slots__ = (
-        "decl_of", "context", "_saving", "_build", "_adjacency", "_contig",
-        "_flat",
-    )
+    __slots__ = ("decl_of", "context", "_flat")
 
     def __init__(
         self,
@@ -330,10 +335,6 @@ class PackCostModel:
     ):
         self.decl_of = decl_of
         self.context = context
-        self._saving: Dict[PackData, int] = {}
-        self._build: Dict[Tuple[PackData, bool], int] = {}
-        self._adjacency: Dict[PackData, int] = {}
-        self._contig: Dict[PackData, bool] = {}
         self._flat: Dict[tuple, Optional[tuple]] = {}
 
     def _flattened(self, key) -> Optional[tuple]:
@@ -363,12 +364,6 @@ class PackCostModel:
         """:func:`pack_is_contiguous_memory`: the lanes are one array's
         references with equal flattened coefficients whose constants
         form a consecutive run."""
-        cached = self._contig.get(data)
-        if cached is None:
-            cached = self._contig[data] = self._contiguous(data)
-        return cached
-
-    def _contiguous(self, data: PackData) -> bool:
         array = data[0][1]
         for key in data:
             if key[0] != KIND_REF or key[1] != array:
@@ -387,40 +382,34 @@ class PackCostModel:
         consts.sort()
         return consts == list(range(consts[0], consts[0] + len(consts)))
 
-    def saving(self, data: PackData) -> int:
-        cached = self._saving.get(data)
-        if cached is None:
-            cached = self._saving[data] = cost_units(
-                pack_reuse_saving(
-                    data, self.decl_of, self.context,
-                    contiguous=self.contiguous(data),
-                )
-            )
-        else:
-            count("grouping.pack_cost_cache_hits")
-        return cached
-
-    def build(self, data: PackData, is_store: bool = False) -> int:
-        key = (data, is_store)
-        cached = self._build.get(key)
-        if cached is None:
-            cached = self._build[key] = cost_units(
-                pack_materialization_penalty(
-                    data, self.decl_of, self.context, is_store=is_store,
-                    contiguous=self.contiguous(data),
-                )
-            )
-        else:
-            count("grouping.pack_cost_cache_hits")
-        return cached
-
-    def adjacency(self, data: PackData) -> int:
-        cached = self._adjacency.get(data)
-        if cached is None:
-            cached = self._adjacency[data] = pack_adjacency_score(
-                data, self.decl_of, contiguous=self.contiguous(data)
-            )
-        return cached
+    def classify(self, data: PackData) -> Tuple[int, int, int, int]:
+        """``(saving, build, store build, adjacency)`` of one pack type:
+        :func:`pack_reuse_saving` and :func:`pack_materialization_penalty`
+        (as a source and as a store) in units of ``1 / COST_SCALE``, and
+        :func:`pack_adjacency_score` — the same case analysis, with one
+        pass over the lanes and at most one contiguity test."""
+        kind = data[0][0]
+        if data[0] == data[-1]:  # a splat (the pack is sorted)
+            return (0 if kind == KIND_CONST else _BROADCAST, 0, 0, 1)
+        for key in data:
+            if key[0] != kind:  # mixed lane sources: per-lane inserts
+                return (_GATHER, _GATHER, _GATHER, 0)
+        context = self.context
+        if kind == KIND_REF:
+            if self.contiguous(data):
+                return (_WIDE, 0, 0, 2)
+            if context is not None and context.replicable_arrays is not None:
+                replicable = context.replicable_arrays
+                if all(key[1] in replicable for key in data):
+                    return (_WIDE, _FIXABLE, _GATHER, 0)
+            return (_GATHER, _GATHER, _GATHER, 0)
+        if kind == KIND_VAR:
+            if _scalar_pack_contiguous(data, context):
+                return (_WIDE, 0, 0, 0)
+            if context is not None and context.assume_layout:
+                return (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0)
+            return (_SCALAR_SAVING, _SCALAR_GATHER, _SCALAR_SCATTER, 0)
+        return (0, 0, 0, 0)  # a vector immediate, hoisted out of the loop
 
 
 def _signature_op_cost(signature) -> float:
@@ -506,25 +495,55 @@ class _AuxGraph:
     """One candidate's auxiliary graph, cached for its grouping round.
 
     ``cands`` are the candidates that share a pack type with the owner
-    and do not conflict with it; ``mask`` is the bitset of those still
-    live. The matching nodes are numbered in canonical order (the
-    *local rank*): node ``r`` belongs to ``cands[owner[r]]`` (-1 once
-    that candidate left the round) and to the owner's slot
-    ``slot_of[r]``, and ``counts`` is the live node count per owner
-    slot. ``neighbors[k]`` lists the local indices conflicting with
-    ``k``; it is built on the first elimination and keeps the entries
-    of candidates that left, whose buckets are then empty.
+    and do not conflict with it, ``sids`` their statement bitsets, and
+    ``mask`` is the bitset of those still live. The matching nodes are
+    numbered in canonical order (the *local rank*): node ``r`` belongs
+    to ``cands[owner[r]]`` (-1 once that candidate left the round) and
+    to the owner's slot ``slot_of[r]``, and ``counts`` is the live node
+    count per owner slot.
+
+    ``bound`` caps each slot's count after elimination, and is
+    refreshed whenever candidates leave. Elimination leaves pairwise
+    non-conflicting candidates, and two candidates that share a
+    statement conflict, so the candidates surviving in one slot are
+    statement-disjoint. ``caps[slot]`` is ``(multiplicity, lanes)``:
+    the most positions one candidate holds the slot's type at, and the
+    type's lane count, which is every holder's statement count. So at
+    most ``|union of the slot's live candidates' sids| // lanes``
+    candidates survive there, each with at most ``multiplicity`` nodes.
+
+    ``neighbors[k]`` lists the local indices conflicting with ``k``; it
+    is built on the first elimination from the conflict bitsets of the
+    candidates then live, and keeps the entries of candidates that left
+    later, whose buckets are then empty.
     """
 
-    __slots__ = ("mask", "cands", "owner", "slot_of", "counts", "neighbors")
+    __slots__ = (
+        "mask", "cands", "sids", "owner", "slot_of", "counts", "caps",
+        "bound", "neighbors",
+    )
 
-    def __init__(self, mask, cands, owner, slot_of, counts):
+    def __init__(
+        self, mask, cands, sids, owner, slot_of, counts, caps, unions
+    ):
         self.mask = mask
         self.cands = cands
+        self.sids = sids
         self.owner = owner
         self.slot_of = slot_of
         self.counts = counts
+        self.caps = caps
         self.neighbors: Optional[List[List[int]]] = None
+        self._set_bound(unions)
+
+    def _set_bound(self, unions: List[int]) -> None:
+        """``bound`` from each slot's union of live statement bits."""
+        self.bound = [
+            min(count_, mult * (union.bit_count() // lanes))
+            for count_, union, (mult, lanes) in zip(
+                self.counts, unions, self.caps
+            )
+        ]
 
     def buckets(self) -> List[List[int]]:
         """Each candidate's live node ranks, ascending."""
@@ -535,30 +554,43 @@ class _AuxGraph:
         return buckets
 
     def neighbor_lists(
-        self, conflicts_of: Callable[[int], List[int]]
+        self, conflict_bits: Callable[[int], int]
     ) -> List[List[int]]:
-        """``neighbors``, built on first use from each candidate's list
-        of conflicting candidates."""
+        """``neighbors``, built on first use by intersecting each live
+        candidate's conflict bitset with ``mask``."""
         neighbors = self.neighbors
         if neighbors is None:
+            mask = self.mask
             local = {cand: k for k, cand in enumerate(self.cands)}
-            neighbors = self.neighbors = [
-                [local[other] for other in local.keys() & conflicts_of(cand)]
-                for cand in self.cands
-            ]
+            neighbors = self.neighbors = []
+            for cand in self.cands:
+                row = []
+                bits = conflict_bits(cand) & mask if (mask >> cand) & 1 else 0
+                while bits:
+                    low = bits & -bits
+                    row.append(local[low.bit_length() - 1])
+                    bits ^= low
+                neighbors.append(row)
         return neighbors
 
     def drop(self, live: int) -> None:
-        """Remove the nodes of candidates missing from ``live``."""
+        """Remove the nodes of candidates missing from ``live`` and
+        refresh ``bound``."""
         gone = [not (live >> cand) & 1 for cand in self.cands]
         owner = self.owner
         counts = self.counts
         slot_of = self.slot_of
+        sids = self.sids
+        unions = [0] * len(counts)
         for rank, k in enumerate(owner):
-            if k >= 0 and gone[k]:
-                owner[rank] = -1
-                counts[slot_of[rank]] -= 1
+            if k >= 0:
+                if gone[k]:
+                    owner[rank] = -1
+                    counts[slot_of[rank]] -= 1
+                else:
+                    unions[slot_of[rank]] |= sids[k]
         self.mask &= live
+        self._set_bound(unions)
 
 
 class BasicGrouping:
@@ -606,17 +638,23 @@ class BasicGrouping:
         # the bitset of candidates holding type ``t``. The score loops
         # index these instead of hashing pack tuples (whose Affine
         # subscripts hash and compare slowly).
+        # ``_type_costs[t]`` is type ``t``'s ``(saving, build, store
+        # build, adjacency)``, classified once per round; ``_sid_bits``
+        # and ``_max_mult[t]`` (the most positions one candidate holds
+        # type ``t`` at) feed the auxiliary graphs' bounds.
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
-        type_adjacency = [
-            self.cost.adjacency(data) for data in self.vp.pack_types
+        self._type_costs: List[Tuple[int, int, int, int]] = [
+            self.cost.classify(data) for data in self.vp.pack_types
         ]
-        n_types = len(type_adjacency)
+        n_types = len(self._type_costs)
         self._types: List[Tuple[int, ...]] = []
         self._own_list: List[List[int]] = []
         self._target_slot: List[int] = []
         self._holders: List[int] = [0] * n_types
+        self._max_mult: List[int] = [0] * n_types
+        self._sid_bits: List[int] = []
         self.adjacency: List[int] = []
-        for index in range(n):
+        for index, candidate in enumerate(self.candidates):
             nodes = self.vp.nodes_of_candidate(index)
             own: Dict[int, int] = {}
             for node in nodes:
@@ -626,22 +664,26 @@ class BasicGrouping:
             self._own_list.append([own[tid] for tid in types])
             self._target_slot.append(types.index(nodes[0].tid))
             self.adjacency.append(
-                sum(type_adjacency[node.tid] for node in nodes)
+                sum(self._type_costs[node.tid][3] for node in nodes)
             )
             bit = 1 << index
-            for tid in types:
+            for tid, mult in own.items():
                 self._holders[tid] |= bit
+                if mult > self._max_mult[tid]:
+                    self._max_mult[tid] = mult
+            sids = 0
+            for sid in candidate.sid_set:
+                sids |= 1 << sid
+            self._sid_bits.append(sids)
         # Heap ranks: a candidate's score has denominator dividing
         # ``COST_SCALE * slots``, so scaling by the lcm of those over the
-        # round turns every score (and every pre-elimination bound) into
-        # an exactly comparable int.
+        # round turns every score (and every bound) into an exactly
+        # comparable int.
         rank_scale = lcm(*{COST_SCALE * len(types) for types in self._types})
         self._rank_scale: List[int] = [
             rank_scale // (COST_SCALE * len(types)) for types in self._types
         ]
         self._aux: List[Optional[_AuxGraph]] = [None] * n
-        self._conflict_lists: List[Optional[List[int]]] = [None] * n
-        self._type_costs: List[Optional[Tuple[int, int]]] = [None] * n_types
         self._cost_rows: List[Optional[tuple]] = [None] * n
         self._static: List[Optional[int]] = [None] * n
         # Multiset of decided groups' packs by tid, maintained by
@@ -677,34 +719,21 @@ class BasicGrouping:
             ) + ref_positions * COST_SCALE
         return bonus
 
-    def _type_cost(self, tid: int) -> Tuple[int, int]:
-        """``(saving, build)`` of one pack type, in cost units."""
-        cost = self._type_costs[tid]
-        if cost is None:
-            data = self.vp.pack_types[tid]
-            cost = self._type_costs[tid] = (
-                self.cost.saving(data),
-                self.cost.build(data),
-            )
-        return cost
-
     def _cost_row(self, index: int) -> Tuple[List[int], List[int], int, int]:
         """Per-slot reuse savings and materialization penalties for one
         candidate, plus its target slot and the target's store penalty,
-        in cost units — computed once so score recomputations are pure
-        int arithmetic over slots."""
+        in cost units — gathered once from the round's per-type
+        classification so score recomputations are pure int arithmetic
+        over slots."""
         row = self._cost_rows[index]
         if row is None:
-            costs = [self._type_cost(tid) for tid in self._types[index]]
+            costs = [self._type_costs[tid] for tid in self._types[index]]
             target = self._target_slot[index]
-            store = self.cost.build(
-                self.vp.pack_types[self._types[index][target]], is_store=True
-            )
             row = self._cost_rows[index] = (
-                [saving for saving, _ in costs],
-                [build for _, build in costs],
+                [cost[0] for cost in costs],
+                [cost[1] for cost in costs],
                 target,
-                store,
+                costs[target][2],
             )
         return row
 
@@ -766,7 +795,7 @@ class BasicGrouping:
         its residual conflicts."""
         counts = list(aux.counts)
         if aux.mask:
-            neighbors = aux.neighbor_lists(self._conflicts_of)
+            neighbors = aux.neighbor_lists(self.vp.conflict_bits)
             if any(neighbors):
                 slot_of = aux.slot_of
                 for victim in self._eliminate_aux_conflicts(
@@ -776,15 +805,6 @@ class BasicGrouping:
             # With no residual conflicts (the common case) greedy
             # elimination keeps every node: the collected counts stand.
         return counts
-
-    def _conflicts_of(self, index: int) -> List[int]:
-        """The candidates conflicting with ``index``, ascending."""
-        conflicts = self._conflict_lists[index]
-        if conflicts is None:
-            conflicts = self._conflict_lists[index] = _bit_indices(
-                self.vp.conflict_bits(index)
-            )
-        return conflicts
 
     def _aux_graph(self, index: int) -> _AuxGraph:
         """The candidate's auxiliary graph over the live candidates:
@@ -798,30 +818,40 @@ class BasicGrouping:
             return aux
         # Walk the owner's types in tid order and each type's nodes in
         # canonical order, so local ranks follow the canonical order.
-        blocked = self.vp.conflict_bits(index) | 1 << index | ~live
+        allowed = live & ~(self.vp.conflict_bits(index) | 1 << index)
         holders = self._holders
         members = self.vp.type_candidates
+        sid_bits = self._sid_bits
         union = 0
         cands: List[int] = []
+        sids: List[int] = []
         owner: List[int] = []
         slot_of: List[int] = []
         counts: List[int] = []
+        caps: List[Tuple[int, int]] = []
+        unions: List[int] = []
         local: Dict[int, int] = {}
         for slot, tid in enumerate(self._types[index]):
             union |= holders[tid]
             before = len(slot_of)
+            covered = 0
             for cand in members[tid]:
-                if (blocked >> cand) & 1:
+                if not (allowed >> cand) & 1:
                     continue
                 k = local.get(cand)
                 if k is None:
                     k = local[cand] = len(cands)
                     cands.append(cand)
+                    sids.append(sid_bits[cand])
                 owner.append(k)
                 slot_of.append(slot)
+                covered |= sid_bits[cand]
             counts.append(len(slot_of) - before)
+            caps.append((self._max_mult[tid], len(self.vp.pack_types[tid])))
+            unions.append(covered)
         aux = self._aux[index] = _AuxGraph(
-            union & ~blocked, cands, owner, slot_of, counts
+            union & allowed, cands, sids, owner, slot_of, counts, caps,
+            unions,
         )
         return aux
 
@@ -837,13 +867,14 @@ class BasicGrouping:
         list aligned with the candidate's slots (``self._types[index]``).
 
         With ``eliminate=False`` the residual-conflict elimination is
-        skipped, yielding per-slot counts that can only be *higher* than
-        the exact ones — an upper bound the incremental engine uses for
-        lazily-refined heap entries (both weight and score are monotone
-        nondecreasing in every count).
+        replaced by the auxiliary graph's cached statement-disjointness
+        ``bound``, yielding per-slot counts that can only be *higher*
+        than the exact ones — an upper bound the incremental engine uses
+        for lazily-refined heap entries (both weight and score are
+        monotone nondecreasing in every count).
         """
         aux = self._aux_graph(index)
-        counts = self._eliminate(aux) if eliminate else list(aux.counts)
+        counts = self._eliminate(aux) if eliminate else list(aux.bound)
         own = self._own_list[index]
         for slot, tid in enumerate(self._types[index]):
             counts[slot] += own[slot] + decided_counts[tid]
@@ -1147,15 +1178,15 @@ class BasicGrouping:
             # generation stamp and skipped at pop time.
             #
             # Entries come in two flavours. An *exact* entry carries the
-            # true score. A *bound* entry carries the cheaper
-            # pre-elimination score, which can only overestimate (score
-            # and weight are monotone nondecreasing in the per-slot
-            # counts, and elimination only lowers counts) — so with
-            # bounds sorting first among equal values, a bound entry
-            # sorts before the candidate's true position, and is refined
-            # to an exact one if it ever reaches the top. Elimination
-            # therefore runs only for candidates that actually contend
-            # for selection.
+            # true score. A *bound* entry carries the score of the
+            # auxiliary graph's cached per-slot bounds, which can only
+            # overestimate (score and weight are monotone nondecreasing
+            # in the per-slot counts, and each bound caps its slot's
+            # survivors of elimination) — so with bounds sorting first
+            # among equal values, a bound entry sorts before the
+            # candidate's true position, and is refined to an exact one
+            # if it ever reaches the top. Elimination therefore runs
+            # only for candidates that actually contend for selection.
             got = results.get(index)
             if got is None and force_exact:
                 got = evaluate(index)

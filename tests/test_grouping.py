@@ -185,6 +185,53 @@ def aux_graphs(draw):
     return buckets, neighbors
 
 
+def oracle_aux_counts(grouping, index, eliminate):
+    """Per-slot node counts of candidate ``index``'s auxiliary graph,
+    rebuilt from scratch over the VP graph's live nodes, after the
+    node-level :func:`eliminate_conflicts` when ``eliminate``."""
+    vp = grouping.vp
+    slots = sorted(set(grouping.candidates[index].packs))  # tid order
+    nodes = [
+        node
+        for data in slots
+        for node in vp.nodes_with_data(data)
+        if node.candidate_index != index
+        and not vp.candidates_conflict(index, node.candidate_index)
+    ]
+    if eliminate:
+        adjacency = {
+            a: {
+                b
+                for b in nodes
+                if vp.candidates_conflict(a.candidate_index, b.candidate_index)
+            }
+            for a in nodes
+        }
+        nodes = eliminate_conflicts(nodes, adjacency)
+    return [sum(node.data == data for node in nodes) for data in slots]
+
+
+@st.composite
+def scalar_blocks(draw):
+    """Straight-line blocks of ``t = a op b`` over float scalars. A
+    statement reads one operand twice half the time, so candidates hold
+    one pack type at two positions; reading ``t0``/``t1`` adds
+    dependences, hence cycle conflicts."""
+    sources = ["s0", "s1", "s2", "s3", "t0", "t1"]
+    lines = []
+    for k in range(draw(st.integers(min_value=2, max_value=9))):
+        a = draw(st.sampled_from(sources))
+        b = a if draw(st.booleans()) else draw(st.sampled_from(sources))
+        op = draw(st.sampled_from("+*"))
+        lines.append(f"t{k} = {a} {op} {b};")
+    return "\n".join(lines)
+
+
+SCALAR_DECLS = "float s0, s1, s2, s3, " + ", ".join(
+    f"t{k}" for k in range(9)
+) + ";"
+
+
 class TestConflictElimination:
     @given(graph=aux_graphs())
     @settings(
@@ -246,9 +293,10 @@ class TestConflictElimination:
         """Each round caches every candidate's auxiliary graph and only
         filters it as commits remove candidates. On the real rounds of a
         compile-wide cell (n=16, unroll 8 x 256-bit), driven commit by
-        commit to the end, every active candidate's counts — before and
-        after elimination — equal a from-scratch rebuild over the VP
-        graph's live nodes with the node-level oracle."""
+        commit to the end, every active candidate's counts — as
+        collected and after elimination — equal a from-scratch rebuild
+        over the VP graph's live nodes with the node-level oracle, and
+        each slot's heap bound lies between the two."""
         from repro.slp import iterative
 
         rounds = []
@@ -267,36 +315,18 @@ class TestConflictElimination:
         )
 
         def from_scratch(grouping, index, eliminate):
-            vp = grouping.vp
             packs = grouping.candidates[index].packs
             slots = sorted(set(packs))  # tid order is pack order
-            nodes = [
-                node
-                for data in slots
-                for node in vp.nodes_with_data(data)
-                if node.candidate_index != index
-                and not vp.candidates_conflict(index, node.candidate_index)
-            ]
-            if eliminate:
-                adjacency = {
-                    a: {
-                        b
-                        for b in nodes
-                        if vp.candidates_conflict(
-                            a.candidate_index, b.candidate_index
-                        )
-                    }
-                    for a in nodes
-                }
-                nodes = eliminate_conflicts(nodes, adjacency)
             return [
-                sum(node.data == data for node in nodes)
+                count
                 + packs.count(data)
                 + grouping.decided_packs.count(data)
-                for data in slots
+                for count, data in zip(
+                    oracle_aux_counts(grouping, index, eliminate), slots
+                )
             ]
 
-        commits = eliminated = 0
+        commits = eliminated = tightened = 0
         for args, kwargs in rounds:
             grouping = BasicGrouping(*args, **kwargs)
             trace = GroupingTrace([])
@@ -307,17 +337,69 @@ class TestConflictElimination:
                         continue
                     decided = grouping._decided_counts
                     bound = grouping._counts_list(index, decided, False)
-                    assert bound == from_scratch(grouping, index, False)
+                    raw = [
+                        count + own + decided[tid]
+                        for count, own, tid in zip(
+                            grouping._aux_graph(index).counts,
+                            grouping._own_list[index],
+                            grouping._types[index],
+                        )
+                    ]
+                    assert raw == from_scratch(grouping, index, False)
                     counts = grouping._counts_list(index, decided)
                     assert counts == from_scratch(grouping, index, True)
-                    eliminated += counts != bound
+                    assert all(
+                        exact <= cap <= collected
+                        for exact, cap, collected in zip(counts, bound, raw)
+                    )
+                    eliminated += counts != raw
+                    tightened += bound != raw
                     scores[index] = grouping._score_from_list(index, counts)
                 best = max(scores, key=lambda i: (scores[i], -i))
                 grouping._commit(best, trace, grouping.weight(best))
                 commits += 1
-        # Both rounds ran, and elimination changed many counts.
+        # Both rounds ran, elimination changed many counts, and the bound
+        # cut many of the collected ones.
         assert len(rounds) >= 2 and commits > len(rounds)
-        assert eliminated > 100
+        assert eliminated > 100 and tightened > 100
+
+    @given(source=scalar_blocks(), picks=st.randoms(use_true_random=False))
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_bound_caps_every_slots_survivors(self, source, picks):
+        """Through random rounds of random commits, each active
+        candidate's per-slot heap bound is at least the node-level
+        oracle's survivors of elimination and at most the collected
+        node count."""
+        block, deps, units = make(source, SCALAR_DECLS)
+        while True:
+            grouping = BasicGrouping(units, deps, 256)
+            trace = GroupingTrace([])
+            while grouping.active:
+                active = [
+                    index
+                    for index in range(len(grouping.candidates))
+                    if (grouping.active >> index) & 1
+                ]
+                for index in active:
+                    aux = grouping._aux_graph(index)
+                    survivors = oracle_aux_counts(grouping, index, True)
+                    assert all(
+                        exact <= bound <= collected
+                        for exact, bound, collected in zip(
+                            survivors, aux.bound, aux.counts
+                        )
+                    ), (index, survivors, aux.bound, aux.counts)
+                best = picks.choice(active)
+                grouping._commit(best, trace, grouping.weight(best))
+            if not grouping.decided:
+                break
+            merged = [grouping.candidates[i].merged() for i in grouping.decided]
+            taken = frozenset().union(*(g.sid_set for g in merged))
+            units = merged + [u for u in units if not u.sid_set & taken]
 
     def test_removes_highest_degree_first(self):
         a = PackNode(pack_data([("var", "x"), ("var", "y")]), 0, 0)
@@ -438,7 +520,8 @@ class TestPackCostModel:
     def test_cached_contiguity_matches_oracle(self, lanes, two_d):
         """Flattened-offset contiguity agrees with
         ``pack_is_contiguous_memory`` on packs of mixed arrays, strides,
-        index coefficients and shapes."""
+        index coefficients and shapes, and so does the per-type
+        classification built on it."""
         from types import SimpleNamespace
 
         from repro.ir import Affine
@@ -458,9 +541,13 @@ class TestPackCostModel:
             keys.append(("ref", array, subscripts))
         data = pack_data(keys)
         model = PackCostModel(lambda name: decl)
-        assert model.contiguous(data) == pack_is_contiguous_memory(
-            data, lambda name: decl
-        )
+        contiguous = pack_is_contiguous_memory(data, lambda name: decl)
+        assert model.contiguous(data) == contiguous
+        saving, build, store, adjacency = model.classify(data)
+        if data[0] != data[-1]:  # a splat scores by its lanes alone
+            assert adjacency == (2 if contiguous else 0)
+            assert build == store == (0 if contiguous else 3 * COST_SCALE)
+            assert saving == (1 if contiguous else 3) * COST_SCALE
 
     @pytest.mark.parametrize("unroll", [None, 8])
     def test_costs_match_exact_fractions_on_kernel_packs(
@@ -468,9 +555,11 @@ class TestPackCostModel:
     ):
         """Every pack type the kernels produce, at the paper
         configuration and at unroll 8, under both the Global and the
-        Global+Layout penalty contexts: the integer costs are the exact
-        float costs in units of 1/COST_SCALE, and the cached contiguity
-        agrees with ``pack_is_contiguous_memory``."""
+        Global+Layout penalty contexts: the per-type classification's
+        integer costs are the exact float costs in units of
+        1/COST_SCALE, its adjacency is ``pack_adjacency_score``, the
+        contiguity it rests on agrees with ``pack_is_contiguous_memory``,
+        and each round indexes it by type id."""
         from repro.slp import iterative
 
         seen = {}
@@ -478,8 +567,8 @@ class TestPackCostModel:
         class Recording(BasicGrouping):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                packs = seen.setdefault(id(self.cost), (self.cost, set()))[1]
-                packs.update(self.vp.pack_types)
+                packs = seen.setdefault(id(self.cost), (self.cost, {}))[1]
+                packs.update(zip(self.vp.pack_types, self._type_costs))
 
         monkeypatch.setattr(iterative, "BasicGrouping", Recording)
         machine = intel_dunnington()
@@ -492,7 +581,7 @@ class TestPackCostModel:
         checked = 0
         for model, packs in seen.values():
             decl_of, context = model.decl_of, model.context
-            for data in packs:
+            for data, row in packs.items():
                 def units(value):
                     exact = Fraction(value).limit_denominator(8) * COST_SCALE
                     assert exact.denominator == 1
@@ -501,17 +590,17 @@ class TestPackCostModel:
                 assert model.contiguous(data) == pack_is_contiguous_memory(
                     data, decl_of
                 )
-                assert model.saving(data) == units(
-                    pack_reuse_saving(data, decl_of, context)
-                )
-                for is_store in (False, True):
-                    assert model.build(data, is_store) == units(
-                        pack_materialization_penalty(
-                            data, decl_of, context, is_store=is_store
+                assert row == model.classify(data) == (
+                    units(pack_reuse_saving(data, decl_of, context)),
+                    *(
+                        units(
+                            pack_materialization_penalty(
+                                data, decl_of, context, is_store=is_store
+                            )
                         )
-                    )
-                assert model.adjacency(data) == pack_adjacency_score(
-                    data, decl_of
+                        for is_store in (False, True)
+                    ),
+                    pack_adjacency_score(data, decl_of),
                 )
                 checked += 1
         assert checked > 1000

@@ -1,6 +1,9 @@
 """Plan disassembly and the command-line interface."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.ir import Affine
 COMPLEX_MULTIPLY = (
     pathlib.Path(__file__).parent.parent / "examples" / "complex_multiply.slp"
 )
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
 SRC = """
 double X[64]; double Y[64];
@@ -207,6 +211,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["trace", str(COMPLEX_MULTIPLY)], ["kernels"]],
+        ids=["trace", "kernels"],
+    )
+    def test_closed_output_pipe_ends_quietly(self, command):
+        """With stdout a pipe whose reader is gone before the command
+        writes, the command stops without a traceback — neither from
+        its own writes nor from the flush at interpreter exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert done.returncode == 1
 
     def test_unknown_variant_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

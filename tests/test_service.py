@@ -213,6 +213,26 @@ def test_result_memo_keeps_recently_used_keys(monkeypatch):
         client.close()
 
 
+def test_one_off_compiles_do_not_evict_a_hot_key(monkeypatch):
+    """A fill enters the memo's probation segment and a hit promotes
+    the key, so a key compiled twice survives twice the memo's size in
+    one-off compiles: each of those evicts an older one-off key."""
+    limit = 4
+    monkeypatch.setattr(server_module, "RESULT_MEMO_ENTRIES", limit)
+    with ServiceThread(shards=1) as thread:
+        client = ServiceClient(thread.url, timeout=60.0)
+        hot = unique_source(1250)
+        assert not client.compile(source=hot).cached
+        assert client.compile(source=hot).cached
+        for tag in range(1350, 1350 + 2 * limit):
+            assert not client.compile(source=unique_source(tag)).cached
+        memo = client.metrics()["service"]["memo"]
+        assert memo["entries"] == memo["limit"] == limit
+        assert client.compile(source=hot).cached
+        assert not client.compile(source=unique_source(1350)).cached
+        client.close()
+
+
 def test_warm_simulate_ships_the_memoized_compile(client):
     """A simulate of a memoized key carries the compile pickle to the
     worker, which neither reads the store nor compiles; the report and
