@@ -13,7 +13,8 @@ Global compile seconds (reported, not gated) and Global's exact work
 counters, in ``results/BENCH_compile_topwidth.json`` and
 ``results/compile_topwidth.txt``. With ``REPRO_BENCH_SMOKE=1`` it
 measures only the four kernels that dominate the row and requires
-their counters to equal the committed row's before overwriting it.
+their counters to equal the committed row's; its own row goes to the
+git-ignored ``results/smoke/``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import gc
 import os
 import time
 
-from conftest import SUITE_N, write_result
+from conftest import RESULTS_DIR, SUITE_N, write_result
 
 from repro import CompilerOptions, Variant, compile_program
 from repro.bench import (
@@ -120,7 +121,9 @@ def _timed_counted(program, variant, machine, options):
 
 def test_top_width_compile_row(results_dir):
     path = results_dir / "BENCH_compile_topwidth.json"
-    committed = read_bench_json(path)["kernels"] if SMOKE else None
+    committed = (
+        read_bench_json(RESULTS_DIR / path.name)["kernels"] if SMOKE else None
+    )
     kernels = (
         [KERNELS[name] for name in TOP_WIDTH_SMOKE] if SMOKE else ALL_KERNELS
     )

@@ -20,7 +20,10 @@ This harness measures both engines over
   quadratic recomputation shows and the incremental engine's speedup
   grows without bound (measured: ~1.3x at G=1, >10x at G=2, >40x at
   G=3 — too slow to time routinely, so the series stops at G=2);
-* the parallel suite runner (``run_suite(jobs=4)`` vs ``jobs=1``).
+* the parallel suite runner (``run_suite(jobs=4)`` vs ``jobs=1``): its
+  per-kernel results must equal the sequential run's; the wall-clock
+  speedup is reported, not gated (one timing per side on a shared host
+  cannot tell a regression from noise).
 
 Every measured compile is differentially checked: both engines must
 produce byte-identical disassembled plans. Results land in
@@ -254,17 +257,18 @@ def test_compile_scaling(results_dir):
     assert speedup_high > speedup_low
 
     # -- 3. the parallel suite runner --------------------------------------
-    # The full 16-kernel suite at a compile-heavy configuration: each
-    # kernel is several hundred milliseconds of work, so four workers
-    # amortize their startup. Wall-clock superiority is only asserted
-    # where the hardware can deliver it (a single-core box serializes
-    # the workers by definition); the measurement is recorded either way.
+    # The full suite at a compile-heavy configuration. Four workers must
+    # reproduce the sequential run kernel by kernel: same compile stats,
+    # same execution reports, same final memories. The wall-clock
+    # speedup is recorded, not asserted: a one-shot comparison flips
+    # with the load on a shared host.
     runner_kernels = SUITE_KERNELS if SMOKE else ALL_KERNELS
     runner_options = CompilerOptions(unroll_factor=4, datapath_bits=512)
     walls = {}
+    suites = {}
     for jobs in (1, 4):
         started = time.perf_counter()
-        run_suite(
+        suites[jobs] = run_suite(
             intel_dunnington(),
             kernels=runner_kernels,
             options=runner_options,
@@ -272,6 +276,16 @@ def test_compile_scaling(results_dir):
             jobs=jobs,
         )
         walls[jobs] = time.perf_counter() - started
+    assert list(suites[4]) == list(suites[1])
+    for name, sequential in suites[1].items():
+        parallel = suites[4][name]
+        assert list(parallel.runs) == list(sequential.runs), name
+        assert parallel.diagnostics == sequential.diagnostics, name
+        for variant, run in sequential.runs.items():
+            twin = parallel.runs[variant]
+            assert twin.stats == run.stats, (name, variant)
+            assert twin.report == run.report, (name, variant)
+            assert twin.memory.state_equal(run.memory), (name, variant)
     cores = len(os.sched_getaffinity(0))
     payload["parallel_runner"] = {
         "kernels": len(runner_kernels),
@@ -280,11 +294,6 @@ def test_compile_scaling(results_dir):
         "jobs4_seconds": walls[4],
         "speedup": walls[1] / walls[4],
     }
-    if not SMOKE and cores >= 2:
-        assert walls[4] < walls[1], (
-            f"run_suite(jobs=4) ({walls[4]:.2f}s) did not beat jobs=1 "
-            f"({walls[1]:.2f}s) on {cores} cores"
-        )
 
     payload["summary"]["scaling_speedups"] = speedups
     payload["summary"]["scaling_exact_ratios"] = exact_ratio

@@ -4,11 +4,16 @@ Suite runs are memoized per (machine, size, datapath) so the figure
 harnesses — which all consume the same kernel sweep — only pay for
 each simulation once per pytest session. Every harness writes its
 rendered table to ``benchmarks/results/`` so the numbers that back
-EXPERIMENTS.md are regenerable artifacts.
+EXPERIMENTS.md are regenerable artifacts. A smoke run
+(``REPRO_BENCH_SMOKE=1``) writes its reduced-grid artifacts to the
+git-ignored ``benchmarks/results/smoke/`` instead, so it never
+overwrites a committed row; a harness that compares against a committed
+row reads it from :data:`RESULTS_DIR`.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 from typing import Dict, Optional, Tuple
 
@@ -28,6 +33,8 @@ from repro.bench import (
 SUITE_N = 64
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 _MACHINES = {
     "intel": intel_dunnington,
@@ -68,8 +75,9 @@ def amd_suite():
 
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    out = RESULTS_DIR / "smoke" if SMOKE else RESULTS_DIR
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def write_result(path: pathlib.Path, title: str, body: str) -> None:

@@ -4,14 +4,14 @@ For an array reference inside an affine loop nest, the access pattern is
 ``r = Q·i + O`` where ``i`` is the iteration vector, ``Q`` the m×n memory
 access matrix and ``O`` the offset vector. The array-reference data
 layout optimization (Section 5.2) manipulates exactly these objects.
+Both are small integer tuples, and every product here is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import IRError
 from ..ir import ArrayRef, Loop
@@ -27,20 +27,28 @@ class AccessVector:
     offset: Tuple[int, ...]       # O
 
     @property
-    def Q(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
+    def Q(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.matrix
 
     @property
-    def O(self) -> np.ndarray:  # noqa: E743 - matches the paper's symbol
-        return np.array(self.offset, dtype=np.int64)
+    def O(self) -> Tuple[int, ...]:  # noqa: E743 - matches the paper's symbol
+        return self.offset
 
     @property
     def dims(self) -> int:
         return len(self.matrix)
 
     def evaluate(self, iteration: Sequence[int]) -> Tuple[int, ...]:
-        values = self.Q @ np.array(iteration, dtype=np.int64) + self.O
-        return tuple(int(v) for v in values)
+        point = [int(v) for v in iteration]
+        if len(point) != len(self.indices):
+            raise IRError(
+                f"iteration {tuple(point)} does not match the iteration "
+                f"vector {self.indices}"
+            )
+        return tuple(
+            sum(q * i for q, i in zip(row, point)) + o
+            for row, o in zip(self.matrix, self.offset)
+        )
 
     def innermost_column(self) -> Tuple[int, ...]:
         """The column of Q for the innermost loop — what determines the

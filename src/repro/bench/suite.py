@@ -272,6 +272,10 @@ def run_suite(
         )
         for kernel in kernel_list
     ]
+    # The simulation engines (and NumPy) load before the pool forks, so
+    # the workers inherit them instead of each importing its own.
+    from ..vm import batched, compiled  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for name, result, snapshot, failure in pool.map(
             _run_kernel_task, payloads

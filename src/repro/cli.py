@@ -55,7 +55,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .bench import ALL_KERNELS, ascii_table, percent, run_suite
 from .compiler import CompilerOptions, Variant, compile_program
 from .errors import OptionsError, ParseError, ReproError, SuiteError
 from .ir import parse_program
@@ -243,6 +242,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .bench import ascii_table, percent
+
     machine = _machine(args.machine, args.datapath)
     options = _options(args)
     rows = []
@@ -277,6 +278,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import ascii_table, percent, run_suite
     from .perf import PERF
 
     machine = _machine(args.machine, args.datapath)
@@ -641,6 +643,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from .bench import ascii_table
     from .store import ArtifactStore
 
     store = ArtifactStore(args.cache_dir)
@@ -668,6 +671,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_kernels(_args: argparse.Namespace) -> int:
+    from .bench import ALL_KERNELS, ascii_table
+
     rows = [(k.suite, k.name, k.description) for k in ALL_KERNELS]
     print(ascii_table(("suite", "benchmark", "description"), rows))
     return 0

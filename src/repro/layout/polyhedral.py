@@ -11,46 +11,82 @@ the superword). Equations 4, 5 and 8 give the mapping function for 1-D,
 
 This module implements those functions verbatim; the production path in
 :mod:`repro.layout.array` uses the (equivalent) flattened 1-D form, and
-the tests cross-check both against brute-force enumeration.
+the tests cross-check both against brute-force enumeration. Matrices are
+nested sequences of integers (tuples, lists or integer arrays), solved
+exactly over the rationals: an answer that is almost integral is still
+rejected.
 """
 
 from __future__ import annotations
 
-from ..errors import LayoutError
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
-import numpy as np
+from ..errors import LayoutError
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
-def transformation_matrix(
-    l_default: np.ndarray, l_opt: np.ndarray
-) -> np.ndarray:
+def _int_matrix(rows) -> IntMatrix:
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def _solve(A: IntMatrix, B: IntMatrix, singular: str) -> List[List[Fraction]]:
+    """The exact solution ``X`` of ``A·X = B`` by Gauss-Jordan
+    elimination over the rationals; raises ``singular`` when ``A`` is
+    singular."""
+    n = len(A)
+    if any(len(row) != n for row in A) or len(B) != n:
+        raise LayoutError(f"{singular}: the system is not square")
+    rows = [
+        [Fraction(x) for x in a_row] + [Fraction(x) for x in b_row]
+        for a_row, b_row in zip(A, B)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise LayoutError(singular)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _integral(values: Sequence[Fraction], message: str) -> Tuple[int, ...]:
+    if any(v.denominator != 1 for v in values):
+        raise LayoutError(message)
+    return tuple(int(v) for v in values)
+
+
+def transformation_matrix(l_default, l_opt) -> IntMatrix:
     """Solve ``L_default · M = L_opt`` (Equation 2) over the rationals.
 
     Both layouts are given as integer matrices; raises when ``L_default``
     is singular or the solution is not integral.
     """
-    default = np.asarray(l_default, dtype=np.int64)
-    opt = np.asarray(l_opt, dtype=np.int64)
-    det = round(np.linalg.det(default))
-    if det == 0:
-        raise LayoutError("default layout matrix is singular")
-    solution = np.linalg.solve(default.astype(float), opt.astype(float))
-    rounded = np.rint(solution).astype(np.int64)
-    if not np.allclose(solution, rounded):
-        raise LayoutError("layout transformation is not integral")
-    return rounded
-
-
-def transform_access(
-    Q: np.ndarray, O: np.ndarray, M: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Equation 3: the transformed reference ``r1 = (M·Q)·i + M·O``."""
-    M = np.asarray(M, dtype=np.int64)
-    return M @ np.asarray(Q, dtype=np.int64), M @ np.asarray(
-        O, dtype=np.int64
+    solution = _solve(
+        _int_matrix(l_default), _int_matrix(l_opt),
+        "default layout matrix is singular",
     )
+    return tuple(
+        _integral(row, "layout transformation is not integral")
+        for row in solution
+    )
+
+
+def transform_access(Q, O, M) -> Tuple[IntMatrix, Tuple[int, ...]]:
+    """Equation 3: the transformed reference ``r1 = (M·Q)·i + M·O``."""
+    M, Q, O = _int_matrix(M), _int_matrix(Q), [int(o) for o in O]
+    MQ = tuple(
+        tuple(sum(m * q for m, q in zip(row, col)) for col in zip(*Q))
+        for row in M
+    )
+    return MQ, tuple(sum(m * o for m, o in zip(row, O)) for row in M)
 
 
 def map_index_1d(d: int, a: int, b: int, L: int, p: int) -> int:
@@ -67,11 +103,7 @@ def map_index_1d(d: int, a: int, b: int, L: int, p: int) -> int:
 
 
 def map_index_2d(
-    d: Sequence[int],
-    Q1: np.ndarray,
-    O1: np.ndarray,
-    L: int,
-    p: int,
+    d: Sequence[int], Q1, O1, L: int, p: int
 ) -> Tuple[int, int]:
     """Equation 5 for a 2-D array with lower-triangular
     ``Q1 = [[q11, 0], [q21, q22]]``::
@@ -79,11 +111,10 @@ def map_index_2d(
         f(d) = ( (d1 - o1)/q11 ,
                  ((d2 - o2 - q21·(d1 - o1)/q11) / q22) · L + p )
     """
-    Q1 = np.asarray(Q1, dtype=np.int64)
-    O1 = np.asarray(O1, dtype=np.int64)
+    Q1 = _int_matrix(Q1)
     d1, d2 = int(d[0]), int(d[1])
-    q11, q21, q22 = int(Q1[0, 0]), int(Q1[1, 0]), int(Q1[1, 1])
-    if Q1[0, 1] != 0:
+    q11, q21, q22 = Q1[0][0], Q1[1][0], Q1[1][1]
+    if Q1[0][1] != 0:
         raise LayoutError("Equation 5 expects q12 = 0")
     o1, o2 = int(O1[0]), int(O1[1])
     row, rem = divmod(d1 - o1, q11)
@@ -97,11 +128,7 @@ def map_index_2d(
 
 
 def map_index_general(
-    d: Sequence[int],
-    Q1: np.ndarray,
-    O1: np.ndarray,
-    L: int,
-    p: int,
+    d: Sequence[int], Q1, O1, L: int, p: int
 ) -> Tuple[int, ...]:
     """Equations 7–8 for an N-D array.
 
@@ -109,35 +136,35 @@ def map_index_general(
     invertible ``Q1'``) and the last dimension, which becomes the
     strided coordinate ``f_n(d)·L + p`` (Equation 8).
     """
-    Q1 = np.asarray(Q1, dtype=np.int64)
-    O1 = np.asarray(O1, dtype=np.int64)
+    Q1 = _int_matrix(Q1)
+    O1 = tuple(int(o) for o in O1)
+    d = tuple(int(x) for x in d)
     n = len(d)
     if n == 1:
         # Degenerates to Equation 4.
-        return (map_index_1d(int(d[0]), int(Q1[0, 0]), int(O1[0]), L, p),)
+        return (map_index_1d(d[0], Q1[0][0], O1[0], L, p),)
 
-    lead_Q = Q1[: n - 1, : n - 1]
-    lead_O = O1[: n - 1]
-    det = round(np.linalg.det(lead_Q.astype(float)))
-    if det == 0:
-        raise LayoutError("Q1' must be nonsingular (Equation 6)")
-    lead_d = np.asarray(d[: n - 1], dtype=np.int64) - lead_O
-    solved = np.linalg.solve(lead_Q.astype(float), lead_d.astype(float))
-    lead = np.rint(solved).astype(np.int64)
-    if not np.allclose(solved, lead):
-        raise LayoutError("leading dimensions not accessed by the reference")
+    lead_Q = tuple(row[: n - 1] for row in Q1[: n - 1])
+    lead_d = tuple((x - o,) for x, o in zip(d[: n - 1], O1))
+    solved = _solve(lead_Q, lead_d, "Q1' must be nonsingular (Equation 6)")
+    lead = _integral(
+        [row[0] for row in solved],
+        "leading dimensions not accessed by the reference",
+    )
 
     # Equation 8: the last coordinate, after subtracting the contribution
     # of the already-recovered leading iteration values.
-    q_last_row = Q1[n - 1, : n - 1]
-    q_nn = int(Q1[n - 1, n - 1])
+    q_last_row = Q1[n - 1][: n - 1]
+    q_nn = Q1[n - 1][n - 1]
     if q_nn == 0:
         raise LayoutError("innermost coefficient q_nn must be nonzero")
-    numerator = int(d[n - 1]) - int(O1[n - 1]) - int(q_last_row @ lead)
+    numerator = d[n - 1] - O1[n - 1] - sum(
+        q * x for q, x in zip(q_last_row, lead)
+    )
     inner, rem = divmod(numerator, q_nn)
     if rem:
         raise LayoutError("last dimension not accessed by the reference")
-    return tuple(int(x) for x in lead) + (inner * L + p,)
+    return lead + (inner * L + p,)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,11 @@ class WorkerPool:
         self.crashes = 0
         self.retries = 0
         self._closed = False
+        # The simulation engines (and NumPy) load here, before the first
+        # fork: every worker, a respawned one too, inherits them, so no
+        # request pays for the import.
+        from ..vm import batched, compiled  # noqa: F401
+
         self.workers = [_Worker(i, self) for i in range(shards)]
 
     # -- routing ---------------------------------------------------------------

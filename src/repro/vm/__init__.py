@@ -1,17 +1,13 @@
 """The virtual SIMD machine: vector ISA, machine models (Tables 1/2),
-cache, code generation, and the functional + timing simulator."""
+cache, code generation, and the functional + timing simulator.
 
-from .batched import BatchedEngine
+The NumPy-backed execution engines (:mod:`repro.vm.batched`,
+:mod:`repro.vm.compiled` and its :mod:`repro.vm.peephole` pass) are not
+imported here: :class:`Simulator` imports an engine's module when a run
+picks it, so compiling never loads them or NumPy. Import their names
+from their own modules."""
+
 from .cache import Cache, CacheConfig
-from .compiled import (
-    CODEGEN_VERSION,
-    CompiledEngine,
-    PlanKernelsArtifact,
-    clear_kernel_memo,
-    emit_plan_kernels,
-    kernel_fingerprint,
-    load_plan_kernels,
-)
 from .codegen import (
     CompiledCopy,
     CompiledLoop,
@@ -67,7 +63,6 @@ from .report import (
     ProvenanceCost,
     reduction,
 )
-from .peephole import PeepholeEvent, VCopy, peephole_optimize
 from .simulator import (
     Memory,
     Simulator,
@@ -76,12 +71,9 @@ from .simulator import (
 )
 
 __all__ = [
-    "BatchedEngine",
-    "CODEGEN_VERSION",
     "Cache",
     "CacheConfig",
     "CompiledCopy",
-    "CompiledEngine",
     "CompiledLoop",
     "CompiledStraight",
     "ExecutablePlan",
@@ -97,14 +89,11 @@ __all__ = [
     "OP_COSTS",
     "PACK_UNPACK_CATEGORIES",
     "PackMode",
-    "PeepholeEvent",
-    "PlanKernelsArtifact",
     "ProvenanceCost",
     "ScalarExec",
     "ScalarRef",
     "Simulator",
     "StoreMode",
-    "VCopy",
     "VOp",
     "VPack",
     "VShuffle",
@@ -117,22 +106,17 @@ __all__ = [
     "affine_stream",
     "allocate_plan",
     "amd_phenom_ii",
-    "clear_kernel_memo",
     "compile_scalar_block",
     "compile_scalar_statement",
     "disassemble_plan",
-    "emit_plan_kernels",
     "evaluate_expr",
     "format_instruction",
     "format_ref",
     "instruction_histogram",
     "intel_dunnington",
-    "kernel_fingerprint",
     "linear_scan",
     "live_ranges",
-    "load_plan_kernels",
     "parallel_cycles",
-    "peephole_optimize",
     "reduction",
     "resolve_engine",
     "static_instruction_cycles",

@@ -11,15 +11,21 @@ order, oldest first): a hit deletes and re-inserts the line to move it
 to the MRU end, a fill past capacity evicts the first key. This is
 O(1) per access where the previous list representation paid an
 O(ways) scan plus an O(ways) ``list.remove`` shuffle.
+
+The per-access path is plain Python; only the bulk replay and its
+vector snapshot import NumPy, when a run first needs them.
 """
 
 from __future__ import annotations
 
-from ..errors import SimulationError
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
+from ..errors import SimulationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,8 @@ class Cache:
 
     def _materialize(self) -> None:
         """Rebuild the per-set dicts from the vector snapshot."""
+        import numpy as np
+
         vl, vs = self._vec
         sets = self._sets = [{} for _ in range(self.config.sets)]
         starts = np.flatnonzero(
@@ -82,6 +90,8 @@ class Cache:
     def _snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current resident lines as the flat vector snapshot."""
         if self._vec is None:
+            import numpy as np
+
             vlines: List[int] = []
             vsets: List[int] = []
             for s, resident in enumerate(self._sets):
@@ -150,6 +160,8 @@ class Cache:
         immediately preceding access is already MRU, so the access is a
         hit and moving it to the back is a no-op.
         """
+        import numpy as np
+
         seq = lines.tolist() if isinstance(lines, np.ndarray) else lines
         _check_stream(lines)
         if self._stale:
@@ -215,6 +227,8 @@ class Cache:
         state of a touched set is its last ``ways`` distinct lines
         ordered by last access (the LRU inclusion property).
         """
+        import numpy as np
+
         arr = _check_stream(lines)
         n_raw = arr.shape[0]
         if n_raw == 0:
@@ -345,6 +359,8 @@ def _check_stream(lines: Union[Sequence[int], np.ndarray]) -> np.ndarray:
     divided down to lines) indicates a caller bug and dies loudly with
     a structured error instead of corrupting LRU state.
     """
+    import numpy as np
+
     arr = np.asarray(lines)
     if arr.ndim != 1:
         raise SimulationError(
@@ -377,6 +393,8 @@ def _rank_before(values: np.ndarray) -> np.ndarray:
     exactly one level — the first at which j and i share a 2w block —
     so the total is exact. O(n log^2 n) work, all in NumPy.
     """
+    import numpy as np
+
     n = values.shape[0]
     counts = np.zeros(n, dtype=np.int64)
     if n < 2:
@@ -390,7 +408,7 @@ def _rank_before(values: np.ndarray) -> np.ndarray:
     if nb:
         blocks = values[: nb * w0].reshape(nb, w0)
         le = blocks[:, :, None] <= blocks[:, None, :]
-        counts[: nb * w0] = (le & _BASE_MASK).sum(axis=1).ravel()
+        counts[: nb * w0] = (le & _base_mask()).sum(axis=1).ravel()
     tail = n - nb * w0
     if tail > 1:
         tb = values[nb * w0:]
@@ -431,4 +449,11 @@ def _rank_before(values: np.ndarray) -> np.ndarray:
 
 #: Block width of :func:`_rank_before`'s vectorized base case.
 _BASE_WIDTH = 32
-_BASE_MASK = np.triu(np.ones((_BASE_WIDTH, _BASE_WIDTH), dtype=bool), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_mask() -> np.ndarray:
+    """The strict upper triangle of one base block, built on first use."""
+    import numpy as np
+
+    return np.triu(np.ones((_BASE_WIDTH, _BASE_WIDTH), dtype=bool), 1)

@@ -6,19 +6,19 @@ state (arrays + scalars, used by the differential correctness tests) and
 an :class:`ExecutionReport` (dynamic instruction mix, pack/unpack
 counts, cache statistics, cycle total — the quantities every figure of
 the paper's evaluation is built from).
+
+NumPy and the fast engines load with the first run, not with this
+module: a compile-only process never imports them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError, choose
 from ..ir import ArrayRef, Const, Expr, Var
 from ..perf import span
-from .batched import BatchedEngine
 from .cache import Cache
 from .codegen import (
     CompiledCopy,
@@ -27,7 +27,6 @@ from .codegen import (
     CompiledUnit,
     ExecutablePlan,
 )
-from .compiled import CompiledEngine, load_plan_kernels
 from .isa import (
     ImmRef,
     Instruction,
@@ -44,6 +43,13 @@ from .isa import (
 )
 from .machine import MachineModel
 from .report import ExecutionReport, ProvenanceCost
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .batched import BatchedEngine
+    from .compiled import CompiledEngine
+
 
 def _ieee_div(a: float, b: float) -> float:
     """IEEE-754 total division: x/±0 is ±inf, ±0/±0 and nan/±0 are nan.
@@ -97,6 +103,8 @@ class Memory:
         seed: int = 0,
         line_bytes: int = 64,
     ):
+        import numpy as np
+
         if isinstance(plan_or_program, ExecutablePlan):
             program = plan_or_program.program
             replicated = dict(plan_or_program.replicated_decls)
@@ -160,6 +168,8 @@ class Memory:
 
     def state_equal(self, other: "Memory", rtol: float = 0.0) -> bool:
         """Exact (or tolerant) equality of shared arrays and scalars."""
+        import numpy as np
+
         shared = set(self.arrays) & set(other.arrays)
         for name in shared:
             a, b = self.arrays[name], other.arrays[name]
@@ -190,6 +200,8 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
     replicated arrays still starts from bit-identical input state (the
     differential tests rely on this)."""
     import zlib
+
+    import numpy as np
 
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
@@ -273,7 +285,15 @@ def interpret_program(program, memory: Optional[Memory] = None, seed: int = 0) -
     return memory
 
 
+def _batched_engine(simulator: "Simulator", plan, state) -> BatchedEngine:
+    from .batched import BatchedEngine
+
+    return BatchedEngine(state)
+
+
 def _compiled_engine(simulator: "Simulator", plan, state) -> CompiledEngine:
+    from .compiled import CompiledEngine, load_plan_kernels
+
     kernels = load_plan_kernels(
         plan, simulator.machine, simulator.kernel_store
     )
@@ -284,10 +304,11 @@ def _compiled_engine(simulator: "Simulator", plan, state) -> CompiledEngine:
 #: state)`` and returns the fast engine ``Simulator.run`` installs on
 #: ``state.batched`` for the run, or ``None`` to run every unit on the
 #: per-instruction interpreter below. All produce identical reports and
-#: memories.
+#: memories. A fast engine's module (and NumPy with it) is imported the
+#: first time a run picks it.
 SIM_ENGINES: Dict[str, Callable] = {
     "reference": lambda simulator, plan, state: None,
-    "batched": lambda simulator, plan, state: BatchedEngine(state),
+    "batched": _batched_engine,
     "compiled": _compiled_engine,
 }
 

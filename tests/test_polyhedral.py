@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import LayoutError
 from repro.layout import (
     map_index_1d,
     map_index_2d,
@@ -28,6 +29,11 @@ class TestTransformationMatrix:
         singular = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError):
             transformation_matrix(singular, np.eye(2, dtype=np.int64))
+
+    def test_nearly_integral_solution_rejected(self):
+        # M = 1000001 / 1000000 lies within a float tolerance of 1.
+        with pytest.raises(LayoutError):
+            transformation_matrix([[1000000]], [[1000001]])
 
 
 class TestTransformAccess:
@@ -112,6 +118,13 @@ class TestGeneralMapping:
         assert map_index_general(d, Q1, O1, 2, 1) == map_index_2d(
             d, Q1, O1, 2, 1
         )
+
+    def test_index_off_the_leading_lattice_rejected(self):
+        # 100000·i never reaches 100001; i = 1.00001 is not an iteration.
+        with pytest.raises(LayoutError):
+            map_index_general(
+                (100001, 5), [[100000, 0], [0, 1]], [0, 0], 2, 0
+            )
 
     def test_singular_leading_block_rejected(self):
         Q1 = np.zeros((2, 2), dtype=np.int64)
