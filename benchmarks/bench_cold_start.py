@@ -8,14 +8,18 @@ Four commands, each run in a new interpreter over byte-compiled sources
 * ``repro compile FILE --run`` (compile and simulate)
 * ``repro bench --n 64`` (the 20-kernel suite, compiled and simulated)
 
-Per command the row records the median wall seconds of ``RUNS`` runs,
-measured from the parent around the whole process (reported; compared
-only on a host whose fingerprint matches the committed row's), and two
-host-independent facts read from one ``-X importtime`` run: whether
-NumPy loaded, and how many ``repro`` modules loaded. Results land in
-``results/BENCH_cold_start.json`` and ``results/cold_start.txt``. With
-``REPRO_BENCH_SMOKE=1`` each command runs three times, and the facts
-must equal the committed row's.
+Per command the row records the median and the best (minimum) wall
+seconds of ``RUNS`` runs, measured from the parent around the whole
+process, and two host-independent facts read from one ``-X importtime``
+run: whether NumPy loaded, and how many ``repro`` modules loaded.
+Results land in ``results/BENCH_cold_start.json`` and
+``results/cold_start.txt``. With ``REPRO_BENCH_SMOKE=1`` each command
+runs three times, and the facts must equal the committed row's; on a
+host whose fingerprint matches the committed row's, each best must
+also stay within ``WALLCLOCK_TOLERANCE`` of the committed best. The
+best is the gated figure because a shared host's noise only ever adds
+time: the minimum of three runs moves only when all three are slow, the
+median already when two are.
 """
 
 from __future__ import annotations
@@ -76,13 +80,17 @@ def _run(argv, *flags) -> subprocess.CompletedProcess:
     return done
 
 
-def _median_seconds(argv) -> float:
+def _timings(argv) -> dict:
+    """The median and the best wall seconds of ``RUNS`` runs."""
     samples = []
     for _ in range(RUNS):
         started = time.perf_counter()
         _run(argv)
         samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
+    return {
+        "median_s": round(statistics.median(samples), 4),
+        "best_s": round(min(samples), 4),
+    }
 
 
 def _import_facts(argv) -> dict:
@@ -108,12 +116,9 @@ def test_cold_start_row(results_dir):
     )
     # Bytecode is written once, here, so no measured run compiles it.
     compileall.compile_dir(str(SRC / "repro"), quiet=1)
-    interpreter = _median_seconds(["-c", "pass"])
+    interpreter = _timings(["-c", "pass"])["median_s"]
     rows = {
-        name: {
-            "median_s": round(_median_seconds(argv), 4),
-            **_import_facts(argv),
-        }
+        name: {**_timings(argv), **_import_facts(argv)}
         for name, argv in COMMANDS.items()
     }
     assert not rows["import repro"]["numpy_loaded"]
@@ -130,11 +135,11 @@ def test_cold_start_row(results_dir):
         here = machine_fingerprint()
         if fingerprints_match(committed["bench_meta"]["fingerprint"], here):
             for name, row in rows.items():
-                limit = committed["commands"][name]["median_s"] * (
+                limit = committed["commands"][name]["best_s"] * (
                     1 + WALLCLOCK_TOLERANCE
                 )
-                assert row["median_s"] <= limit, (
-                    f"{name}: {row['median_s']:.3f} s > {limit:.3f} s"
+                assert row["best_s"] <= limit, (
+                    f"{name}: best {row['best_s']:.3f} s > {limit:.3f} s"
                 )
 
     write_bench_json(
@@ -147,11 +152,12 @@ def test_cold_start_row(results_dir):
     )
     fingerprint = machine_fingerprint()
     body = ascii_table(
-        ("command", "median s", "numpy", "repro modules"),
+        ("command", "median s", "best s", "numpy", "repro modules"),
         [
             (
                 name,
                 f"{row['median_s']:.3f}",
+                f"{row['best_s']:.3f}",
                 "loaded" if row["numpy_loaded"] else "-",
                 str(row["repro_modules"]),
             )
@@ -159,8 +165,9 @@ def test_cold_start_row(results_dir):
         ],
     )
     body += (
-        f"\n\n`python -c pass` takes {interpreter:.3f} s; each median is of "
-        f"{RUNS} fresh interpreters, timed around the whole process."
+        f"\n\n`python -c pass` takes {interpreter:.3f} s; each median and "
+        f"best is of {RUNS} fresh interpreters, timed around the whole "
+        "process."
         f"\nmachine: {fingerprint['system']} {fingerprint['machine']}, "
         f"{fingerprint['cpu_count']} CPU, Python {fingerprint['python']} "
         f"(fingerprint {fingerprint['id']})"

@@ -47,7 +47,13 @@ TOP_WIDTH_N = 32
 #: The smoke run's kernels: Global compile time of the row is theirs.
 TOP_WIDTH_SMOKE = ("sp", "namd", "cg", "wrf")
 #: Global's exact work counters, without their ``grouping.`` prefix.
-TOP_WIDTH_COUNTERS = ("scores_recomputed", "decisions", "vp_nodes")
+TOP_WIDTH_COUNTERS = (
+    "scores_recomputed",
+    "decisions",
+    "vp_nodes",
+    "aux_graphs",
+    "elimination_victims",
+)
 
 
 def _compile_all(variant, machine, repeats=3):

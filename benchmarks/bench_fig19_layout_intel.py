@@ -58,7 +58,8 @@ def test_fig19_layout_additional_benefit(benchmark, intel_suite, results_dir):
         r.time_reduction(Variant.GLOBAL_LAYOUT) for r in intel_suite.values()
     ) / len(intel_suite)
     body += (
-        f"\n\nlayout adds benefit on {len(helped)}/16 benchmarks: "
+        f"\n\nlayout adds benefit on {len(helped)}/{len(intel_suite)} "
+        "benchmarks: "
         f"{', '.join(helped)}"
         f"\naverages: Global {percent(avg_g)}, "
         f"Global+Layout {percent(avg_gl)}"

@@ -3,7 +3,8 @@
 Compiles GLOBAL for every kernel at unroll 8 x 512-bit on intel (n=16,
 one cell of the repository benchmark's compile-wide grid) and records
 the grouping loop's host-independent work counters — rounds, decisions,
-candidates, exact scores, bound scores, VP nodes and edges — in
+candidates, exact scores, bound scores, VP nodes and edges, auxiliary
+graphs built and elimination victims — in
 ``results/BENCH_grouping_work.json`` and ``results/grouping_work.txt``.
 ``repro bench --check`` (the regression gate CI runs) gates the JSON
 exactly (see ``repro.bench.grouping_work``): a constant-factor speed-up

@@ -11,8 +11,13 @@ grouping dominates compile time) and reads the grouping loop's
 * ``candidates_examined`` — candidate groups over all rounds;
 * ``scores_recomputed`` — exact (post-elimination) score evaluations;
 * ``score_bounds`` — cheap bound evaluations (heap entries pushed
-  without running elimination);
-* ``vp_nodes`` / ``vp_edges`` — size of the variable pack graphs.
+  without running elimination for new and dirtied candidates);
+* ``vp_nodes`` / ``vp_edges`` — size of the variable pack graphs;
+* ``aux_graphs`` — auxiliary graphs built (only for candidates whose
+  bitset bound reached the top of the heap, or whose exact score was
+  asked for);
+* ``elimination_victims`` — nodes removed by exact conflict
+  eliminations.
 
 Every counter is exact on any machine, so ``check_grouping_work`` —
 one of the side planes ``repro bench --check`` runs through
@@ -41,6 +46,8 @@ COUNTERS = (
     "score_bounds",
     "vp_nodes",
     "vp_edges",
+    "aux_graphs",
+    "elimination_victims",
 )
 #: The measured cell: compile-wide's biggest blocks at a mid datapath.
 MACHINE = "intel"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..analysis import DependenceGraph
-from ..perf import count
+from ..perf import PERF, count
 from ..trace import TRACE
 from .model import CandidateGroup, PackData
 
@@ -168,16 +168,18 @@ class VariablePackGraph:
             self.type_candidates.append(
                 [node.candidate_index for node in nodes]
             )
-        edges = self.edge_count
         count("grouping.vp_nodes", len(self.nodes))
-        count("grouping.vp_edges", edges)
-        if TRACE.enabled:
-            TRACE.event(
-                "vp.build",
-                candidates=len(self.candidates),
-                nodes=len(self.nodes),
-                edges=edges,
-            )
+        if PERF.enabled or TRACE.enabled:
+            # Only the counter and the trace read the edge count.
+            edges = self.edge_count
+            count("grouping.vp_edges", edges)
+            if TRACE.enabled:
+                TRACE.event(
+                    "vp.build",
+                    candidates=len(self.candidates),
+                    nodes=len(self.nodes),
+                    edges=edges,
+                )
 
     # -- queries -----------------------------------------------------------------
 

@@ -37,11 +37,12 @@ Two engines implement that loop with **bit-identical decisions**:
 
 Both share the per-round machinery: pack costs in integer units of
 ``1 / COST_SCALE``, pack type ids from the VP graph, and each
-candidate's auxiliary graph, built once per round and filtered as
-candidates leave. The reference engine is therefore the oracle of the
-incremental engine's caches and dirty sets, not of the auxiliary
-graphs; the tests check those against the node-level
-:func:`eliminate_conflicts` after every commit.
+candidate's auxiliary graph, built on first use in the round (the
+incremental engine builds one only for a candidate that contends for
+selection) and filtered as candidates leave. The reference engine is
+therefore the oracle of the incremental engine's caches, dirty sets
+and heap bounds, not of the auxiliary graphs; the tests check those
+against the node-level :func:`eliminate_conflicts` after every commit.
 
 Why the dirty-set rule is sufficient: a candidate's score depends only
 on (a) VP nodes whose data matches one of its pack types, (b) decided
@@ -318,10 +319,11 @@ class PackCostModel:
     :meth:`classify` derives everything the grouping score needs of one
     pack type from a single contiguity test: :func:`pack_reuse_saving`
     and :func:`pack_materialization_penalty` (as a source and as a
-    store) as ints in units of ``1 / COST_SCALE``, and
-    :func:`pack_adjacency_score`. A grouping round classifies each of
-    its pack types once; the rounds build new, wider packs, so the
-    model keeps no per-pack memo. Contiguity is decided from each array
+    store) as ints in units of ``1 / COST_SCALE``,
+    :func:`pack_adjacency_score`, and whether every lane is an array
+    reference. A grouping round classifies each of its pack types once;
+    the rounds build new, wider packs, so the model keeps no per-pack
+    memo. Contiguity is decided from each array
     reference's flattened ``(coeffs, const)``, cached per reference: a
     wider pack in a later round reuses its lanes' entries.
     """
@@ -382,34 +384,38 @@ class PackCostModel:
         consts.sort()
         return consts == list(range(consts[0], consts[0] + len(consts)))
 
-    def classify(self, data: PackData) -> Tuple[int, int, int, int]:
-        """``(saving, build, store build, adjacency)`` of one pack type:
-        :func:`pack_reuse_saving` and :func:`pack_materialization_penalty`
-        (as a source and as a store) in units of ``1 / COST_SCALE``, and
-        :func:`pack_adjacency_score` — the same case analysis, with one
-        pass over the lanes and at most one contiguity test."""
+    def classify(self, data: PackData) -> Tuple[int, int, int, int, bool]:
+        """``(saving, build, store build, adjacency, all memory)`` of one
+        pack type: :func:`pack_reuse_saving` and
+        :func:`pack_materialization_penalty` (as a source and as a store)
+        in units of ``1 / COST_SCALE``, :func:`pack_adjacency_score`, and
+        whether every lane is an array reference — the same case
+        analysis, with one pass over the lanes and at most one contiguity
+        test."""
         kind = data[0][0]
         if data[0] == data[-1]:  # a splat (the pack is sorted)
-            return (0 if kind == KIND_CONST else _BROADCAST, 0, 0, 1)
+            saving = 0 if kind == KIND_CONST else _BROADCAST
+            return (saving, 0, 0, 1, kind == KIND_REF)
         for key in data:
             if key[0] != kind:  # mixed lane sources: per-lane inserts
-                return (_GATHER, _GATHER, _GATHER, 0)
+                return (_GATHER, _GATHER, _GATHER, 0, False)
         context = self.context
         if kind == KIND_REF:
             if self.contiguous(data):
-                return (_WIDE, 0, 0, 2)
+                return (_WIDE, 0, 0, 2, True)
             if context is not None and context.replicable_arrays is not None:
                 replicable = context.replicable_arrays
                 if all(key[1] in replicable for key in data):
-                    return (_WIDE, _FIXABLE, _GATHER, 0)
-            return (_GATHER, _GATHER, _GATHER, 0)
+                    return (_WIDE, _FIXABLE, _GATHER, 0, True)
+            return (_GATHER, _GATHER, _GATHER, 0, True)
         if kind == KIND_VAR:
             if _scalar_pack_contiguous(data, context):
-                return (_WIDE, 0, 0, 0)
+                return (_WIDE, 0, 0, 0, False)
             if context is not None and context.assume_layout:
-                return (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0)
-            return (_SCALAR_SAVING, _SCALAR_GATHER, _SCALAR_SCATTER, 0)
-        return (0, 0, 0, 0)  # a vector immediate, hoisted out of the loop
+                return (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0, False)
+            return (_SCALAR_SAVING, _SCALAR_GATHER, _SCALAR_SCATTER, 0, False)
+        # A vector immediate, hoisted out of the loop.
+        return (0, 0, 0, 0, False)
 
 
 def _signature_op_cost(signature) -> float:
@@ -485,10 +491,14 @@ def eliminate_conflicts(
     return [n for n in order if n in alive]
 
 
-#: Heap entry flavours: at equal rank a bound entry pops first, so it is
-#: refined before any exact entry it might tie with.
-_BOUND = 0
-_EXACT = 1
+#: Heap entry tiers, cheapest first. A bitset entry caps the score from
+#: round bitsets alone, a bound entry from the auxiliary graph's cached
+#: bound, and an exact entry carries the score after elimination. Each
+#: cap is at least the next tier's, and at equal rank a cheaper tier
+#: pops first, so an entry is refined before any entry it might tie with.
+_BITSET = 0
+_BOUND = 1
+_EXACT = 2
 
 
 class _AuxGraph:
@@ -511,16 +521,11 @@ class _AuxGraph:
     type's lane count, which is every holder's statement count. So at
     most ``|union of the slot's live candidates' sids| // lanes``
     candidates survive there, each with at most ``multiplicity`` nodes.
-
-    ``neighbors[k]`` lists the local indices conflicting with ``k``; it
-    is built on the first elimination from the conflict bitsets of the
-    candidates then live, and keeps the entries of candidates that left
-    later, whose buckets are then empty.
     """
 
     __slots__ = (
         "mask", "cands", "sids", "owner", "slot_of", "counts", "caps",
-        "bound", "neighbors",
+        "bound",
     )
 
     def __init__(
@@ -533,7 +538,6 @@ class _AuxGraph:
         self.slot_of = slot_of
         self.counts = counts
         self.caps = caps
-        self.neighbors: Optional[List[List[int]]] = None
         self._set_bound(unions)
 
     def _set_bound(self, unions: List[int]) -> None:
@@ -552,26 +556,6 @@ class _AuxGraph:
             if k >= 0:
                 buckets[k].append(rank)
         return buckets
-
-    def neighbor_lists(
-        self, conflict_bits: Callable[[int], int]
-    ) -> List[List[int]]:
-        """``neighbors``, built on first use by intersecting each live
-        candidate's conflict bitset with ``mask``."""
-        neighbors = self.neighbors
-        if neighbors is None:
-            mask = self.mask
-            local = {cand: k for k, cand in enumerate(self.cands)}
-            neighbors = self.neighbors = []
-            for cand in self.cands:
-                row = []
-                bits = conflict_bits(cand) & mask if (mask >> cand) & 1 else 0
-                while bits:
-                    low = bits & -bits
-                    row.append(local[low.bit_length() - 1])
-                    bits ^= low
-                neighbors.append(row)
-        return neighbors
 
     def drop(self, live: int) -> None:
         """Remove the nodes of candidates missing from ``live`` and
@@ -639,20 +623,34 @@ class BasicGrouping:
         # index these instead of hashing pack tuples (whose Affine
         # subscripts hash and compare slowly).
         # ``_type_costs[t]`` is type ``t``'s ``(saving, build, store
-        # build, adjacency)``, classified once per round; ``_sid_bits``
-        # and ``_max_mult[t]`` (the most positions one candidate holds
-        # type ``t`` at) feed the auxiliary graphs' bounds.
+        # build, adjacency, all memory)``, classified once per round;
+        # ``_sid_bits``, ``_type_sids[t]`` (the statements of type
+        # ``t``'s holders), ``_max_mult[t]`` (the most positions one
+        # candidate holds type ``t`` at) and ``_lanes[t]`` feed the
+        # heap bounds.
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
-        self._type_costs: List[Tuple[int, int, int, int]] = [
+        type_costs = self._type_costs = [
             self.cost.classify(data) for data in self.vp.pack_types
         ]
-        n_types = len(self._type_costs)
+        n_types = len(type_costs)
+        self._lanes: List[int] = [len(data) for data in self.vp.pack_types]
         self._types: List[Tuple[int, ...]] = []
         self._own_list: List[List[int]] = []
         self._target_slot: List[int] = []
         self._holders: List[int] = [0] * n_types
         self._max_mult: List[int] = [0] * n_types
+        self._type_sids: List[int] = [0] * n_types
         self._sid_bits: List[int] = []
+        # A candidate's two units (``CandidateGroup.left/right``), each
+        # named by its first statement id — a round's units are
+        # statement-disjoint — and each unit's candidates as a bitset.
+        self._units_of: List[Tuple[int, int]] = []
+        unit_cands: Dict[int, int] = {}
+        # The reuse-independent score terms, in cost units: the merge's
+        # saved ALU work (one per isomorphism signature) plus one wide
+        # access per all-memory pack position.
+        self._static_bonus: List[int] = []
+        op_savings: Dict[tuple, int] = {}
         self.adjacency: List[int] = []
         for index, candidate in enumerate(self.candidates):
             nodes = self.vp.nodes_of_candidate(index)
@@ -664,17 +662,40 @@ class BasicGrouping:
             self._own_list.append([own[tid] for tid in types])
             self._target_slot.append(types.index(nodes[0].tid))
             self.adjacency.append(
-                sum(self._type_costs[node.tid][3] for node in nodes)
+                sum(type_costs[node.tid][3] for node in nodes)
             )
-            bit = 1 << index
-            for tid, mult in own.items():
-                self._holders[tid] |= bit
-                if mult > self._max_mult[tid]:
-                    self._max_mult[tid] = mult
             sids = 0
             for sid in candidate.sid_set:
                 sids |= 1 << sid
             self._sid_bits.append(sids)
+            bit = 1 << index
+            memory = 0
+            for tid, mult in own.items():
+                self._holders[tid] |= bit
+                self._type_sids[tid] |= sids
+                if mult > self._max_mult[tid]:
+                    self._max_mult[tid] = mult
+                if type_costs[tid][4]:
+                    memory += mult
+            units = (candidate.left.sids[0], candidate.right.sids[0])
+            self._units_of.append(units)
+            for unit in units:
+                unit_cands[unit] = unit_cands.get(unit, 0) | bit
+            signature = candidate.left.signature
+            saving = op_savings.get(signature)
+            if saving is None:
+                saving = op_savings[signature] = cost_units(
+                    candidate_op_saving(candidate)
+                )
+            self._static_bonus.append(saving + memory * COST_SCALE)
+        # Each candidate's conflicts that no shared unit explains (the
+        # dependence cycles): elimination lists these explicitly and
+        # counts the rest from per-unit loads.
+        conflict_bits = self.vp.conflict_bits
+        self._extra_conflicts: List[int] = [
+            conflict_bits(index) & ~(unit_cands[u] | unit_cands[v])
+            for index, (u, v) in enumerate(self._units_of)
+        ]
         # Heap ranks: a candidate's score has denominator dividing
         # ``COST_SCALE * slots``, so scaling by the lcm of those over the
         # round turns every score (and every bound) into an exactly
@@ -685,7 +706,6 @@ class BasicGrouping:
         ]
         self._aux: List[Optional[_AuxGraph]] = [None] * n
         self._cost_rows: List[Optional[tuple]] = [None] * n
-        self._static: List[Optional[int]] = [None] * n
         # Multiset of decided groups' packs by tid, maintained by
         # ``_commit`` (the public ``weight``/``score`` entry points
         # instead rebuild it from ``decided_packs`` so direct mutation
@@ -702,22 +722,6 @@ class BasicGrouping:
         self.on_diagnostic = on_diagnostic
 
     # -- cached static pack costs ----------------------------------------------
-
-    def _static_bonus(self, index: int) -> int:
-        """The candidate's reuse-independent score terms, in cost units:
-        the saved ALU work of the merge, and +1 per all-memory pack
-        position."""
-        bonus = self._static[index]
-        if bonus is None:
-            ref_positions = sum(
-                1
-                for data in self.vp.packs[index]
-                if all(key[0] == KIND_REF for key in data)
-            )
-            bonus = self._static[index] = cost_units(
-                candidate_op_saving(self.candidates[index])
-            ) + ref_positions * COST_SCALE
-        return bonus
 
     def _cost_row(self, index: int) -> Tuple[List[int], List[int], int, int]:
         """Per-slot reuse savings and materialization penalties for one
@@ -740,38 +744,58 @@ class BasicGrouping:
     # -- weight computation (Figure 10 lines 22–38) ---------------------------
 
     @staticmethod
-    def _eliminate_aux_conflicts(
+    def _eliminate_over_units(
         buckets: Sequence[Sequence[int]],
-        neighbors: Sequence[Sequence[int]],
+        units: Sequence[Tuple[int, int]],
+        extra: Sequence[Sequence[int]],
     ) -> List[int]:
         """Greedy conflict elimination over an auxiliary graph, at
         candidate granularity: every node of one auxiliary candidate has
         the *same* neighbor set (all nodes of the candidates conflicting
         with it), hence the same degree. ``buckets[k]`` holds candidate
         ``k``'s node ranks (distinct ints in canonical node order),
-        ascending, and ``neighbors[k]`` the candidates conflicting with
-        it. Each step removes the last node of the bucket with the largest
-        ``(degree, last rank)`` — :func:`eliminate_conflicts` over the
-        expanded node graph, victim for victim. Returns the victims'
-        ranks in removal order; the inputs are not modified.
+        ascending; ``units[k]`` is its pair of units, no two candidates
+        holding the same pair; ``extra[k]`` lists the candidates
+        conflicting with it without sharing a unit. Candidates sharing a
+        unit always conflict. Each step removes the last node of the
+        bucket with the largest ``(degree, last rank)`` —
+        :func:`eliminate_conflicts` over the expanded node graph, victim
+        for victim. Returns the victims' ranks in removal order; the
+        inputs are not modified.
 
-        Each candidate's rule is packed into one int key,
-        ``degree << shift | last rank`` with ``shift`` the ranks' bit
-        width, so the victim is a builtin ``max`` over the keys; removing
-        a node lowers each neighbor's key by one degree unit. (A
-        degree-bucket queue would not help: the neighbor updates already
-        cost as much as the scan.) Small local ranks keep the keys
-        single-digit ints.
+        The degree comes from unit incidence lists, with no neighbor
+        lists built: with ``load[u]`` the live nodes of the candidates at
+        unit ``u``, candidate ``k`` at ``(u, v)`` has degree ``load[u] +
+        load[v] - 2 * size[k]`` plus its extra neighbors' sizes. Each
+        candidate's rule is packed into one int key, ``degree << shift |
+        last rank`` with ``shift`` the ranks' bit width, so the victim is
+        a builtin ``max`` over the keys and its rank the key's low bits;
+        removing a node lowers the keys of the candidates at the victim's
+        two units and of its extra neighbors by one degree unit. (A
+        degree-bucket queue would not help: those updates already cost as
+        much as the scan.) Small local ranks keep the keys single-digit
+        ints.
         """
         sizes = [len(bucket) for bucket in buckets]
         tops = list(sizes)
+        at: Dict[int, List[int]] = {}
+        load: Dict[int, int] = {}
+        member: Dict[int, int] = {}
+        for k, bucket in enumerate(buckets):
+            if bucket:
+                for u in units[k]:
+                    at.setdefault(u, []).append(k)
+                    load[u] = load.get(u, 0) + sizes[k]
+                for rank in bucket:
+                    member[rank] = k
         shift = max((b[-1] for b in buckets if b), default=0).bit_length()
-        unit = 1 << shift
+        one = 1 << shift
         keys = []
         for k, bucket in enumerate(buckets):
             if bucket:
-                degree = 0
-                for x in neighbors[k]:
+                u, v = units[k]
+                degree = load[u] + load[v] - 2 * sizes[k]
+                for x in extra[k]:
                     degree += sizes[x]
                 keys.append(degree << shift | bucket[-1])
             else:
@@ -779,32 +803,91 @@ class BasicGrouping:
         victims: List[int] = []
         while True:
             best = max(keys, default=0)
-            if best < unit:
+            if best < one:
                 return victims
-            k = keys.index(best)
-            bucket = buckets[k]
+            rank = best & (one - 1)
+            victims.append(rank)
+            k = member[rank]
             top = tops[k] - 1
             tops[k] = top
-            victims.append(bucket[top])
-            keys[k] = (best >> shift) << shift | bucket[top - 1] if top else 0
-            for x in neighbors[k]:
-                keys[x] -= unit
+            at_u = at[units[k][0]]
+            at_v = at[units[k][1]]
+            for x in at_u:
+                keys[x] -= one
+            for x in at_v:
+                keys[x] -= one
+            for x in extra[k]:
+                keys[x] -= one
+            # The victim's own degree is unchanged: reset its key, which
+            # the loops above lowered twice. An emptied candidate leaves
+            # its units' lists.
+            if top:
+                keys[k] = best - rank + buckets[k][top - 1]
+            else:
+                keys[k] = 0
+                at_u.remove(k)
+                at_v.remove(k)
 
     def _eliminate(self, aux: _AuxGraph) -> List[int]:
         """Per-slot node counts of ``aux`` after greedy elimination of
         its residual conflicts."""
         counts = list(aux.counts)
-        if aux.mask:
-            neighbors = aux.neighbor_lists(self.vp.conflict_bits)
-            if any(neighbors):
-                slot_of = aux.slot_of
-                for victim in self._eliminate_aux_conflicts(
-                    aux.buckets(), neighbors
-                ):
-                    counts[slot_of[victim]] -= 1
+        mask = aux.mask
+        if mask:
+            cands = aux.cands
+            units_of = self._units_of
+            extra_of = self._extra_conflicts
+            extra: List[Sequence[int]] = []
+            local: Optional[Dict[int, int]] = None
+            for cand in cands:
+                bits = extra_of[cand] & mask
+                if not bits:
+                    extra.append(())
+                    continue
+                if local is None:
+                    local = {c: k for k, c in enumerate(cands)}
+                row = []
+                while bits:
+                    low = bits & -bits
+                    row.append(local[low.bit_length() - 1])
+                    bits ^= low
+                extra.append(row)
+            victims = self._eliminate_over_units(
+                aux.buckets(), [units_of[cand] for cand in cands], extra
+            )
             # With no residual conflicts (the common case) greedy
             # elimination keeps every node: the collected counts stand.
+            if victims:
+                count("grouping.elimination_victims", len(victims))
+                slot_of = aux.slot_of
+                for victim in victims:
+                    counts[slot_of[victim]] -= 1
         return counts
+
+    def _bitset_bound(self, index: int) -> List[int]:
+        """Per-slot caps on what survives elimination in the candidate's
+        auxiliary graph, from the round's bitsets alone: no graph is
+        built. A slot holds at most ``max_mult`` nodes of each live,
+        non-conflicting holder of its type, and (by the statement
+        disjointness behind ``_AuxGraph.bound``) keeps at most ``max_mult``
+        nodes per ``lanes`` statements of the type's holders outside the
+        candidate — a superset of the graph's live union, since a
+        candidate sharing a statement with the owner conflicts with it.
+        Each cap is therefore at least the graph's ``bound``."""
+        allowed = self.active & ~(self.vp.conflict_bits(index) | 1 << index)
+        outside = ~self._sid_bits[index]
+        holders = self._holders
+        type_sids = self._type_sids
+        max_mult = self._max_mult
+        lanes = self._lanes
+        return [
+            max_mult[tid]
+            * min(
+                (holders[tid] & allowed).bit_count(),
+                (type_sids[tid] & outside).bit_count() // lanes[tid],
+            )
+            for tid in self._types[index]
+        ]
 
     def _aux_graph(self, index: int) -> _AuxGraph:
         """The candidate's auxiliary graph over the live candidates:
@@ -816,6 +899,7 @@ class BasicGrouping:
             if aux.mask & ~live:
                 aux.drop(live)
             return aux
+        count("grouping.aux_graphs")
         # Walk the owner's types in tid order and each type's nodes in
         # canonical order, so local ranks follow the canonical order.
         allowed = live & ~(self.vp.conflict_bits(index) | 1 << index)
@@ -847,7 +931,7 @@ class BasicGrouping:
                 slot_of.append(slot)
                 covered |= sid_bits[cand]
             counts.append(len(slot_of) - before)
-            caps.append((self._max_mult[tid], len(self.vp.pack_types[tid])))
+            caps.append((self._max_mult[tid], self._lanes[tid]))
             unions.append(covered)
         aux = self._aux[index] = _AuxGraph(
             union & allowed, cands, sids, owner, slot_of, counts, caps,
@@ -859,22 +943,28 @@ class BasicGrouping:
         self,
         index: int,
         decided_counts: List[int],
-        eliminate: bool = True,
+        tier: int = _EXACT,
     ) -> List[int]:
         """Occurrence counts of the candidate's pack types — across the
         surviving auxiliary-graph nodes, the decided groups' packs
         (``decided_counts``, by tid) and the candidate itself — as a
         list aligned with the candidate's slots (``self._types[index]``).
 
-        With ``eliminate=False`` the residual-conflict elimination is
-        replaced by the auxiliary graph's cached statement-disjointness
-        ``bound``, yielding per-slot counts that can only be *higher*
-        than the exact ones — an upper bound the incremental engine uses
-        for lazily-refined heap entries (both weight and score are
-        monotone nondecreasing in every count).
+        ``tier`` picks how the auxiliary-graph survivors are counted:
+        ``_EXACT`` runs the residual-conflict elimination; ``_BOUND``
+        takes the graph's cached statement-disjointness ``bound`` and
+        ``_BITSET`` the cheaper :meth:`_bitset_bound`, which builds no
+        graph. Each yields per-slot counts at least the next tier's —
+        upper bounds the incremental engine uses for lazily-refined heap
+        entries (both weight and score are monotone nondecreasing in
+        every count).
         """
-        aux = self._aux_graph(index)
-        counts = self._eliminate(aux) if eliminate else list(aux.bound)
+        if tier == _EXACT:
+            counts = self._eliminate(self._aux_graph(index))
+        elif tier == _BOUND:
+            counts = list(self._aux_graph(index).bound)
+        else:
+            counts = self._bitset_bound(index)
         own = self._own_list[index]
         for slot, tid in enumerate(self._types[index]):
             counts[slot] += own[slot] + decided_counts[tid]
@@ -925,7 +1015,7 @@ class BasicGrouping:
         # penalties below are charged relative to that baseline). The
         # result superword is always written back; a non-contiguous
         # target means a scatter either way.
-        total = self._static_bonus(index) - store
+        total = self._static_bonus[index] - store
         for slot, count_ in enumerate(counts):
             # Each extra occurrence saves one materialization of this
             # pack — valued at what that materialization would cost.
@@ -983,7 +1073,7 @@ class BasicGrouping:
         produced as a target)."""
         savings, builds, target, store = self._cost_row(index)
         own = self._own_list[index]
-        gain = self._static_bonus(index) - store
+        gain = self._static_bonus[index] - store
         rmw = own[target] > 1
         for slot, tid in enumerate(self._types[index]):
             gain += own[slot] * savings[slot]
@@ -1170,42 +1260,42 @@ class BasicGrouping:
         def score_of(index: int) -> Fraction:
             return evaluate(index)[1]
 
-        def push(index: int, force_exact: bool = False) -> None:
+        def push(index: int, tier: int) -> None:
             # Lazy max-heap entry: Python's heapq is a min-heap, so the
             # ranking tuple is negated — ``max`` by (score, adjacency,
             # smallest candidate key) becomes ``min`` by (-score,
             # -adjacency, key). Stale entries are recognized by their
             # generation stamp and skipped at pop time.
             #
-            # Entries come in two flavours. An *exact* entry carries the
+            # Entries come in three tiers. An *exact* entry carries the
             # true score. A *bound* entry carries the score of the
-            # auxiliary graph's cached per-slot bounds, which can only
-            # overestimate (score and weight are monotone nondecreasing
-            # in the per-slot counts, and each bound caps its slot's
-            # survivors of elimination) — so with bounds sorting first
-            # among equal values, a bound entry sorts before the
-            # candidate's true position, and is refined to an exact one
-            # if it ever reaches the top. Elimination therefore runs
-            # only for candidates that actually contend for selection.
+            # auxiliary graph's cached per-slot bounds, and a *bitset*
+            # entry that of the round-bitset bounds, which need no
+            # graph; each can only overestimate the next tier (score
+            # and weight are monotone nondecreasing in the per-slot
+            # counts, and each bound caps its slot's survivors of
+            # elimination). With cheaper tiers sorting first among
+            # equal values, an entry sorts before the candidate's true
+            # position and is refined one tier whenever it reaches the
+            # top. Graphs are therefore built, and elimination run, only
+            # for candidates that actually contend for selection.
             got = results.get(index)
-            if got is None and force_exact:
+            if got is None and tier == _EXACT:
                 got = evaluate(index)
             if got is not None:
                 rank = got[2]
-                flavour = _EXACT
+                tier = _EXACT
             else:
-                count("grouping.score_bounds")
                 rank = self._heap_rank(
                     index,
-                    self._counts_list(index, decided_counts, eliminate=False),
+                    self._counts_list(index, decided_counts, tier),
                     cost_aware,
                 )
-                flavour = _BOUND
             heapq.heappush(
                 heap,
                 (
                     -rank,
-                    flavour,
+                    tier,
                     -self.adjacency[index],
                     keys[index],
                     generation.get(index, 0),
@@ -1213,8 +1303,14 @@ class BasicGrouping:
                 ),
             )
 
+        def push_bound(index: int) -> None:
+            # A new or dirtied candidate: its graph's bound if it has
+            # one already, else the bitset bound.
+            count("grouping.score_bounds")
+            push(index, _BITSET if self._aux[index] is None else _BOUND)
+
         for index in _bit_indices(self.active):
-            push(index)
+            push_bound(index)
 
         while self.active:
             while heap:
@@ -1226,14 +1322,14 @@ class BasicGrouping:
                 ):
                     heapq.heappop(heap)
                     continue
-                if entry[1] == _BOUND:
-                    # A bound entry on top: replace it with the exact
-                    # one. Every other entry's true score lies at or
-                    # below its heap position, so the first exact entry
-                    # to surface is the true argmax (ties impossible
-                    # across candidates — keys are unique).
+                if entry[1] != _EXACT:
+                    # A bound on top: refine it one tier. Every other
+                    # entry's true score lies at or below its heap
+                    # position, so the first exact entry to surface is
+                    # the true argmax (ties impossible across candidates
+                    # — keys are unique).
                     heapq.heappop(heap)
-                    push(index, force_exact=True)
+                    push(index, entry[1] + 1)
                     continue
                 break
             else:  # pragma: no cover - every active candidate has an entry
@@ -1292,7 +1388,7 @@ class BasicGrouping:
             for index in _bit_indices(self._dirty_mask(best, removed)):
                 results.pop(index, None)
                 generation[index] = generation.get(index, 0) + 1
-                push(index)
+                push_bound(index)
         return trace
 
     def _run_reference(self) -> GroupingTrace:

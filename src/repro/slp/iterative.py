@@ -45,9 +45,10 @@ def iterative_grouping(
     """
     units: List[GroupNode] = [GroupNode.of_statement(s) for s in block]
     traces: List[GroupingTrace] = []
-    # One pack-cost cache serves every round: later rounds re-derive
-    # wider packs, but everything they share with earlier rounds (and
-    # every repeated query within a round) is a hit.
+    # One pack-cost model serves every round. Its only cache is each
+    # array reference's flattened offset, which the wider packs of later
+    # rounds reuse lane by lane; each round classifies its own pack
+    # types once.
     cost_model = PackCostModel(decl_of, penalty_context)
     round_index = 0
     while True:

@@ -120,7 +120,7 @@ def _build_specs(
             holders[tid] = holders.get(tid, 0) + 1
             if slot != target:
                 source_holders[tid] = source_holders.get(tid, 0) + 1
-        rows.append((slots, store, grouping._static_bonus(j)))
+        rows.append((slots, store, grouping._static_bonus[j]))
     specs = []
     for slots, store, static in rows:
         rmw = False

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleCycleError
-from ..analysis import DependenceGraph, OperandKey
+from ..analysis import DependenceGraph, OperandKey, operand_key
 from ..analysis.operands import KIND_REF, KIND_VAR
 from ..ir import BasicBlock, Statement
 from ..trace import TRACE, provenance_id
@@ -160,6 +160,9 @@ class Scheduler:
         self.units = self._acyclic_units(list(units))
         self.graph = GroupDependenceGraph(self.units, deps)
         self.live = LiveSuperwordSet()
+        # Each statement's operand keys by position, keyed by sid: the
+        # ordering search reads them many times per group.
+        self._operand_keys: Dict[int, Tuple[OperandKey, ...]] = {}
 
     def _acyclic_units(self, units: List[GroupNode]) -> List[GroupNode]:
         current = units
@@ -268,18 +271,28 @@ class Scheduler:
             )
         return base.reordered(orderings[best])
 
+    def _keys_of(self, member: Statement) -> Tuple[OperandKey, ...]:
+        """The operand key at each of ``member``'s positions."""
+        keys = self._operand_keys.get(member.sid)
+        if keys is None:
+            keys = self._operand_keys[member.sid] = tuple(
+                operand_key(leaf) for leaf in member.operand_positions()
+            )
+        return keys
+
     def _candidate_orderings(
         self, base: SuperwordStatement
     ) -> List[Tuple[int, ...]]:
         size = base.size
         found: List[Tuple[int, ...]] = []
         seen: Set[Tuple[int, ...]] = set()
+        # The lanes' operand keys, one tuple per position.
+        positions = list(
+            zip(*(self._keys_of(member) for member in base.members))
+        )
 
         # Orderings achieving at least one direct reuse.
-        for position in range(base.position_count()):
-            keys = [
-                _key_of(member, position) for member in base.members
-            ]
+        for keys in positions:
             data = pack_data(keys)
             live = self.live.lookup(data)
             if live is None:
@@ -295,8 +308,7 @@ class Scheduler:
 
         # Fallback 1: memory order — sort lanes so array-reference
         # positions come out in ascending address order (cheap packing).
-        for position in range(base.position_count()):
-            keys = [_key_of(m, position) for m in base.members]
+        for keys in positions:
             if all(k[0] == KIND_REF for k in keys) and len(
                 {k[1] for k in keys}
             ) == 1:
@@ -323,10 +335,9 @@ class Scheduler:
         """Np: permutations needed for the reuses of this superword
         statement under a given lane order."""
         permutations = 0
-        for position in range(base.position_count()):
-            keys = tuple(
-                _key_of(base.members[lane], position) for lane in order
-            )
+        for keys in zip(
+            *(self._keys_of(base.members[lane]) for lane in order)
+        ):
             live = self.live.lookup(pack_data(keys))
             if live is not None and live != keys:
                 permutations += 1
@@ -335,22 +346,16 @@ class Scheduler:
     # -- live-set maintenance (Figure 11 lines 28-35) ----------------------------
 
     def _retire_superword(self, item: SuperwordStatement) -> None:
-        for source in item.source_packs():
+        target, *sources = zip(
+            *(self._keys_of(member) for member in item.members)
+        )
+        for source in sources:
             self.live.insert(source)
-        written = list(item.target_pack())
-        self.live.invalidate_written(written)
-        self.live.insert(item.target_pack())
+        self.live.invalidate_written(target)
+        self.live.insert(target)
 
     def _retire_single(self, stmt: Statement) -> None:
-        from ..analysis import operand_key
-
         self.live.invalidate_written([operand_key(stmt.target)])
-
-
-def _key_of(member: Statement, position: int):
-    from ..analysis import operand_key
-
-    return operand_key(member.operand_positions()[position])
 
 
 def _match_orderings(

@@ -18,8 +18,11 @@ from repro.slp import (
 )
 from repro.slp.conflict import PackNode
 from repro.slp.grouping import (
+    _BITSET,
+    _BOUND,
     COST_SCALE,
     GroupingTrace,
+    candidate_op_saving,
     cost_units,
     eliminate_conflicts,
     pack_adjacency_score,
@@ -153,36 +156,49 @@ class TestWeights:
 
 @st.composite
 def aux_graphs(draw):
-    """A random auxiliary graph at candidate granularity: bucket sizes
-    1-3, a random, empty, complete, or cycle-shaped conflict relation
-    (equal bucket sizes force degree ties), and node ranks drawn as a
+    """A random auxiliary graph at candidate granularity: each candidate
+    is a distinct pair of 2-6 units (candidates sharing a unit
+    conflict), plus a few extra conflicts between candidates sharing no
+    unit. Bucket sizes are 0-3 (0: a candidate that left the round;
+    equal sizes force degree ties), and node ranks are drawn as a
     random canonical order."""
-    m = draw(st.integers(min_value=0, max_value=9))
-    shape = draw(st.sampled_from(["random", "empty", "complete", "cycle"]))
+    n_units = draw(st.integers(min_value=2, max_value=6))
+    pairs = draw(
+        st.lists(
+            st.sampled_from(
+                [(a, b) for a in range(n_units) for b in range(a + 1, n_units)]
+            ),
+            unique=True,
+            max_size=9,
+        )
+    )
+    # Either order within a pair: the units are unordered.
+    units = [pair[::-1] if draw(st.booleans()) else pair for pair in pairs]
+    m = len(units)
     if draw(st.booleans()):
         size = draw(st.integers(min_value=1, max_value=3))
         sizes = [size] * m
     else:
-        sizes = [draw(st.integers(min_value=1, max_value=3)) for _ in range(m)]
-    edges = set()
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (
-                shape == "complete"
-                or (shape == "cycle" and (b == a + 1 or (a, b) == (0, m - 1)))
-                or (shape == "random" and draw(st.booleans()))
-            ):
-                edges.add((a, b))
+        sizes = [draw(st.integers(min_value=0, max_value=3)) for _ in range(m)]
+    apart = [
+        (a, b)
+        for a in range(m)
+        for b in range(a + 1, m)
+        if not set(units[a]) & set(units[b])
+    ]
+    extras = (
+        draw(st.sets(st.sampled_from(apart), max_size=3)) if apart else set()
+    )
     ranks = draw(st.permutations(range(sum(sizes))))
     buckets, start = [], 0
     for size in sizes:
         buckets.append(sorted(ranks[start:start + size]))
         start += size
-    neighbors = [
-        [b for b in range(m) if (min(a, b), max(a, b)) in edges]
+    extra = [
+        [b for b in range(m) if (min(a, b), max(a, b)) in extras]
         for a in range(m)
     ]
-    return buckets, neighbors
+    return buckets, units, extra
 
 
 def oracle_aux_counts(grouping, index, eliminate):
@@ -240,14 +256,18 @@ class TestConflictElimination:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_candidate_elimination_matches_node_oracle(self, graph):
-        """The candidate-granularity elimination the grouping loop runs
-        removes exactly the nodes the node-level oracle removes, and in
-        the order of Figure 7's rule: each victim has the largest
-        (degree, canonical rank) among the nodes still in conflict."""
-        buckets, neighbors = graph
-        snapshot = ([list(b) for b in buckets], [list(r) for r in neighbors])
-        victims = BasicGrouping._eliminate_aux_conflicts(buckets, neighbors)
-        assert (buckets, neighbors) == snapshot  # inputs untouched
+        """The candidate-granularity elimination the grouping loop runs,
+        with degrees from unit incidence lists and explicit lists only
+        for the conflicts no shared unit explains, removes exactly the
+        nodes the node-level oracle removes, and in the order of Figure
+        7's rule: each victim has the largest (degree, canonical rank)
+        among the nodes still in conflict."""
+        buckets, units, extra = graph
+        snapshot = (
+            [list(b) for b in buckets], list(units), [list(r) for r in extra]
+        )
+        victims = BasicGrouping._eliminate_over_units(buckets, units, extra)
+        assert (buckets, units, extra) == snapshot  # inputs untouched
 
         # The same graph at node level; pack data sorts like the rank.
         node_of = {}
@@ -256,10 +276,16 @@ class TestConflictElimination:
                 node_of[rank] = PackNode(
                     pack_data([("var", f"n{rank:03d}")]), k, position
                 )
+
+        def conflict(a, b):
+            shared = set(units[a]) & set(units[b])
+            return a != b and bool(shared or b in extra[a])
+
         adjacency = {
             node: {
                 node_of[rank]
-                for other in neighbors[node.candidate_index]
+                for other in range(len(buckets))
+                if conflict(node.candidate_index, other)
                 for rank in buckets[other]
             }
             for node in node_of.values()
@@ -295,8 +321,9 @@ class TestConflictElimination:
         compile-wide cell (n=16, unroll 8 x 256-bit), driven commit by
         commit to the end, every active candidate's counts — as
         collected and after elimination — equal a from-scratch rebuild
-        over the VP graph's live nodes with the node-level oracle, and
-        each slot's heap bound lies between the two."""
+        over the VP graph's live nodes with the node-level oracle; each
+        slot's graph bound lies between the two, and the bitset bound
+        at or above the graph bound."""
         from repro.slp import iterative
 
         rounds = []
@@ -326,7 +353,7 @@ class TestConflictElimination:
                 )
             ]
 
-        commits = eliminated = tightened = 0
+        commits = eliminated = tightened = refined = 0
         for args, kwargs in rounds:
             grouping = BasicGrouping(*args, **kwargs)
             trace = GroupingTrace([])
@@ -336,7 +363,8 @@ class TestConflictElimination:
                     if not (grouping.active >> index) & 1:
                         continue
                     decided = grouping._decided_counts
-                    bound = grouping._counts_list(index, decided, False)
+                    bitset = grouping._counts_list(index, decided, _BITSET)
+                    bound = grouping._counts_list(index, decided, _BOUND)
                     raw = [
                         count + own + decided[tid]
                         for count, own, tid in zip(
@@ -349,19 +377,23 @@ class TestConflictElimination:
                     counts = grouping._counts_list(index, decided)
                     assert counts == from_scratch(grouping, index, True)
                     assert all(
-                        exact <= cap <= collected
-                        for exact, cap, collected in zip(counts, bound, raw)
+                        exact <= cap <= min(collected, loose)
+                        for exact, cap, collected, loose in zip(
+                            counts, bound, raw, bitset
+                        )
                     )
                     eliminated += counts != raw
                     tightened += bound != raw
+                    refined += bound != bitset
                     scores[index] = grouping._score_from_list(index, counts)
                 best = max(scores, key=lambda i: (scores[i], -i))
                 grouping._commit(best, trace, grouping.weight(best))
                 commits += 1
-        # Both rounds ran, elimination changed many counts, and the bound
-        # cut many of the collected ones.
+        # Both rounds ran, elimination changed many counts, the graph
+        # bound cut many of the collected ones and undercut many bitset
+        # bounds.
         assert len(rounds) >= 2 and commits > len(rounds)
-        assert eliminated > 100 and tightened > 100
+        assert eliminated > 100 and tightened > 100 and refined > 100
 
     @given(source=scalar_blocks(), picks=st.randoms(use_true_random=False))
     @settings(
@@ -371,9 +403,9 @@ class TestConflictElimination:
     )
     def test_bound_caps_every_slots_survivors(self, source, picks):
         """Through random rounds of random commits, each active
-        candidate's per-slot heap bound is at least the node-level
+        candidate's per-slot graph bound is at least the node-level
         oracle's survivors of elimination and at most the collected
-        node count."""
+        node count and the bitset bound."""
         block, deps, units = make(source, SCALAR_DECLS)
         while True:
             grouping = BasicGrouping(units, deps, 256)
@@ -385,14 +417,15 @@ class TestConflictElimination:
                     if (grouping.active >> index) & 1
                 ]
                 for index in active:
+                    bitset = grouping._bitset_bound(index)
                     aux = grouping._aux_graph(index)
                     survivors = oracle_aux_counts(grouping, index, True)
                     assert all(
-                        exact <= bound <= collected
-                        for exact, bound, collected in zip(
-                            survivors, aux.bound, aux.counts
+                        exact <= bound <= min(collected, loose)
+                        for exact, bound, collected, loose in zip(
+                            survivors, aux.bound, aux.counts, bitset
                         )
-                    ), (index, survivors, aux.bound, aux.counts)
+                    ), (index, survivors, aux.bound, aux.counts, bitset)
                 best = picks.choice(active)
                 grouping._commit(best, trace, grouping.weight(best))
             if not grouping.decided:
@@ -543,7 +576,8 @@ class TestPackCostModel:
         model = PackCostModel(lambda name: decl)
         contiguous = pack_is_contiguous_memory(data, lambda name: decl)
         assert model.contiguous(data) == contiguous
-        saving, build, store, adjacency = model.classify(data)
+        saving, build, store, adjacency, memory = model.classify(data)
+        assert memory == all(key[0] == "ref" for key in data)
         if data[0] != data[-1]:  # a splat scores by its lanes alone
             assert adjacency == (2 if contiguous else 0)
             assert build == store == (0 if contiguous else 3 * COST_SCALE)
@@ -557,9 +591,11 @@ class TestPackCostModel:
         configuration and at unroll 8, under both the Global and the
         Global+Layout penalty contexts: the per-type classification's
         integer costs are the exact float costs in units of
-        1/COST_SCALE, its adjacency is ``pack_adjacency_score``, the
-        contiguity it rests on agrees with ``pack_is_contiguous_memory``,
-        and each round indexes it by type id."""
+        1/COST_SCALE, its adjacency is ``pack_adjacency_score``, its
+        all-memory flag says whether every lane is an array reference,
+        the contiguity it rests on agrees with
+        ``pack_is_contiguous_memory``, and each round indexes it by type
+        id."""
         from repro.slp import iterative
 
         seen = {}
@@ -601,6 +637,39 @@ class TestPackCostModel:
                         for is_store in (False, True)
                     ),
                     pack_adjacency_score(data, decl_of),
+                    all(key[0] == "ref" for key in data),
                 )
                 checked += 1
+        assert checked > 1000
+
+    def test_static_bonus_matches_pack_walk(self, monkeypatch):
+        """Each round derives a candidate's reuse-independent score
+        terms per pack type and per isomorphism signature; on every
+        kernel's rounds at unroll 8 they equal the merge's ALU saving
+        plus one wide access per all-memory pack position, walked over
+        the candidate's packs."""
+        from repro.slp import iterative
+
+        checked = 0
+
+        class Checking(BasicGrouping):
+            def __init__(self, *args, **kwargs):
+                nonlocal checked
+                super().__init__(*args, **kwargs)
+                for index, candidate in enumerate(self.candidates):
+                    memory = sum(
+                        all(key[0] == "ref" for key in data)
+                        for data in candidate.packs
+                    )
+                    assert self._static_bonus[index] == cost_units(
+                        candidate_op_saving(candidate)
+                    ) + memory * COST_SCALE
+                    checked += 1
+
+        monkeypatch.setattr(iterative, "BasicGrouping", Checking)
+        options = CompilerOptions(unroll_factor=8)
+        for kernel in ALL_KERNELS:
+            compile_program(
+                kernel.build(16), Variant.GLOBAL, intel_dunnington(), options
+            )
         assert checked > 1000
