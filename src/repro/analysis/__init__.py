@@ -16,6 +16,7 @@ from .operands import (
     KIND_REF,
     KIND_VAR,
     OperandKey,
+    OperandTable,
     is_const_key,
     is_memory_key,
     is_scalar_key,
@@ -32,6 +33,7 @@ __all__ = [
     "KIND_REF",
     "KIND_VAR",
     "OperandKey",
+    "OperandTable",
     "UseSite",
     "access_vector",
     "alignment_of",

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence
 
-from ..ir import ArrayRef, BasicBlock, Statement, Var
+from ..ir import ArrayRef, BasicBlock
+from .operands import OperandTable, bit_indices
 
 
 class DepKind(Enum):
@@ -55,94 +56,126 @@ def refs_must_alias(a: ArrayRef, b: ArrayRef) -> bool:
     return a.array == b.array and a.subscripts == b.subscripts
 
 
-def _writes_conflict(a: Statement, b: Statement) -> bool:
-    ta, tb = a.target, b.target
-    if isinstance(ta, Var) and isinstance(tb, Var):
-        return ta.name == tb.name
-    if isinstance(ta, ArrayRef) and isinstance(tb, ArrayRef):
-        return refs_may_alias(ta, tb)
-    return False
-
-
-def _read_write_conflict(reader: Statement, writer: Statement) -> bool:
-    target = writer.target
-    for leaf in reader.expr.leaves():
-        if isinstance(target, Var) and isinstance(leaf, Var):
-            if leaf.name == target.name:
-                return True
-        elif isinstance(target, ArrayRef) and isinstance(leaf, ArrayRef):
-            if refs_may_alias(leaf, target):
-                return True
-    return False
-
-
 class DependenceGraph:
-    """All pairwise dependences of one basic block, in program order."""
+    """All pairwise dependences of one basic block, in program order.
+
+    The block's :class:`~repro.analysis.operands.OperandTable`
+    (``operands``) decides every pair with bitset ANDs: the later
+    statement depends on the earlier by FLOW when the earlier's target
+    may alias one of the later's reads, by ANTI when the later's target
+    may alias one of the earlier's reads, and by OUTPUT when the two
+    targets may alias. Per operand id, the statements reading or writing
+    something it may alias are one bitset each, so a statement's
+    dependent partners are a few ORs and no pair is tested on its own.
+    """
 
     def __init__(self, block: BasicBlock):
         self.block = block
-        self.edges: List[Dependence] = []
-        self._dependent_pairs: Set[FrozenSet[int]] = set()
-        self._successors: Dict[int, Set[int]] = {
-            s.sid: set() for s in block
-        }
-        self._predecessors: Dict[int, Set[int]] = {
-            s.sid: set() for s in block
-        }
-        self._analyze()
+        statements = list(block)
+        self.operands = table = OperandTable.of_block(statements)
+        self._sids = sids = [stmt.sid for stmt in statements]
+        rows = [table.rows[sid] for sid in sids]
+        alias = table.alias
+        n_ids = len(table.keys)
+        readers = [0] * n_ids
+        writers = [0] * n_ids
+        for position, row in enumerate(rows):
+            bit = 1 << position
+            writers[row[0]] |= bit
+            for i in row[1:]:
+                readers[i] |= bit
+        # Per id, the statements reading (writing) an operand it may
+        # alias: FLOW partners of a writer of the id (OUTPUT and ANTI
+        # partners).
+        alias_readers = [0] * n_ids
+        alias_writers = [0] * n_ids
+        for i in range(n_ids):
+            for j in bit_indices(alias[i]):
+                alias_readers[i] |= readers[j]
+                alias_writers[i] |= writers[j]
+        # A statement's partners in either direction: whoever reads what
+        # its target may alias, or writes what its target or one of its
+        # reads may alias. Lower positions are its predecessors, higher
+        # ones its successors.
+        renumber = sids != list(range(len(sids)))
+        self._succ: Dict[int, int] = {}
+        self._pred: Dict[int, int] = {}
+        for position, row in enumerate(rows):
+            target = row[0]
+            touch = alias_readers[target] | alias_writers[target]
+            for i in row[1:]:
+                touch |= alias_writers[i]
+            succ = touch & (-2 << position)
+            pred = touch & ((1 << position) - 1)
+            if renumber:
+                succ = _sid_bits(succ, sids)
+                pred = _sid_bits(pred, sids)
+            self._succ[sids[position]] = succ
+            self._pred[sids[position]] = pred
 
-    def _analyze(self) -> None:
-        statements = list(self.block)
-        for i, earlier in enumerate(statements):
-            for later in statements[i + 1:]:
-                kinds = self._pair_kinds(earlier, later)
-                for kind in kinds:
-                    self._add(Dependence(earlier.sid, later.sid, kind))
-
-    @staticmethod
-    def _pair_kinds(
-        earlier: Statement, later: Statement
-    ) -> Tuple[DepKind, ...]:
-        kinds = []
-        if _read_write_conflict(later, earlier):
-            kinds.append(DepKind.FLOW)
-        if _read_write_conflict(earlier, later):
-            kinds.append(DepKind.ANTI)
-        if _writes_conflict(earlier, later):
-            kinds.append(DepKind.OUTPUT)
-        return tuple(kinds)
-
-    def _add(self, dep: Dependence) -> None:
-        self.edges.append(dep)
-        self._dependent_pairs.add(frozenset((dep.src, dep.dst)))
-        self._successors[dep.src].add(dep.dst)
-        self._predecessors[dep.dst].add(dep.src)
+    @property
+    def edges(self) -> List[Dependence]:
+        """Every dependence, by earlier statement, then later statement,
+        then kind (FLOW, ANTI, OUTPUT)."""
+        table = self.operands
+        alias = table.alias
+        position_of = {sid: i for i, sid in enumerate(self._sids)}
+        reads: Dict[int, int] = {}
+        for sid in self._sids:
+            bits = 0
+            for i in table.rows[sid][1:]:
+                bits |= 1 << i
+            reads[sid] = bits
+        edges: List[Dependence] = []
+        for earlier in self._sids:
+            target = table.rows[earlier][0]
+            later_sids = sorted(
+                bit_indices(self._succ[earlier]), key=position_of.__getitem__
+            )
+            for later in later_sids:
+                later_target = table.rows[later][0]
+                if alias[target] & reads[later]:
+                    edges.append(Dependence(earlier, later, DepKind.FLOW))
+                if alias[later_target] & reads[earlier]:
+                    edges.append(Dependence(earlier, later, DepKind.ANTI))
+                if (alias[target] >> later_target) & 1:
+                    edges.append(Dependence(earlier, later, DepKind.OUTPUT))
+        return edges
 
     # -- queries ---------------------------------------------------------------
 
     def dependent(self, sid_a: int, sid_b: int) -> bool:
         """True when any dependence connects the two statements."""
-        return frozenset((sid_a, sid_b)) in self._dependent_pairs
+        linked = self._succ.get(sid_a, 0) | self._pred.get(sid_a, 0)
+        return bool((linked >> sid_b) & 1)
 
     def independent(self, sid_a: int, sid_b: int) -> bool:
         return not self.dependent(sid_a, sid_b)
 
+    def successor_bits(self, sid: int) -> int:
+        """:meth:`successors` as a bitset over sids."""
+        return self._succ[sid]
+
+    def predecessor_bits(self, sid: int) -> int:
+        """:meth:`predecessors` as a bitset over sids."""
+        return self._pred[sid]
+
     def successors(self, sid: int) -> FrozenSet[int]:
-        return frozenset(self._successors[sid])
+        return frozenset(bit_indices(self._succ[sid]))
 
     def predecessors(self, sid: int) -> FrozenSet[int]:
-        return frozenset(self._predecessors[sid])
+        return frozenset(bit_indices(self._pred[sid]))
 
     def group_depends(
         self, group_a: FrozenSet[int], group_b: FrozenSet[int]
     ) -> bool:
         """Whether some statement of ``group_a`` must precede one of
         ``group_b`` (the group-level relation d of Section 4.1)."""
-        return any(
-            b in self._successors[a]
-            for a in group_a
-            for b in group_b
-        )
+        bits_b = 0
+        for b in group_b:
+            bits_b |= 1 << b
+        succ = self._succ
+        return any(succ[a] & bits_b for a in group_a)
 
     def groups_conflict(
         self, group_a: FrozenSet[int], group_b: FrozenSet[int]
@@ -154,3 +187,11 @@ class DependenceGraph:
         return self.group_depends(group_a, group_b) and self.group_depends(
             group_b, group_a
         )
+
+
+def _sid_bits(positions: int, sids: Sequence[int]) -> int:
+    """A bitset over block positions as a bitset over their sids."""
+    bits = 0
+    for position in bit_indices(positions):
+        bits |= 1 << sids[position]
+    return bits

@@ -21,25 +21,24 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..analysis import DependenceGraph
+from ..analysis.operands import bit_indices
 from ..perf import PERF, count
 from ..trace import TRACE
-from .model import CandidateGroup, PackData
+from .model import CandidateGroup
 
 
 class PackNode:
     """One VP node: a pack datum tagged with its originating candidate.
 
-    Nodes compare and hash by *identity*: each (candidate, position)
-    slot is one node, and the graph can hold many distinct nodes with
-    equal pack data — that multiplicity IS the reuse information.
-    Identity semantics also keep the (large) adjacency sets cheap: pack
-    data tuples contain Affine objects and deep-hashing them per edge
-    dominated compile time on wide-datapath blocks.
+    Nodes compare and hash by *identity*: the graph can hold many
+    distinct nodes with equal pack data — that multiplicity IS the
+    reuse information. The graph makes them per query, one per
+    (candidate, position) slot.
     """
 
     __slots__ = ("data", "candidate_index", "position", "tid")
 
-    def __init__(self, data: PackData, candidate_index: int, position: int):
+    def __init__(self, data, candidate_index: int, position: int):
         self.data = data
         self.candidate_index = candidate_index
         self.position = position
@@ -64,14 +63,18 @@ class VariablePackGraph:
     (each conflicting candidate pair contributes |packs_i| x |packs_j|
     node edges).
 
-    ``packs[i]`` is candidate ``i``'s merged pack tuple, position 0 the
-    target (``candidate.packs`` re-merges on every access).
-    ``pack_types`` lists the distinct pack data in sorted order and each
-    node's ``tid`` indexes it, so clients compare and index small ints
-    instead of pack tuples; ``type_candidates[tid]`` lists the candidate
-    of every node of that type, and ``nodes_with_data`` the live nodes of
-    one type, both in the canonical ``(data, candidate, position)``
-    order.
+    Pack data are id tuples over the block's operand table
+    (``operands``, from ``deps``): sorted ids order like the packs they
+    stand for, and ``operands.decode`` returns the pack. ``packs[i]`` is
+    candidate ``i``'s merged packs, position 0 the target, and
+    ``tids[i]`` their indices in ``pack_types``, the distinct pack data
+    in sorted order (``tid_of`` inverts it), so clients compare and
+    index small ints.
+    ``type_candidates[tid]`` lists the candidate of every node of that
+    type in the canonical ``(data, candidate, position)`` order.
+    :class:`PackNode` objects are made only when asked for
+    (``nodes``, :meth:`nodes_of_candidate`, :meth:`nodes_with_data`);
+    the rounds read ``tids`` instead.
     """
 
     def __init__(
@@ -81,94 +84,96 @@ class VariablePackGraph:
     ):
         self.candidates = list(candidates)
         self.deps = deps
-        self.nodes: Set[PackNode] = set()
-        self.packs: List[Tuple[PackData, ...]] = [
-            c.packs for c in self.candidates
-        ]
-        self.pack_types: List[PackData] = []
+        self.operands = deps.operands
+        self.packs: List[Tuple[Tuple[int, ...], ...]] = []
+        self.tids: List[Tuple[int, ...]] = []
+        self.pack_types: List[Tuple[int, ...]] = []
+        self.tid_of: Dict[Tuple[int, ...], int] = {}
         self.type_candidates: List[List[int]] = []
-        self._nodes_of_candidate: Dict[int, List[PackNode]] = {}
-        self._nodes_by_data: Dict[PackData, List[PackNode]] = {}
+        #: Bitset of the candidates whose nodes are still in the graph.
+        self.live = (1 << len(self.candidates)) - 1
         self._conflict_bits: List[int] = []
         self._build()
 
     def _build(self) -> None:
         # Conflict relation between candidates, computed once as
         # bitsets. Two candidates conflict when they share a statement
-        # or form a group-level dependence cycle. Instead of testing all
-        # O(n^2) pairs with set intersections, index candidates by the
-        # statements they contain (`member_of`) and the statements their
-        # members reach (`succ_of`); a candidate's conflict partners are
-        # then unions of those buckets:
-        #
-        # * shared statement: any candidate indexed under one of my sids;
-        # * dependence cycle: (succ_i & mem_j) and (succ_j & mem_i),
-        #   i.e. the intersection of "candidates whose members I reach"
-        #   with "candidates whose successors reach my members".
-        n = len(self.candidates)
-        members = [c.sid_set for c in self.candidates]
-        successors = [
-            frozenset().union(
-                *(self.deps.successors(sid) for sid in sids)
-            )
-            if sids
-            else frozenset()
-            for sids in members
-        ]
+        # or form a group-level dependence cycle: some member of i
+        # reaches a member of j (j is *forward* of i) and some member of
+        # j reaches a member of i (j is *backward* of i). Instead of
+        # testing all O(n^2) pairs, index candidates by the statements
+        # they contain (``member_of``), and each statement by the
+        # candidates holding one of its successors (``forward_of``) or
+        # predecessors (``backward_of``); a candidate's partners are
+        # then unions over its members. Both relations are symmetric by
+        # construction, so no symmetrize pass is needed.
+        deps = self.deps
+        members = [c.left.sids + c.right.sids for c in self.candidates]
         member_of: Dict[int, int] = {}   # sid -> bitmask of candidates
-        succ_of: Dict[int, int] = {}     # sid -> bitmask of candidates
-        for index in range(n):
+        for index, sids in enumerate(members):
             bit = 1 << index
-            for sid in members[index]:
+            for sid in sids:
                 member_of[sid] = member_of.get(sid, 0) | bit
-            for sid in successors[index]:
-                succ_of[sid] = succ_of.get(sid, 0) | bit
-
-        bits = [0] * n
-        for i in range(n):
-            self_bit = 1 << i
-            shared = 0
-            for sid in members[i]:
+        held = 0
+        for sid in member_of:
+            held |= 1 << sid
+        forward_of: Dict[int, int] = {}
+        backward_of: Dict[int, int] = {}
+        for sid in member_of:
+            forward = backward = 0
+            for other in bit_indices(deps.successor_bits(sid) & held):
+                forward |= member_of[other]
+            for other in bit_indices(deps.predecessor_bits(sid) & held):
+                backward |= member_of[other]
+            forward_of[sid] = forward
+            backward_of[sid] = backward
+        bits = []
+        for index, sids in enumerate(members):
+            shared = forward = backward = 0
+            for sid in sids:
                 shared |= member_of[sid]
-            # succ_i & mem_j != 0  for candidates j in `forward`;
-            # succ_j & mem_i != 0  for candidates j in `backward`.
-            forward = 0
-            for sid in successors[i]:
-                forward |= member_of.get(sid, 0)
-            backward = 0
-            for sid in members[i]:
-                backward |= succ_of.get(sid, 0)
-            # Both the shared-statement relation and forward&backward
-            # are symmetric by construction, so no symmetrize pass is
-            # needed.
-            bits[i] |= (shared | (forward & backward)) & ~self_bit
+                forward |= forward_of[sid]
+                backward |= backward_of[sid]
+            bits.append((shared | (forward & backward)) & ~(1 << index))
         self._conflict_bits = bits
 
-        by_data = self._nodes_by_data
-        for index, positions in enumerate(self.packs):
-            new_nodes = [
-                PackNode(data, index, position)
-                for position, data in enumerate(positions)
-            ]
-            self._nodes_of_candidate[index] = new_nodes
-            for node in new_nodes:
-                self.nodes.add(node)
-                by_data.setdefault(node.data, []).append(node)
-        # Type ids in pack order: each data bucket already holds its
-        # nodes in (candidate, position) order, so (tid, candidate,
-        # position) is the canonical ``PackNode.sort_key`` order and
-        # every downstream tie-break compares small ints instead of
-        # whole pack tuples (which hold Affine subscripts and compare
-        # slowly). Only the distinct pack types are sorted.
-        self.pack_types = sorted(by_data)
-        for tid, data in enumerate(self.pack_types):
-            nodes = by_data[data]
-            for node in nodes:
-                node.tid = tid
-            self.type_candidates.append(
-                [node.candidate_index for node in nodes]
+        # Each candidate's packs merge its two units' id tuples position
+        # by position. Type ids follow pack order: each data bucket
+        # holds its (candidate, position) pairs in that order, so (tid,
+        # candidate, position) is the canonical ``PackNode.sort_key``
+        # order and every downstream tie-break compares small ints.
+        unit_packs = self.operands.unit_packs
+        of_unit: Dict[Tuple[int, ...], tuple] = {}
+        by_data: Dict[Tuple[int, ...], List[int]] = {}
+        nodes = 0
+        for index, candidate in enumerate(self.candidates):
+            left, right = candidate.left.sids, candidate.right.sids
+            lefts = of_unit.get(left)
+            if lefts is None:
+                lefts = of_unit[left] = unit_packs(left)
+            rights = of_unit.get(right)
+            if rights is None:
+                rights = of_unit[right] = unit_packs(right)
+            packs = tuple(
+                [tuple(sorted(a + b)) for a, b in zip(lefts, rights)]
             )
-        count("grouping.vp_nodes", len(self.nodes))
+            self.packs.append(packs)
+            nodes += len(packs)
+            for data in packs:
+                bucket = by_data.get(data)
+                if bucket is None:
+                    by_data[data] = [index]
+                else:
+                    bucket.append(index)
+        self.pack_types = sorted(by_data)
+        tid_of = self.tid_of = {
+            data: tid for tid, data in enumerate(self.pack_types)
+        }
+        self.tids = [
+            tuple([tid_of[data] for data in packs]) for packs in self.packs
+        ]
+        self.type_candidates = [by_data[data] for data in self.pack_types]
+        count("grouping.vp_nodes", nodes)
         if PERF.enabled or TRACE.enabled:
             # Only the counter and the trace read the edge count.
             edges = self.edge_count
@@ -177,7 +182,7 @@ class VariablePackGraph:
                 TRACE.event(
                     "vp.build",
                     candidates=len(self.candidates),
-                    nodes=len(self.nodes),
+                    nodes=nodes,
                     edges=edges,
                 )
 
@@ -193,15 +198,38 @@ class VariablePackGraph:
         return self._conflict_bits[index]
 
     def nodes_of_candidate(self, index: int) -> List[PackNode]:
-        return list(self._nodes_of_candidate.get(index, ()))
+        """The candidate's nodes by position; empty once removed."""
+        if not (self.live >> index) & 1:
+            return []
+        nodes = []
+        for position, (data, tid) in enumerate(
+            zip(self.packs[index], self.tids[index])
+        ):
+            node = PackNode(data, index, position)
+            node.tid = tid
+            nodes.append(node)
+        return nodes
 
-    def nodes_with_data(self, data: PackData) -> List[PackNode]:
-        """The live nodes carrying ``data``, in canonical order."""
-        live = self._nodes_of_candidate
+    @property
+    def nodes(self) -> Set[PackNode]:
+        """Every live node."""
+        return {
+            node
+            for index in bit_indices(self.live)
+            for node in self.nodes_of_candidate(index)
+        }
+
+    def nodes_with_data(self, data: Tuple[int, ...]) -> List[PackNode]:
+        """The live nodes carrying ``data`` (an id tuple), in canonical
+        order."""
+        tid = self.tid_of.get(data)
+        if tid is None:
+            return []
         return [
             node
-            for node in self._nodes_by_data.get(data, ())
-            if node.candidate_index in live
+            for index in dict.fromkeys(self.type_candidates[tid])
+            for node in self.nodes_of_candidate(index)
+            if node.tid == tid
         ]
 
     @property
@@ -209,14 +237,15 @@ class VariablePackGraph:
         """Size of the explicit node-level edge set among live
         candidates. Candidates are bucketed by node count, so each
         candidate's weighted conflict degree is a few popcounts."""
-        live = self._nodes_of_candidate
+        live = bit_indices(self.live)
         by_size: Dict[int, int] = {}
-        for index, nodes in live.items():
-            by_size[len(nodes)] = by_size.get(len(nodes), 0) | (1 << index)
+        for index in live:
+            size = len(self.packs[index])
+            by_size[size] = by_size.get(size, 0) | (1 << index)
         twice = 0
-        for index, nodes in live.items():
+        for index in live:
             bits = self._conflict_bits[index]
-            twice += len(nodes) * sum(
+            twice += len(self.packs[index]) * sum(
                 size * (bits & mask).bit_count()
                 for size, mask in by_size.items()
             )
@@ -224,11 +253,9 @@ class VariablePackGraph:
 
     def remove_candidate(self, index: int) -> None:
         """Drop all pack nodes of one candidate (Figure 10 line 41)."""
-        removed = self._nodes_of_candidate.pop(index, None)
-        if removed is not None:
-            self.nodes.difference_update(removed)
+        self.live &= ~(1 << index)
 
-    def coexistence_count(self, data: PackData) -> int:
+    def coexistence_count(self, data: Tuple[int, ...]) -> int:
         """How many mutually-nonconflicting occurrences of a pack exist —
         an upper bound on its reuse (informational; the weight machinery
         uses the auxiliary graph instead)."""

@@ -64,7 +64,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import Diagnostic, OptionsError, choose
 from ..analysis import DependenceGraph
-from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
+from ..analysis.operands import (
+    KIND_CONST,
+    KIND_REF,
+    KIND_VAR,
+    OperandTable,
+    bit_indices,
+)
 from ..ir import Affine
 from ..ir.expr import OP_WEIGHTS
 from ..perf import count, span
@@ -167,16 +173,16 @@ class PenaltyContext:
         return tuple(sorted(slots))
 
 
-def _scalar_pack_contiguous(
-    pack: PackData, context: Optional[PenaltyContext]
+def _slots_contiguous(
+    names: Sequence[str], context: Optional[PenaltyContext]
 ) -> bool:
-    """Whether the scalar pack occupies consecutive arena slots (in some
+    """Whether scalars ``names`` occupy consecutive arena slots (in some
     lane order) under the known scalar layout."""
     if context is None or context.scalar_slots is None:
         return False
     slots = []
-    for key in pack:
-        slot = context.slot_of(key[1])
+    for name in names:
+        slot = context.slot_of(name)
         if slot is None:
             return False
         slots.append(slot)
@@ -268,7 +274,7 @@ def pack_materialization_penalty(
             return LAYOUT_FIXABLE_PENALTY
         return GATHER_PENALTY
     if kinds == {KIND_VAR}:
-        if _scalar_pack_contiguous(pack, context):
+        if _slots_contiguous([key[1] for key in pack], context):
             return 0.0
         if context is not None and context.assume_layout:
             return LAYOUT_FIXABLE_PENALTY
@@ -302,7 +308,7 @@ def pack_reuse_saving(
             return 1.0  # replication will make it one wide load
         return GATHER_PENALTY
     if kinds == {KIND_VAR}:
-        if _scalar_pack_contiguous(pack, context):
+        if _slots_contiguous([key[1] for key in pack], context):
             return 1.0
         # Half the avoided scalar-gather cost: consumers of the same
         # pack share one materialization (the code generator keeps it
@@ -321,14 +327,13 @@ class PackCostModel:
     and :func:`pack_materialization_penalty` (as a source and as a
     store) as ints in units of ``1 / COST_SCALE``,
     :func:`pack_adjacency_score`, and whether every lane is an array
-    reference. A grouping round classifies each of its pack types once;
-    the rounds build new, wider packs, so the model keeps no per-pack
-    memo. Contiguity is decided from each array
-    reference's flattened ``(coeffs, const)``, cached per reference: a
-    wider pack in a later round reuses its lanes' entries.
+    reference. A grouping round classifies each of its pack types once,
+    given as an id tuple over the block's
+    :class:`~repro.analysis.operands.OperandTable`, from the per-id
+    kinds, names and flattened offsets.
     """
 
-    __slots__ = ("decl_of", "context", "_flat")
+    __slots__ = ("decl_of", "context")
 
     def __init__(
         self,
@@ -337,43 +342,22 @@ class PackCostModel:
     ):
         self.decl_of = decl_of
         self.context = context
-        self._flat: Dict[tuple, Optional[tuple]] = {}
 
-    def _flattened(self, key) -> Optional[tuple]:
-        """``(coeffs, const)`` of one array reference's row-major flat
-        offset, or None when the shape is unknown — the per-lane step
-        of :func:`pack_is_contiguous_memory`."""
-        try:
-            return self._flat[key]
-        except KeyError:
-            pass
-        subscripts = key[2]
-        decl = self.decl_of(key[1]) if self.decl_of is not None else None
-        if decl is not None:
-            shape = decl.shape
-        elif len(subscripts) == 1:
-            shape = (0,)
-        else:
-            self._flat[key] = None
-            return None
-        flat = Affine((), 0)
-        for subscript, dim in zip(subscripts, shape):
-            flat = flat * dim + subscript
-        result = self._flat[key] = (flat.coeffs, flat.const)
-        return result
-
-    def contiguous(self, data: PackData) -> bool:
-        """:func:`pack_is_contiguous_memory`: the lanes are one array's
-        references with equal flattened coefficients whose constants
-        form a consecutive run."""
-        array = data[0][1]
-        for key in data:
-            if key[0] != KIND_REF or key[1] != array:
+    def contiguous(self, ids: Sequence[int], table: OperandTable) -> bool:
+        """:func:`pack_is_contiguous_memory` of the pack ``ids`` stands
+        for: the lanes are one array's references with equal flattened
+        coefficients whose constants form a consecutive run."""
+        kinds = table.kinds
+        names = table.names
+        array = names[ids[0]]
+        for i in ids:
+            if kinds[i] != KIND_REF or names[i] != array:
                 return False
+        flats = table.flat_offsets(self.decl_of)
         coeffs = None
         consts = []
-        for key in data:
-            flat = self._flattened(key)
+        for i in ids:
+            flat = flats[i]
             if flat is None:
                 return False
             if coeffs is None:
@@ -384,32 +368,37 @@ class PackCostModel:
         consts.sort()
         return consts == list(range(consts[0], consts[0] + len(consts)))
 
-    def classify(self, data: PackData) -> Tuple[int, int, int, int, bool]:
+    def classify(
+        self, ids: Sequence[int], table: OperandTable
+    ) -> Tuple[int, int, int, int, bool]:
         """``(saving, build, store build, adjacency, all memory)`` of one
-        pack type: :func:`pack_reuse_saving` and
-        :func:`pack_materialization_penalty` (as a source and as a store)
-        in units of ``1 / COST_SCALE``, :func:`pack_adjacency_score`, and
-        whether every lane is an array reference — the same case
-        analysis, with one pass over the lanes and at most one contiguity
-        test."""
-        kind = data[0][0]
-        if data[0] == data[-1]:  # a splat (the pack is sorted)
+        pack type, given as sorted operand ids:
+        :func:`pack_reuse_saving` and :func:`pack_materialization_penalty`
+        (as a source and as a store) in units of ``1 / COST_SCALE``,
+        :func:`pack_adjacency_score`, and whether every lane is an array
+        reference — the same case analysis, with one pass over the lanes
+        and at most one contiguity test."""
+        kinds = table.kinds
+        kind = kinds[ids[0]]
+        if ids[0] == ids[-1]:  # a splat (the pack is sorted)
             saving = 0 if kind == KIND_CONST else _BROADCAST
             return (saving, 0, 0, 1, kind == KIND_REF)
-        for key in data:
-            if key[0] != kind:  # mixed lane sources: per-lane inserts
+        for i in ids:
+            if kinds[i] != kind:  # mixed lane sources: per-lane inserts
                 return (_GATHER, _GATHER, _GATHER, 0, False)
         context = self.context
         if kind == KIND_REF:
-            if self.contiguous(data):
+            if self.contiguous(ids, table):
                 return (_WIDE, 0, 0, 2, True)
             if context is not None and context.replicable_arrays is not None:
                 replicable = context.replicable_arrays
-                if all(key[1] in replicable for key in data):
+                names = table.names
+                if all(names[i] in replicable for i in ids):
                     return (_WIDE, _FIXABLE, _GATHER, 0, True)
             return (_GATHER, _GATHER, _GATHER, 0, True)
         if kind == KIND_VAR:
-            if _scalar_pack_contiguous(data, context):
+            names = table.names
+            if _slots_contiguous([names[i] for i in ids], context):
                 return (_WIDE, 0, 0, 0, False)
             if context is not None and context.assume_layout:
                 return (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0, False)
@@ -494,8 +483,8 @@ def eliminate_conflicts(
 #: Heap entry tiers, cheapest first. A bitset entry caps the score from
 #: round bitsets alone, a bound entry from the auxiliary graph's cached
 #: bound, and an exact entry carries the score after elimination. Each
-#: cap is at least the next tier's, and at equal rank a cheaper tier
-#: pops first, so an entry is refined before any entry it might tie with.
+#: cap is at least the next tier's; entries order by rank, then the
+#: tie-break, then tier (see ``_run_incremental``).
 _BITSET = 0
 _BOUND = 1
 _EXACT = 2
@@ -615,22 +604,24 @@ class BasicGrouping:
         self._keys = [c.key() for c in self.candidates]
         with span("slp.vp_graph"):
             self.vp = VariablePackGraph(self.candidates, deps)
-        # Per-round pack type ids (``tid``): indices into the VP graph's
-        # sorted ``pack_types``, so tid order is pack order. Each
-        # candidate keeps its distinct tids ascending (its *slots*), the
-        # multiplicity of each and its target slot; ``_holders[t]`` is
-        # the bitset of candidates holding type ``t``. The score loops
-        # index these instead of hashing pack tuples (whose Affine
-        # subscripts hash and compare slowly).
-        # ``_type_costs[t]`` is type ``t``'s ``(saving, build, store
-        # build, adjacency, all memory)``, classified once per round;
-        # ``_sid_bits``, ``_type_sids[t]`` (the statements of type
-        # ``t``'s holders), ``_max_mult[t]`` (the most positions one
-        # candidate holds type ``t`` at) and ``_lanes[t]`` feed the
-        # heap bounds.
+        # Pack data are id tuples over the block's operand table, decoded
+        # to keys only where they leave the round (``decided_packs`` and
+        # the merged groups of ``run``). Per-round pack type ids
+        # (``tid``): indices into the VP graph's sorted ``pack_types``,
+        # so tid order is pack order. Each candidate keeps its distinct
+        # tids ascending (its *slots*), the multiplicity of each and its
+        # target slot; ``_holders[t]`` is the bitset of candidates
+        # holding type ``t``. ``_type_costs[t]`` is type ``t``'s
+        # ``(saving, build, store build, adjacency, all memory)``,
+        # classified once per round; ``_sid_bits``, ``_type_sids[t]``
+        # (the statements of type ``t``'s holders), ``_max_mult[t]``
+        # (the most positions one candidate holds type ``t`` at) and
+        # ``_lanes[t]`` feed the heap bounds.
+        self.operands = deps.operands
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
+        classify = self.cost.classify
         type_costs = self._type_costs = [
-            self.cost.classify(data) for data in self.vp.pack_types
+            classify(data, self.operands) for data in self.vp.pack_types
         ]
         n_types = len(type_costs)
         self._lanes: List[int] = [len(data) for data in self.vp.pack_types]
@@ -653,19 +644,17 @@ class BasicGrouping:
         op_savings: Dict[tuple, int] = {}
         self.adjacency: List[int] = []
         for index, candidate in enumerate(self.candidates):
-            nodes = self.vp.nodes_of_candidate(index)
+            tids = self.vp.tids[index]
             own: Dict[int, int] = {}
-            for node in nodes:
-                own[node.tid] = own.get(node.tid, 0) + 1
+            for tid in tids:
+                own[tid] = own.get(tid, 0) + 1
             types = tuple(sorted(own))
             self._types.append(types)
             self._own_list.append([own[tid] for tid in types])
-            self._target_slot.append(types.index(nodes[0].tid))
-            self.adjacency.append(
-                sum(type_costs[node.tid][3] for node in nodes)
-            )
+            self._target_slot.append(types.index(tids[0]))
+            self.adjacency.append(sum(type_costs[tid][3] for tid in tids))
             sids = 0
-            for sid in candidate.sid_set:
+            for sid in candidate.left.sids + candidate.right.sids:
                 sids |= 1 << sid
             self._sid_bits.append(sids)
             bit = 1 << index
@@ -975,9 +964,9 @@ class BasicGrouping:
         callers of the public entry points see direct mutations of the
         list."""
         decided = [0] * len(self.vp.pack_types)
-        tid_of = {data: tid for tid, data in enumerate(self.vp.pack_types)}
+        tid_of = self.vp.tid_of
         for data in self.decided_packs:
-            tid = tid_of.get(data)
+            tid = tid_of.get(self.operands.encode(data))
             if tid is not None:
                 decided[tid] += 1
         return decided
@@ -1101,12 +1090,24 @@ class BasicGrouping:
         if trace.objective is None:
             trace.objective = self.selection_objective(self.decided)
 
-        decided_groups = [self.candidates[i].merged() for i in self.decided]
+        decided_groups = [self._merged(i) for i in self.decided]
         taken = set()
         for group in decided_groups:
             taken |= group.sid_set
         leftovers = [u for u in self.units if not (u.sid_set & taken)]
         return decided_groups, leftovers, trace
+
+    def _merged(self, index: int) -> GroupNode:
+        """``candidates[index].merged()``, its packs decoded from the VP
+        graph's id tuples instead of re-sorted."""
+        left, right = self.candidates[index].left, self.candidates[index].right
+        decode = self.operands.decode
+        return GroupNode(
+            tuple(sorted(left.sids + right.sids)),
+            left.signature,
+            tuple([decode(data) for data in self.vp.packs[index]]),
+            left.element_bits,
+        )
 
     def _commit(
         self,
@@ -1124,14 +1125,15 @@ class BasicGrouping:
         candidate = self.candidates[best]
         trace.decisions.append((candidate, weight))
         self.decided.append(best)
-        self.decided_packs.extend(self.vp.packs[best])
+        decode = self.operands.decode
+        self.decided_packs.extend(decode(data) for data in self.vp.packs[best])
         decided_counts = self._decided_counts
-        for node in self.vp.nodes_of_candidate(best):
-            decided_counts[node.tid] += 1
+        for tid in self.vp.tids[best]:
+            decided_counts[tid] += 1
         count("grouping.decisions")
         gone = (self.vp.conflict_bits(best) | 1 << best) & self.active
         self.active &= ~gone
-        removed = _bit_indices(gone)
+        removed = bit_indices(gone)
         for index in removed:
             self.vp.remove_candidate(index)
             self._aux[index] = None
@@ -1183,7 +1185,7 @@ class BasicGrouping:
         """
         block = TRACE.current("block")
         others = sorted(
-            (i for i in _bit_indices(self.active) if i != best),
+            (i for i in bit_indices(self.active) if i != best),
             key=lambda i: (
                 score_of(i),
                 self.adjacency[i],
@@ -1274,11 +1276,14 @@ class BasicGrouping:
             # graph; each can only overestimate the next tier (score
             # and weight are monotone nondecreasing in the per-slot
             # counts, and each bound caps its slot's survivors of
-            # elimination). With cheaper tiers sorting first among
-            # equal values, an entry sorts before the candidate's true
-            # position and is refined one tier whenever it reaches the
-            # top. Graphs are therefore built, and elimination run, only
-            # for candidates that actually contend for selection.
+            # elimination). The tier sorts after the tie-break:
+            # adjacency and key are constants of the candidate, so an
+            # entry still sorts at or before the candidate's true
+            # position, and is refined one tier whenever it reaches the
+            # top — but a bound that ties an exact entry's score and
+            # loses its tie-break waits below it. Graphs are therefore
+            # built, and elimination run, only for candidates that
+            # actually contend for selection.
             got = results.get(index)
             if got is None and tier == _EXACT:
                 got = evaluate(index)
@@ -1295,9 +1300,9 @@ class BasicGrouping:
                 heap,
                 (
                     -rank,
-                    tier,
                     -self.adjacency[index],
                     keys[index],
+                    tier,
                     generation.get(index, 0),
                     index,
                 ),
@@ -1309,7 +1314,7 @@ class BasicGrouping:
             count("grouping.score_bounds")
             push(index, _BITSET if self._aux[index] is None else _BOUND)
 
-        for index in _bit_indices(self.active):
+        for index in bit_indices(self.active):
             push_bound(index)
 
         while self.active:
@@ -1322,14 +1327,14 @@ class BasicGrouping:
                 ):
                     heapq.heappop(heap)
                     continue
-                if entry[1] != _EXACT:
+                if entry[3] != _EXACT:
                     # A bound on top: refine it one tier. Every other
                     # entry's true score lies at or below its heap
                     # position, so the first exact entry to surface is
                     # the true argmax (ties impossible across candidates
                     # — keys are unique).
                     heapq.heappop(heap)
-                    push(index, entry[1] + 1)
+                    push(index, entry[3] + 1)
                     continue
                 break
             else:  # pragma: no cover - every active candidate has an entry
@@ -1342,10 +1347,18 @@ class BasicGrouping:
                 # are still committed — the paper "exploits all the
                 # opportunities" — but reuse-free, cost-negative ones
                 # are left scalar rather than sinking the whole block at
-                # the cost gate.
-                with_reuse = [
-                    i for i in _bit_indices(self.active) if weight_of(i) > 0
-                ]
+                # the cost gate. A candidate without a cached score is
+                # scored exactly only if its bitset bound leaves room
+                # for reuse: the weight is monotone in the counts, which
+                # the bound caps.
+                with_reuse = []
+                for i in bit_indices(self.active):
+                    if i not in results:
+                        capped = self._counts_list(i, decided_counts, _BITSET)
+                        if sum(capped) <= len(capped):
+                            continue
+                    if weight_of(i) > 0:
+                        with_reuse.append(i)
                 if not with_reuse:
                     break
                 best = max(
@@ -1385,7 +1398,7 @@ class BasicGrouping:
             # Dirty candidates lose their caches and get a fresh heap
             # entry; everything else keeps its cached score and live
             # heap entry.
-            for index in _bit_indices(self._dirty_mask(best, removed)):
+            for index in bit_indices(self._dirty_mask(best, removed)):
                 results.pop(index, None)
                 generation[index] = generation.get(index, 0) + 1
                 push_bound(index)
@@ -1403,7 +1416,7 @@ class BasicGrouping:
         decided_counts = self._decided_counts
         keys = self._keys
         while self.active:
-            active = _bit_indices(self.active)
+            active = bit_indices(self.active)
             weights: Dict[int, Fraction] = {}
             scores: Dict[int, Fraction] = {}
             for i in active:
@@ -1473,16 +1486,6 @@ GROUPING_ENGINES: Dict[str, Callable[[BasicGrouping], GroupingTrace]] = {
     "reference": BasicGrouping._run_reference,
     "optimal": _run_optimal,
 }
-
-
-def _bit_indices(mask: int) -> List[int]:
-    """The set bit positions of a non-negative int, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _NegatedKey:

@@ -45,10 +45,9 @@ def iterative_grouping(
     """
     units: List[GroupNode] = [GroupNode.of_statement(s) for s in block]
     traces: List[GroupingTrace] = []
-    # One pack-cost model serves every round. Its only cache is each
-    # array reference's flattened offset, which the wider packs of later
-    # rounds reuse lane by lane; each round classifies its own pack
-    # types once.
+    # One pack-cost model serves every round; each round classifies its
+    # own pack types once, reading flattened offsets from the block's
+    # operand table (``deps.operands``), which keeps them per operand.
     cost_model = PackCostModel(decl_of, penalty_context)
     round_index = 0
     while True:

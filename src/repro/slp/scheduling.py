@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleCycleError
 from ..analysis import DependenceGraph, OperandKey, operand_key
-from ..analysis.operands import KIND_REF, KIND_VAR
+from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
 from ..ir import BasicBlock, Statement
 from ..trace import TRACE, provenance_id
 from .model import (
@@ -59,10 +59,15 @@ def keys_may_alias(a: OperandKey, b: OperandKey) -> bool:
 class LiveSuperwordSet:
     """Packs "most likely in vector registers currently", one ordered
     pack per pack-data multiset (a newly ordered superword replaces any
-    existing superword over the same data)."""
+    existing superword over the same data).
+
+    Two keys may alias only if they name the same variable or array, so
+    the live packs are indexed by their lanes' ``(kind, name)``, and a
+    write alias-tests only the packs sharing its name."""
 
     def __init__(self) -> None:
         self._live: Dict[PackData, OrderedPack] = {}
+        self._by_name: Dict[Tuple[str, str], Set[PackData]] = {}
 
     def lookup(self, data: PackData) -> Optional[OrderedPack]:
         return self._live.get(data)
@@ -71,19 +76,27 @@ class LiveSuperwordSet:
         return data in self._live
 
     def insert(self, ordered: OrderedPack) -> None:
-        self._live[pack_data(ordered)] = ordered
+        data = pack_data(ordered)
+        if data not in self._live:
+            for key in data:
+                if key[0] != KIND_CONST:
+                    self._by_name.setdefault(key[:2], set()).add(data)
+        self._live[data] = ordered
 
     def invalidate_written(self, written: Sequence[OperandKey]) -> None:
         """Drop packs holding a value that aliases a just-written operand."""
-        stale = [
-            data
-            for data, ordered in self._live.items()
-            if any(
-                keys_may_alias(lane, w) for lane in ordered for w in written
-            )
-        ]
+        stale = set()
+        for w in written:
+            for data in self._by_name.get(w[:2], ()):
+                if data not in stale and any(
+                    keys_may_alias(lane, w) for lane in data
+                ):
+                    stale.add(data)
         for data in stale:
             del self._live[data]
+            for key in data:
+                if key[0] != KIND_CONST:
+                    self._by_name[key[:2]].discard(data)
 
     def packs(self) -> Tuple[OrderedPack, ...]:
         return tuple(self._live.values())

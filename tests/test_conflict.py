@@ -61,7 +61,7 @@ class TestQueries:
         )
         from repro.slp.model import pack_data
 
-        uv = pack_data([("var", "u"), ("var", "v")])
+        uv = vp.operands.encode(pack_data([("var", "u"), ("var", "v")]))
         matching = vp.nodes_with_data(uv)
         assert len(matching) >= 2
 
@@ -80,7 +80,7 @@ class TestQueries:
         )
         from repro.slp.model import pack_data
 
-        uv = pack_data([("var", "u"), ("var", "v")])
+        uv = vp.operands.encode(pack_data([("var", "u"), ("var", "v")]))
         assert vp.coexistence_count(uv) >= 2
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import CompilerOptions, Variant, compile_program
-from repro.analysis import DependenceGraph
+from repro.analysis import DependenceGraph, OperandTable
 from repro.bench import ALL_KERNELS, KERNELS, intel_dunnington
 from repro.ir import parse_block
 from repro.slp import (
@@ -204,13 +204,17 @@ def aux_graphs(draw):
 def oracle_aux_counts(grouping, index, eliminate):
     """Per-slot node counts of candidate ``index``'s auxiliary graph,
     rebuilt from scratch over the VP graph's live nodes, after the
-    node-level :func:`eliminate_conflicts` when ``eliminate``."""
+    node-level :func:`eliminate_conflicts` when ``eliminate``. The VP
+    graph keys nodes by operand ids: the candidate's packs are encoded
+    through the block's operand table, and each node's data is decoded
+    back before it is counted."""
     vp = grouping.vp
+    table = vp.operands
     slots = sorted(set(grouping.candidates[index].packs))  # tid order
     nodes = [
         node
         for data in slots
-        for node in vp.nodes_with_data(data)
+        for node in vp.nodes_with_data(table.encode(data))
         if node.candidate_index != index
         and not vp.candidates_conflict(index, node.candidate_index)
     ]
@@ -224,7 +228,10 @@ def oracle_aux_counts(grouping, index, eliminate):
             for a in nodes
         }
         nodes = eliminate_conflicts(nodes, adjacency)
-    return [sum(node.data == data for node in nodes) for data in slots]
+    return [
+        sum(table.decode(node.data) == data for node in nodes)
+        for data in slots
+    ]
 
 
 @st.composite
@@ -573,10 +580,12 @@ class TestPackCostModel:
                 subscripts = (Affine.of(const, i=ci, j=cj),)
             keys.append(("ref", array, subscripts))
         data = pack_data(keys)
+        table = OperandTable(data)
+        ids = table.encode(data)
         model = PackCostModel(lambda name: decl)
         contiguous = pack_is_contiguous_memory(data, lambda name: decl)
-        assert model.contiguous(data) == contiguous
-        saving, build, store, adjacency, memory = model.classify(data)
+        assert model.contiguous(ids, table) == contiguous
+        saving, build, store, adjacency, memory = model.classify(ids, table)
         assert memory == all(key[0] == "ref" for key in data)
         if data[0] != data[-1]:  # a splat scores by its lanes alone
             assert adjacency == (2 if contiguous else 0)
@@ -595,7 +604,7 @@ class TestPackCostModel:
         all-memory flag says whether every lane is an array reference,
         the contiguity it rests on agrees with
         ``pack_is_contiguous_memory``, and each round indexes it by type
-        id."""
+        id (an id tuple, decoded through the block's operand table)."""
         from repro.slp import iterative
 
         seen = {}
@@ -604,7 +613,11 @@ class TestPackCostModel:
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 packs = seen.setdefault(id(self.cost), (self.cost, {}))[1]
-                packs.update(zip(self.vp.pack_types, self._type_costs))
+                decode = self.operands.decode
+                packs.update(
+                    (decode(data), row)
+                    for data, row in zip(self.vp.pack_types, self._type_costs)
+                )
 
         monkeypatch.setattr(iterative, "BasicGrouping", Recording)
         machine = intel_dunnington()
@@ -623,10 +636,13 @@ class TestPackCostModel:
                     assert exact.denominator == 1
                     return int(exact)
 
-                assert model.contiguous(data) == pack_is_contiguous_memory(
-                    data, decl_of
+                # The pack again, numbered by a table of its own keys.
+                table = OperandTable(data)
+                ids = table.encode(data)
+                assert model.contiguous(ids, table) == (
+                    pack_is_contiguous_memory(data, decl_of)
                 )
-                assert row == model.classify(data) == (
+                assert row == model.classify(ids, table) == (
                     units(pack_reuse_saving(data, decl_of, context)),
                     *(
                         units(

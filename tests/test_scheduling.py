@@ -2,9 +2,10 @@
 intra-group ordering, permutation minimization, cycle demotion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import DependenceGraph, operand_key
-from repro.ir import parse_block
+from repro.ir import Affine, parse_block
 from repro.slp import (
     GroupNode,
     LiveSuperwordSet,
@@ -17,6 +18,19 @@ from repro.slp.model import pack_data
 from repro.slp.scheduling import _match_orderings
 
 DECLS = "float A[512]; float B[512]; float a, b, c, d, p, q, r, s;"
+
+#: Lanes for random live sets: scalars, constants, and references to
+#: two arrays whose subscripts differ by constants or by coefficients.
+LANE_KEYS = (
+    [("var", name) for name in "abc"]
+    + [("const", "float", 1.0), ("const", "float", 2.0)]
+    + [
+        ("ref", array, (Affine.of(const, i=coeff),))
+        for array in ("A", "B")
+        for coeff in (1, 2)
+        for const in (0, 1)
+    ]
+)
 
 
 def schedule_of(src, datapath=64):
@@ -61,6 +75,36 @@ class TestLiveSuperwordSet:
         # A write to A[2i] may alias A[4i]: the pack must die.
         live.invalidate_written([("ref", "A", (Affine.of(0, i=2),))])
         assert len(live) == 0
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.sampled_from(LANE_KEYS), min_size=1, max_size=4),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_invalidation_matches_full_scan(self, steps):
+        """Invalidation tests only the packs sharing a written key's
+        name, yet leaves exactly the packs, in the same order, that
+        alias-testing every lane of every live pack leaves."""
+        live = LiveSuperwordSet()
+        scan = {}
+        for is_write, keys in steps:
+            if is_write:
+                live.invalidate_written(keys)
+                for data in [
+                    data
+                    for data, ordered in scan.items()
+                    if any(keys_may_alias(a, w) for a in ordered for w in keys)
+                ]:
+                    del scan[data]
+            else:
+                live.insert(tuple(keys))
+                scan[pack_data(keys)] = tuple(keys)
+            assert live.packs() == tuple(scan.values())
 
 
 class TestKeysMayAlias:
