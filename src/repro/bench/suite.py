@@ -10,8 +10,6 @@ private L1, plus a synchronization overhead shared by both versions).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
@@ -24,7 +22,6 @@ from ..compiler import (
     compile_program,
 )
 from ..errors import Diagnostic, SuiteError, format_failure
-from ..perf import PERF
 from ..store import ArtifactStore
 from ..trace import summarize, to_jsonl, traced_run
 from ..vm import (
@@ -36,7 +33,7 @@ from ..vm import (
     parallel_cycles,
     reduction,
 )
-from .kernels import ALL_KERNELS, KERNELS, Kernel
+from .kernels import ALL_KERNELS, Kernel
 
 DEFAULT_VARIANTS: Tuple[Variant, ...] = (
     Variant.SCALAR,
@@ -182,110 +179,30 @@ def _write_trace(
     )
 
 
-def _run_kernel_task(payload):
-    """Worker-process entry for the parallel suite runner.
-
-    Kernels from the registry travel by name (their builders may be
-    lambdas or locally-defined closures that do not pickle); ad-hoc
-    kernels are pickled whole. The worker mirrors the parent's perf
-    state and ships its measurements back as a snapshot for merging.
-
-    A crash travels back as a formatted traceback instead of an
-    exception: one bad kernel must not make ``pool.map`` discard every
-    other kernel's result (and its traceback context) on the spot.
-    Returns ``(name, result | None, perf_snapshot, failure | None)``.
-    """
-    (
-        kernel_ref, machine, variants, options, n, cache_dir, perf_on,
-        trace_dir,
-    ) = payload
-    kernel = (
-        KERNELS[kernel_ref] if isinstance(kernel_ref, str) else kernel_ref
-    )
-    PERF.reset()
-    if perf_on:
-        PERF.enable()
-    cache = ArtifactStore(cache_dir) if cache_dir else None
-    try:
-        result = run_kernel(
-            kernel, machine, variants, options, n=n, cache=cache,
-            trace_dir=trace_dir,
-        )
-    except Exception as exc:
-        return kernel.name, None, None, format_failure(exc)
-    snapshot = PERF.snapshot() if perf_on else None
-    return kernel.name, result, snapshot, None
-
-
 def run_suite(
     machine: MachineModel,
     kernels: Optional[Iterable[Kernel]] = None,
     variants: Sequence[Variant] = DEFAULT_VARIANTS,
     options: Optional[CompilerOptions] = None,
     n: int = 0,
-    jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
 ) -> Dict[str, KernelResult]:
-    """Sweep the suite; ``jobs > 1`` fans kernels out over worker
-    processes. Each kernel is an independent compile+simulate pipeline,
-    so the fan-out is embarrassingly parallel; results are merged in
-    input order, making the output identical to a sequential run
-    regardless of worker scheduling. ``cache_dir`` enables the on-disk
-    compile cache (shared by all workers).
-
-    ``jobs`` is capped at ``os.cpu_count()``: oversubscribing a small
-    box buys nothing but process spawn + pickle overhead (a 4-worker
-    pool on a 1-core machine measured as a 0.73x *slowdown*), and when
-    the cap leaves a single worker the pool is skipped entirely in
-    favor of the serial path."""
-    kernel_list = list(kernels or ALL_KERNELS)
+    """Sweep the suite, one kernel after another. ``cache_dir`` enables
+    the on-disk compile cache. A kernel that fails does not stop the
+    sweep: every failure is raised together, as a :class:`SuiteError`,
+    after the last kernel ran."""
+    cache = ArtifactStore(cache_dir) if cache_dir else None
     out: Dict[str, KernelResult] = {}
     failures: Dict[str, str] = {}
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        cache = ArtifactStore(cache_dir) if cache_dir else None
-        for kernel in kernel_list:
-            try:
-                out[kernel.name] = run_kernel(
-                    kernel, machine, variants, options, n=n, cache=cache,
-                    trace_dir=trace_dir,
-                )
-            except Exception as exc:
-                failures[kernel.name] = format_failure(exc)
-        if failures:
-            raise _suite_error(failures, out)
-        return out
-
-    payloads = [
-        (
-            kernel.name
-            if KERNELS.get(kernel.name) is kernel
-            else kernel,
-            machine,
-            tuple(variants),
-            options,
-            n,
-            str(cache_dir) if cache_dir else None,
-            PERF.enabled,
-            str(trace_dir) if trace_dir else None,
-        )
-        for kernel in kernel_list
-    ]
-    # The simulation engines (and NumPy) load before the pool forks, so
-    # the workers inherit them instead of each importing its own.
-    from ..vm import batched, compiled  # noqa: F401
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for name, result, snapshot, failure in pool.map(
-            _run_kernel_task, payloads
-        ):
-            if failure is not None:
-                failures[name] = failure
-                continue
-            out[name] = result
-            if snapshot is not None:
-                PERF.merge(snapshot)
+    for kernel in kernels or ALL_KERNELS:
+        try:
+            out[kernel.name] = run_kernel(
+                kernel, machine, variants, options, n=n, cache=cache,
+                trace_dir=trace_dir,
+            )
+        except Exception as exc:
+            failures[kernel.name] = format_failure(exc)
     if failures:
         raise _suite_error(failures, out)
     return out

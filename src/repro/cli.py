@@ -4,24 +4,22 @@ Commands:
 
 * ``compile FILE`` — run a DSL source file through a chosen variant and
   print the schedule, the disassembled plan, and/or the execution
-  report.
-* ``compare FILE`` — run all variants on one source file and print the
-  per-variant cycle/instruction comparison.
-* ``explain FILE`` — per optimizable block of a source file, the
-  decisions one traced compile made (SG-edge commits with their reuse
-  weights, cost-aware scores and runner-up edges), the runtime cost
-  attributed to each, and the cost gate's verdict.
+  report. ``--variant all`` compiles and simulates every variant and
+  prints one row each against scalar; the status is nonzero unless all
+  of them compile cleanly and leave scalar's memory (with ``--checks
+  all``, every verifier stage runs too). ``--perf`` prints the per-layer
+  self times; ``--perf collapsed=PATH`` writes them as collapsed stacks
+  (flamegraph-compatible).
 * ``trace FILE`` — compile (and simulate) with the structured tracer
-  enabled and show the decision/cost tree; diff two variants or two
-  saved traces with ``--diff``.
+  enabled and show the decision/cost tree; ``--explain`` shows the same
+  run per optimizable block (the grouping decisions with their weights,
+  scores and runner-ups, their attributed runtime cost, and the cost
+  gate's verdict); diff two variants or two saved traces with
+  ``--diff``.
 * ``bench`` — run the Table 3 suite on a machine model and print the
   Figure 16/19-style table; ``--check`` gates the run against a
   committed baseline (``--inject-slowdown`` is the CI mutation hook).
-* ``profile FILE`` — collapsed-stack (flamegraph-compatible) profile
-  of a compile: the self time of every ``repro.perf`` span path.
 * ``kernels`` — list the benchmark kernels (Table 3).
-* ``verify FILE`` — structural well-formedness checks on a source file,
-  then a fully-verified compile of every variant.
 * ``fuzz`` — differential fuzzing: random programs through every
   variant/engine combination against the scalar baseline.
 * ``serve`` — run the compile-and-simulate server (warm sharded worker
@@ -32,16 +30,20 @@ Commands:
 * ``cache`` — inspect (``stats``) or size-bound (``prune``) an on-disk
   artifact store directory.
 
+Every source FILE is parsed and checked by the ``ir`` verifier before
+anything compiles: a source that does not parse, or that indexes an
+array out of its bounds, is a usage error.
+
 Examples::
 
     python -m repro compile saxpy.slp --variant global --emit-plan
-    python -m repro compare saxpy.slp --machine amd
+    python -m repro compile saxpy.slp --variant all --machine amd
+    python -m repro compile saxpy.slp --variant all --checks all
+    python -m repro compile saxpy.slp --perf collapsed=saxpy.collapsed
     python -m repro trace saxpy.slp --diff global:slp
-    python -m repro explain saxpy.slp --variant global+layout
+    python -m repro trace saxpy.slp --explain --variant global+layout
     python -m repro bench --n 64
     python -m repro bench --check --baseline benchmarks/results/BENCH_suite.json
-    python -m repro profile --kernel cg --out cg.collapsed
-    python -m repro verify saxpy.slp
     python -m repro fuzz --seed 0 --count 500
     python -m repro serve --workers 4 --cache-dir /var/cache/repro
     python -m repro submit saxpy.slp --variant global
@@ -53,17 +55,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .compiler import CompilerOptions, Variant, compile_program
-from .errors import OptionsError, ParseError, ReproError, SuiteError
-from .ir import parse_program
+from .errors import (
+    OptionsError,
+    ParseError,
+    ReproError,
+    SuiteError,
+    VerifyError,
+)
+from .ir import Program, parse_program
 from .slp.grouping import GROUPING_ENGINES
+from .verify import verify_program
 from .vm import MACHINES, Simulator, reduction
 from .vm.pretty import disassemble_plan
 from .vm.simulator import SIM_ENGINES
 
 VARIANTS = {v.value: v for v in Variant}
+
+#: ``compile --variant``'s value that compiles every variant.
+ALL_VARIANTS = "all"
 
 
 def _machine(name: str, datapath: Optional[int]):
@@ -93,22 +105,47 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
     })
 
 
-def _read_program(path: str):
+def _read_source(path: str) -> Tuple[str, Program]:
+    """A DSL source FILE's text and its program, checked by the ``ir``
+    verifier: a subscript outside its array is a :class:`VerifyError`
+    before anything compiles or simulates, not a wrapped NumPy index or
+    an ``IndexError`` deep in a simulation engine."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_program(handle.read())
+        source = handle.read()
+    program = parse_program(source)
+    verify_program(program)
+    return source, program
+
+
+def _perf_path(value: str) -> str:
+    """``compile --perf``'s value: ``collapsed=PATH``, returned as PATH."""
+    kind, _, path = value.partition("=")
+    if kind != "collapsed" or not path:
+        raise argparse.ArgumentTypeError(
+            f"expected collapsed=PATH, got {value!r}"
+        )
+    return path
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     from .perf import PERF
 
-    program = _read_program(args.file)
+    every = args.variant == ALL_VARIANTS
+    if every and (args.emit_schedule or args.emit_plan):
+        raise OptionsError(
+            "--variant all compiles every variant; --emit-plan and"
+            " --emit-schedule print one variant's plan or schedule"
+        )
+    _source, program = _read_source(args.file)
     machine = _machine(args.machine, args.datapath)
-    variant = VARIANTS[args.variant]
     options = _options(args)
     if args.perf:
         PERF.reset()
         PERF.enable()
     try:
+        if every:
+            return _compile_every_variant(program, machine, options)
+        variant = VARIANTS[args.variant]
         result = compile_program(program, variant, machine, options)
         for diagnostic in result.diagnostics:
             print(f"note: {diagnostic}", file=sys.stderr)
@@ -125,8 +162,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
             print(report.summary())
     finally:
         if args.perf:
-            print(PERF.report(), file=sys.stderr)
             PERF.disable()
+            if args.perf is True:
+                print(PERF.report(), file=sys.stderr)
+            else:
+                with open(args.perf, "w", encoding="utf-8") as handle:
+                    handle.write(PERF.collapsed())
+                print(
+                    f"collapsed stacks written to {args.perf}",
+                    file=sys.stderr,
+                )
     if not args.quiet:
         stats = result.stats
         print(
@@ -139,6 +184,61 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compile_every_variant(
+    program: Program, machine, options: CompilerOptions
+) -> int:
+    """``compile --variant all``: compile and simulate every variant and
+    print one row each against scalar. The status is 0 only when every
+    variant compiles without an error or a diagnostic and ends with
+    scalar's memory."""
+    from .bench import ascii_table, percent
+
+    rows = []
+    status = 0
+    baseline = base_memory = None
+    for variant in Variant:
+        try:
+            result = compile_program(program, variant, machine, options)
+            report, memory = Simulator(
+                result.machine, engine=options.engine
+            ).run(result.plan)
+        except ReproError as exc:
+            print(f"error: [{variant.value}] {exc}", file=sys.stderr)
+            rows.append((variant.value, "-", "-", "-", "FAIL"))
+            status = 1
+            continue
+        for diagnostic in result.diagnostics:
+            print(f"note: [{variant.value}] {diagnostic}", file=sys.stderr)
+            status = 1
+        if variant is Variant.SCALAR:
+            baseline, base_memory = report, memory
+        if base_memory is None:
+            versus, semantics = "-", "-"
+        else:
+            versus = percent(reduction(baseline.cycles, report.cycles))
+            semantics = (
+                "ok" if memory.state_equal(base_memory) else "MISMATCH"
+            )
+        if semantics != "ok":
+            status = 1
+        rows.append(
+            (
+                variant.value,
+                f"{report.cycles:.0f}",
+                versus,
+                str(report.pack_unpack_ops),
+                semantics,
+            )
+        )
+    print(
+        ascii_table(
+            ("variant", "cycles", "vs scalar", "pack/unpack", "semantics"),
+            rows,
+        )
+    )
+    return status
+
+
 def _trace_file(
     path: str, variant: Variant, machine, options: CompilerOptions
 ):
@@ -147,7 +247,7 @@ def _trace_file(
     from .trace import traced_run
 
     return traced_run(
-        _read_program(path), variant, machine, options,
+        _read_source(path)[1], variant, machine, options,
         meta={"file": os.path.basename(path), "variant": variant.value},
     )
 
@@ -162,6 +262,7 @@ def _load_trace_file(path: str) -> list:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .trace import (
         diff_records,
+        render_explain,
         render_tree,
         to_jsonl,
         validate_records,
@@ -170,11 +271,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     machine = _machine(args.machine, args.datapath)
     options = _options(args)
     is_trace_file = args.file.endswith(".jsonl")
+    if args.explain and (args.json or args.diff or is_trace_file):
+        raise OptionsError(
+            "--explain renders one traced compile of a DSL source file;"
+            " it takes no --json or --diff, nor a saved .jsonl trace"
+        )
 
-    def traced(variant_name: str) -> list:
+    def traced(variant_name: str):
         return _trace_file(
             args.file, VARIANTS[variant_name], machine, options
-        ).records
+        )
 
     if args.diff:
         spec = args.diff
@@ -191,23 +297,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         f"repro trace: unknown variant {name!r}"
                         f" (choose from {', '.join(sorted(VARIANTS))})"
                     )
-            records_a, records_b = (traced(name) for name in names)
+            records_a, records_b = (traced(name).records for name in names)
             label_a, label_b = names
         else:
             if is_trace_file:
                 records_a = _load_trace_file(args.file)
                 label_a = os.path.basename(args.file)
             else:
-                records_a, label_a = traced(args.variant), args.variant
+                records_a = traced(args.variant).records
+                label_a = args.variant
             records_b = _load_trace_file(spec)
             label_b = os.path.basename(spec)
         print(diff_records(records_a, records_b, label_a, label_b))
         return 0
 
-    records = (
-        _load_trace_file(args.file) if is_trace_file
-        else traced(args.variant)
-    )
+    if is_trace_file:
+        run, records = None, _load_trace_file(args.file)
+    else:
+        run = traced(args.variant)
+        records = run.records
 
     status = 0
     if args.validate:
@@ -223,58 +331,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
             handle.write(to_jsonl(records))
     if args.json:
         sys.stdout.write(to_jsonl(records))
+    elif args.explain:
+        for diagnostic in run.result.diagnostics:
+            print(f"note: {diagnostic}", file=sys.stderr)
+        print(render_explain(run))
     elif not (args.validate or args.out):
         print(render_tree(records))
     return status
-
-
-def cmd_explain(args: argparse.Namespace) -> int:
-    from .trace import render_explain
-
-    run = _trace_file(
-        args.file, VARIANTS[args.variant],
-        _machine(args.machine, args.datapath), _options(args),
-    )
-    for diagnostic in run.result.diagnostics:
-        print(f"note: {diagnostic}", file=sys.stderr)
-    print(render_explain(run))
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    from .bench import ascii_table, percent
-
-    machine = _machine(args.machine, args.datapath)
-    options = _options(args)
-    rows = []
-    baseline = None
-    base_memory = None
-    for variant in Variant:
-        program = _read_program(args.file)
-        result = compile_program(program, variant, machine, options)
-        report, memory = Simulator(
-            result.machine, engine=options.engine
-        ).run(result.plan)
-        if variant is Variant.SCALAR:
-            baseline = report
-            base_memory = memory
-        assert baseline is not None and base_memory is not None
-        rows.append(
-            (
-                variant.value,
-                f"{report.cycles:.0f}",
-                percent(reduction(baseline.cycles, report.cycles)),
-                str(report.pack_unpack_ops),
-                "ok" if memory.state_equal(base_memory) else "MISMATCH",
-            )
-        )
-    print(
-        ascii_table(
-            ("variant", "cycles", "vs scalar", "pack/unpack", "semantics"),
-            rows,
-        )
-    )
-    return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -289,8 +352,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     status = 0
     try:
         results = run_suite(
-            machine, options=options, n=args.n, jobs=args.jobs,
-            cache_dir=args.cache_dir, trace_dir=args.trace_dir,
+            machine, options=options, n=args.n, cache_dir=args.cache_dir,
+            trace_dir=args.trace_dir,
         )
     except SuiteError as exc:
         # Every kernel ran before this surfaced: report each failure
@@ -406,42 +469,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .verify import verify_program
-
-    machine = _machine(args.machine, args.datapath)
-    # ``verify`` exists to check: run every stage unless told otherwise.
-    options = replace(
-        _options(args), checks=getattr(args, "checks", None) or "all"
-    )
-    try:
-        program = _read_program(args.file)
-        verify_program(program)
-    except ReproError as exc:
-        print(f"invalid: {exc}")
-        return 1
-    status = 0
-    variants = (
-        [VARIANTS[args.variant]] if args.variant else list(Variant)
-    )
-    for variant in variants:
-        try:
-            result = compile_program(program, variant, machine, options)
-        except ReproError as exc:
-            print(f"{variant.value}: FAIL {exc}")
-            status = 1
-            continue
-        if result.diagnostics:
-            for diagnostic in result.diagnostics:
-                print(f"{variant.value}: {diagnostic}")
-            status = 1
-        else:
-            print(f"{variant.value}: ok")
-    return status
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -497,47 +524,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .perf import PERF
-
-    if args.file:
-        program = _read_program(args.file)
-    elif args.kernel:
-        from .bench import KERNELS
-
-        if args.kernel not in KERNELS:
-            raise SystemExit(
-                f"repro profile: unknown kernel {args.kernel!r}"
-            )
-        program = KERNELS[args.kernel].build(args.n)
-    else:
-        raise SystemExit("repro profile: need a FILE or --kernel NAME")
-
-    machine = _machine(args.machine, args.datapath)
-    variant = VARIANTS[args.variant]
-    options = _options(args)
-
-    PERF.reset()
-    PERF.enable()
-    try:
-        for _ in range(args.repeat):
-            result = compile_program(program, variant, machine, options)
-            if args.run:
-                Simulator(result.machine, engine=options.engine).run(
-                    result.plan
-                )
-        text = PERF.collapsed()
-    finally:
-        PERF.disable()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"collapsed stacks written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -575,10 +561,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "REPRO_SERVICE_URL", "http://127.0.0.1:8642"
     )
     options = _options(args)
-    source = None
+    source = program = None
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        source, program = _read_source(args.file)
     elif not args.kernel:
         raise SystemExit("repro submit: need a FILE or --kernel NAME")
 
@@ -607,9 +592,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     else:
         # Transparent degradation: no server, same answer — compile
         # (and simulate) in-process exactly like ``repro compile``.
-        if source is not None:
-            program = parse_program(source)
-        else:
+        if program is None:
             from .bench import KERNELS
 
             if args.kernel not in KERNELS:
@@ -729,7 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="compile one DSL file")
     p_compile.add_argument("file")
     p_compile.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="global"
+        "--variant", choices=[*sorted(VARIANTS), ALL_VARIANTS],
+        default="global",
+        help="the variant to compile, or 'all': every variant compiled"
+        " and simulated, one row each against scalar; nonzero exit"
+        " unless all compile cleanly and leave scalar's memory",
     )
     p_compile.add_argument("--emit-schedule", action="store_true")
     p_compile.add_argument("--emit-plan", action="store_true")
@@ -741,9 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the one-line compile stats on stderr",
     )
     p_compile.add_argument(
-        "--perf", action="store_true",
+        "--perf", nargs="?", const=True, default=None, type=_perf_path,
+        metavar="collapsed=PATH",
         help="print per-layer self times, span totals and counters"
-        " to stderr",
+        " to stderr; with collapsed=PATH, write every span path's self"
+        " time to PATH as collapsed stacks (for flamegraph.pl or"
+        " speedscope) instead",
     )
     common(p_compile)
     p_compile.set_defaults(func=cmd_compile)
@@ -772,6 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the trace against the schema; nonzero exit on errors",
     )
     p_trace.add_argument(
+        "--explain", action="store_true",
+        help="show the run per block instead of the tree: the grouping"
+        " decisions, their runtime cost and the cost gate's verdict",
+    )
+    p_trace.add_argument(
         "--diff", default=None, metavar="SPEC",
         help="diff decisions+costs: 'A:B' compiles two variants of FILE;"
         " a path diffs FILE's trace against a saved .jsonl trace",
@@ -779,31 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_compare = sub.add_parser(
-        "compare", help="all variants on one DSL file"
-    )
-    p_compare.add_argument("file")
-    common(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_explain = sub.add_parser(
-        "explain",
-        help="per block: the compile's grouping decisions, their runtime"
-        " cost and the cost gate's verdict",
-    )
-    p_explain.add_argument("file")
-    p_explain.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="global"
-    )
-    common(p_explain)
-    p_explain.set_defaults(func=cmd_explain)
-
     p_bench = sub.add_parser("bench", help="run the Table 3 suite")
     p_bench.add_argument("--n", type=int, default=64)
-    p_bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the kernel sweep (default: 1)",
-    )
     p_bench.add_argument(
         "--timings", action="store_true",
         help="collect compile/simulate per-layer self times and counters,"
@@ -849,18 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="verify a DSL file and a fully-checked compile per variant",
-    )
-    p_verify.add_argument("file")
-    p_verify.add_argument(
-        "--variant", choices=sorted(VARIANTS), default=None,
-        help="verify one variant only (default: all of them)",
-    )
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -939,43 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=cmd_serve)
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="collapsed-stack (flamegraph) profile of a compile's layers"
-        " (the set of stacks is stable across runs; the counts are"
-        " wall-clock microseconds and are not)",
-    )
-    p_profile.add_argument(
-        "file", nargs="?", default=None,
-        help="a DSL source file (or use --kernel)",
-    )
-    p_profile.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="profile a benchmark kernel by name instead of a file",
-    )
-    p_profile.add_argument(
-        "--n", type=int, default=64,
-        help="kernel size for --kernel (default: 64)",
-    )
-    p_profile.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="global"
-    )
-    p_profile.add_argument(
-        "--run", action="store_true",
-        help="profile the simulation too, not just the compile",
-    )
-    p_profile.add_argument(
-        "--repeat", type=int, default=1,
-        help="workload repetitions, summed into one profile",
-    )
-    p_profile.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write collapsed stacks to PATH instead of stdout"
-        " (feed to flamegraph.pl or speedscope)",
-    )
-    common(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
-
     p_submit = sub.add_parser(
         "submit",
         help="submit a job to a running server (local fallback)",
@@ -1052,10 +975,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command. A meaningless option value, an input file that
-    is missing or is a directory, and a source or saved trace that does
-    not parse are usage errors: one ``repro: error:`` line and status
-    2, like argparse's own, not a traceback. A reader that closes the
+    """Run one command. A meaningless option value or combination, an
+    input file that is missing or is a directory, a source or saved
+    trace that does not parse, and a source the ``ir`` verifier rejects
+    are usage errors: one ``repro: error:`` line and status 2, like
+    argparse's own, not a traceback. A reader that closes the
     output pipe early (``repro trace FILE | head -1``) ends the command
     quietly with status 1."""
     parser = build_parser()
@@ -1073,7 +997,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except OptionsError as exc:
         print(f"repro: error: {exc.message}", file=sys.stderr)
-    except ParseError as exc:
+    except (ParseError, VerifyError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(

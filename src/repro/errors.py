@@ -270,7 +270,7 @@ class WorkerCrashError(ServiceError, RuntimeError):
 class SuiteError(ReproError):
     """One or more kernels of a suite run failed.
 
-    Raised by ``run_suite`` *after* every job has finished, so a single
+    Raised by ``run_suite`` *after* every kernel has run, so a single
     bad kernel no longer destroys the results (and tracebacks) of the
     rest. ``failures`` maps kernel name to its formatted traceback.
     """

@@ -368,6 +368,7 @@ def _program_order_schedule(
             if i != j and deps.group_depends(a, b):
                 preds[j].add(i)
 
+    position = {stmt.sid: pos for pos, stmt in enumerate(block)}
     schedule = Schedule(block)
     remaining = set(range(len(units)))
     done: Set[int] = set()
@@ -375,8 +376,7 @@ def _program_order_schedule(
         ready = [i for i in remaining if preds[i] <= done]
         assert ready, "unit dependence graph must be acyclic"
         chosen = min(
-            ready,
-            key=lambda i: min(block.position(s.sid) for s in units[i]),
+            ready, key=lambda i: min(position[s.sid] for s in units[i])
         )
         unit = units[chosen]
         if len(unit) > 1:

@@ -169,6 +169,13 @@ class Scheduler:
         units: Sequence[GroupNode],
     ):
         self.block = block
+        # sid -> (program-order position, statement), built once: the
+        # ready-unit and lane orderings sort by position, and a block
+        # lookup would scan the statement list on every key.
+        self._at: Dict[int, Tuple[int, Statement]] = {
+            stmt.sid: (position, stmt)
+            for position, stmt in enumerate(block)
+        }
         self.deps = deps
         self.units = self._acyclic_units(list(units))
         self.graph = GroupDependenceGraph(self.units, deps)
@@ -190,7 +197,7 @@ class Scheduler:
             victim_index = min(grouped, key=lambda i: (current[i].size, i))
             victim = current[victim_index]
             singles = [
-                GroupNode.of_statement(self.block[sid])
+                GroupNode.of_statement(self._at[sid][1])
                 for sid in victim.sids
             ]
             current = (
@@ -233,10 +240,9 @@ class Scheduler:
                 schedule.items.append(item)
             else:
                 index = min(
-                    (i for i in ready),
-                    key=lambda i: self.block.position(self.units[i].sids[0]),
+                    ready, key=lambda i: self._at[self.units[i].sids[0]][0]
                 )
-                stmt = self.block[self.units[index].sids[0]]
+                stmt = self._at[self.units[index].sids[0]][1]
                 self._retire_single(stmt)
                 schedule.items.append(ScheduledSingle(stmt))
             remaining.discard(index)
@@ -255,14 +261,14 @@ class Scheduler:
             indices,
             key=lambda i: (
                 self._reuse_count(self.units[i]),
-                -min(self.block.position(s) for s in self.units[i].sids),
+                -min(self._at[s][0] for s in self.units[i].sids),
             ),
         )
 
     # -- intra-group ordering (Figure 11 lines 19-27) ---------------------------
 
     def _order_group(self, unit: GroupNode) -> SuperwordStatement:
-        members = [self.block[sid] for sid in unit.sids]
+        members = [self._at[sid][1] for sid in unit.sids]
         base = SuperwordStatement(tuple(members))
         orderings = self._candidate_orderings(base)
         # Tie-break on list position: direct-reuse orderings come first,
@@ -335,7 +341,7 @@ class Scheduler:
         program = tuple(
             sorted(
                 range(size),
-                key=lambda lane: self.block.position(base.members[lane].sid),
+                key=lambda lane: self._at[base.members[lane].sid][0],
             )
         )
         if program not in seen:

@@ -388,10 +388,10 @@ def traced_run(
     """Compile ``program`` with tracing on and, unless ``simulate`` is
     off, run the plan and fold the report in; ``meta`` lands in the
     trace header. The one place the tracer is switched on (``repro
-    trace``/``explain``, ``bench --trace-dir``, traced service jobs),
-    and it is off and empty again when this returns or raises. It reads
-    no compile cache: a hit would replay a plan without the compiler's
-    decisions to attribute costs to."""
+    trace`` and its ``--explain`` view, ``bench --trace-dir``, traced
+    service jobs), and it is off and empty again when this returns or
+    raises. It reads no compile cache: a hit would replay a plan
+    without the compiler's decisions to attribute costs to."""
     from .compiler import CompilerOptions, compile_program
     from .vm import Simulator
 
@@ -641,12 +641,12 @@ def diff_records(
 
 
 def render_explain(run: TracedRun) -> str:
-    """Per-block view of one traced run — what ``repro explain`` prints:
-    the block's statements from the compiled plan's own program (so the
-    S-numbers are the ones the decisions name), every grouping commit or
-    baseline pack with its runner-ups and attributed runtime cost, the
-    grouping rounds, and the cost gate's verdict with the superword
-    statements the block kept."""
+    """Per-block view of one traced run — what ``repro trace
+    --explain`` prints: the block's statements from the compiled plan's
+    own program (so the S-numbers are the ones the decisions name),
+    every grouping commit or baseline pack with its runner-ups and
+    attributed runtime cost, the grouping rounds, and the cost gate's
+    verdict with the superword statements the block kept."""
     from .ir import BasicBlock
 
     runtime = _runtime_index(run.records)

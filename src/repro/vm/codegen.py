@@ -211,6 +211,10 @@ class VectorCodegen:
         self.body: List[Instruction] = []
         self._live: Dict[OrderedKey, int] = {}
         self._orders_by_data: Dict[Tuple, List[OrderedKey]] = {}
+        # Live orders by each lane's ``(kind, name)``: two keys may alias
+        # only if they name the same variable or array, so a write
+        # alias-tests only the orders sharing its name.
+        self._orders_by_name: Dict[Tuple, Set[OrderedKey]] = {}
         self._pinned: Set[OrderedKey] = set()  # hoisted packs never evict
         self._clock = 0
         self._last_use: Dict[OrderedKey, int] = {}
@@ -449,6 +453,8 @@ class VectorCodegen:
             )
             self._drop(victim)
         self._live[keys] = vreg
+        for key in keys:
+            self._orders_by_name.setdefault(key[:2], set()).add(keys)
         if pinned:
             self._pinned.add(keys)
         self._touch(keys)
@@ -466,17 +472,20 @@ class VectorCodegen:
         self._live.pop(order, None)
         self._last_use.pop(order, None)
         self._pinned.discard(order)
+        for key in order:
+            self._orders_by_name[key[:2]].discard(order)
         data = tuple(sorted(order))
         orders = self._orders_by_data.get(data)
         if orders and order in orders:
             orders.remove(order)
 
     def _invalidate(self, written: Sequence[OperandKey]) -> None:
-        stale = [
+        stale = {
             order
-            for order in self._live
-            if any(keys_may_alias(k, w) for k in order for w in written)
-        ]
+            for w in written
+            for order in self._orders_by_name.get(w[:2], ())
+            if any(keys_may_alias(k, w) for k in order)
+        }
         for order in stale:
             self._drop(order)
 

@@ -1,6 +1,6 @@
 """One traced run behind every decision view: ``repro.trace.traced_run``
-records the compile that ``repro trace``, ``repro explain`` and
-``repro bench --trace-dir`` show, so ``explain`` prints exactly the
+records the compile that ``repro trace``, ``repro trace --explain`` and
+``repro bench --trace-dir`` show, so the explain view prints exactly the
 decisions the compile committed and a result line its cost gate
 agrees with."""
 
@@ -79,16 +79,18 @@ def _explained(text):
     "variant, flags", CELLS, ids=[f"{v}{''.join(f)}" for v, f in CELLS]
 )
 def test_explain_prints_the_compiles_own_decisions(
-    kernel_files, capsys, variant, flags
+    kernel_files, capsys, tmp_path, variant, flags
 ):
+    saved = tmp_path / "run.jsonl"
     for name, path in kernel_files.items():
-        argv = [path, "--variant", variant, *flags]
-        decisions, results = _explained(
-            _stdout(capsys, ["explain", *argv])
-        )
-        records = load_jsonl(
-            _stdout(capsys, ["trace", "--json", *argv])
-        )[1:]
+        # One traced run yields both views: the printed explain view and
+        # the saved record it renders.
+        argv = [
+            "trace", path, "--variant", variant, *flags, "--explain",
+            "--out", str(saved),
+        ]
+        decisions, results = _explained(_stdout(capsys, argv))
+        records = load_jsonl(saved.read_text())[1:]
         commits = [
             (r["prov"].split(":")[0], r["sids"])
             for r in records
@@ -112,7 +114,7 @@ def test_explain_prints_the_compiles_own_decisions(
 def test_explain_result_line_follows_the_cost_gate(kernel_files, capsys):
     # ua's grouping commits three pairs, but the cost gate keeps the
     # block scalar, as `repro compile` reports.
-    text = _stdout(capsys, ["explain", kernel_files["ua"]])
+    text = _stdout(capsys, ["trace", kernel_files["ua"], "--explain"])
     assert "cycles: kept scalar" in text
     assert "result: 0 superword statements, 6 scalar statements" in text
 
@@ -173,10 +175,13 @@ def test_bench_trace_dir_writes_the_traced_runs(
 def test_explain_lists_the_compiled_programs_statements(
     kernel_files, capsys
 ):
-    # Under --datapath 512 the loop unrolls wider: explain's statements
-    # (and so its S-numbers) are the compiled plan's own program.
+    # Under --datapath 512 the loop unrolls wider: the explain view's
+    # statements (and so its S-numbers) are the compiled plan's own
+    # program.
     path = kernel_files["milc"]
-    text = _stdout(capsys, ["explain", path, "--datapath", "512"])
+    text = _stdout(
+        capsys, ["trace", path, "--explain", "--datapath", "512"]
+    )
     with open(path) as handle:
         program = parse_program(handle.read())
     plan_program = traced_run(

@@ -5,8 +5,7 @@ bound-refined heap) exists purely as a compile-time optimization: its
 decisions, traces, and emitted schedules must be bit-identical to the
 reference engine's from-scratch recomputation. These tests pin that
 equivalence on random well-formed blocks and on the real kernel suite,
-and pin the parallel suite runner + compile cache to the sequential
-uncached results.
+and pin the compile cache to the uncached results.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import ArtifactStore, CompilerOptions, Variant, compile_program
 from repro.analysis import DependenceGraph
 from repro.bench import KERNELS, intel_dunnington
-from repro.bench.suite import run_kernel, run_suite
+from repro.bench.suite import run_kernel
 from repro.ir import (
     Affine,
     ArrayRef,
@@ -216,7 +215,7 @@ def test_incremental_recomputes_fewer_scores():
     assert recomputed["incremental"] * 2 <= recomputed["reference"]
 
 
-# -- parallel suite runner ---------------------------------------------------------
+# -- compile cache -----------------------------------------------------------------
 
 
 def _suite_fingerprint(results):
@@ -233,20 +232,6 @@ def _suite_fingerprint(results):
             )
         out[(name, "semantics")] = result.semantics_preserved()
     return out
-
-
-def test_parallel_suite_matches_sequential():
-    machine = intel_dunnington()
-    kernels = [KERNELS[n] for n in ("mg", "soplex", "cactusADM", "cg")]
-    variants = (Variant.SCALAR, Variant.GLOBAL)
-    sequential = run_suite(
-        machine, kernels=kernels, variants=variants, n=8, jobs=1
-    )
-    parallel = run_suite(
-        machine, kernels=kernels, variants=variants, n=8, jobs=4
-    )
-    assert list(sequential) == list(parallel)
-    assert _suite_fingerprint(sequential) == _suite_fingerprint(parallel)
 
 
 def test_compile_cache_round_trip(tmp_path):

@@ -19,10 +19,27 @@ from repro.vm.pretty import (
 from repro.vm.isa import ImmRef, MemRef, PackMode, ScalarRef, VPack
 from repro.ir import Affine
 
-COMPLEX_MULTIPLY = (
-    pathlib.Path(__file__).parent.parent / "examples" / "complex_multiply.slp"
-)
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+COMPLEX_MULTIPLY = EXAMPLES / "complex_multiply.slp"
+CLAMP_STENCIL = EXAMPLES / "clamp_stencil.slp"
 SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
+
+#: Two loops the ``ir`` verifier rejects (``ir.bounds``): one reads
+#: ``A[-1]``, the other writes past the end of a 4-element ``A``.
+OUT_OF_BOUNDS = {
+    "reads-below": """
+double A[16]; double B[16];
+for (i = 0; i < 8; i += 1) {
+    B[i] = A[i-1] + A[i];
+}
+""",
+    "writes-past": """
+double A[4]; double B[16];
+for (i = 0; i < 8; i += 1) {
+    A[i] = B[i] * 2.0;
+}
+""",
+}
 
 SRC = """
 double X[64]; double Y[64];
@@ -104,7 +121,8 @@ class TestCli:
         assert "<S0, S1>" in out
 
     def test_compare_all_variants(self, tmp_path, capsys):
-        assert main(["compare", self._write(tmp_path)]) == 0
+        argv = ["compile", self._write(tmp_path), "--variant", "all"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         for name in ("scalar", "native", "slp", "global"):
             assert name in out
@@ -116,15 +134,15 @@ class TestCli:
         assert "cactusADM" in out and "NAS" in out
 
     def test_explain_shows_weights_and_decisions(self, tmp_path, capsys):
-        assert main(["explain", self._write(tmp_path)]) == 0
+        assert main(["trace", self._write(tmp_path), "--explain"]) == 0
         out = capsys.readouterr().out
         assert "weight" in out and "score" in out
         assert "decisions:" in out
         assert "superword statements" in out
 
     def test_explain_if_converts_regions_first(self, tmp_path, capsys):
-        # Regression: explain used to feed raw IfRegions to the
-        # unroller and crash; it must flatten them like compile does.
+        # Regression: the explain view used to feed raw IfRegions to
+        # the unroller and crash; it must flatten them like compile does.
         src = tmp_path / "branchy.slp"
         src.write_text(
             """
@@ -138,7 +156,7 @@ class TestCli:
             }
             """
         )
-        assert main(["explain", str(src)]) == 0
+        assert main(["trace", str(src), "--explain"]) == 0
         out = capsys.readouterr().out
         assert "select" in out
         assert "superword statements" in out
@@ -179,13 +197,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"repro: error: {missing}: No such file or directory\n"
 
-    @pytest.mark.parametrize("command", ["compile", "trace", "explain"])
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("compile", []), ("trace", []), ("trace", ["--explain"])],
+        ids=["compile", "trace", "explain"],
+    )
     def test_unparsable_source_is_a_usage_error(
-        self, command, tmp_path, capsys
+        self, command, flags, tmp_path, capsys
     ):
         source = tmp_path / "bad.slp"
         source.write_text("this is not a program\n")
-        assert main([command, str(source)]) == 2
+        assert main([command, str(source), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: line 1:1: ")
         assert err.count("\n") == 1
@@ -243,3 +265,120 @@ class TestCli:
             build_parser().parse_args(
                 ["compile", "x.slp", "--variant", "bogus"]
             )
+
+    @pytest.mark.parametrize(
+        "command", ["compare", "explain", "profile", "verify"]
+    )
+    def test_folded_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, str(COMPLEX_MULTIPLY)])
+        assert err.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source", [COMPLEX_MULTIPLY, CLAMP_STENCIL],
+        ids=["complex_multiply", "clamp_stencil"],
+    )
+    def test_every_variant_passes_on_the_examples(self, source, capsys):
+        assert main(["compile", str(source), "--variant", "all"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == [v.value for v in Variant]
+        assert all(row.split()[-1] == "ok" for row in rows)
+
+    def test_every_variant_fails_on_a_diagnostic(self, capsys):
+        argv = [
+            "compile", str(COMPLEX_MULTIPLY), "--variant", "all",
+            "--grouping-engine", "optimal", "--optimal-node-budget", "1",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        notes = captured.err.splitlines()
+        assert notes and all(line.startswith("note: [") for line in notes)
+        assert "OptimalBudgetExceeded" in captured.err
+        # Memory still agrees: only the diagnostics fail the run.
+        assert "MISMATCH" not in captured.out
+
+    @pytest.mark.parametrize(
+        "checks, verdict", [("all", "FAIL"), ("none", "MISMATCH")]
+    )
+    def test_every_variant_fails_on_a_miscompile(
+        self, checks, verdict, capsys, monkeypatch
+    ):
+        # A schedule reversed against its dependences: the verifier
+        # rejects it (a FAIL row), or unchecked it computes the wrong
+        # memory (a MISMATCH row). Either way the status is 1.
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.fuzz import buggy_swap_mutator
+
+        options = cli._options
+        monkeypatch.setattr(
+            cli, "_options",
+            lambda args: replace(
+                options(args), debug_schedule_mutator=buggy_swap_mutator
+            ),
+        )
+        argv = [
+            "compile", str(COMPLEX_MULTIPLY), "--variant", "all",
+            "--checks", checks,
+        ]
+        assert main(argv) == 1
+        rows = capsys.readouterr().out.splitlines()[2:]
+        verdicts = {row.split()[0]: row.split()[-1] for row in rows}
+        assert verdicts["scalar"] == "ok"
+        assert verdicts["global"] == verdict
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compile", str(COMPLEX_MULTIPLY), "--variant", "all",
+              "--emit-plan"], "--variant all"),
+            (["trace", str(COMPLEX_MULTIPLY), "--explain", "--json"],
+             "--explain"),
+            (["trace", str(COMPLEX_MULTIPLY), "--explain", "--diff",
+              "global:slp"], "--explain"),
+            (["trace", "saved.jsonl", "--explain"], ".jsonl"),
+        ],
+        ids=["emit-plan-all", "explain-json", "explain-diff",
+             "explain-saved-trace"],
+    )
+    def test_meaningless_combination_is_a_usage_error(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_perf_takes_only_a_collapsed_path(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["compile", str(COMPLEX_MULTIPLY), "--perf", "flame=x"])
+        assert err.value.code == 2
+        assert "expected collapsed=PATH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_BOUNDS))
+    @pytest.mark.parametrize(
+        "argv",
+        [["compile"], ["compile", "--variant", "all"], ["trace"],
+         ["trace", "--explain"], ["submit"]],
+        ids=["compile", "compile-all", "trace", "trace-explain", "submit"],
+    )
+    def test_out_of_bounds_source_is_a_usage_error(
+        self, name, argv, tmp_path, capsys, monkeypatch
+    ):
+        from repro.vm.simulator import Simulator
+
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("an unverified program was simulated")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        source = tmp_path / f"{name}.slp"
+        source.write_text(OUT_OF_BOUNDS[name])
+        command, *flags = argv
+        assert main([command, str(source), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: subscript ")
+        assert captured.err.count("\n") == 1
+        assert "rule=ir.bounds" in captured.err

@@ -1,8 +1,10 @@
-"""Tests for the collapsed-stack profile and ``repro profile``."""
+"""Tests for the collapsed-stack profile and ``repro compile --perf``."""
 
 from __future__ import annotations
 
+from repro.bench import KERNELS
 from repro.cli import main
+from repro.ir.printer import format_program
 from repro.perf import PerfRegistry
 
 # A synthetic perf snapshot shaped exactly like PerfRegistry.snapshot():
@@ -61,12 +63,21 @@ def test_stage_collapsed_empty_snapshot():
 # -- the CLI -------------------------------------------------------------------
 
 
+def _cg_source(tmp_path):
+    """The cg kernel at n=8, printed to a DSL source file."""
+    source = tmp_path / "cg.slp"
+    source.write_text(format_program(KERNELS["cg"].build(8)))
+    return str(source)
+
+
 def test_profile_cli_stages_mode(tmp_path, capsys):
+    source = _cg_source(tmp_path)
     stacks = []
     for name in ("first", "second"):
         out = tmp_path / f"{name}.collapsed"
         status = main(
-            ["profile", "--kernel", "cg", "--n", "8", "--out", str(out)]
+            ["compile", source, "--emit-plan", "--perf",
+             f"collapsed={out}"]
         )
         assert status == 0
         lines = out.read_text().splitlines()
@@ -85,12 +96,7 @@ def test_profile_cli_stages_mode(tmp_path, capsys):
 def test_profile_cli_run_includes_simulation(tmp_path):
     out = tmp_path / "cg_run.collapsed"
     assert (
-        main(
-            [
-                "profile", "--kernel", "cg", "--n", "8", "--run",
-                "--out", str(out),
-            ]
-        )
+        main(["compile", _cg_source(tmp_path), "--perf", f"collapsed={out}"])
         == 0
     )
     assert any(
