@@ -34,15 +34,20 @@ This harness does three things:
    and each engine simulates every plan once per pass, for two passes:
    pass 1 is cold, pass 2 shows what the compiled engine's kernel memo
    keeps. It records seconds per pass, kernel emissions and memo hits,
-   and each engine's ``tracemalloc`` peak on the largest run, and
-   asserts report + memory equality with ``reference`` on every run.
-   It has no wall-clock gate.
+   the batched engine's cache replay work (``simulate.replay_lines``,
+   the accesses replayed, and ``simulate.replay_visits``, those the
+   LRU loop visits after set compaction), and each engine's
+   ``tracemalloc`` peak on the largest run, and asserts report +
+   memory equality with ``reference`` on every run. It has no
+   wall-clock gate.
 
 Results land in ``results/sim_engine.txt`` and machine-readable
 ``results/BENCH_sim_engine.json``. Set ``REPRO_BENCH_SMOKE=1`` (CI) for
 a reduced grid that still enforces the equality contract and checks
-that both fast paths are actually taken (the speedup gates stay
-full-run only: CI machines are too noisy to pin wall-clock ratios).
+that both fast paths are actually taken and that set compaction
+leaves the replay loop fewer accesses than it replays (the speedup
+gates stay full-run only: CI machines are too noisy to pin wall-clock
+ratios).
 """
 
 from __future__ import annotations
@@ -189,6 +194,8 @@ def _plan_sweep():
                 "kernel_memo_hits": counters.get(
                     "compiled.kernel_memo_hits", 0
                 ),
+                "replay_lines": counters.get("simulate.replay_lines", 0),
+                "replay_visits": counters.get("simulate.replay_visits", 0),
             }
         )
     PERF.reset()
@@ -339,6 +346,10 @@ def test_sim_engine(results_dir):
     # would pass every equality assertion while measuring nothing.
     assert batched_loops > 0
     assert compiled_loops > 0
+    # Set compaction must take work off the replay loop: a repeat of
+    # its set's previous line is a hit the loop never visits.
+    first_pass = sweep["passes"][0]
+    assert 0 < first_pass["replay_visits"] < first_pass["replay_lines"]
     # The gate population must stay fallback-free, or the headline
     # number silently measures the batched engine instead.
     assert compiled_fallbacks == 0, (
@@ -420,7 +431,8 @@ def test_sim_engine(results_dir):
         "simulates every plan once per pass; no gate):\n"
         + ascii_table(
             ("pass", "reference", "batched", "compiled",
-             "kernel emissions", "memo hits"),
+             "kernel emissions", "memo hits", "replay lines",
+             "replay visits"),
             [
                 (
                     str(i + 1),
@@ -430,6 +442,8 @@ def test_sim_engine(results_dir):
                     ),
                     str(p["kernel_emissions"]),
                     str(p["kernel_memo_hits"]),
+                    str(p["replay_lines"]),
+                    str(p["replay_visits"]),
                 )
                 for i, p in enumerate(sweep["passes"])
             ],

@@ -9,7 +9,7 @@ array/scalar declarations the virtual machine needs to execute the code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import IRError, StatementLookupError
 from .expr import Affine, ArrayRef, Expr, Var
@@ -130,6 +130,18 @@ def _item_sids(item: BlockItem) -> Tuple[int, ...]:
     return (item.sid,)
 
 
+def _claim_sids(items: Sequence[BlockItem], taken: Set[int]) -> Set[int]:
+    """The sids of ``items``, each checked unique against ``taken`` and
+    the others. Raises before anything is claimed."""
+    claimed: Set[int] = set()
+    for item in items:
+        for sid in _item_sids(item):
+            if sid in taken or sid in claimed:
+                raise IRError(f"duplicate sid {sid} in basic block")
+            claimed.add(sid)
+    return claimed
+
+
 class BasicBlock:
     """An ordered sequence of statements with unique sids.
 
@@ -140,17 +152,35 @@ class BasicBlock:
     """
 
     def __init__(self, statements: Sequence[BlockItem] = ()):
-        self.statements: List[BlockItem] = []
-        for stmt in statements:
-            self.append(stmt)
+        self.statements: List[BlockItem] = list(statements)
+        _claim_sids(self.statements, set())
+        #: Every sid in the block, regions included, built by the first
+        #: ``append`` (most blocks are never appended to, and a compile
+        #: result keeps all of its blocks) and kept current by
+        #: ``append``/``pop``. Derived from ``statements`` and not
+        #: pickled, so a block pickles as its statement list alone.
+        self._sids: Optional[Set[int]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"statements": self.statements}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.statements = state["statements"]
+        _claim_sids(self.statements, set())
+        self._sids = None
 
     def append(self, stmt: BlockItem) -> None:
-        taken = {sid for item in self.statements for sid in _item_sids(item)}
-        for sid in _item_sids(stmt):
-            if sid in taken:
-                raise IRError(f"duplicate sid {sid} in basic block")
-            taken.add(sid)
+        if self._sids is None:
+            self._sids = _claim_sids(self.statements, set())
+        self._sids |= _claim_sids((stmt,), self._sids)
         self.statements.append(stmt)
+
+    def pop(self) -> BlockItem:
+        """Remove and return the last item."""
+        item = self.statements.pop()
+        if self._sids is not None:
+            self._sids.difference_update(_item_sids(item))
+        return item
 
     @property
     def has_regions(self) -> bool:

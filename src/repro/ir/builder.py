@@ -311,7 +311,7 @@ class ProgramBuilder:
             raise BuilderError("else_ requires an immediately preceding if_")
         block, state = self._last_if
         self._last_if = None
-        block.statements.pop()  # re-emitted below with the else-branch
+        block.pop()  # re-emitted below with the else-branch
         state.in_else = True
         self._region = state
         try:

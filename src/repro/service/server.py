@@ -38,9 +38,11 @@ Failure and backpressure model:
 
 * malformed requests (bad JSON, a field of the wrong type, an unknown
   kernel, variant, machine or option, an option value
-  ``CompilerOptions`` rejects) → 400 with a structured error payload;
-* job failures (``ReproError`` from parse/verify/compile) → 422 with
-  the pickled exception so Python clients re-raise the exact type;
+  ``CompilerOptions`` rejects, a program that does not parse or that
+  the ``ir`` verifier rejects) → 400 with a structured error payload;
+* job failures (``ReproError`` from compile or simulate) → 422;
+  either payload carries the pickled exception so Python clients
+  re-raise the exact type;
 * more than ``queue_limit`` admitted jobs → 429 + ``Retry-After``
   (followers of an in-flight compile and warm compiles answered from
   the memo bypass admission — they consume no worker);
@@ -66,6 +68,7 @@ from ..ir import parse_program
 from ..ir.printer import format_program
 from ..perf import PERF
 from ..store import ArtifactStore
+from ..verify import verify_program
 from ..vm import MACHINES
 
 from . import (
@@ -614,12 +617,16 @@ class ReproService:
         return job, key
 
     def _printed(self, source: str) -> str:
-        """The printed program the content key hashes. Parsing here
-        validates the program early; the memo parses each distinct
-        source text once per process."""
+        """The printed program the content key hashes. Parsing and the
+        ``ir`` verifier run here, so a program either one rejects (a
+        subscript outside its array is a ``VerifyError``) is a 400
+        before any worker or store sees it; the memo parses and
+        verifies each distinct source text once per process."""
         printed = self._sources.get(source)
         if printed is None:
-            printed = format_program(parse_program(source))
+            program = parse_program(source)
+            verify_program(program)
+            printed = format_program(program)
             self._sources[source] = printed
             while len(self._sources) > SOURCE_MEMO_ENTRIES:
                 self._sources.pop(next(iter(self._sources)))

@@ -15,11 +15,15 @@ pre-decoded **once** into a slot program —
   buckets, aggregated per slot × trip count instead of per instruction;
 * closed-form affine address streams (``base + stride · i`` over the
   whole iteration range, via :func:`repro.vm.codegen.affine_stream`);
+* scalar expressions lowered to trees whose array leaves carry their
+  flattened affines, so evaluation never re-flattens a subscript;
 * lane values evaluated as NumPy columns with deferred writes and
   exact-affine store-to-load forwarding, one block of at most
   ``BLOCK_TRIPS`` iterations at a time;
-* each block's chronologically interleaved line-ID stream replayed in
-  bulk through the LRU state machine
+* each block's chronologically interleaved line-ID stream built in one
+  array expression over per-touch address columns (a stream where no
+  access can span two lines needs no range expansion) and replayed
+  through the set-compacted LRU loop
   (:meth:`repro.vm.cache.Cache.replay_lines`).
 
 The result — ``ExecutionReport``, final ``Memory``, cache state — is
@@ -41,10 +45,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.alignment import flat_affine
 from ..ir import ArrayRef, Const, Expr, Var
 from ..perf import count
 from .codegen import CompiledLoop, affine_stream
@@ -108,6 +113,12 @@ _VEC_FUNCS = {
 }
 
 
+#: Lowered expression nodes, built once per decode by ``_lower_expr``:
+#: ``(_CONST, value)``, ``(_SCALAR, name)``, ``(_MEM, (array, flat))``
+#: and ``(_OP, fn, kids)`` with ``fn`` from ``_VEC_FUNCS``.
+_CONST, _SCALAR, _MEM, _OP = range(4)
+
+
 def _col_last(col) -> float:
     """Final-iteration value of a column (scalar columns are loop
     invariant, so the last value is the value)."""
@@ -134,6 +145,8 @@ class _Slot:
     prov: Optional[str]
     #: Per-iteration cycle charges, (category, unit_cost) -> count.
     charges: Dict[Tuple[str, float], int] = field(default_factory=dict)
+    #: A ``ScalarExec``'s expression, lowered by ``_lower_expr``.
+    value: Optional[tuple] = None
     #: Provenance sink for the current entry (set by ``_account``).
     sink: Optional[ProvenanceCost] = None
 
@@ -151,6 +164,61 @@ class _LoopProgram:
     #: Every distinct flat affine referenced (touches + value reads +
     #: store targets); all must resolve to (base, stride) at entry.
     flats: List[Affine]
+
+
+class _LineColumns:
+    """Per-touch address columns of one loop entry: touch ``j`` of the
+    iteration with index value ``i`` accesses ``widths[j]`` bytes at
+    byte address ``offsets[j] + strides[j] * i``."""
+
+    def __init__(
+        self,
+        offsets: Sequence[int],
+        strides: Sequence[int],
+        widths: Sequence[int],
+        line_bytes: int,
+    ):
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.strides = np.asarray(strides, dtype=np.int64)
+        self.line_bytes = line_bytes
+        # A width that divides the line size, at addresses that are all
+        # multiples of it, never spans two lines. ``None`` marks a
+        # stream where every access is exactly one line.
+        self.widths: Optional[np.ndarray] = None
+        if any(
+            line_bytes % width or offset % width or stride % width
+            for offset, stride, width in zip(offsets, strides, widths)
+        ):
+            self.widths = np.asarray(widths, dtype=np.int64)
+
+    def stream(
+        self, ivals: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], List[int]]:
+        """The chronological line-ID stream of the iterations ``ivals``
+        — iteration-major, then touch order, then line order within one
+        access — with each line's touch and the lines per touch. The
+        touches are ``None`` when every access is one line: a line's
+        touch is then its position modulo the touch count."""
+        addresses = self.offsets + ivals[:, None] * self.strides
+        firsts = addresses // self.line_bytes
+        trips, m = firsts.shape
+        if self.widths is None:
+            return firsts.ravel(), None, [trips] * m
+        counts = (
+            (addresses + (self.widths - 1)) // self.line_bytes - firsts + 1
+        )
+        flat_counts = counts.ravel()
+        total = int(flat_counts.sum())
+        # Expand each (first, count) range into consecutive line IDs.
+        ends = np.cumsum(flat_counts)
+        nth = np.arange(total, dtype=np.int64) - np.repeat(
+            ends - flat_counts, flat_counts
+        )
+        lines = np.repeat(firsts.ravel(), flat_counts) + nth
+        touch_ids = np.repeat(
+            np.tile(np.arange(m, dtype=np.int64), trips), flat_counts
+        )
+        return lines, touch_ids, counts.sum(axis=0).tolist()
 
 
 class BatchedEngine:
@@ -201,8 +269,11 @@ class BatchedEngine:
                 return False
             streams[flat] = stream
         # _account resolves each slot's provenance sink for this entry,
-        # which _replay's per-touch miss attribution relies on.
+        # which the per-touch miss attribution relies on.
         self._account(program, trips)
+        columns = (
+            self._line_columns(program, streams) if program.touches else None
+        )
         step = spec.step
         for done in range(0, trips, BLOCK_TRIPS):
             block = min(BLOCK_TRIPS, trips - done)
@@ -212,7 +283,8 @@ class BatchedEngine:
             )
             entry = _Entry(self, program, ivals, streams)
             entry.evaluate()
-            self._replay(program, block, ivals, streams)
+            if columns is not None:
+                self._attribute_replay(program, *columns.stream(ivals))
             entry.apply()
         env.pop(spec.index, None)
         self.batched_loops += 1
@@ -242,34 +314,28 @@ class BatchedEngine:
         dst_addr_base = memory._base[rep.new_name]
         src_bytes = memory._elem_bytes[rep.source]
         dst_bytes = memory._elem_bytes[rep.new_name]
-        line_bytes = self.cache.config.line_bytes
         ivals = np.arange(loop.start, loop.stop, loop.step, dtype=np.int64)
         jvals = np.arange(trips, dtype=np.int64)
-        m = 2 * lanes
-        firsts = np.empty((trips, m), dtype=np.int64)
-        counts = np.empty((trips, m), dtype=np.int64)
+        # Element by element, the interpreter reads each lane's source
+        # and writes its copy: two touch columns per lane over the
+        # element number j (source index value start + step * j).
+        offsets: List[int] = []
+        strides: List[int] = []
+        widths: List[int] = []
         for k, (base, stride) in enumerate(streams):
-            src_idx = base + stride * ivals
-            dst_idx = lanes * jvals + k
-            dst[dst_idx] = src[src_idx]
-            for col, addr, nbytes in (
-                (2 * k, src_addr_base + src_idx * src_bytes, src_bytes),
-                (2 * k + 1, dst_addr_base + dst_idx * dst_bytes, dst_bytes),
-            ):
-                first = addr // line_bytes
-                firsts[:, col] = first
-                counts[:, col] = (
-                    (addr + (nbytes - 1)) // line_bytes - first + 1
-                )
-        flat_firsts = firsts.ravel()
-        flat_counts = counts.ravel()
-        total = int(flat_counts.sum())
-        ends = np.cumsum(flat_counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - flat_counts, flat_counts
+            dst[lanes * jvals + k] = src[base + stride * ivals]
+            offsets += [
+                src_addr_base + (base + stride * loop.start) * src_bytes,
+                dst_addr_base + k * dst_bytes,
+            ]
+            strides += [stride * loop.step * src_bytes, lanes * dst_bytes]
+            widths += [src_bytes, dst_bytes]
+        columns = _LineColumns(
+            offsets, strides, widths, self.cache.config.line_bytes
         )
-        lines = np.repeat(flat_firsts, flat_counts) + offsets
-        misses = int((~self._replay_stream(lines)).sum())
+        lines = columns.stream(jvals)[0]
+        hits = np.count_nonzero(self._replay_stream(lines))
+        misses = lines.shape[0] - int(hits)
         machine = self.machine
         per_element = machine.scalar_load + machine.scalar_store
         amortized = (
@@ -288,89 +354,55 @@ class BatchedEngine:
         bulk replay, which is state- and result-identical)."""
         return self.cache.replay_lines(lines)
 
-    def _build_line_stream(
-        self,
-        program: _LoopProgram,
-        trips: int,
-        ivals: np.ndarray,
-        streams: Dict[Affine, Tuple[int, int]],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The chronological line-ID stream of the iterations
-        ``ivals`` — iteration-major, then slot order, then line order
-        within one access — plus per-element touch attribution and
-        per-touch line totals."""
-        touches = program.touches
-        m = len(touches)
+    def _line_columns(
+        self, program: _LoopProgram, streams: Dict[Affine, Tuple[int, int]]
+    ) -> _LineColumns:
+        """The address columns of every touch for one loop entry."""
         memory = self.memory
-        line_bytes = self.cache.config.line_bytes
-        firsts = np.empty((trips, m), dtype=np.int64)
-        counts = np.empty((trips, m), dtype=np.int64)
-        for j, touch in enumerate(touches):
+        offsets: List[int] = []
+        strides: List[int] = []
+        for touch in program.touches:
             base, stride = streams[touch.flat]
-            addresses = (
-                memory._base[touch.array]
-                + (base + stride * ivals) * memory._elem_bytes[touch.array]
-            )
-            first = addresses // line_bytes
-            firsts[:, j] = first
-            counts[:, j] = (
-                (addresses + (touch.size_bytes - 1)) // line_bytes - first + 1
-            )
-        flat_firsts = firsts.ravel()
-        flat_counts = counts.ravel()
-        total = int(flat_counts.sum())
-        # Expand each (first, count) range into consecutive line IDs.
-        ends = np.cumsum(flat_counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - flat_counts, flat_counts
+            elem = memory._elem_bytes[touch.array]
+            offsets.append(memory._base[touch.array] + base * elem)
+            strides.append(stride * elem)
+        return _LineColumns(
+            offsets,
+            strides,
+            [touch.size_bytes for touch in program.touches],
+            self.cache.config.line_bytes,
         )
-        lines = np.repeat(flat_firsts, flat_counts) + offsets
-        touch_ids = np.repeat(
-            np.tile(np.arange(m, dtype=np.int64), trips), flat_counts
-        )
-        return lines, touch_ids, counts.sum(axis=0)
-
-    def _replay(
-        self,
-        program: _LoopProgram,
-        trips: int,
-        ivals: np.ndarray,
-        streams: Dict[Affine, Tuple[int, int]],
-    ) -> None:
-        """Replay every cache access of the iterations ``ivals``, in
-        the exact chronological order the interpreter would issue them,
-        through the LRU state machine, attributing misses per touch."""
-        m = len(program.touches)
-        if m == 0:
-            return
-        lines, touch_ids, lines_per_touch = self._build_line_stream(
-            program, trips, ivals, streams
-        )
-        self._attribute_replay(program, lines, touch_ids, lines_per_touch)
 
     def _attribute_replay(
         self,
         program: _LoopProgram,
         lines: np.ndarray,
-        touch_ids: np.ndarray,
-        lines_per_touch: np.ndarray,
+        touch_ids: Optional[np.ndarray],
+        lines_per_touch: List[int],
     ) -> None:
+        """Replay one chronological line stream (``_LineColumns.stream``)
+        and charge each touch's lines and misses to its array and
+        provenance sink, counting misses per touch from the miss
+        positions."""
         touches = program.touches
         m = len(touches)
-        hit_mask = self._replay_stream(lines)
-        misses_per_touch = np.bincount(
-            touch_ids[~hit_mask], minlength=m
-        )
+        missed = np.flatnonzero(~self._replay_stream(lines))
+        if touch_ids is not None:
+            missed = touch_ids[missed]
+        else:
+            missed %= m
+        misses_per_touch = np.bincount(missed, minlength=m).tolist()
 
         report = self.report
         penalty = self.machine.l1.miss_penalty
         miss_key = (MISS_CATEGORY, penalty)
         slots = program.slots
-        for j, touch in enumerate(touches):
-            report.array_accesses[touch.array] = report.array_accesses.get(
-                touch.array, 0
-            ) + int(lines_per_touch[j])
-            misses = int(misses_per_touch[j])
+        for touch, accesses, misses in zip(
+            touches, lines_per_touch, misses_per_touch
+        ):
+            report.array_accesses[touch.array] = (
+                report.array_accesses.get(touch.array, 0) + accesses
+            )
             if not misses:
                 continue
             report.array_misses[touch.array] = (
@@ -448,15 +480,15 @@ class _Entry:
             return self.engine.memory.scalars[name]
         return col
 
-    def read_mem(self, array: str, flat: Affine):
-        key = (array, flat)
+    def read_mem(self, key: Tuple[str, Affine]):
+        """Column of the ``(array, flat)`` cell stream ``key``."""
         col = self.mem_cols.get(key)
         if col is not None:
             return col
         col = self.gathers.get(key)
         if col is None:
-            base, stride = self.streams[flat]
-            data = self.engine.memory.arrays[array]
+            base, stride = self.streams[key[1]]
+            data = self.engine.memory.arrays[key[0]]
             if stride == 0:
                 col = float(data[base])
             else:
@@ -469,7 +501,7 @@ class _Entry:
             return float(ref.value)
         if isinstance(ref, ScalarRef):
             return self.read_scalar(ref.name)
-        return self.read_mem(ref.array, ref.flat)
+        return self.read_mem((ref.array, ref.flat))
 
     def read_vreg(self, vreg: int) -> List[object]:
         cols = self.vreg_cols.get(vreg)
@@ -478,20 +510,16 @@ class _Entry:
             self.vreg_cols[vreg] = cols
         return cols
 
-    def eval_expr(self, expr: Expr):
-        if isinstance(expr, Const):
-            return float(expr.value)
-        if isinstance(expr, Var):
-            return self.read_scalar(expr.name)
-        if isinstance(expr, ArrayRef):
-            decl = self.engine.memory.program.arrays[expr.array]
-            flat = Affine((), 0)
-            for subscript, dim in zip(expr.subscripts, decl.shape):
-                flat = flat * dim + subscript
-            return self.read_mem(expr.array, flat)
-        kids = expr.children()
-        values = [self.eval_expr(k) for k in kids]
-        return _VEC_FUNCS[getattr(expr, "op")](*values)
+    def eval_expr(self, node: tuple):
+        """Column of an expression lowered by ``_lower_expr``."""
+        kind = node[0]
+        if kind == _MEM:
+            return self.read_mem(node[1])
+        if kind == _OP:
+            return node[1](*[self.eval_expr(kid) for kid in node[2]])
+        if kind == _SCALAR:
+            return self.read_scalar(node[1])
+        return node[1]
 
     # -- body walk -------------------------------------------------------------------
 
@@ -499,8 +527,7 @@ class _Entry:
         for slot in self.program.slots:
             instr = slot.instr
             if isinstance(instr, ScalarExec):
-                value = self.eval_expr(instr.statement.expr)
-                self.write_ref(instr.store, value)
+                self.write_ref(instr.store, self.eval_expr(slot.value))
             elif isinstance(instr, VPack):
                 self.vreg_cols[instr.dst] = [
                     self.read_source(src) for src in instr.sources
@@ -550,6 +577,9 @@ class _Entry:
 
 # -- decode: body -> slot program, or None on any unsafe shape -------------------------
 
+#: A flat as ``(loop-index coefficient, outer coefficients, constant)``.
+_FlatSplit = Tuple[int, Tuple[Tuple[str, int], ...], int]
+
 
 def _decode_loop(
     unit: CompiledLoop, machine, memory
@@ -558,16 +588,20 @@ def _decode_loop(
         return None
     slots: List[_Slot] = []
     touches: List[_Touch] = []
-    flats: Dict[Affine, None] = {}
+    index = unit.spec.index
+    # Every distinct flat, split once for the carry analysis.
+    flats: Dict[Affine, _FlatSplit] = {}
     scalar_reads: List[Tuple[int, str]] = []
     scalar_writes: List[Tuple[int, str]] = []
-    array_refs: Dict[str, List[Tuple[int, Affine, bool]]] = {}
+    array_refs: Dict[str, List[Tuple[int, _FlatSplit, bool]]] = {}
     vreg_reads: List[Tuple[int, int]] = []
     vreg_defs: List[Tuple[int, int]] = []
 
     def note_array(pos: int, array: str, flat: Affine, is_write: bool) -> None:
-        flats[flat] = None
-        array_refs.setdefault(array, []).append((pos, flat, is_write))
+        split = flats.get(flat)
+        if split is None:
+            split = flats[flat] = _split_flat(flat, index)
+        array_refs.setdefault(array, []).append((pos, split, is_write))
 
     def elem(array: str) -> int:
         return memory._elem_bytes[array]
@@ -627,25 +661,23 @@ class _DecodeCtx:
         self.arrays = arrays
 
 
-def _note_expr_reads(expr: Expr, pos: int, ctx: _DecodeCtx) -> None:
-    """Record the *value* reads of a scalar expression — the loads the
-    functional evaluation will perform (``instr.loads`` covers the
-    accounting side; the Horner flats here are what ``_Entry.eval_expr``
-    resolves, so they must reach the stream table too)."""
+def _lower_expr(expr: Expr, pos: int, ctx: _DecodeCtx) -> tuple:
+    """Lower a scalar expression for ``_Entry.eval_expr`` and record its
+    *value* reads — the loads the functional evaluation will perform
+    (``instr.loads`` covers the accounting side). Each array leaf keeps
+    its row-major flat, computed once here; those flats must reach the
+    stream table too."""
     if isinstance(expr, Const):
-        return
+        return (_CONST, float(expr.value))
     if isinstance(expr, Var):
         ctx.scalar_reads.append((pos, expr.name))
-        return
+        return (_SCALAR, expr.name)
     if isinstance(expr, ArrayRef):
-        decl = ctx.arrays[expr.array]
-        flat = Affine((), 0)
-        for subscript, dim in zip(expr.subscripts, decl.shape):
-            flat = flat * dim + subscript
+        flat = flat_affine(expr, ctx.arrays[expr.array])
         ctx.note_array(pos, expr.array, flat, False)
-        return
-    for kid in expr.children():
-        _note_expr_reads(kid, pos, ctx)
+        return (_MEM, (expr.array, flat))
+    kids = tuple(_lower_expr(kid, pos, ctx) for kid in expr.children())
+    return (_OP, _VEC_FUNCS[getattr(expr, "op")], kids)
 
 
 def _decode_scalar(
@@ -663,7 +695,7 @@ def _decode_scalar(
             slot.charge("scalar_move", machine.scalar_move)
     for op in instr.ops:
         slot.charge("scalar_op", machine.op_cost(op))
-    _note_expr_reads(instr.statement.expr, pos, ctx)
+    slot.value = _lower_expr(instr.statement.expr, pos, ctx)
     store = instr.store
     if isinstance(store, MemRef):
         ctx.touches.append(
@@ -767,13 +799,27 @@ def _decode_store(
     return True
 
 
+def _split_flat(flat: Affine, index: str) -> _FlatSplit:
+    """``flat`` as its coefficient of ``index``, the outer-variable
+    coefficients of the remainder and its constant. Coefficients are
+    normalized (sorted, non-zero), and stay so with one term removed."""
+    coeff = 0
+    rest = []
+    for name, c in flat.coeffs:
+        if name == index:
+            coeff = c
+        else:
+            rest.append((name, c))
+    return coeff, tuple(rest), flat.const
+
+
 def _carries_safe(
     spec,
     scalar_reads: List[Tuple[int, str]],
     scalar_writes: List[Tuple[int, str]],
     vreg_reads: List[Tuple[int, int]],
     vreg_defs: List[Tuple[int, int]],
-    array_refs: Dict[str, List[Tuple[int, Affine, bool]]],
+    array_refs: Dict[str, List[Tuple[int, _FlatSplit, bool]]],
 ) -> bool:
     """Prove the body free of cross-iteration carries.
 
@@ -794,7 +840,6 @@ def _carries_safe(
     of ``step`` within ``(trips - 1) · step``. Any pair this analysis
     cannot prove disjoint is unsafe.
     """
-    index = spec.index
     trips = spec.trip_count
     step = spec.step
 
@@ -823,20 +868,14 @@ def _carries_safe(
 
     span = (trips - 1) * step
     for refs in array_refs.values():
-        writes = [(pos, flat) for pos, flat, is_write in refs if is_write]
+        writes = [(pos, split) for pos, split, is_write in refs if is_write]
         if not writes:
             continue
-        for wpos, wflat in writes:
-            a = wflat.coeff(index)
-            rest_w = wflat + Affine.var(index, -a) if a else wflat
-            for xpos, xflat, x_is_write in refs:
-                ax = xflat.coeff(index)
-                if ax != a:
+        for wpos, (a, rest_w, const_w) in writes:
+            for xpos, (ax, rest_x, const_x), x_is_write in refs:
+                if ax != a or rest_x != rest_w:
                     return False
-                rest_x = xflat + Affine.var(index, -ax) if ax else xflat
-                if rest_x.coeffs != rest_w.coeffs:
-                    return False
-                delta = rest_x.const - rest_w.const
+                delta = const_x - const_w
                 if delta == 0:
                     if a == 0 and not x_is_write and xpos <= wpos:
                         # Constant-address read at-or-before a write to

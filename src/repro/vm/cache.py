@@ -12,8 +12,14 @@ to the MRU end, a fill past capacity evicts the first key. This is
 O(1) per access where the previous list representation paid an
 O(ways) scan plus an O(ways) ``list.remove`` shuffle.
 
-The per-access path is plain Python; only the bulk replay and its
-vector snapshot import NumPy, when a run first needs them.
+Two whole-stream replays give the same results as one ``touch_line``
+per access. ``replay_lines`` (the batched engine's) partitions the
+stream by set, drops every access that repeats its set's previous
+line — a hit on the MRU line, which changes nothing — and runs the
+dict machine over the rest. ``replay_lines_bulk`` (the compiled
+engine's) computes the same results from stack distances without a
+per-access loop. ``touch_line`` is plain Python; the replays and the
+vector snapshot import NumPy when a run first needs them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
+from ..perf import count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,49 +161,61 @@ class Cache:
         machine; returns a boolean hit mask, one entry per element.
 
         Equivalent to ``[self.touch_line(l) for l in lines]`` — same
-        final cache state, same hit/miss totals — but amortizes the
-        per-call overhead across the whole stream and takes a fast path
-        for repeated-line streaks: a line that was touched by the
-        immediately preceding access is already MRU, so the access is a
-        hit and moving it to the back is a no-op.
+        final cache state, same hit/miss totals — but the per-access
+        Python loop visits only the accesses that can change state.
+        Sets are independent state machines, so the stream is stably
+        partitioned by set (reordering accesses *across* sets commutes;
+        within a set order is preserved). An access equal to the
+        previous access of its own set finds that line already MRU: a
+        hit that changes nothing, dropped before the loop. The dict
+        machine runs over what is left, set by set, and only its misses
+        are scattered back to chronological positions.
         """
         import numpy as np
 
-        seq = lines.tolist() if isinstance(lines, np.ndarray) else lines
-        _check_stream(lines)
+        arr = _check_stream(lines)
+        n = arr.shape[0]
         if self._stale:
             self._materialize()
         if self._vec is not None:
             self._vec = None
-        mask = []
-        append = mask.append
-        sets = self._sets
+        result = np.ones(n, dtype=bool)
+        if n == 0:
+            return result
         nsets = self.config.sets
         capacity = self.config.ways
-        hits = 0
-        misses = 0
-        prev = None
-        for line in seq:
-            if line == prev:
-                hits += 1
-                append(True)
-                continue
-            prev = line
+        # Set IDs in the narrowest dtype that holds them: NumPy's stable
+        # sort is a radix sort for 8- and 16-bit keys.
+        set_ids = (arr % nsets).astype(np.min_scalar_type(nsets - 1))
+        order = np.argsort(set_ids, kind="stable")
+        grouped = arr[order]
+        # Lines of different sets never compare equal, so comparing
+        # neighbours across the whole partition finds exactly the
+        # repeats of a set's previous line.
+        visit = np.empty(n, dtype=bool)
+        visit[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=visit[1:])
+        visited = grouped[visit].tolist()
+        sets = self._sets
+        missed: List[int] = []
+        append = missed.append
+        for k, line in enumerate(visited):
             ways = sets[line % nsets]
-            if line in ways:
-                del ways[line]
-                ways[line] = None
-                hits += 1
-                append(True)
-            else:
-                misses += 1
+            # pop() answers "resident?" and unlinks the line in one
+            # lookup (residents map to None); re-inserting makes it MRU.
+            if ways.pop(line, True):
                 ways[line] = None
                 if len(ways) > capacity:
                     del ways[next(iter(ways))]
-                append(False)
-        self.hits += hits
-        self.misses += misses
-        return np.asarray(mask, dtype=bool)
+                append(k)
+            else:
+                ways[line] = None
+        result[order[visit][missed]] = False
+        self.hits += n - len(missed)
+        self.misses += len(missed)
+        count("simulate.replay_lines", n)
+        count("simulate.replay_visits", len(visited))
+        return result
 
     def replay_lines_bulk(
         self, lines: Union[Sequence[int], np.ndarray]

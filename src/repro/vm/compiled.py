@@ -122,8 +122,8 @@ class _KernelEntry:
     static: bool
     #: Arrays the accounting replay touches (stream-cache key basis).
     touch_arrays: Tuple[str, ...] = ()
-    #: For static loops: (line_bytes, bases...) -> prebuilt
-    #: (lines, touch_ids, lines_per_touch) replay stream.
+    #: For static loops: (line_bytes, bases...) -> prebuilt replay
+    #: stream, as ``_LineColumns.stream`` returns it.
     stream_cache: Dict[tuple, tuple] = field(default_factory=dict)
 
 
@@ -725,9 +725,7 @@ class CompiledEngine(BatchedEngine):
                 ivals = np.arange(
                     spec.start, spec.stop, spec.step, dtype=np.int64
                 )
-                cached = self._build_line_stream(
-                    program, trips, ivals, streams
-                )
+                cached = self._line_columns(program, streams).stream(ivals)
                 if key is not None:
                     entry.stream_cache[key] = cached
             self._attribute_replay(program, *cached)

@@ -37,6 +37,7 @@ from repro.ir import (
     Var,
 )
 from repro.perf import PERF
+from repro.trace import traced_run
 from repro.vm import (
     MACHINES,
     Simulator,
@@ -199,6 +200,50 @@ def test_affine_kernel_takes_batched_path():
         assert batched >= 1, trips
         assert fallbacks == 0, trips
         _assert_identical(compiled.plan, compiled.machine)
+
+
+#: Unrolled twice, the body loads ``A[i+1], A[i+2]`` and ``A[i+3],
+#: A[i+4]`` as two-lane packs that start 8 bytes into a 16-byte pair:
+#: the second spans two 64-byte lines on every other trip. The lanes
+#: of ``B`` and ``C`` are aligned. 600 loads of ``A`` over two blocks.
+STRADDLE_SRC = """
+double A[1208];
+double B[1208];
+double C[1208];
+for (i = 0; i < 1200; i += 2) {
+    B[i] = A[i+1] * C[i];
+    B[i+1] = A[i+2] * C[i+1];
+}
+"""
+
+
+@pytest.mark.parametrize("variant", [Variant.SLP, Variant.GLOBAL])
+def test_line_straddling_loads_identical(variant):
+    """Unaligned loads that cross a line boundary take the multi-line
+    stream expansion; per-array misses and the provenance charges of
+    the tagged packs still match the interpreter."""
+    machine = intel_dunnington()
+    plan = traced_run(
+        parse_program(STRADDLE_SRC), variant, machine, simulate=False
+    ).result.plan
+    PERF.reset()
+    PERF.enable()
+    try:
+        (ref_report, ref_mem), (bat_report, bat_mem) = _run_both(
+            plan, machine
+        )
+    finally:
+        PERF.disable()
+    assert PERF.counters.get("simulate.batched_loops", 0) >= 1
+    assert PERF.counters.get("simulate.batched_fallbacks", 0) == 0
+    PERF.reset()
+    assert bat_report.array_accesses["A"] > 600
+    assert bat_report.array_accesses == ref_report.array_accesses
+    assert bat_report.array_misses == ref_report.array_misses
+    assert ref_report.provenance
+    assert bat_report.provenance == ref_report.provenance
+    assert bat_report == ref_report
+    assert bat_mem.state_equal(ref_mem)
 
 
 def test_vectorized_fallback_mix_identical():

@@ -1,5 +1,7 @@
 """Basic blocks, loops, programs, operand keys."""
 
+import pickle
+
 import pytest
 
 from repro.analysis import (
@@ -8,6 +10,7 @@ from repro.analysis import (
     is_scalar_key,
     operand_key,
 )
+from repro.errors import IRError
 from repro.ir import (
     Affine,
     ArrayRef,
@@ -15,6 +18,7 @@ from repro.ir import (
     BinOp,
     Const,
     FLOAT32,
+    IfRegion,
     Loop,
     Program,
     Statement,
@@ -38,6 +42,43 @@ class TestBasicBlock:
     def test_duplicate_sid_rejected(self):
         with pytest.raises(ValueError):
             BasicBlock([stmt(0), stmt(0)])
+
+    def test_duplicate_sid_rejected_by_append(self):
+        block = BasicBlock([stmt(0)])
+        with pytest.raises(IRError):
+            block.append(stmt(0, "b"))
+        assert len(block) == 1
+        block.append(stmt(1, "b"))
+
+    def test_duplicate_sid_within_a_region_rejected(self):
+        cond = BinOp("<", Var("c", FLOAT32), Const(0.0, FLOAT32))
+        region = IfRegion(cond, (stmt(1, "x"),), (stmt(1, "y"),))
+        with pytest.raises(IRError):
+            BasicBlock([stmt(0), region])
+        block = BasicBlock([stmt(0)])
+        with pytest.raises(IRError):
+            block.append(region)
+        # A refused item claims none of its sids.
+        block.append(stmt(1, "x"))
+
+    def test_sids_survive_a_pickle_round_trip(self):
+        """The sid set is derived state: a block pickles as its
+        statement list alone, and the loaded block still refuses a
+        duplicate sid."""
+        block = BasicBlock([stmt(0), stmt(1, "b")])
+        assert block.__getstate__() == {"statements": block.statements}
+        loaded = pickle.loads(pickle.dumps(block))
+        assert loaded == block
+        with pytest.raises(IRError):
+            loaded.append(stmt(1, "c"))
+        loaded.append(stmt(2, "c"))
+        assert [s.sid for s in loaded] == [0, 1, 2]
+
+    def test_pop_releases_the_sids(self):
+        block = BasicBlock([stmt(0), stmt(1, "b")])
+        assert block.pop().sid == 1
+        block.append(stmt(1, "c"))
+        assert block[1].target.name == "c"
 
     def test_missing_sid_raises(self):
         block = BasicBlock([stmt(0)])

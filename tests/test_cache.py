@@ -1,7 +1,10 @@
 """The set-associative LRU cache model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.perf import PERF
 from repro.vm import Cache, CacheConfig
 
 
@@ -137,6 +140,38 @@ class TestFlushVsResetStats:
         assert (cache.hits, cache.misses) == (1, 0)
 
 
+#: (sets, ways): direct-mapped caches (one of them 64 sets), the paper
+#: machines' 64-set L1 shapes (Intel 8-way, AMD 2-way), and a fully
+#: associative one.
+REPLAY_SHAPES = [(4, 1), (64, 1), (64, 8), (64, 2), (1, 4), (8, 4)]
+
+
+@st.composite
+def replay_cases(draw):
+    """A cache shape, a prefill stream and how to feed it, and the
+    stream to replay after it."""
+    sets, ways = draw(st.sampled_from(REPLAY_SHAPES))
+    # Most lines land in a few hot sets under several tags, so one set
+    # sees different lines interleaved (as when arrays whose size is a
+    # multiple of the set span stream side by side); the rest are
+    # spread anywhere. Runs repeat a line back to back.
+    hot = draw(st.lists(st.integers(0, sets - 1), min_size=1, max_size=3))
+    line = st.builds(
+        lambda s, tag: s + tag * sets,
+        st.sampled_from(hot),
+        st.integers(0, 2 * ways + 1),
+    ) | st.integers(0, 4 * sets * ways)
+    runs = st.lists(st.tuples(line, st.integers(1, 3)), max_size=80)
+
+    def expand(pairs):
+        return [line for line, k in pairs for _ in range(k)]
+
+    prefill = expand(draw(runs))
+    stream = expand(draw(runs))
+    prefill_by = draw(st.sampled_from(["replay", "touch"]))
+    return sets, ways, prefill, prefill_by, stream
+
+
 class TestReplayLines:
     """``replay_lines`` is the batched engine's bulk entry point; it must
     be observationally identical to calling ``touch_line`` per element."""
@@ -175,3 +210,59 @@ class TestReplayLines:
         cache = small_cache()
         assert cache.replay_lines([]).tolist() == []
         assert (cache.hits, cache.misses) == (0, 0)
+
+    @staticmethod
+    def _assert_replay_matches(sets, ways, prefill, prefill_by, stream):
+        """Replay ``stream`` on a cache filled with ``prefill`` (through
+        ``replay_lines`` or ``touch_line``) and on a twin fed only
+        through ``touch_line``: same mask access by access, same totals,
+        same per-set LRU order."""
+        bulk = small_cache(ways=ways, sets=sets)
+        unit = small_cache(ways=ways, sets=sets)
+        if prefill_by == "replay":
+            bulk.replay_lines(np.asarray(prefill, dtype=np.int64))
+        else:
+            for line in prefill:
+                bulk.touch_line(line)
+        for line in prefill:
+            unit.touch_line(line)
+        mask = bulk.replay_lines(np.asarray(stream, dtype=np.int64))
+        expected = [unit.touch_line(line) for line in stream]
+        assert mask.tolist() == expected
+        assert (bulk.hits, bulk.misses) == (unit.hits, unit.misses)
+        assert bulk.lines() == unit.lines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(replay_cases())
+    def test_drawn_streams_match_touch_line(self, case):
+        self._assert_replay_matches(*case)
+
+    @pytest.mark.parametrize("ways", [1, 2, 8])
+    def test_arrays_sharing_sets_stream_side_by_side(self, ways):
+        """The n=1024 Intel pattern: three 8 KB arrays of doubles, each
+        a multiple of the 64-set span, read element by element in one
+        loop, so every iteration touches three lines of one set; a
+        second pass finds what the first left."""
+        stream = [
+            base + i // 8 for i in range(1024) for base in (0, 128, 256)
+        ]
+        self._assert_replay_matches(64, ways, stream, "replay", stream)
+
+    def test_counts_lines_and_visits(self):
+        """``simulate.replay_lines`` counts every access replayed and
+        ``simulate.replay_visits`` those the LRU loop visits: a repeat
+        of its set's previous line is a hit the loop skips."""
+        cache = small_cache(ways=2, sets=4)
+        PERF.reset()
+        PERF.enable()
+        try:
+            # Sets 0 and 1 alternate; 0 and 4 share set 0.
+            cache.replay_lines([0, 1, 0, 0, 1, 4, 0])
+        finally:
+            PERF.disable()
+        counters = dict(PERF.counters)
+        PERF.reset()
+        assert counters["simulate.replay_lines"] == 7
+        # Set 0 sees 0, 0, 0, 4, 0 (visits 0, 4, 0) and set 1 sees
+        # 1, 1 (visits 1).
+        assert counters["simulate.replay_visits"] == 4

@@ -34,6 +34,7 @@ from repro import (
     ProgramBuilder,
     ServiceError,
     Variant,
+    VerifyError,
     WorkerCrashError,
     compile_program,
 )
@@ -481,6 +482,48 @@ def test_job_errors_reraise_original_type(client):
     with pytest.raises(ParseError) as excinfo:
         client.compile(source="this is not a program")
     assert excinfo.value.stage == "parse"
+
+
+#: Programs that parse but that the ``ir`` verifier rejects: a read of
+#: ``A[i-1]`` from ``i = 0``, and a write of ``A[i]`` past a 4-element
+#: ``A``.
+OUT_OF_BOUNDS_SOURCES = [
+    """
+double A[8];
+double B[8];
+for (i = 0; i < 8; i += 1) {
+    B[i] = A[i-1];
+}
+""",
+    """
+double A[4];
+for (i = 0; i < 8; i += 1) {
+    A[i] = 1.0;
+}
+""",
+]
+
+
+@pytest.mark.parametrize(
+    "source", OUT_OF_BOUNDS_SOURCES, ids=["read-before", "write-past"]
+)
+def test_unverifiable_programs_never_reach_the_pool(client, source):
+    """A subscript outside its array is refused while the request is
+    keyed — a 400 carrying the verifier's ``VerifyError`` on both job
+    endpoints — instead of being simulated on memory outside the
+    array or failing inside a worker."""
+    before = client.metrics()["service"]["pool"]["jobs"]
+    for submit in (client.compile, client.simulate):
+        with pytest.raises(VerifyError) as excinfo:
+            submit(source=source)
+        assert excinfo.value.rule == "ir.bounds"
+    for path in ("/v1/compile", "/v1/simulate"):
+        status, raw, _headers = client._round_trip(
+            "POST", path, json.dumps({"program": source}).encode(), {}, 30.0
+        )
+        assert status == 400, path
+        assert json.loads(raw)["error"]["rule"] == "ir.bounds", path
+    assert client.metrics()["service"]["pool"]["jobs"] == before
 
 
 def test_request_validation(client):
