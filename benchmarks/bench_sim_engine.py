@@ -11,10 +11,9 @@ where their model does not apply):
   NumPy address/value streams and replays the cache over the
   precomputed chronological line stream.
 * **compiled** goes one step further: it emits a specialized NumPy
-  *function* per affine loop (after a superoptimizing peephole pass),
-  compiles it once, and replays cache lines through the bulk
-  set-associative replay — so a warm run does no per-loop decoding or
-  Python-level dispatch at all.
+  *function* per affine loop and compiles it once, so a warm run does
+  no per-loop decoding or Python-level dispatch of the loop's values.
+  Its accounting and cache replay are the batched engine's.
 
 This harness does three things:
 
@@ -34,20 +33,21 @@ This harness does three things:
    and each engine simulates every plan once per pass, for two passes:
    pass 1 is cold, pass 2 shows what the compiled engine's kernel memo
    keeps. It records seconds per pass, kernel emissions and memo hits,
-   the batched engine's cache replay work (``simulate.replay_lines``,
-   the accesses replayed, and ``simulate.replay_visits``, those the
-   LRU loop visits after set compaction), and each engine's
-   ``tracemalloc`` peak on the largest run, and asserts report +
-   memory equality with ``reference`` on every run. It has no
+   each engine's cache replay work (``simulate.replay_lines``, the
+   accesses replayed, and ``simulate.replay_visits``, those the LRU
+   loop visits after set compaction; the batched and compiled engines
+   both replay, the reference interpreter touches line by line), and
+   each engine's ``tracemalloc`` peak on the largest run, and asserts
+   report + memory equality with ``reference`` on every run. It has no
    wall-clock gate.
 
 Results land in ``results/sim_engine.txt`` and machine-readable
 ``results/BENCH_sim_engine.json``. Set ``REPRO_BENCH_SMOKE=1`` (CI) for
 a reduced grid that still enforces the equality contract and checks
 that both fast paths are actually taken and that set compaction
-leaves the replay loop fewer accesses than it replays (the speedup
-gates stay full-run only: CI machines are too noisy to pin wall-clock
-ratios).
+leaves the batched engine's replay loop fewer accesses than it
+replays (the speedup gates stay full-run only: CI machines are too
+noisy to pin wall-clock ratios).
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ GATE_ROUNDS = 1 if SMOKE else 5
 #: run, as a suite run sees them.
 SWEEP_NS = (128, 1024)
 SWEEP_PASSES = 2
+#: Recorded per engine: one ``PERF`` window spans every engine's runs.
+REPLAY_COUNTERS = ("simulate.replay_lines", "simulate.replay_visits")
 
 
 def _timed_run(machine, engine, plan):
@@ -163,15 +165,24 @@ def _plan_sweep():
     largest = None
     for _ in range(SWEEP_PASSES):
         seconds = {engine: 0.0 for engine in ENGINES}
+        replay = {
+            counter: {engine: 0 for engine in ENGINES}
+            for counter in REPLAY_COUNTERS
+        }
         PERF.reset()
         PERF.enable()
         for label, compiled in plans:
             runs = {}
             for engine in ENGINES:
                 simulator = Simulator(compiled.machine, engine=engine)
+                before = [PERF.counters.get(c, 0) for c in REPLAY_COUNTERS]
                 started = time.perf_counter()
                 runs[engine] = simulator.run(compiled.plan)
                 seconds[engine] += time.perf_counter() - started
+                for counter, start in zip(REPLAY_COUNTERS, before):
+                    replay[counter][engine] += (
+                        PERF.counters.get(counter, 0) - start
+                    )
             ref_report, ref_mem = runs["reference"]
             for engine in ("batched", "compiled"):
                 report, memory = runs[engine]
@@ -194,8 +205,8 @@ def _plan_sweep():
                 "kernel_memo_hits": counters.get(
                     "compiled.kernel_memo_hits", 0
                 ),
-                "replay_lines": counters.get("simulate.replay_lines", 0),
-                "replay_visits": counters.get("simulate.replay_visits", 0),
+                "replay_lines": replay["simulate.replay_lines"],
+                "replay_visits": replay["simulate.replay_visits"],
             }
         )
     PERF.reset()
@@ -349,7 +360,11 @@ def test_sim_engine(results_dir):
     # Set compaction must take work off the replay loop: a repeat of
     # its set's previous line is a hit the loop never visits.
     first_pass = sweep["passes"][0]
-    assert 0 < first_pass["replay_visits"] < first_pass["replay_lines"]
+    assert (
+        0
+        < first_pass["replay_visits"]["batched"]
+        < first_pass["replay_lines"]["batched"]
+    )
     # The gate population must stay fallback-free, or the headline
     # number silently measures the batched engine instead.
     assert compiled_fallbacks == 0, (
@@ -431,8 +446,9 @@ def test_sim_engine(results_dir):
         "simulates every plan once per pass; no gate):\n"
         + ascii_table(
             ("pass", "reference", "batched", "compiled",
-             "kernel emissions", "memo hits", "replay lines",
-             "replay visits"),
+             "kernel emissions", "memo hits",
+             "replay lines (batched/compiled)",
+             "replay visits (batched/compiled)"),
             [
                 (
                     str(i + 1),
@@ -442,8 +458,10 @@ def test_sim_engine(results_dir):
                     ),
                     str(p["kernel_emissions"]),
                     str(p["kernel_memo_hits"]),
-                    str(p["replay_lines"]),
-                    str(p["replay_visits"]),
+                    *(
+                        f"{p[key]['batched']}/{p[key]['compiled']}"
+                        for key in ("replay_lines", "replay_visits")
+                    ),
                 )
                 for i, p in enumerate(sweep["passes"])
             ],

@@ -38,7 +38,7 @@ from .layout import (
     plan_array_layout,
 )
 from .layout.scalar import ScalarArena
-from .perf import span
+from .perf import count, span
 from .slp import (
     DECISION_MODES,
     PenaltyContext,
@@ -178,10 +178,10 @@ class CompilerOptions:
     #: Simulation engine for runs driven by these options: "batched"
     #: (vectorized loop engine — see ``repro.vm.batched``; the default
     #: when ``None``), "reference" (per-instruction interpreter, the
-    #: oracle), or "compiled" (per-loop NumPy codegen with peephole
-    #: superoptimization — see ``repro.vm.compiled``). All three
-    #: produce identical reports and memories. Compilation itself is
-    #: engine-independent.
+    #: oracle), or "compiled" (one emitted NumPy function per affine
+    #: loop, with batched's accounting — see ``repro.vm.compiled``).
+    #: All three produce identical reports and memories. Compilation
+    #: itself is engine-independent.
     engine: Optional[str] = None
     #: Pipeline verifier stages to run during compilation: "none",
     #: "all", or a comma-separated subset of "ir", "schedule", "plan"
@@ -338,11 +338,18 @@ def compile_program(
     machine: MachineModel,
     options: Optional[CompilerOptions] = None,
 ) -> CompileResult:
-    """Run the full framework on a program for one variant."""
+    """Run the full framework on a program for one variant.
+
+    Each block that ``on_error="fallback"`` compiles scalar instead
+    adds one to ``compile.fallback_blocks``; a failed preprocess
+    counts once, as ``<program>``."""
     options = options or CompilerOptions()
     datapath = options.datapath_bits or machine.datapath_bits
     with span("compile", variant=variant.value, datapath=datapath):
-        return _compile(program, variant, machine, options, datapath)
+        result = _compile(program, variant, machine, options, datapath)
+    if result.fallback_blocks:
+        count("compile.fallback_blocks", len(result.fallback_blocks))
+    return result
 
 
 def _compile(

@@ -801,36 +801,6 @@ def buggy_swap_mutator(
     return Schedule(schedule.block, list(reversed(schedule.items)))
 
 
-def buggy_peephole_mutator(body, label: str):
-    """A deliberately broken peephole "rewrite" for exercising the
-    3-engine oracle: reverses the sources of the first ``VPack`` that
-    packs at least two distinct locations (so the compiled kernel
-    computes with permuted lanes), or failing that rotates the first
-    ``VShuffle``'s permutation. Returns ``None`` when the body offers
-    nothing to break.
-
-    Install via ``repro.vm.peephole.DEBUG_MUTATOR = \
-buggy_peephole_mutator`` (kernel caching is bypassed while a mutator is
-    active); the mutation tests prove ``differential_check`` reports the
-    resulting divergence.
-    """
-    from .vm import VPack, VShuffle
-
-    mutated = list(body)
-    for i, instr in enumerate(mutated):
-        if isinstance(instr, VPack) and len(set(instr.sources)) >= 2:
-            mutated[i] = replace(
-                instr, sources=tuple(reversed(instr.sources))
-            )
-            return mutated
-    for i, instr in enumerate(mutated):
-        if isinstance(instr, VShuffle) and len(set(instr.perm)) >= 2:
-            rotated = instr.perm[1:] + instr.perm[:1]
-            mutated[i] = replace(instr, perm=rotated)
-            return mutated
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
@@ -924,7 +894,6 @@ __all__ = [
     "Divergence",
     "FuzzCase",
     "FuzzReport",
-    "buggy_peephole_mutator",
     "buggy_swap_mutator",
     "differential_check",
     "fuzz",

@@ -1,11 +1,10 @@
 """The virtual SIMD machine: vector ISA, machine models (Tables 1/2),
 cache, code generation, and the functional + timing simulator.
 
-The NumPy-backed execution engines (:mod:`repro.vm.batched`,
-:mod:`repro.vm.compiled` and its :mod:`repro.vm.peephole` pass) are not
-imported here: :class:`Simulator` imports an engine's module when a run
-picks it, so compiling never loads them or NumPy. Import their names
-from their own modules."""
+The NumPy-backed execution engines (:mod:`repro.vm.batched` and
+:mod:`repro.vm.compiled`) are not imported here: :class:`Simulator`
+imports an engine's module when a run picks it, so compiling never
+loads them or NumPy. Import their names from their own modules."""
 
 from .cache import Cache, CacheConfig
 from .codegen import (

@@ -334,7 +334,7 @@ class BatchedEngine:
             offsets, strides, widths, self.cache.config.line_bytes
         )
         lines = columns.stream(jvals)[0]
-        hits = np.count_nonzero(self._replay_stream(lines))
+        hits = np.count_nonzero(self.cache.replay_lines(lines))
         misses = lines.shape[0] - int(hits)
         machine = self.machine
         per_element = machine.scalar_load + machine.scalar_store
@@ -347,12 +347,6 @@ class BatchedEngine:
         return True
 
     # -- timing replay ---------------------------------------------------------------
-
-    def _replay_stream(self, lines: np.ndarray) -> np.ndarray:
-        """Run a chronological line stream through the LRU machine;
-        subclass hook (the compiled engine substitutes the vectorized
-        bulk replay, which is state- and result-identical)."""
-        return self.cache.replay_lines(lines)
 
     def _line_columns(
         self, program: _LoopProgram, streams: Dict[Affine, Tuple[int, int]]
@@ -386,7 +380,7 @@ class BatchedEngine:
         positions."""
         touches = program.touches
         m = len(touches)
-        missed = np.flatnonzero(~self._replay_stream(lines))
+        missed = np.flatnonzero(~self.cache.replay_lines(lines))
         if touch_ids is not None:
             missed = touch_ids[missed]
         else:

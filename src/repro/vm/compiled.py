@@ -1,29 +1,25 @@
-"""Compiled loop execution: trace-once NumPy codegen with peepholes.
+"""Compiled loop execution: trace-once NumPy codegen.
 
 The batched engine (:mod:`repro.vm.batched`) already decouples
 functional execution from timing replay, but it still *interprets* the
-decoded slot program every run: per-slot dispatch, per-lane column
-bookkeeping, and a sequential LRU replay. This engine goes one step
-further, in the spirit of trace-once dynamic binary translators: for
-each affine :class:`CompiledLoop` it **emits a specialized Python/NumPy
-source function** — closed-form slices from
+decoded slot program every run: per-slot dispatch and per-lane column
+bookkeeping. This engine goes one step further, in the spirit of
+trace-once dynamic binary translators: for each affine
+:class:`CompiledLoop` it **emits a specialized Python/NumPy source
+function** — closed-form slices from
 :func:`repro.vm.codegen.affine_stream`, fused element-wise expressions,
 deferred vectorized stores — ``compile()``s the module once, and caches
 source + bytecode in the :class:`repro.store.ArtifactStore` keyed by
 ``(plan content fingerprint, CODEGEN_VERSION, machine)`` so warm
 service workers skip emission entirely.
 
-Before emission, the body runs through the superoptimizing peephole
-pass (:mod:`repro.vm.peephole`): shuffle-of-shuffle composition,
-identity-shuffle and redundant-pack elimination, dead-definition
-removal, each rewrite recorded as a trace event carrying provenance
-IDs. The optimized body drives only the *functional* kernel; cycle and
-cache accounting always derive from the **original** instruction
-stream, via the same decode (:func:`repro.vm.batched._decode_loop`),
-the same integer charge buckets, and a bulk LRU replay
-(:meth:`repro.vm.cache.Cache.replay_lines_bulk`) that is
-state-identical to the sequential one — so every ``ExecutionReport``
-is exactly equal to the reference interpreter's, provenance included.
+The emitted function is only the *functional* kernel. Cycle and cache
+accounting are the batched engine's: the same decode
+(:func:`repro.vm.batched._decode_loop`), the same integer charge
+buckets and the same LRU replay
+(:meth:`repro.vm.cache.Cache.replay_lines`), so every
+``ExecutionReport`` is exactly equal to the reference interpreter's,
+provenance included.
 
 Any loop the decode analysis rejects (inner nests at their outer
 level, carried scalars/registers, potential array collisions, affines
@@ -63,13 +59,14 @@ from .isa import (
     VShuffle,
     VStore,
 )
-from . import peephole
-from .peephole import PeepholeEvent, VCopy, peephole_optimize
 
-#: Bumped whenever emitted source semantics change; part of the kernel
-#: artifact key, so a version bump invalidates every cached kernel.
+#: Bumped whenever emitted source semantics or the pickled artifact's
+#: shape change; part of the kernel artifact key, so a version bump
+#: invalidates every cached kernel.
 #: v2: comparison + select (predication) templates.
-CODEGEN_VERSION = 2
+#: v3: bodies are emitted as codegen built them, and
+#: ``KernelUnitMeta`` carries no rewrite events.
+CODEGEN_VERSION = 3
 
 #: In-process LRU memo of loaded kernel sets, keyed by fingerprint.
 _MEMO: "OrderedDict[str, LoadedPlanKernels]" = OrderedDict()
@@ -92,8 +89,6 @@ class KernelUnitMeta:
     #: Top-level loops see an empty env, so their affine bases are
     #: compile-time constants; inner loops take bases at call time.
     static: bool
-    #: Rewrites the peephole pass performed on this body.
-    events: Tuple[PeepholeEvent, ...] = ()
 
 
 @dataclass
@@ -475,11 +470,6 @@ class _UnitEmitter:
                 self.vreg_syms[instr.dst] = [
                     self._vreg_lane(instr.src, p) for p in instr.perm
                 ]
-            elif isinstance(instr, VCopy):
-                src = self.vreg_syms.get(instr.src)
-                if src is None:
-                    raise _Unsupported("copy of externally defined register")
-                self.vreg_syms[instr.dst] = list(src)
             elif isinstance(instr, VStore):
                 cols = [
                     self._vreg_lane(instr.src, lane)
@@ -546,20 +536,17 @@ def emit_plan_kernels(plan: ExecutablePlan, machine) -> PlanKernelsArtifact:
             metas.append(KernelUnitMeta(path, None, False))
             continue
         static = "." not in path
-        body, events = peephole_optimize(unit.body, label=path)
         try:
             emitter = _UnitEmitter(path, unit, program, plan, static)
-            module_src, fn_src = emitter.emit(body)
+            module_src, fn_src = emitter.emit(unit.body)
         except _Unsupported:
             count("compiled.emit_unsupported")
-            metas.append(KernelUnitMeta(path, None, static, tuple(events)))
+            metas.append(KernelUnitMeta(path, None, static))
             continue
         if module_src:
             module_lines.append(module_src)
         module_lines.append(fn_src)
-        metas.append(
-            KernelUnitMeta(path, emitter.fn_name, static, tuple(events))
-        )
+        metas.append(KernelUnitMeta(path, emitter.fn_name, static))
     source = "\n\n".join(module_lines) + "\n"
     code = compile(source, "<repro-plan-kernels>", "exec")
     return PlanKernelsArtifact(
@@ -625,20 +612,15 @@ def load_plan_kernels(
     kernel_store=None,
 ) -> LoadedPlanKernels:
     """Kernels for a plan: in-process memo, then the artifact store,
-    then fresh emission (written back to both). While a peephole
-    :data:`~repro.vm.peephole.DEBUG_MUTATOR` is installed, every cache
-    layer is bypassed in both directions so mutated kernels are always
-    freshly emitted and never poison a cache."""
-    mutating = peephole.DEBUG_MUTATOR is not None
+    then fresh emission (written back to both)."""
     fingerprint = kernel_fingerprint(plan, machine)
-    if not mutating:
-        loaded = _MEMO.get(fingerprint)
-        if loaded is not None:
-            _MEMO.move_to_end(fingerprint)
-            count("compiled.kernel_memo_hits")
-            return loaded
+    loaded = _MEMO.get(fingerprint)
+    if loaded is not None:
+        _MEMO.move_to_end(fingerprint)
+        count("compiled.kernel_memo_hits")
+        return loaded
     artifact = None
-    if kernel_store is not None and not mutating:
+    if kernel_store is not None:
         artifact = kernel_store.get_kernel(fingerprint)
         if (
             artifact is not None
@@ -650,13 +632,12 @@ def load_plan_kernels(
     if artifact is None:
         artifact = emit_plan_kernels(plan, machine)
         count("compiled.emissions")
-        if kernel_store is not None and not mutating:
+        if kernel_store is not None:
             kernel_store.put_kernel(fingerprint, artifact)
     loaded = _bind_artifact(plan, machine, fingerprint, artifact)
-    if not mutating:
-        _MEMO[fingerprint] = loaded
-        while len(_MEMO) > _MEMO_CAP:
-            _MEMO.popitem(last=False)
+    _MEMO[fingerprint] = loaded
+    while len(_MEMO) > _MEMO_CAP:
+        _MEMO.popitem(last=False)
     return loaded
 
 
@@ -669,11 +650,10 @@ def clear_kernel_memo() -> None:
 
 
 class CompiledEngine(BatchedEngine):
-    """Batched engine with pre-compiled functional kernels and bulk
-    LRU replay. Inherits the accounting (``_account``), the replay
-    attribution, the copy-unit path, and the fallback decode — every
-    loop without a kernel behaves exactly as under the batched
-    engine."""
+    """Batched engine with pre-compiled functional kernels. Inherits
+    the accounting (``_account``), the LRU replay and its attribution,
+    the copy-unit path, and the fallback decode — every loop without a
+    kernel behaves exactly as under the batched engine."""
 
     def __init__(self, state, plan: ExecutablePlan, kernels):
         super().__init__(state)
@@ -685,9 +665,6 @@ class CompiledEngine(BatchedEngine):
                 entry = kernels.entries.get(path)
                 if entry is not None:
                     self._entries[id(unit)] = entry
-
-    def _replay_stream(self, lines: np.ndarray) -> np.ndarray:
-        return self.cache.replay_lines_bulk(lines)
 
     def run_loop(self, unit: CompiledLoop, env: Dict[str, int]) -> bool:
         entry = self._entries.get(id(unit))

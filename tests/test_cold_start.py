@@ -1,8 +1,8 @@
 """The cold path: compiling never loads NumPy or the fast sim engines.
 
 ``import repro``, ``compile_program`` and every compile-only command run
-without NumPy and without :mod:`repro.vm.batched`, :mod:`repro.vm.compiled`
-and :mod:`repro.vm.peephole`; the first simulation imports the engine it
+without NumPy and without :mod:`repro.vm.batched` and
+:mod:`repro.vm.compiled`; the first simulation imports the engine it
 picks. The service pool loads the engines before it forks its workers.
 Each test runs in a fresh interpreter, since this process has long since
 imported everything.
@@ -44,7 +44,7 @@ def test_compiling_loads_no_numpy_and_simulating_loads_the_engine():
         from repro.bench.kernels import ALL_KERNELS
         from repro.vm import MACHINES, Simulator
 
-        ENGINES = ("repro.vm.batched", "repro.vm.compiled", "repro.vm.peephole")
+        ENGINES = ("repro.vm.batched", "repro.vm.compiled")
         intel = MACHINES["intel"]()
         for kernel in ALL_KERNELS:
             program = kernel.build(16)
@@ -109,7 +109,7 @@ def test_worker_pool_loads_the_engines_before_it_forks():
 
         from repro.service import pool
 
-        ENGINES = ("repro.vm.batched", "repro.vm.compiled", "repro.vm.peephole")
+        ENGINES = ("repro.vm.batched", "repro.vm.compiled")
         before = [m for m in ("numpy",) + ENGINES if m in sys.modules]
         at_spawn = []
         spawn = pool._Worker.spawn

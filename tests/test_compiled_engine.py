@@ -1,53 +1,46 @@
 """Differential and unit guarantees of the compiled kernel engine.
 
 The compiled engine (``src/repro/vm/compiled.py``) emits one
-specialized NumPy function per affine loop, runs a superoptimizing
-peephole pass before emission, and caches emitted kernels in-process
-and in the ``ArtifactStore``. Like the batched engine it is purely a
-simulation-speed optimization: reports and memories must be *exactly
+specialized NumPy function per affine loop and caches emitted kernels
+in-process and in the ``ArtifactStore``; its accounting and cache
+replay are the batched engine's. Like the batched engine it is purely
+a simulation-speed optimization: reports and memories must be *exactly
 equal* to the reference interpreter's on every plan, with per-unit
 fallback to the batched path where codegen does not apply. These tests
-pin that contract on the full kernel × variant × machine matrix, the
-kernel-cache keying and invalidation rules, the fallback counters, the
-peephole rewrites (including idempotence and a deliberately broken
-rewrite the differential oracle must catch), and the bulk cache-replay
-path the engine relies on.
+pin that contract on the full kernel × variant × machine matrix and on
+wide-datapath plans whose packs re-load stored lanes, the kernel-cache
+keying and invalidation rules, the fallback counters, a deliberately
+broken kernel the differential oracle must catch, and the
+whole-stream cache replay the engine relies on.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro import Variant, compile_program, parse_program
+from repro import CompilerOptions, Variant, compile_program, parse_program
 from repro.bench import ALL_KERNELS, KERNELS
 from repro.bench.suite import DEFAULT_VARIANTS
-from repro.fuzz import buggy_peephole_mutator, differential_check
-from repro.ir import Affine
+from repro.fuzz import differential_check
 from repro.perf import PERF
 from repro.store import ArtifactStore
 from repro.vm import (
     Cache,
-    CacheConfig,
-    MemRef,
-    PackMode,
     Simulator,
-    StoreMode,
-    VOp,
     VPack,
     VShuffle,
-    VStore,
     amd_phenom_ii,
     intel_dunnington,
 )
 from repro.vm import compiled as compiled_mod
-from repro.vm import peephole
 from repro.vm.compiled import (
     clear_kernel_memo,
     emit_plan_kernels,
     kernel_fingerprint,
 )
-from repro.vm.peephole import VCopy, peephole_optimize
 
 MATRIX_MACHINES = [("intel", intel_dunnington), ("amd", amd_phenom_ii)]
 
@@ -107,6 +100,28 @@ def test_amd_non_dyadic_costs_identical():
         for variant in (Variant.GLOBAL, Variant.GLOBAL_LAYOUT):
             compiled = compile_program(program, variant, machine)
             _assert_identical(compiled.plan, compiled.machine)
+
+
+@pytest.mark.parametrize(
+    "name, variant, bits",
+    [
+        ("povray", Variant.SLP, 256),
+        ("povray", Variant.SLP, 512),
+        ("povray", Variant.SLP, 1024),
+        ("namd", Variant.GLOBAL, 1024),
+    ],
+    ids=["povray-slp-256", "povray-slp-512", "povray-slp-1024",
+         "namd-global-1024"],
+)
+def test_wide_packs_of_stored_lanes_identical(name, variant, bits):
+    """At these widths the plans re-pack lanes an earlier superword
+    stored in the same body, so the emitter's wide ``VPack`` path reads
+    back through memory what the body just wrote."""
+    compiled = compile_program(
+        KERNELS[name].build(32), variant, intel_dunnington(),
+        CompilerOptions(datapath_bits=bits),
+    )
+    _assert_identical(compiled.plan, compiled.machine)
 
 
 # -- fallback coverage -------------------------------------------------------------
@@ -321,147 +336,49 @@ class TestKernelCache:
         assert store.get_kernel(fingerprint) is None
 
 
-# -- peephole pass -----------------------------------------------------------------
+# -- the oracle catches a broken kernel ---------------------------------------------
 
 
-def _mem(array, const):
-    return MemRef(array, Affine((), const))
-
-
-def _pack(dst, refs):
-    return VPack(dst, tuple(refs), PackMode.GATHER)
-
-
-class TestPeephole:
-    def test_shuffle_of_shuffle_composes_to_copy(self):
-        body = [
-            VOp("+", 1, (8, 9), 4),
-            VShuffle(2, 1, (1, 0, 3, 2)),
-            VShuffle(3, 2, (1, 0, 3, 2)),
-        ]
-        optimized, events = peephole_optimize(body)
-        kinds = [e.kind for e in events]
-        assert "shuffle_compose" in kinds
-        assert optimized[2] == VCopy(3, 1)
-
-    def test_identity_shuffle_becomes_copy(self):
-        body = [VOp("+", 1, (8, 9), 4), VShuffle(2, 1, (0, 1, 2, 3))]
-        optimized, events = peephole_optimize(body)
-        assert [e.kind for e in events] == ["identity_shuffle"]
-        assert optimized[1] == VCopy(2, 1)
-
-    def test_partial_identity_shuffle_is_not_a_copy(self):
-        """An identity permutation narrower than the source register
-        must stay a shuffle — a copy would change the register width."""
-        body = [VOp("+", 1, (8, 9), 4), VShuffle(2, 1, (0, 1))]
-        optimized, events = peephole_optimize(body)
-        assert events == []
-        assert optimized == body
-
-    def test_pack_forwarding(self):
-        refs = [_mem("A", k) for k in range(4)]
-        body = [
-            VOp("+", 1, (8, 9), 4),
-            VStore(tuple(refs), 1, StoreMode.CONTIG_ALIGNED),
-            _pack(2, reversed(refs)),
-        ]
-        optimized, events = peephole_optimize(body)
-        assert [e.kind for e in events] == ["pack_forward"]
-        assert optimized[2] == VShuffle(2, 1, (3, 2, 1, 0))
-
-    def test_aliasing_store_blocks_forwarding(self):
-        """An intervening same-array store may overwrite the forwarded
-        location at some iteration, so the pack must stay a reload."""
-        refs = [_mem("A", k) for k in range(4)]
-        body = [
-            VOp("+", 1, (8, 9), 4),
-            VStore(tuple(refs), 1, StoreMode.CONTIG_ALIGNED),
-            VStore((_mem("A", 64),), 1, StoreMode.SCATTER),
-            _pack(2, refs),
-        ]
-        optimized, events = peephole_optimize(body)
-        assert events == []
-        assert optimized == body
-
-    def test_dead_definition_removed(self):
-        body = [
-            VOp("+", 1, (8, 9), 4),
-            VOp("*", 1, (8, 9), 4),
-            VStore((_mem("A", 0),), 1, StoreMode.SCATTER),
-        ]
-        optimized, events = peephole_optimize(body)
-        assert [e.kind for e in events] == ["dead_def"]
-        assert len(optimized) == 2
-
-    def test_live_out_definition_kept(self):
-        """The engine publishes final register values, so a definition
-        never redefined stays even if the body never reads it."""
-        body = [VOp("+", 1, (8, 9), 4)]
-        optimized, events = peephole_optimize(body)
-        assert events == []
-        assert optimized == body
-
-    def test_events_carry_provenance(self):
-        body = [
-            VOp("+", 1, (8, 9), 4, prov="s1"),
-            VShuffle(2, 1, (0, 1, 2, 3), prov="s2"),
-        ]
-        _, events = peephole_optimize(body)
-        assert events and events[0].provs == ("s2",)
-
-    def test_idempotent_on_real_plans(self):
-        """Running the pass on its own output performs zero rewrites,
-        on every loop body of every benchmark kernel plan."""
-        machine = intel_dunnington()
-        for name in ("cactusADM", "lbm", "milc", "cg"):
-            program = KERNELS[name].build(16)
-            for variant in DEFAULT_VARIANTS:
-                compiled = compile_program(program, variant, machine)
-                for _, unit in compiled_mod._walk_loops(compiled.plan):
-                    once, _ = peephole_optimize(list(unit.body))
-                    twice, events = peephole_optimize(once)
-                    assert events == []
-                    assert twice == once
-
-
-# -- the oracle catches a broken rewrite -------------------------------------------
+def _broken_body(body):
+    """Reverse the sources of the first ``VPack`` that packs at least
+    two distinct locations (so the kernel computes with permuted lanes),
+    or failing that rotate the first ``VShuffle``'s permutation."""
+    broken = list(body)
+    for i, instr in enumerate(broken):
+        if isinstance(instr, VPack) and len(set(instr.sources)) >= 2:
+            broken[i] = replace(instr, sources=tuple(reversed(instr.sources)))
+            return broken
+    for i, instr in enumerate(broken):
+        if isinstance(instr, VShuffle) and len(set(instr.perm)) >= 2:
+            broken[i] = replace(instr, perm=instr.perm[1:] + instr.perm[:1])
+            return broken
+    return broken
 
 
 class TestMutation:
-    def test_buggy_peephole_caught_by_differential_oracle(self):
-        """Installing the deliberately broken rewrite must surface as a
+    def test_buggy_peephole_caught_by_differential_oracle(self, monkeypatch):
+        """A kernel emitted from a broken body must surface as a
         divergence on the compiled engine — proof the 3-engine matrix
-        actually guards the peephole pass."""
+        guards what the emitter produces."""
         program = parse_program(AFFINE_SRC)
         assert differential_check(program).status == "ok"
-        peephole.DEBUG_MUTATOR = buggy_peephole_mutator
+        emit = compiled_mod._UnitEmitter.emit
         clear_kernel_memo()
         try:
-            result = differential_check(program)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    compiled_mod._UnitEmitter,
+                    "emit",
+                    lambda self, body: emit(self, _broken_body(body)),
+                )
+                result = differential_check(program)
         finally:
-            peephole.DEBUG_MUTATOR = None
             clear_kernel_memo()
         assert result.status == "diverged"
         assert result.divergence.sim_engine == "compiled"
-        # And the poison never leaks into the caches.
+        # With the emitter restored and the memo cleared, kernels are
+        # emitted afresh and the run is clean again.
         assert differential_check(program).status == "ok"
-
-    def test_mutator_bypasses_kernel_store(self, tmp_path):
-        """Kernels emitted under a mutator must not be persisted — a
-        later clean run sharing the store would replay the bug."""
-        store = ArtifactStore(tmp_path)
-        compiled, machine = _affine_plan()
-        peephole.DEBUG_MUTATOR = buggy_peephole_mutator
-        clear_kernel_memo()
-        try:
-            Simulator(machine, engine="compiled", kernel_store=store).run(
-                compiled.plan
-            )
-        finally:
-            peephole.DEBUG_MUTATOR = None
-            clear_kernel_memo()
-        fingerprint = kernel_fingerprint(compiled.plan, machine)
-        assert store.get_kernel(fingerprint) is None
 
 
 # -- bulk cache replay -------------------------------------------------------------
@@ -481,16 +398,18 @@ class TestBulkReplay:
 
     @pytest.mark.parametrize("machine", [intel_dunnington, amd_phenom_ii])
     def test_bulk_matches_sequential(self, machine):
+        """``replay_lines`` at each machine's real L1 geometry agrees
+        with one ``touch_line`` per access."""
         rng = np.random.default_rng(7)
         config = machine().l1
         lines = (config.size_bytes // config.line_bytes) * 2
         for trial in range(5):
             stream = self._random_stream(rng, lines)
-            seq, bulk = Cache(config), Cache(config)
-            a = seq.replay_lines(stream)
-            b = bulk.replay_lines_bulk(stream)
-            assert np.array_equal(a, b)
-            assert (seq.hits, seq.misses) == (bulk.hits, bulk.misses)
+            bulk, seq = Cache(config), Cache(config)
+            mask = bulk.replay_lines(stream)
+            assert mask.tolist() == [seq.touch_line(int(l)) for l in stream]
+            assert (bulk.hits, bulk.misses) == (seq.hits, seq.misses)
+            assert bulk.lines() == seq.lines()
 
     @pytest.mark.parametrize(
         "bad",
@@ -498,31 +417,30 @@ class TestBulkReplay:
         ids=["2d", "float", "negative"],
     )
     def test_malformed_stream_raises_structured_error(self, bad):
-        """Both replay paths validate their input: a malformed line
-        stream (the kind a codegen bug would produce) raises a
-        structured SimulationError instead of silently corrupting the
-        set state."""
+        """The replay validates its input: a malformed line stream (the
+        kind a codegen bug would produce) raises a structured
+        SimulationError instead of silently corrupting the set state."""
         from repro.errors import SimulationError
 
-        for method in ("replay_lines", "replay_lines_bulk"):
-            cache = Cache(intel_dunnington().l1)
-            with pytest.raises(SimulationError) as exc:
-                getattr(cache, method)(bad)
-            assert exc.value.rule == "cache.replay-stream"
+        cache = Cache(intel_dunnington().l1)
+        with pytest.raises(SimulationError) as exc:
+            cache.replay_lines(bad)
+        assert exc.value.rule == "cache.replay-stream"
 
     def test_bulk_matches_after_interleaving(self):
-        """Chained calls against one cache instance must agree with a
-        sequential replay of the concatenated stream."""
+        """Chained replays against one cache instance must agree with a
+        ``touch_line`` per access of the concatenated stream."""
         rng = np.random.default_rng(11)
         config = intel_dunnington().l1
         chunks = [self._random_stream(rng, 1024) for _ in range(3)]
-        seq, bulk = Cache(config), Cache(config)
-        a = seq.replay_lines(np.concatenate(chunks))
-        b = np.concatenate(
-            [bulk.replay_lines_bulk(chunk) for chunk in chunks]
-        )
-        assert np.array_equal(a, b)
-        assert (seq.hits, seq.misses) == (bulk.hits, bulk.misses)
+        bulk, seq = Cache(config), Cache(config)
+        mask = np.concatenate([bulk.replay_lines(chunk) for chunk in chunks])
+        expected = [
+            seq.touch_line(int(line)) for line in np.concatenate(chunks)
+        ]
+        assert mask.tolist() == expected
+        assert (bulk.hits, bulk.misses) == (seq.hits, seq.misses)
+        assert bulk.lines() == seq.lines()
 
 
 # -- engine selection plumbing -----------------------------------------------------

@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.compiler import scalar_schedule, _schedule_block
 from repro.errors import OptionsError
+from repro.perf import PERF
 from repro.ir import (
     Affine,
     ArrayDecl,
@@ -318,15 +319,31 @@ class TestCompilerIntegration:
         scalar = compile_program(program, Variant.SCALAR, machine)
         _, base_memory = simulate(scalar)
 
-        result = compile_program(
-            program, Variant.GLOBAL, machine,
-            CompilerOptions(
-                checks="all",
-                on_error="fallback",
-                cost_gate=False,
-                debug_schedule_mutator=buggy_swap_mutator,
-            ),
-        )
+        PERF.reset()
+        PERF.enable()
+        try:
+            compile_program(
+                program, Variant.GLOBAL, machine,
+                CompilerOptions(checks="all", on_error="fallback"),
+            )
+            clean = PERF.counters.get("compile.fallback_blocks", 0)
+            result = compile_program(
+                program, Variant.GLOBAL, machine,
+                CompilerOptions(
+                    checks="all",
+                    on_error="fallback",
+                    cost_gate=False,
+                    debug_schedule_mutator=buggy_swap_mutator,
+                ),
+            )
+            counted = PERF.counters.get("compile.fallback_blocks", 0)
+        finally:
+            PERF.disable()
+            PERF.reset()
+        # The degradation is counted, one per degraded block, and a
+        # clean compile counts nothing.
+        assert clean == 0
+        assert counted == len(result.fallback_blocks)
         assert result.fallback_blocks == ["b0"]
         assert len(result.diagnostics) == 1
         diagnostic = result.diagnostics[0]
@@ -335,6 +352,29 @@ class TestCompilerIntegration:
         assert diagnostic.error == "VerifyError"
         _, memory = simulate(result)
         assert memory.state_equal(base_memory)
+
+    def test_preprocess_fallback_counts_the_program_once(self, monkeypatch):
+        import repro.compiler as compiler_mod
+        from repro.errors import IRError
+
+        def failing_unroll(*args, **kwargs):
+            raise IRError("unroll failed")
+
+        monkeypatch.setattr(compiler_mod, "unroll_program", failing_unroll)
+        PERF.reset()
+        PERF.enable()
+        try:
+            result = compile_program(
+                parse_program(_LOOP_SRC), Variant.GLOBAL, intel_dunnington(),
+                CompilerOptions(on_error="fallback"),
+            )
+            counted = PERF.counters.get("compile.fallback_blocks", 0)
+        finally:
+            PERF.disable()
+            PERF.reset()
+        assert result.fallback_blocks == ["<program>"]
+        assert result.diagnostics[0].stage == "preprocess"
+        assert counted == 1
 
     def test_fallback_never_hides_bad_input(self):
         # An ir-stage violation in the *source* is not recoverable.
