@@ -1,0 +1,30 @@
+"""Every suite cell's plan, report and final memory, digested.
+
+Compiles and simulates the 20 kernels x 5 variants on intel and amd at
+n=64 (default sim engine, seed 0) and records the sha256 of each
+cell's plan disassembly, execution report and final memory in
+``results/BENCH_identity.json``. ``repro bench --check`` (the
+regression gate CI runs) gates every digest exactly (see
+``repro.bench.identity``). A change that moves outputs on purpose runs
+this harness to re-record the row and names the moved cells in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+from repro.bench.identity import (
+    MACHINES,
+    PARTS,
+    VARIANTS,
+    identity_metrics,
+    write_identity_baseline,
+)
+from repro.bench.kernels import ALL_KERNELS
+
+
+def test_identity(results_dir):
+    metrics = identity_metrics()
+    assert len(metrics["digests"]) == (
+        len(ALL_KERNELS) * len(VARIANTS) * len(MACHINES) * len(PARTS)
+    )
+    write_identity_baseline(results_dir / "BENCH_identity.json", metrics)

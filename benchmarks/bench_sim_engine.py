@@ -15,7 +15,7 @@ where their model does not apply):
   no per-loop decoding or Python-level dispatch of the loop's values.
   Its accounting and cache replay are the batched engine's.
 
-This harness does three things:
+This harness does four things:
 
 1. **Grid**: sweeps the fig16 kernel set across every compiler variant
    on both machine models at n=256, times all three engines on the
@@ -40,6 +40,20 @@ This harness does three things:
    each engine's ``tracemalloc`` peak on the largest run, and asserts
    report + memory equality with ``reference`` on every run. It has no
    wall-clock gate.
+4. **Service traffic**: the simulate requests the repository
+   benchmark's serve-mixed workload sends a worker. The 120 hot plans
+   (every kernel x slp/global/global+layout x both machines, n=64)
+   are pickled once and unpickled for every run, as a worker does; 200
+   fresh ``generate_case`` plans are simulated once each. They run on
+   batched, and on compiled with its 32-entry kernel memo and a fresh
+   kernel store: ``hot-store`` cycles the hot plans in order after a
+   priming pass (more plans than memo entries, so compiled loads every
+   kernel set from the store), ``hot-memo`` times the second of two
+   back-to-back runs of each hot plan (compiled's memo hits). It
+   records milliseconds per run and the engines' counters (kernel
+   emissions, memo and store hits, batched fallbacks, ``Memory``
+   seeding cache hits) per case, asserts report + memory equality with
+   ``reference`` on every run, and has no wall-clock gate.
 
 Results land in ``results/sim_engine.txt`` and machine-readable
 ``results/BENCH_sim_engine.json``. Set ``REPRO_BENCH_SMOKE=1`` (CI) for
@@ -54,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 import tracemalloc
 
@@ -69,7 +84,9 @@ from repro.bench import (
 )
 from repro.bench.record import write_bench_json
 from repro.bench.suite import DEFAULT_VARIANTS
+from repro.fuzz import generate_case
 from repro.perf import PERF
+from repro.store import ArtifactStore
 from repro.vm import Simulator
 from repro.vm.compiled import clear_kernel_memo
 from repro.vm.simulator import Memory
@@ -107,6 +124,25 @@ SWEEP_NS = (128, 1024)
 SWEEP_PASSES = 2
 #: Recorded per engine: one ``PERF`` window spans every engine's runs.
 REPLAY_COUNTERS = ("simulate.replay_lines", "simulate.replay_visits")
+
+#: The service row: serve-mixed's hot set and its fresh simulates.
+SERVICE_HOT_N = 64
+SERVICE_VARIANTS = (Variant.SLP, Variant.GLOBAL, Variant.GLOBAL_LAYOUT)
+SERVICE_FRESH = 40 if SMOKE else 200
+SERVICE_FRESH_BASE = 1_000_000
+SERVICE_SEEDS = 4
+SERVICE_ENGINES = ("batched", "compiled")
+SERVICE_COUNTERS = (
+    "simulate.batched_loops",
+    "simulate.batched_fallbacks",
+    "simulate.compiled_loops",
+    "simulate.compiled_fallbacks",
+    "compiled.emissions",
+    "compiled.kernel_memo_hits",
+    "compiled.kernel_store_hits",
+    "simulate.seed_state_hits",
+    "simulate.seed_state_misses",
+)
 
 
 def _timed_run(machine, engine, plan):
@@ -231,7 +267,135 @@ def _plan_sweep():
     }
 
 
-def test_sim_engine(results_dir):
+def _service_plans():
+    """``(label, pickled CompileResult)`` pairs for the hot set and for
+    the fresh plans."""
+    machines = [(name, factory()) for name, factory in MACHINES]
+    hot = []
+    for kernel in ALL_KERNELS:
+        program = kernel.build(SERVICE_HOT_N)
+        for variant in SERVICE_VARIANTS:
+            for machine_name, machine in machines:
+                result = compile_program(program, variant, machine)
+                hot.append(
+                    (
+                        f"{kernel.name}/{variant.value}/{machine_name}",
+                        pickle.dumps(result),
+                    )
+                )
+    fresh = []
+    for k in range(SERVICE_FRESH):
+        seed = SERVICE_FRESH_BASE + k
+        variant = SERVICE_VARIANTS[k % len(SERVICE_VARIANTS)]
+        machine_name, machine = machines[k % len(machines)]
+        result = compile_program(
+            generate_case(seed).program, variant, machine
+        )
+        label = f"fuzz{seed}/{variant.value}/{machine_name}"
+        fresh.append((label, pickle.dumps(result)))
+    return hot, fresh
+
+
+def _service_traffic(store_root):
+    """Milliseconds per run and counters per case and engine for
+    serve-mixed's simulate traffic, every run checked against
+    ``reference``."""
+    hot, fresh = _service_plans()
+    oracle = {}
+
+    def check(label, blob, seed, engine, report, memory):
+        key = (label, seed)
+        if key not in oracle:
+            result = pickle.loads(blob)
+            oracle[key] = Simulator(result.machine, engine="reference").run(
+                result.plan, seed=seed
+            )
+        ref_report, ref_memory = oracle[key]
+        assert report == ref_report, (
+            f"service report diverged: {key}/{engine}"
+        )
+        assert memory.state_equal(ref_memory), (
+            f"service memory diverged: {key}/{engine}"
+        )
+
+    def run_case(engine, store, schedule):
+        """Simulate ``(label, blob, seed, timed)`` runs on ``engine``;
+        each unpickles its plan. Returns (ms per timed run, counters)."""
+        PERF.reset()
+        PERF.enable()
+        seconds, timed_runs = 0.0, 0
+        for label, blob, seed, timed in schedule:
+            result = pickle.loads(blob)
+            simulator = Simulator(
+                result.machine, engine=engine, kernel_store=store
+            )
+            started = time.perf_counter()
+            report, memory = simulator.run(result.plan, seed=seed)
+            if timed:
+                seconds += time.perf_counter() - started
+                timed_runs += 1
+            check(label, blob, seed, engine, report, memory)
+        PERF.disable()
+        counters = {
+            name: PERF.counters.get(name, 0) for name in SERVICE_COUNTERS
+        }
+        PERF.reset()
+        return (seconds * 1e3 / timed_runs if timed_runs else 0.0), counters
+
+    store_order = [
+        (label, blob, k % SERVICE_SEEDS, True)
+        for k, (label, blob) in enumerate(hot)
+    ]
+    memo_pairs = [
+        (label, blob, k % SERVICE_SEEDS, timed)
+        for k, (label, blob) in enumerate(hot)
+        for timed in (False, True)
+    ]
+    fresh_once = [
+        (label, blob, k % SERVICE_SEEDS, True)
+        for k, (label, blob) in enumerate(fresh)
+    ]
+    cases = {}
+    for engine in SERVICE_ENGINES:
+        clear_kernel_memo()
+        store = None
+        if engine == "compiled":
+            store = ArtifactStore(store_root / engine)
+        # Priming pass: compiled emits every hot kernel set to the store.
+        run_case(engine, store, [run[:3] + (False,) for run in store_order])
+        for case, schedule in (
+            ("hot-store", store_order),
+            ("hot-memo", memo_pairs),
+            ("fresh", fresh_once),
+        ):
+            ms, counters = run_case(engine, store, schedule)
+            entry = cases.setdefault(
+                case,
+                {
+                    "runs": sum(1 for run in schedule if run[3]),
+                    "ms_per_run": {},
+                    "counters": {},
+                },
+            )
+            entry["ms_per_run"][engine] = ms
+            entry["counters"][engine] = counters
+    clear_kernel_memo()
+    return {
+        "hot_plans": len(hot),
+        "fresh_plans": len(fresh),
+        "hot_n": SERVICE_HOT_N,
+        "seeds": SERVICE_SEEDS,
+        "cases": cases,
+    }
+
+
+def _seed_hit_share(counters) -> str:
+    hits = counters["simulate.seed_state_hits"]
+    total = hits + counters["simulate.seed_state_misses"]
+    return f"{hits / total:.3f}" if total else "-"
+
+
+def test_sim_engine(results_dir, tmp_path):
     payload = {
         "smoke": SMOKE,
         "n": N,
@@ -325,6 +489,7 @@ def test_sim_engine(results_dir):
     counters = dict(PERF.counters)
     PERF.reset()
     sweep = payload["sweep"] = _plan_sweep()
+    service = payload["service"] = _service_traffic(tmp_path)
 
     batched_loops = counters.get("simulate.batched_loops", 0)
     fallbacks = counters.get("simulate.batched_fallbacks", 0)
@@ -365,6 +530,20 @@ def test_sim_engine(results_dir):
         < first_pass["replay_visits"]["batched"]
         < first_pass["replay_lines"]["batched"]
     )
+    # The service row measures what it names: compiled finds every hot
+    # kernel set in the store, or in the memo where plans share one,
+    # hits the memo on a back-to-back repeat, and emits for fresh plans.
+    hot_store = service["cases"]["hot-store"]["counters"]["compiled"]
+    hot_memo = service["cases"]["hot-memo"]["counters"]["compiled"]
+    fresh_compiled = service["cases"]["fresh"]["counters"]["compiled"]
+    assert hot_store["compiled.emissions"] == 0
+    assert hot_store["compiled.kernel_store_hits"] > 0
+    assert (
+        hot_store["compiled.kernel_store_hits"]
+        + hot_store["compiled.kernel_memo_hits"]
+    ) == service["hot_plans"]
+    assert hot_memo["compiled.kernel_memo_hits"] >= service["hot_plans"]
+    assert fresh_compiled["compiled.emissions"] > 0
     # The gate population must stay fallback-free, or the headline
     # number silently measures the batched engine instead.
     assert compiled_fallbacks == 0, (
@@ -474,6 +653,38 @@ def test_sim_engine(results_dir):
             for engine, peak in sweep["largest_run"][
                 "tracemalloc_peak_bytes"
             ].items()
+        )
+    )
+    service_rows = []
+    for case, entry in service["cases"].items():
+        for engine in SERVICE_ENGINES:
+            c = entry["counters"][engine]
+            service_rows.append(
+                (
+                    case,
+                    engine,
+                    str(entry["runs"]),
+                    f"{entry['ms_per_run'][engine]:6.3f} ms",
+                    f"{c['simulate.batched_loops']}"
+                    f"/{c['simulate.batched_fallbacks']}",
+                    str(c["simulate.compiled_loops"]),
+                    str(c["compiled.emissions"]),
+                    str(c["compiled.kernel_memo_hits"]),
+                    str(c["compiled.kernel_store_hits"]),
+                    _seed_hit_share(c),
+                )
+            )
+    body += (
+        f"\n\nservice traffic ({service['hot_plans']} hot plans at "
+        f"n={service['hot_n']}, each unpickled per run, and "
+        f"{service['fresh_plans']} fresh generate_case plans; compiled "
+        "with its 32-entry kernel memo and a fresh kernel store; no "
+        "gate):\n"
+        + ascii_table(
+            ("case", "engine", "runs", "per run",
+             "batched loops/fallbacks", "compiled loops", "emissions",
+             "memo hits", "store hits", "seed-state hit share"),
+            service_rows,
         )
     )
     write_result(

@@ -186,12 +186,14 @@ def check_planes(
     baseline_dir: Path,
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """Gate the deterministic planes committed next to the suite
-    baseline — optimality gap, predication and grouping work — whose
-    artifacts sit in ``baseline_dir``; yields ``(label, verdict)`` in
-    that order. A plane whose artifact is absent is not run. Checker
-    errors (unreadable artifact, config mismatch) propagate."""
+    baseline — optimality gap, predication, grouping work and identity
+    — whose artifacts sit in ``baseline_dir``; yields ``(label,
+    verdict)`` in that order. A plane whose artifact is absent is not
+    run. Checker errors (unreadable artifact, config mismatch)
+    propagate."""
     # Imported here: the plane modules build on this one.
     from .grouping_work import check_grouping_work
+    from .identity import check_identity
     from .optimality import check_optimality
     from .predication import check_predication
 
@@ -199,6 +201,7 @@ def check_planes(
         ("optimality-gap", "BENCH_optimality.json", check_optimality),
         ("predication", "BENCH_predication.json", check_predication),
         ("grouping-work", "BENCH_grouping_work.json", check_grouping_work),
+        ("identity", "BENCH_identity.json", check_identity),
     ):
         path = Path(baseline_dir) / filename
         if path.exists():

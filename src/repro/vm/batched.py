@@ -15,8 +15,9 @@ pre-decoded **once** into a slot program —
   buckets, aggregated per slot × trip count instead of per instruction;
 * closed-form affine address streams (``base + stride · i`` over the
   whole iteration range, via :func:`repro.vm.codegen.affine_stream`);
-* scalar expressions lowered to trees whose array leaves carry their
-  flattened affines, so evaluation never re-flattens a subscript;
+* scalar expressions lowered to trees whose array leaves carry the
+  flats codegen already put in the instruction's ``MemRef`` loads, so
+  neither decode nor evaluation flattens a subscript again;
 * lane values evaluated as NumPy columns with deferred writes and
   exact-affine store-to-load forwarding, one block of at most
   ``BLOCK_TRIPS`` iterations at a time;
@@ -49,7 +50,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.alignment import flat_affine
 from ..ir import ArrayRef, Const, Expr, Var
 from ..perf import count
 from .codegen import CompiledLoop, affine_stream
@@ -601,8 +601,7 @@ def _decode_loop(
         return memory._elem_bytes[array]
 
     ctx = _DecodeCtx(
-        machine, elem, touches, note_array, scalar_reads, scalar_writes,
-        memory.program.arrays,
+        machine, elem, touches, note_array, scalar_reads, scalar_writes
     )
     for pos, instr in enumerate(unit.body):
         slot = _Slot(instr, getattr(instr, "prov", None))
@@ -644,7 +643,7 @@ class _DecodeCtx:
 
     def __init__(
         self, machine, elem, touches, note_array, scalar_reads,
-        scalar_writes, arrays,
+        scalar_writes,
     ):
         self.machine = machine
         self.elem = elem
@@ -652,25 +651,29 @@ class _DecodeCtx:
         self.note_array = note_array
         self.scalar_reads = scalar_reads
         self.scalar_writes = scalar_writes
-        self.arrays = arrays
 
 
-def _lower_expr(expr: Expr, pos: int, ctx: _DecodeCtx) -> tuple:
+def _lower_expr(expr: Expr, pos: int, ctx: _DecodeCtx, loads) -> tuple:
     """Lower a scalar expression for ``_Entry.eval_expr`` and record its
     *value* reads — the loads the functional evaluation will perform
-    (``instr.loads`` covers the accounting side). Each array leaf keeps
-    its row-major flat, computed once here; those flats must reach the
-    stream table too."""
+    (``instr.loads`` covers the accounting side). ``loads`` iterates
+    the ``ScalarExec``'s loads, which codegen built one per non-constant
+    leaf in left-to-right order — the order this walk meets them — so
+    each array leaf takes its row-major flat from its ``MemRef``; those
+    flats must reach the stream table too."""
     if isinstance(expr, Const):
         return (_CONST, float(expr.value))
     if isinstance(expr, Var):
+        next(loads)
         ctx.scalar_reads.append((pos, expr.name))
         return (_SCALAR, expr.name)
     if isinstance(expr, ArrayRef):
-        flat = flat_affine(expr, ctx.arrays[expr.array])
+        flat = next(loads).flat
         ctx.note_array(pos, expr.array, flat, False)
         return (_MEM, (expr.array, flat))
-    kids = tuple(_lower_expr(kid, pos, ctx) for kid in expr.children())
+    kids = tuple(
+        _lower_expr(kid, pos, ctx, loads) for kid in expr.children()
+    )
     return (_OP, _VEC_FUNCS[getattr(expr, "op")], kids)
 
 
@@ -689,7 +692,9 @@ def _decode_scalar(
             slot.charge("scalar_move", machine.scalar_move)
     for op in instr.ops:
         slot.charge("scalar_op", machine.op_cost(op))
-    slot.value = _lower_expr(instr.statement.expr, pos, ctx)
+    slot.value = _lower_expr(
+        instr.statement.expr, pos, ctx, iter(instr.loads)
+    )
     store = instr.store
     if isinstance(store, MemRef):
         ctx.touches.append(

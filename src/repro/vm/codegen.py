@@ -17,6 +17,12 @@ decisions the SLP stages were optimizing for:
 The generator tracks pack liveness *soundly*: any write that may alias a
 lane of a live pack invalidates that pack, so register reuse never
 observes stale data — the differential tests check exactly this.
+
+Every array operand becomes a :class:`MemRef` at its row-major flat
+index once, here (``value_ref``). A ``ScalarExec`` keeps one load per
+non-constant leaf of its statement, in leaf order, and the batched
+engine's decode takes each array leaf's flat from those loads instead
+of flattening the subscripts again.
 """
 
 from __future__ import annotations
@@ -129,12 +135,21 @@ class ExecutablePlan:
 
 
 def value_ref(leaf: Expr, program: Program) -> ValueRef:
+    """The operand a leaf reads or writes. An array reference becomes a
+    :class:`MemRef` at its row-major flat index. A one-dimensional
+    reference's subscript already is that index (every ``Affine`` is
+    built normalized), so it serves as the flat as it is;
+    ``flat_affine`` folds the subscripts of higher ranks."""
     if isinstance(leaf, Const):
         return ImmRef(leaf.value)
     if isinstance(leaf, Var):
         return ScalarRef(leaf.name)
     if isinstance(leaf, ArrayRef):
-        return MemRef(leaf.array, flat_affine(leaf, program.arrays[leaf.array]))
+        decl = program.arrays[leaf.array]
+        subscripts = leaf.subscripts
+        if len(subscripts) == 1 == len(decl.shape):
+            return MemRef(leaf.array, subscripts[0])
+        return MemRef(leaf.array, flat_affine(leaf, decl))
     raise TypeError(f"{leaf!r} is not a leaf operand")
 
 

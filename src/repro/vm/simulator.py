@@ -9,16 +9,24 @@ the paper's evaluation is built from).
 
 NumPy and the fast engines load with the first run, not with this
 module: a compile-only process never imports them.
+
+A run's initial :class:`Memory` depends only on the seed and each
+declared name. The generator state each ``(seed, name)`` starts from is
+computed once per process and kept in a bounded cache
+(``_seed_state``); every ``Memory`` copies those states into a bit
+generator of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError, choose
 from ..ir import ArrayRef, Const, Expr, Var
-from ..perf import span
+from ..perf import count, span
 from .cache import Cache
 from .codegen import (
     CompiledCopy,
@@ -95,6 +103,15 @@ class Memory:
 
     Array base addresses are assigned sequentially, aligned to the cache
     line, so the cache simulation sees a realistic address space.
+
+    Each declared name starts from draws of
+    ``np.random.default_rng([seed, crc32(name)])`` (see ``_name_rng``).
+    Seeding that generator costs more than the draws themselves, so the
+    starting PCG64 state of every ``(seed, name)`` is kept in a bounded
+    process-wide cache (``_seed_state``). Each ``Memory`` copies the
+    cached states into one bit generator of its own, so no generator is
+    shared between memories or threads and the values are those a fresh
+    ``default_rng`` draws.
     """
 
     def __init__(
@@ -125,9 +142,11 @@ class Memory:
         self._base: Dict[str, int] = {}
         self._elem_bytes: Dict[str, int] = {}
         next_base = line_bytes
+        bits = np.random.PCG64(_placeholder_seed())
+        rng = np.random.Generator(bits)
 
         for decl in program.arrays.values():
-            rng = _name_rng(seed, decl.name)
+            bits.state = _seed_state(seed, decl.name)
             if decl.type.is_float:
                 data = rng.uniform(1.0, 2.0, decl.size)
             else:
@@ -146,7 +165,7 @@ class Memory:
             next_base += _aligned(elements * bytes_per, line_bytes)
 
         for decl in program.scalars.values():
-            rng = _name_rng(seed, decl.name)
+            bits.state = _seed_state(seed, decl.name)
             if decl.type.is_float:
                 self.scalars[decl.name] = float(rng.uniform(1.0, 2.0))
             else:
@@ -204,6 +223,48 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
     import numpy as np
 
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+
+
+#: Starting PCG64 states of ``_name_rng``, keyed by ``(seed, name)``:
+#: hashing the seed sequence costs several times what restoring a
+#: state does. At most ``SEED_STATE_ENTRIES`` entries; a fill beyond
+#: that drops the oldest. A cached dict only ever reaches a bit
+#: generator's ``state`` setter, which copies it, so nothing draws from
+#: or changes a cached state.
+_SEED_STATES: Dict[Tuple[int, str], dict] = {}
+SEED_STATE_ENTRIES = 1024
+_SEED_STATES_LOCK = threading.Lock()
+
+
+def _seed_state(seed: int, name: str) -> dict:
+    """The PCG64 state ``_name_rng(seed, name)`` starts from, cached.
+    Counts ``simulate.seed_state_hits`` and ``..._misses``."""
+    key = (seed, name)
+    state = _SEED_STATES.get(key)
+    if state is not None:
+        count("simulate.seed_state_hits")
+        return state
+    count("simulate.seed_state_misses")
+    state = _name_rng(seed, name).bit_generator.state
+    with _SEED_STATES_LOCK:
+        if len(_SEED_STATES) >= SEED_STATE_ENTRIES:
+            del _SEED_STATES[next(iter(_SEED_STATES))]
+        _SEED_STATES[key] = state
+    return state
+
+
+@functools.lru_cache(maxsize=None)
+def _placeholder_seed():
+    """A seed sequence of all-zero words: a ``PCG64`` built on it skips
+    the seed hashing, and every fill overwrites its state anyway."""
+    import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Zeros(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return _Zeros()
 
 
 def evaluate_expr(expr: Expr, env: Dict[str, int], memory: Memory) -> float:

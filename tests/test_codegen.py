@@ -226,3 +226,54 @@ class TestScalarStatements:
         )
         ops = [i.op for i in of_type(body, VOp)]
         assert ops == ["*", "+"]
+
+
+def one_dimensional_refs(program):
+    """Every one-dimensional array reference a statement of the program
+    reads or writes."""
+    from repro.ir import ArrayRef
+
+    for block in program.blocks():
+        for stmt in block:
+            for leaf in (stmt.target, *stmt.expr.leaves()):
+                if isinstance(leaf, ArrayRef) and len(leaf.subscripts) == 1:
+                    yield leaf
+
+
+class TestValueRefFlat:
+    """``value_ref`` takes a one-dimensional reference's subscript as
+    its flat instead of folding it through ``flat_affine``; both must be
+    the same ``Affine`` on every program codegen sees — if-converted
+    and unrolled kernels and fuzz cases."""
+
+    def programs(self):
+        from repro.bench.kernels import ALL_KERNELS
+        from repro.fuzz import generate_case
+
+        for kernel in ALL_KERNELS:
+            yield kernel.build(16)
+        for seed in range(40):
+            yield generate_case(seed, conditional=seed % 2 == 1).program
+
+    def test_flat_equals_flat_affine(self):
+        from repro.analysis.alignment import flat_affine
+        from repro.errors import IRError
+        from repro.transform.if_convert import if_convert_program
+        from repro.transform.unroll import unroll_program
+        from repro.vm import value_ref
+
+        checked = 0
+        for source in self.programs():
+            converted = if_convert_program(source)
+            for factor in (1, 2, 3, 4, 8):
+                try:
+                    program = unroll_program(converted, 128, factor)
+                except IRError:
+                    continue  # a nest whose inner trips the factor splits
+                for ref in one_dimensional_refs(program):
+                    decl = program.arrays[ref.array]
+                    assert value_ref(ref, program).flat == flat_affine(
+                        ref, decl
+                    ), (source.name, factor, ref)
+                    checked += 1
+        assert checked > 10_000

@@ -221,12 +221,12 @@ def test_committed_suite_baseline_is_versioned_and_consistent():
 
 
 def test_every_plane_has_a_committed_artifact(monkeypatch):
-    """``repro bench --check`` gates three side planes next to the suite
+    """``repro bench --check`` gates four side planes next to the suite
     baseline; each artifact must be committed and load cleanly. The
     checkers are stubbed: this pins the wiring, not the planes."""
     import pathlib
 
-    from repro.bench import grouping_work, optimality, predication
+    from repro.bench import grouping_work, identity, optimality, predication
     from repro.bench.regress import check_planes
 
     def loads(path):
@@ -235,10 +235,11 @@ def test_every_plane_has_a_committed_artifact(monkeypatch):
     monkeypatch.setattr(optimality, "check_optimality", loads)
     monkeypatch.setattr(predication, "check_predication", loads)
     monkeypatch.setattr(grouping_work, "check_grouping_work", loads)
+    monkeypatch.setattr(identity, "check_identity", loads)
     results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
     planes = list(check_planes(results))
     assert [label for label, _ in planes] == [
-        "optimality-gap", "predication", "grouping-work",
+        "optimality-gap", "predication", "grouping-work", "identity",
     ]
     assert all(verdict["metrics"] for _, verdict in planes)
 
@@ -274,3 +275,60 @@ def test_grouping_work_plane_gates_exactly(tmp_path, monkeypatch):
     verdict = check_grouping_work(path)
     assert verdict["status"] == "fail"
     assert verdict["counts"]["fail"] == 1
+
+
+def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
+    from repro.bench import KERNELS, identity
+    from repro.bench.identity import (
+        PARTS,
+        check_identity,
+        identity_metrics,
+        write_identity_baseline,
+    )
+    from repro.bench.regress import check_planes, render_verdict
+
+    monkeypatch.setattr(identity, "ALL_KERNELS", [KERNELS["soplex"]])
+    monkeypatch.setattr(identity, "MACHINES", ("amd",))
+    metrics = identity_metrics()
+    assert set(metrics["digests"]) == {
+        f"soplex.{variant}.amd.{part}"
+        for variant in identity.VARIANTS
+        for part in PARTS
+    }
+    path = tmp_path / "BENCH_identity.json"
+    write_identity_baseline(path, metrics)
+    assert [label for label, _ in check_planes(tmp_path)] == ["identity"]
+    assert check_identity(path)["status"] == "ok"
+
+    # A memory that starts from one different draw moves exactly the
+    # memory digests of the cells that read it, and the verdict names
+    # each cell and part.
+    from repro.vm import simulator
+
+    seeded = simulator._seed_state
+
+    def reseeded(seed, name):
+        return seeded(seed + 1 if name == "Y" else seed, name)
+
+    monkeypatch.setattr(simulator, "_seed_state", reseeded)
+    verdict = check_identity(path)
+    assert verdict["status"] == "fail"
+    failed = [c for c in verdict["checks"] if c["status"] == "fail"]
+    assert failed and all(
+        c["metric"].endswith(".memory") and c["reason"] == "memory moved"
+        for c in failed
+    )
+    assert "[fail] soplex.global.amd.memory" in render_verdict(verdict)
+
+    # A stale or missing digest fails too; an unknown one is skipped.
+    monkeypatch.setattr(simulator, "_seed_state", seeded)
+    data = json.loads(path.read_text())
+    digests = data["metrics"]["digests"]
+    digests["soplex.slp.amd.plan"] = "0" * 64
+    digests["soplex.scalar.amd.gone"] = "0" * 64
+    del digests["soplex.native.amd.report"]
+    path.write_text(json.dumps(data))
+    checks = {c["metric"]: c for c in check_identity(path)["checks"]}
+    assert checks["soplex.slp.amd.plan"]["reason"] == "plan moved"
+    assert checks["soplex.scalar.amd.gone"]["status"] == "fail"
+    assert checks["soplex.native.amd.report"]["status"] == "skipped"

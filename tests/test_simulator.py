@@ -1,8 +1,11 @@
 """The virtual SIMD machine: functional semantics and cost accounting."""
 
 import math
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CompilerOptions,
@@ -12,6 +15,8 @@ from repro import (
     simulate,
 )
 from repro.ir import parse_program
+from repro.ir.block import Program
+from repro.ir.types import FLOAT32, FLOAT64, INT16, INT32, INT64
 from repro.vm import Memory, Simulator
 
 SRC = """
@@ -73,6 +78,160 @@ class TestFunctionalSemantics:
         m_big = Memory(big)
         assert list(m_small.arrays["A"]) == list(m_big.arrays["A"])
         assert m_small.scalars["x"] == m_big.scalars["x"]
+
+
+def fresh_draws(seed, decl, size=None):
+    """What ``Memory`` must hold for one declaration: draws of a
+    ``default_rng`` seeded here, independently of the simulator."""
+    rng = np.random.default_rng([seed, zlib.crc32(decl.name.encode("utf-8"))])
+    if decl.type.is_float:
+        return rng.uniform(1.0, 2.0, size)
+    return rng.integers(1, 100, size).astype(np.float64)
+
+
+_NAMES = st.from_regex(r"[A-Z][a-z0-9]{0,5}", fullmatch=True)
+_TYPES = st.sampled_from([FLOAT32, FLOAT64, INT16, INT32, INT64])
+
+
+@st.composite
+def declarations(draw):
+    """A program of drawn array and scalar declarations (no body)."""
+    program = Program("decls")
+    names = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True))
+    for name in names:
+        if draw(st.booleans()):
+            shape = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+            program.declare_array(name, shape, draw(_TYPES))
+        else:
+            program.declare_scalar(name, draw(_TYPES))
+    return program
+
+
+def assert_fresh(memory, program, seed):
+    for decl in program.arrays.values():
+        expected = fresh_draws(seed, decl, decl.size)
+        assert memory.arrays[decl.name].tobytes() == expected.tobytes()
+    for decl in program.scalars.values():
+        assert memory.scalars[decl.name] == float(fresh_draws(seed, decl))
+
+
+class TestSeededMemory:
+    """``Memory`` keeps the starting generator states of ``(seed, name)``
+    in a process-wide cache; its contents must still be exactly what a
+    fresh generator draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        programs=st.lists(declarations(), min_size=1, max_size=3),
+        seeds=st.lists(
+            st.integers(0, 2**32 - 1), min_size=1, max_size=3
+        ),
+    )
+    def test_contents_equal_fresh_draws(self, programs, seeds):
+        # Repeats hit the cache; each case starts some names cold.
+        for seed in seeds + seeds:
+            for program in programs:
+                assert_fresh(Memory(program, seed=seed), program, seed)
+
+    def test_interleaved_memories_own_their_generators(self):
+        """Two memories built alternately over the same ``(seed, name)``
+        requests, with other names drawn in between: a cached generator
+        or state that advanced with a draw would shift the later
+        values."""
+        first = Program("first")
+        first.declare_array("A", (64,), FLOAT64)
+        first.declare_array("K", (3, 5), INT32)
+        first.declare_scalar("s", FLOAT64)
+        second = Program("second")
+        second.declare_array("A", (64,), FLOAT64)
+        second.declare_scalar("s", INT16)
+        second.declare_array("Z", (7,), FLOAT32)
+        memories = []
+        for _ in range(3):
+            for program in (first, second, first):
+                memories.append((Memory(program, seed=11), program))
+        for memory, program in memories:
+            assert_fresh(memory, program, 11)
+        a_values = {memory.arrays["A"].tobytes() for memory, _ in memories}
+        assert len(a_values) == 1
+
+    def test_threads_building_memories_share_no_generator(self, monkeypatch):
+        """More threads than cores build memories over overlapping
+        ``(seed, name)`` keys through a cache small enough to evict on
+        most fills, switching as often as the interpreter allows: a
+        generator shared across threads, or a fill that lost a race,
+        would shift some thread's values."""
+        import sys
+        import threading
+
+        from repro.vm import simulator
+
+        monkeypatch.setattr(simulator, "_SEED_STATES", {})
+        monkeypatch.setattr(simulator, "SEED_STATE_ENTRIES", 3)
+        program = Program("threads")
+        for k in range(4):
+            program.declare_array(f"A{k}", (33,), FLOAT64)
+        program.declare_scalar("s", INT32)
+        failures = []
+
+        def build(worker):
+            try:
+                for round_ in range(40):
+                    seed = (worker + round_) % 3
+                    assert_fresh(Memory(program, seed=seed), program, seed)
+            except AssertionError as exc:  # pragma: no cover - reported
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=build, args=(w,)) for w in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(simulator._SEED_STATES) <= 3
+
+    def test_cache_is_bounded_and_counted(self, monkeypatch):
+        from repro.perf import PERF
+        from repro.vm import simulator
+
+        monkeypatch.setattr(simulator, "_SEED_STATES", {})
+        monkeypatch.setattr(simulator, "SEED_STATE_ENTRIES", 4)
+        program = Program("wide")
+        for k in range(6):
+            program.declare_array(f"A{k}", (4,), FLOAT64)
+        saved, was_enabled = PERF.snapshot(), PERF.enabled
+        PERF.reset()
+        PERF.enable()
+        recent = Program("recent")
+        recent.declare_array("A4", (4,), FLOAT64)
+        recent.declare_scalar("A5", INT64)
+        try:
+            for seed in (3, 3):
+                assert_fresh(Memory(program, seed=seed), program, seed)
+            cold = dict(PERF.counters)
+            assert_fresh(Memory(recent, seed=3), recent, 3)
+            warm = dict(PERF.counters)
+        finally:
+            PERF.reset()
+            PERF.merge(saved)
+            PERF.enabled = was_enabled
+        assert len(simulator._SEED_STATES) == 4
+        # Six names through a four-entry cache, twice in order: every
+        # fill evicts a name the next pass needs.
+        assert cold["simulate.seed_state_misses"] == 12
+        assert cold.get("simulate.seed_state_hits", 0) == 0
+        # The last four fills stay; the type of a declaration is not
+        # part of the key.
+        assert warm["simulate.seed_state_hits"] == 2
+        assert warm["simulate.seed_state_misses"] == 12
 
 
 class TestCostAccounting:
