@@ -9,51 +9,33 @@ constant factor, not asymptotically blowing up on these block sizes.
 ``test_top_width_compile_row`` records the same comparison at Figure
 18's top width (1024 bits, n=32, intel, the default unroll that fills
 the datapath), where Global's blocks are largest: per kernel, SLP and
-Global compile seconds (reported, not gated) and Global's exact work
-counters, in ``results/BENCH_compile_topwidth.json`` and
-``results/compile_topwidth.txt``. With ``REPRO_BENCH_SMOKE=1`` it
-measures only the four kernels that dominate the row and requires
-their counters to equal the committed row's; its own row goes to the
-git-ignored ``results/smoke/``.
+Global compile seconds (the best of 3 compiles each; reported, not
+gated) and Global's exact work counters, in
+``results/BENCH_compile_topwidth.json`` and
+``results/compile_topwidth.txt``. ``repro bench --check`` gates the
+counters against the committed row (``repro.bench.grouping_work.
+check_topwidth``).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import time
 
-from conftest import RESULTS_DIR, SUITE_N, write_result
+from conftest import SUITE_N, write_result
 
 from repro import CompilerOptions, Variant, compile_program
-from repro.bench import (
-    ALL_KERNELS,
-    KERNELS,
-    ascii_table,
-    intel_dunnington,
+from repro.bench import ALL_KERNELS, ascii_table, intel_dunnington
+from repro.bench.grouping_work import (
+    TOP_WIDTH,
+    TOP_WIDTH_COUNTERS,
+    TOP_WIDTH_N,
+    topwidth_work,
 )
-from repro.bench.record import (
-    machine_fingerprint,
-    read_bench_json,
-    write_bench_json,
-)
-from repro.perf import PERF
+from repro.bench.record import machine_fingerprint, write_bench_json
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-
-#: Figure 18's top width, at the harness size Figure 18 uses.
-TOP_WIDTH = 1024
-TOP_WIDTH_N = 32
-#: The smoke run's kernels: Global compile time of the row is theirs.
-TOP_WIDTH_SMOKE = ("sp", "namd", "cg", "wrf")
-#: Global's exact work counters, without their ``grouping.`` prefix.
-TOP_WIDTH_COUNTERS = (
-    "scores_recomputed",
-    "decisions",
-    "vp_nodes",
-    "aux_graphs",
-    "elimination_victims",
-)
+#: Compiles per kernel and variant; the row keeps the fastest.
+TOP_WIDTH_REPEATS = 3
 
 
 def _compile_all(variant, machine, repeats=3):
@@ -107,55 +89,34 @@ def test_compile_time_overhead(benchmark, results_dir):
     assert mean_ratio < 30.0
 
 
-def _timed_counted(program, variant, machine, options):
-    """One compile's wall seconds (after a full collection, outside
-    the timer) and its grouping counters."""
-    gc.collect()
-    PERF.reset()
-    PERF.enable()
-    started = time.perf_counter()
-    compile_program(program, variant, machine, options)
-    seconds = time.perf_counter() - started
-    PERF.disable()
-    counters = {
-        name: int(PERF.counters.get(f"grouping.{name}", 0))
-        for name in TOP_WIDTH_COUNTERS
-    }
-    PERF.reset()
-    return seconds, counters
+def _best_seconds(program, variant, machine, options):
+    """The fastest of ``TOP_WIDTH_REPEATS`` compiles, each after a full
+    collection outside the timer."""
+    best = float("inf")
+    for _ in range(TOP_WIDTH_REPEATS):
+        gc.collect()
+        started = time.perf_counter()
+        compile_program(program, variant, machine, options)
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def test_top_width_compile_row(results_dir):
     path = results_dir / "BENCH_compile_topwidth.json"
-    committed = (
-        read_bench_json(RESULTS_DIR / path.name)["kernels"] if SMOKE else None
-    )
-    kernels = (
-        [KERNELS[name] for name in TOP_WIDTH_SMOKE] if SMOKE else ALL_KERNELS
-    )
     machine = intel_dunnington()
     options = CompilerOptions(datapath_bits=TOP_WIDTH)
     rows = {}
-    for kernel in kernels:
+    for kernel in ALL_KERNELS:
         program = kernel.build(TOP_WIDTH_N)
-        slp_seconds, _ = _timed_counted(
-            program, Variant.SLP, machine, options
-        )
-        global_seconds, work = _timed_counted(
-            program, Variant.GLOBAL, machine, options
-        )
         rows[kernel.name] = {
-            "slp_seconds": round(slp_seconds, 4),
-            "global_seconds": round(global_seconds, 4),
-            **work,
+            "slp_seconds": round(
+                _best_seconds(program, Variant.SLP, machine, options), 4
+            ),
+            "global_seconds": round(
+                _best_seconds(program, Variant.GLOBAL, machine, options), 4
+            ),
+            **topwidth_work(kernel),
         }
-    if committed is not None:
-        for name, row in rows.items():
-            for counter in TOP_WIDTH_COUNTERS:
-                assert row[counter] == committed[name][counter], (
-                    f"{name}: {counter} {row[counter]} != committed "
-                    f"{committed[name][counter]}"
-                )
     totals = {
         field: round(sum(row[field] for row in rows.values()), 4)
         for field in ("slp_seconds", "global_seconds", *TOP_WIDTH_COUNTERS)
@@ -168,6 +129,7 @@ def test_top_width_compile_row(results_dir):
                 "n": TOP_WIDTH_N,
                 "datapath": TOP_WIDTH,
                 "unroll": "default",
+                "repeats": TOP_WIDTH_REPEATS,
             },
             "kernels": rows,
             "totals": totals,
@@ -192,7 +154,8 @@ def test_top_width_compile_row(results_dir):
         f"\n\nmachine: {fingerprint['system']} {fingerprint['machine']}, "
         f"{fingerprint['cpu_count']} CPU, Python {fingerprint['python']} "
         f"(fingerprint {fingerprint['id']})"
-        "\nseconds are one compile each; the counters are exact"
+        f"\nseconds are the best of {TOP_WIDTH_REPEATS} compiles each; "
+        "the counters are exact"
     )
     write_result(
         results_dir / "compile_topwidth.txt",

@@ -26,12 +26,20 @@ only makes the loop cheaper per step leaves this plane untouched; one
 that changes what the loop decides or how many scores it computes moves
 it — a tighter heap bound, for one, lowers ``scores_recomputed`` alone,
 since fewer bound entries surface above the winner.
+
+The same rule gates Figure 18's top width. ``BENCH_compile_topwidth.json``
+(recorded by ``benchmarks/bench_compile_overhead.py``: 1024 bits, n=32,
+intel, the default unroll) holds per kernel SLP's and Global's compile
+seconds and five of Global's counters (``TOP_WIDTH_COUNTERS``);
+``check_topwidth`` — another side plane of ``repro bench --check`` —
+recompiles every kernel's Global cell and requires each of those
+counters to equal the committed row. The seconds are not compared.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from .kernels import ALL_KERNELS
 from .record import read_bench_json, write_bench_json
@@ -57,35 +65,99 @@ DATAPATH = 512
 #: Work counters are exact: any drift is a changed grouping loop.
 WORK_TOLERANCE = 0.0
 
+#: Figure 18's top width, at the harness size Figure 18 uses.
+TOP_WIDTH = 1024
+TOP_WIDTH_N = 32
+#: The top-width row's exact counters, without their ``grouping.``
+#: prefix.
+TOP_WIDTH_COUNTERS = (
+    "scores_recomputed",
+    "decisions",
+    "vp_nodes",
+    "aux_graphs",
+    "elimination_victims",
+)
 
-def grouping_work_metrics() -> Dict[str, Dict[str, float]]:
-    """``{"work": {"<kernel>.<counter>": value}}`` for every kernel at
-    the measured cell. The process-global perf registry is restored
-    afterwards."""
-    from ..compiler import CompilerOptions, Variant, compile_program
+
+def global_work(
+    program, machine, options, counters: Sequence[str] = COUNTERS
+) -> Dict[str, int]:
+    """One Global compile's ``grouping.`` counters, by name without the
+    prefix. The process-global perf registry is restored afterwards."""
+    from ..compiler import Variant, compile_program
     from ..perf import PERF
-    from ..vm import MACHINES
 
-    machine = MACHINES[MACHINE]()
-    options = CompilerOptions(datapath_bits=DATAPATH, unroll_factor=UNROLL)
     was_enabled = PERF.enabled
     saved = PERF.snapshot()
-    work: Dict[str, float] = {}
     try:
-        for kernel in ALL_KERNELS:
-            PERF.reset()
-            PERF.enable()
-            compile_program(kernel.build(N), Variant.GLOBAL, machine, options)
-            PERF.disable()
-            for name in COUNTERS:
-                work[f"{kernel.name}.{name}"] = float(
-                    PERF.counters.get(f"grouping.{name}", 0)
-                )
+        PERF.reset()
+        PERF.enable()
+        compile_program(program, Variant.GLOBAL, machine, options)
+        PERF.disable()
+        return {
+            name: int(PERF.counters.get(f"grouping.{name}", 0))
+            for name in counters
+        }
     finally:
         PERF.reset()
         PERF.merge(saved)
         PERF.enabled = was_enabled
+
+
+def grouping_work_metrics() -> Dict[str, Dict[str, float]]:
+    """``{"work": {"<kernel>.<counter>": value}}`` for every kernel at
+    the measured cell."""
+    from ..compiler import CompilerOptions
+    from ..vm import MACHINES
+
+    machine = MACHINES[MACHINE]()
+    options = CompilerOptions(datapath_bits=DATAPATH, unroll_factor=UNROLL)
+    work: Dict[str, float] = {}
+    for kernel in ALL_KERNELS:
+        counts = global_work(kernel.build(N), machine, options)
+        for name, value in counts.items():
+            work[f"{kernel.name}.{name}"] = float(value)
     return {"work": work}
+
+
+def topwidth_work(kernel) -> Dict[str, int]:
+    """``kernel``'s Global counters at the top-width cell."""
+    from ..compiler import CompilerOptions
+    from ..vm import MACHINES
+
+    return global_work(
+        kernel.build(TOP_WIDTH_N),
+        MACHINES["intel"](),
+        CompilerOptions(datapath_bits=TOP_WIDTH),
+        TOP_WIDTH_COUNTERS,
+    )
+
+
+def check_topwidth(
+    baseline_path: Path,
+    *,
+    out_path: Optional[Path] = None,
+) -> Dict[str, Any]:
+    """Gate the committed top-width row's counters: recompile every
+    kernel's Global cell and require each counter to match exactly."""
+    rows = read_bench_json(baseline_path).get("kernels") or {}
+    baseline: Dict[str, float] = {}
+    current: Dict[str, float] = {}
+    for kernel in ALL_KERNELS:
+        for name, value in topwidth_work(kernel).items():
+            current[f"{kernel.name}.{name}"] = float(value)
+    for kernel, row in rows.items():
+        for name in TOP_WIDTH_COUNTERS:
+            baseline[f"{kernel}.{name}"] = float(row[name])
+    checks = _check_plane(
+        "topwidth-work",
+        baseline,
+        current,
+        WORK_TOLERANCE,
+        comparable=True,
+        skip_reason=None,
+    )
+    return plane_verdict(baseline_path, checks, out_path=out_path)
 
 
 def write_grouping_work_baseline(
@@ -129,7 +201,13 @@ def check_grouping_work(
 
 __all__ = [
     "COUNTERS",
+    "TOP_WIDTH",
+    "TOP_WIDTH_COUNTERS",
+    "TOP_WIDTH_N",
     "check_grouping_work",
+    "check_topwidth",
+    "global_work",
     "grouping_work_metrics",
+    "topwidth_work",
     "write_grouping_work_baseline",
 ]

@@ -1,10 +1,13 @@
-"""The identity plane: every suite cell's plan, report and memory, digested.
+"""The identity plane: every suite cell's plan, report and memory, and
+every compile-wide cell's plan and schedules, digested.
 
 The suite plane gates cycles, dynamic instructions and pack/unpack ops
 within ±1%, so a change that moves a decision or a value without moving
-a cycle passes it. This plane commits, for every cell — the 20 kernels
-x 5 variants x intel and amd, at the suite plane's n=64, simulated on
-the default engine at seed 0 — the sha256 of three parts:
+a cycle passes it. This plane commits two slices of sha256 digests.
+
+The suite slice covers the 20 kernels x 5 variants x intel and amd, at
+the suite plane's n=64, simulated on the default engine at seed 0, in
+three parts:
 
 * ``plan`` — the plan's ``disassemble_plan`` text;
 * ``report`` — the ``ExecutionReport``, every compared field in a
@@ -12,14 +15,28 @@ the default engine at seed 0 — the sha256 of three parts:
 * ``memory`` — the final memory: every array's bytes and every
   scalar's ``repr``, names sorted.
 
+The compile-wide slice covers the repository benchmark's compile-wide
+grid on intel: the 20 kernels at n=16 x unroll 4 and 8 x 256, 512 and
+1024 bits x slp, global and global+layout (360 compiles, no
+simulation), in two parts:
+
+* ``plan`` — as above;
+* ``schedules`` — every block's ``CompileResult.schedules`` entry in
+  order, one line per item (``<S3, S7>`` for a superword statement in
+  lane order, ``S5`` for a single).
+
+Its big unrolled blocks are where Global's grouping rounds do most of
+their work, so a change that only makes those rounds cheaper must leave
+this slice alone.
+
 ``check_identity`` — one of the side planes ``repro bench --check``
 runs through ``regress.check_planes`` — requires each digest to equal
 the committed one, and names the cell and the part that moved
-(``cg.global+layout.amd.memory``). It is the one gate that sees a wrong
-initial ``Memory`` draw: the batched-versus-reference differential
-tests build both engines' memories the same way. A change that moves
-outputs on purpose re-records ``BENCH_identity.json`` with
-``benchmarks/bench_identity.py``.
+(``cg.global+layout.amd.memory``, ``sp.global.intel.u8w1024.schedules``).
+It is the one gate that sees a wrong initial ``Memory`` draw: the
+batched-versus-reference differential tests build both engines'
+memories the same way. A change that moves outputs on purpose
+re-records ``BENCH_identity.json`` with ``benchmarks/bench_identity.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +56,14 @@ MACHINES = ("intel", "amd")
 VARIANTS = ("scalar", "native", "slp", "global", "global+layout")
 SEED = 0
 PARTS = ("plan", "report", "memory")
+
+#: The compile-wide slice's cells, compiled only.
+WIDE_N = 16
+WIDE_MACHINE = "intel"
+WIDE_UNROLLS = (4, 8)
+WIDE_DATAPATHS = (256, 512, 1024)
+WIDE_VARIANTS = ("slp", "global", "global+layout")
+WIDE_PARTS = ("plan", "schedules")
 
 
 def canonical(value: Any) -> str:
@@ -75,24 +100,39 @@ def memory_sha256(memory) -> str:
     return digest.hexdigest()
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def cell_digests(plan, report, memory) -> Dict[str, str]:
     """The three part digests of one simulated plan."""
     from ..vm.pretty import disassemble_plan
 
-    def sha(text: str) -> str:
-        return hashlib.sha256(text.encode()).hexdigest()
-
     return {
-        "plan": sha(disassemble_plan(plan)),
-        "report": sha(canonical(report)),
+        "plan": _sha(disassemble_plan(plan)),
+        "report": _sha(canonical(report)),
         "memory": memory_sha256(memory),
     }
 
 
+def compile_digests(result) -> Dict[str, str]:
+    """The two part digests of one ``CompileResult``."""
+    from ..vm.pretty import disassemble_plan
+
+    return {
+        "plan": _sha(disassemble_plan(result.plan)),
+        "schedules": _sha(
+            "\n\n".join(str(schedule) for schedule in result.schedules)
+        ),
+    }
+
+
 def identity_metrics() -> Dict[str, Dict[str, str]]:
-    """``{"digests": {"<kernel>.<variant>.<machine>.<part>": sha256}}``
-    over every cell."""
-    from ..compiler import Variant, compile_program
+    """``{"digests": {cell.part: sha256}}`` over every cell of both
+    slices: ``<kernel>.<variant>.<machine>.<part>`` for the suite slice,
+    ``<kernel>.<variant>.intel.u<unroll>w<bits>.<part>`` for the
+    compile-wide slice."""
+    from ..compiler import CompilerOptions, Variant, compile_program
     from ..vm import MACHINES as MACHINE_MODELS, Simulator
 
     digests: Dict[str, str] = {}
@@ -110,6 +150,24 @@ def identity_metrics() -> Dict[str, Dict[str, str]]:
                     result.plan, report, memory
                 ).items():
                     digests[f"{cell}.{part}"] = value
+    machine = MACHINE_MODELS[WIDE_MACHINE]()
+    for kernel in ALL_KERNELS:
+        program = kernel.build(WIDE_N)
+        for unroll in WIDE_UNROLLS:
+            for bits in WIDE_DATAPATHS:
+                options = CompilerOptions(
+                    datapath_bits=bits, unroll_factor=unroll
+                )
+                for variant in WIDE_VARIANTS:
+                    result = compile_program(
+                        program, Variant(variant), machine, options
+                    )
+                    cell = (
+                        f"{kernel.name}.{variant}.{WIDE_MACHINE}"
+                        f".u{unroll}w{bits}"
+                    )
+                    for part, value in compile_digests(result).items():
+                        digests[f"{cell}.{part}"] = value
     return {"digests": digests}
 
 
@@ -125,6 +183,13 @@ def write_identity_baseline(
                 "machines": list(MACHINES),
                 "variants": list(VARIANTS),
                 "seed": SEED,
+                "wide": {
+                    "n": WIDE_N,
+                    "machine": WIDE_MACHINE,
+                    "unrolls": list(WIDE_UNROLLS),
+                    "datapaths": list(WIDE_DATAPATHS),
+                    "variants": list(WIDE_VARIANTS),
+                },
             },
             "metrics": metrics,
         },
@@ -178,9 +243,11 @@ def check_identity(
 
 __all__ = [
     "PARTS",
+    "WIDE_PARTS",
     "canonical",
     "cell_digests",
     "check_identity",
+    "compile_digests",
     "digest_checks",
     "identity_metrics",
     "memory_sha256",

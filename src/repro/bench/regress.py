@@ -186,13 +186,13 @@ def check_planes(
     baseline_dir: Path,
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """Gate the deterministic planes committed next to the suite
-    baseline — optimality gap, predication, grouping work and identity
-    — whose artifacts sit in ``baseline_dir``; yields ``(label,
-    verdict)`` in that order. A plane whose artifact is absent is not
-    run. Checker errors (unreadable artifact, config mismatch)
-    propagate."""
+    baseline — optimality gap, predication, grouping work, identity and
+    the top-width row's counters — whose artifacts sit in
+    ``baseline_dir``; yields ``(label, verdict)`` in that order. A plane
+    whose artifact is absent is not run. Checker errors (unreadable
+    artifact, config mismatch) propagate."""
     # Imported here: the plane modules build on this one.
-    from .grouping_work import check_grouping_work
+    from .grouping_work import check_grouping_work, check_topwidth
     from .identity import check_identity
     from .optimality import check_optimality
     from .predication import check_predication
@@ -202,6 +202,7 @@ def check_planes(
         ("predication", "BENCH_predication.json", check_predication),
         ("grouping-work", "BENCH_grouping_work.json", check_grouping_work),
         ("identity", "BENCH_identity.json", check_identity),
+        ("topwidth-work", "BENCH_compile_topwidth.json", check_topwidth),
     ):
         path = Path(baseline_dir) / filename
         if path.exists():

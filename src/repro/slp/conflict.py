@@ -18,7 +18,7 @@ hundreds of thousands of entries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import DependenceGraph
 from ..analysis.operands import bit_indices
@@ -65,13 +65,12 @@ class VariablePackGraph:
 
     Pack data are id tuples over the block's operand table
     (``operands``, from ``deps``): sorted ids order like the packs they
-    stand for, and ``operands.decode`` returns the pack. ``packs[i]`` is
-    candidate ``i``'s merged packs, position 0 the target, and
-    ``tids[i]`` their indices in ``pack_types``, the distinct pack data
-    in sorted order (``tid_of`` inverts it), so clients compare and
-    index small ints.
-    ``type_candidates[tid]`` lists the candidate of every node of that
-    type in the canonical ``(data, candidate, position)`` order.
+    stand for, and ``operands.decode`` returns the pack. ``tids[i]``
+    holds candidate ``i``'s merged packs, position 0 the target, as
+    indices into ``pack_types``, the distinct pack data in sorted order
+    (``tid_of`` inverts it), so clients compare and index small ints.
+    ``unit_candidates`` maps each unit of the round, named by its first
+    statement, to the bitset of the candidates holding it.
     :class:`PackNode` objects are made only when asked for
     (``nodes``, :meth:`nodes_of_candidate`, :meth:`nodes_with_data`);
     the rounds read ``tids`` instead.
@@ -85,94 +84,143 @@ class VariablePackGraph:
         self.candidates = list(candidates)
         self.deps = deps
         self.operands = deps.operands
-        self.packs: List[Tuple[Tuple[int, ...], ...]] = []
         self.tids: List[Tuple[int, ...]] = []
         self.pack_types: List[Tuple[int, ...]] = []
-        self.tid_of: Dict[Tuple[int, ...], int] = {}
-        self.type_candidates: List[List[int]] = []
+        self.unit_candidates: Dict[int, int] = {}
         #: Bitset of the candidates whose nodes are still in the graph.
         self.live = (1 << len(self.candidates)) - 1
         self._conflict_bits: List[int] = []
+        self._tid_of: Optional[Dict[Tuple[int, ...], int]] = None
+        self._holders: Optional[List[int]] = None
         self._build()
 
     def _build(self) -> None:
-        # Conflict relation between candidates, computed once as
-        # bitsets. Two candidates conflict when they share a statement
-        # or form a group-level dependence cycle: some member of i
-        # reaches a member of j (j is *forward* of i) and some member of
-        # j reaches a member of i (j is *backward* of i). Instead of
-        # testing all O(n^2) pairs, index candidates by the statements
-        # they contain (``member_of``), and each statement by the
-        # candidates holding one of its successors (``forward_of``) or
-        # predecessors (``backward_of``); a candidate's partners are
-        # then unions over its members. Both relations are symmetric by
-        # construction, so no symmetrize pass is needed.
-        deps = self.deps
-        members = [c.left.sids + c.right.sids for c in self.candidates]
-        member_of: Dict[int, int] = {}   # sid -> bitmask of candidates
-        for index, sids in enumerate(members):
+        # One pass over the candidates collects the round's units and
+        # each candidate's packs. A round's units are statement-disjoint,
+        # so a unit is named by its first statement.
+        #
+        # Each candidate's packs merge its two units' id tuples position
+        # by position; two single statements' pack is the ordered pair
+        # of their operand ids, keyed by one int (``low * stride +
+        # high``) that orders like the pair. Every distinct pack gets a
+        # provisional id on first sight.
+        operands = self.operands
+        rows = operands.rows
+        unit_packs = operands.unit_packs
+        stride = len(operands.keys)
+        unit_candidates = self.unit_candidates
+        unit_sids: Dict[int, Tuple[int, ...]] = {}
+        of_unit: Dict[Tuple[int, ...], tuple] = {}
+        provisional: Dict[object, int] = {}
+        provisional_id = provisional.setdefault
+        pids: List[List[int]] = []
+        wide = False
+        for index, candidate in enumerate(self.candidates):
             bit = 1 << index
-            for sid in sids:
-                member_of[sid] = member_of.get(sid, 0) | bit
+            left, right = candidate.left.sids, candidate.right.sids
+            for sids in (left, right):
+                first = sids[0]
+                held = unit_candidates.get(first)
+                if held is None:
+                    unit_candidates[first] = bit
+                    unit_sids[first] = sids
+                else:
+                    unit_candidates[first] = held | bit
+            if len(left) == 1:  # a candidate's units are equally big
+                pids.append(
+                    [
+                        provisional_id(
+                            a * stride + b if a <= b else b * stride + a,
+                            len(provisional),
+                        )
+                        for a, b in zip(rows[left[0]], rows[right[0]])
+                    ]
+                )
+            else:
+                wide = True
+                lefts = of_unit.get(left)
+                if lefts is None:
+                    lefts = of_unit[left] = unit_packs(left)
+                rights = of_unit.get(right)
+                if rights is None:
+                    rights = of_unit[right] = unit_packs(right)
+                pids.append(
+                    [
+                        provisional_id(
+                            tuple(sorted(a + b)), len(provisional)
+                        )
+                        for a, b in zip(lefts, rights)
+                    ]
+                )
+
+        # Type ids follow pack order, so (tid, candidate, position) is
+        # the canonical ``PackNode.sort_key`` order and every downstream
+        # tie-break compares small ints.
+        keys = list(provisional)
+        data = [
+            divmod(key, stride) if type(key) is int else key for key in keys
+        ]
+        order = sorted(
+            range(len(keys)),
+            key=(data if wide else keys).__getitem__,
+        )
+        tid_of_pid = [0] * len(keys)
+        for tid, pid in enumerate(order):
+            tid_of_pid[pid] = tid
+        self.pack_types = [data[pid] for pid in order]
+        tid_of = tid_of_pid.__getitem__
+        self.tids = [tuple(map(tid_of, ids)) for ids in pids]
+
+        # Conflict relation between candidates, computed once as
+        # bitsets. Two candidates conflict when they share a unit (the
+        # only way to share a statement) or form a group-level
+        # dependence cycle: some member of i reaches a member of j (j is
+        # *forward* of i) and some member of j reaches a member of i (j
+        # is *backward* of i). Instead of testing all O(n^2) pairs, each
+        # unit's candidates are one bitset (``unit_candidates``), and
+        # each unit's forward (backward) partners are the candidates at
+        # the units its statements' successors (predecessors) belong
+        # to; a candidate's partners are then unions over its two units.
+        # Both relations are symmetric by construction, so no
+        # symmetrize pass is needed.
+        deps = self.deps
+        unit_of: Dict[int, int] = {}
         held = 0
-        for sid in member_of:
-            held |= 1 << sid
+        for first, sids in unit_sids.items():
+            for sid in sids:
+                unit_of[sid] = first
+                held |= 1 << sid
         forward_of: Dict[int, int] = {}
         backward_of: Dict[int, int] = {}
-        for sid in member_of:
-            forward = backward = 0
-            for other in bit_indices(deps.successor_bits(sid) & held):
-                forward |= member_of[other]
-            for other in bit_indices(deps.predecessor_bits(sid) & held):
-                backward |= member_of[other]
-            forward_of[sid] = forward
-            backward_of[sid] = backward
-        bits = []
-        for index, sids in enumerate(members):
-            shared = forward = backward = 0
+        for first, sids in unit_sids.items():
+            after = before = 0
             for sid in sids:
-                shared |= member_of[sid]
-                forward |= forward_of[sid]
-                backward |= backward_of[sid]
-            bits.append((shared | (forward & backward)) & ~(1 << index))
+                after |= deps.successor_bits(sid)
+                before |= deps.predecessor_bits(sid)
+            forward = backward = 0
+            for other in bit_indices(after & held):
+                forward |= unit_candidates[unit_of[other]]
+            for other in bit_indices(before & held):
+                backward |= unit_candidates[unit_of[other]]
+            forward_of[first] = forward
+            backward_of[first] = backward
+        bits = []
+        for index, candidate in enumerate(self.candidates):
+            u, v = candidate.left.sids[0], candidate.right.sids[0]
+            bits.append(
+                (
+                    unit_candidates[u]
+                    | unit_candidates[v]
+                    | (
+                        (forward_of[u] | forward_of[v])
+                        & (backward_of[u] | backward_of[v])
+                    )
+                )
+                & ~(1 << index)
+            )
         self._conflict_bits = bits
 
-        # Each candidate's packs merge its two units' id tuples position
-        # by position. Type ids follow pack order: each data bucket
-        # holds its (candidate, position) pairs in that order, so (tid,
-        # candidate, position) is the canonical ``PackNode.sort_key``
-        # order and every downstream tie-break compares small ints.
-        unit_packs = self.operands.unit_packs
-        of_unit: Dict[Tuple[int, ...], tuple] = {}
-        by_data: Dict[Tuple[int, ...], List[int]] = {}
-        nodes = 0
-        for index, candidate in enumerate(self.candidates):
-            left, right = candidate.left.sids, candidate.right.sids
-            lefts = of_unit.get(left)
-            if lefts is None:
-                lefts = of_unit[left] = unit_packs(left)
-            rights = of_unit.get(right)
-            if rights is None:
-                rights = of_unit[right] = unit_packs(right)
-            packs = tuple(
-                [tuple(sorted(a + b)) for a, b in zip(lefts, rights)]
-            )
-            self.packs.append(packs)
-            nodes += len(packs)
-            for data in packs:
-                bucket = by_data.get(data)
-                if bucket is None:
-                    by_data[data] = [index]
-                else:
-                    bucket.append(index)
-        self.pack_types = sorted(by_data)
-        tid_of = self.tid_of = {
-            data: tid for tid, data in enumerate(self.pack_types)
-        }
-        self.tids = [
-            tuple([tid_of[data] for data in packs]) for packs in self.packs
-        ]
-        self.type_candidates = [by_data[data] for data in self.pack_types]
+        nodes = sum(len(ids) for ids in pids)
         count("grouping.vp_nodes", nodes)
         if PERF.enabled or TRACE.enabled:
             # Only the counter and the trace read the edge count.
@@ -185,6 +233,20 @@ class VariablePackGraph:
                     nodes=nodes,
                     edges=edges,
                 )
+
+    @property
+    def tid_of(self) -> Dict[Tuple[int, ...], int]:
+        """Pack data -> type id, the inverse of ``pack_types``."""
+        if self._tid_of is None:
+            self._tid_of = {
+                data: tid for tid, data in enumerate(self.pack_types)
+            }
+        return self._tid_of
+
+    def packs_of(self, index: int) -> Tuple[Tuple[int, ...], ...]:
+        """Candidate ``index``'s merged packs by position (id tuples)."""
+        types = self.pack_types
+        return tuple([types[tid] for tid in self.tids[index]])
 
     # -- queries -----------------------------------------------------------------
 
@@ -202,10 +264,9 @@ class VariablePackGraph:
         if not (self.live >> index) & 1:
             return []
         nodes = []
-        for position, (data, tid) in enumerate(
-            zip(self.packs[index], self.tids[index])
-        ):
-            node = PackNode(data, index, position)
+        types = self.pack_types
+        for position, tid in enumerate(self.tids[index]):
+            node = PackNode(types[tid], index, position)
             node.tid = tid
             nodes.append(node)
         return nodes
@@ -225,9 +286,17 @@ class VariablePackGraph:
         tid = self.tid_of.get(data)
         if tid is None:
             return []
+        if self._holders is None:
+            # Per type, the bitset of candidates holding it: built on
+            # the first query, since the rounds never ask for nodes.
+            holders = [0] * len(self.pack_types)
+            for index, tids in enumerate(self.tids):
+                for held in tids:
+                    holders[held] |= 1 << index
+            self._holders = holders
         return [
             node
-            for index in dict.fromkeys(self.type_candidates[tid])
+            for index in bit_indices(self._holders[tid] & self.live)
             for node in self.nodes_of_candidate(index)
             if node.tid == tid
         ]
@@ -240,12 +309,12 @@ class VariablePackGraph:
         live = bit_indices(self.live)
         by_size: Dict[int, int] = {}
         for index in live:
-            size = len(self.packs[index])
+            size = len(self.tids[index])
             by_size[size] = by_size.get(size, 0) | (1 << index)
         twice = 0
         for index in live:
             bits = self._conflict_bits[index]
-            twice += len(self.packs[index]) * sum(
+            twice += len(self.tids[index]) * sum(
                 size * (bits & mask).bit_count()
                 for size, mask in by_size.items()
             )

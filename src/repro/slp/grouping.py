@@ -39,7 +39,11 @@ Both share the per-round machinery: pack costs in integer units of
 ``1 / COST_SCALE``, pack type ids from the VP graph, and each
 candidate's auxiliary graph, built on first use in the round (the
 incremental engine builds one only for a candidate that contends for
-selection) and filtered as candidates leave. The reference engine is
+selection) and filtered as candidates leave. A round sets up once per
+candidate, before any decision: :func:`find_candidates`, the VP graph,
+one :meth:`PackCostModel.classify_types` call for all its pack types,
+and one loop filling the per-candidate tables (slots, multiplicities,
+statement bits) and the per-type holder bitsets the bounds read. The reference engine is
 therefore the oracle of the incremental engine's caches, dirty sets
 and heap bounds, not of the auxiliary graphs; the tests check those
 against the node-level :func:`eliminate_conflicts` after every commit.
@@ -120,10 +124,9 @@ def cost_units(value: float) -> int:
     return int(units)
 
 
-#: The cost constants in cost units, as :meth:`PackCostModel.classify`
-#: returns them: a one-wide-access reuse saving, a broadcast's, a scalar
-#: pack's (see :func:`pack_reuse_saving` for why it is half a scalar
-#: gather), and the penalties above.
+#: The cost constants in cost units: a one-wide-access reuse saving, a
+#: broadcast's, a scalar pack's (see :func:`pack_reuse_saving` for why
+#: it is half a scalar gather), and the penalties above.
 _WIDE = cost_units(1.0)
 _BROADCAST = cost_units(0.5)
 _SCALAR_SAVING = cost_units(1.5)
@@ -131,6 +134,21 @@ _GATHER = cost_units(GATHER_PENALTY)
 _SCALAR_GATHER = cost_units(SCALAR_GATHER_PENALTY)
 _SCALAR_SCATTER = cost_units(SCALAR_SCATTER_PENALTY)
 _FIXABLE = cost_units(LAYOUT_FIXABLE_PENALTY)
+
+#: The rows :meth:`PackCostModel.classify_types` returns: ``(saving,
+#: build, store build, adjacency, all memory)`` per case of its
+#: analysis, shared by every pack type in that case.
+_SPLAT_CONST = (0, 0, 0, 1, False)
+_SPLAT_REF = (_BROADCAST, 0, 0, 1, True)
+_SPLAT_VAR = (_BROADCAST, 0, 0, 1, False)
+_MIXED = (_GATHER, _GATHER, _GATHER, 0, False)
+_REF_WIDE = (_WIDE, 0, 0, 2, True)
+_REF_REPLICATED = (_WIDE, _FIXABLE, _GATHER, 0, True)
+_REF_GATHERED = (_GATHER, _GATHER, _GATHER, 0, True)
+_VAR_WIDE = (_WIDE, 0, 0, 0, False)
+_VAR_FIXABLE = (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0, False)
+_VAR_GATHERED = (_SCALAR_SAVING, _SCALAR_GATHER, _SCALAR_SCATTER, 0, False)
+_IMMEDIATE = (0, 0, 0, 0, False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,15 +340,13 @@ class PackCostModel:
     """Pack-cost classification for one ``(decl_of, penalty_context)``
     pair.
 
-    :meth:`classify` derives everything the grouping score needs of one
-    pack type from a single contiguity test: :func:`pack_reuse_saving`
-    and :func:`pack_materialization_penalty` (as a source and as a
-    store) as ints in units of ``1 / COST_SCALE``,
-    :func:`pack_adjacency_score`, and whether every lane is an array
-    reference. A grouping round classifies each of its pack types once,
-    given as an id tuple over the block's
-    :class:`~repro.analysis.operands.OperandTable`, from the per-id
-    kinds, names and flattened offsets.
+    :meth:`classify_types` derives everything the grouping score needs
+    of a round's pack types — given as id tuples over the block's
+    :class:`~repro.analysis.operands.OperandTable` — in one pass:
+    :func:`pack_reuse_saving` and :func:`pack_materialization_penalty`
+    (as a source and as a store) as ints in units of
+    ``1 / COST_SCALE``, :func:`pack_adjacency_score`, and whether every
+    lane is an array reference.
     """
 
     __slots__ = ("decl_of", "context")
@@ -343,68 +359,94 @@ class PackCostModel:
         self.decl_of = decl_of
         self.context = context
 
-    def contiguous(self, ids: Sequence[int], table: OperandTable) -> bool:
-        """:func:`pack_is_contiguous_memory` of the pack ``ids`` stands
-        for: the lanes are one array's references with equal flattened
-        coefficients whose constants form a consecutive run."""
+    def classify_types(
+        self, types: Sequence[Tuple[int, ...]], table: OperandTable
+    ) -> List[Tuple[int, int, int, int, bool]]:
+        """``(saving, build, store build, adjacency, all memory)`` of each
+        pack type in ``types`` (sorted operand ids): the reference cost
+        functions' case analysis, with one pass over each type's lanes
+        and at most one contiguity test. The table's kinds, names and
+        flattened offsets, and the context's scalar slots, are read
+        once per call.
+
+        A reference pack is contiguous when its lanes are one array's
+        references with equal flattened coefficients whose constants
+        form a consecutive run (:func:`pack_is_contiguous_memory`); a
+        variable pack when its names sit in consecutive slots of one
+        arena (``_slots_contiguous``)."""
         kinds = table.kinds
         names = table.names
-        array = names[ids[0]]
-        for i in ids:
-            if kinds[i] != KIND_REF or names[i] != array:
-                return False
         flats = table.flat_offsets(self.decl_of)
-        coeffs = None
-        consts = []
-        for i in ids:
-            flat = flats[i]
-            if flat is None:
-                return False
-            if coeffs is None:
-                coeffs = flat[0]
-            elif flat[0] != coeffs:
-                return False
-            consts.append(flat[1])
-        consts.sort()
-        return consts == list(range(consts[0], consts[0] + len(consts)))
-
-    def classify(
-        self, ids: Sequence[int], table: OperandTable
-    ) -> Tuple[int, int, int, int, bool]:
-        """``(saving, build, store build, adjacency, all memory)`` of one
-        pack type, given as sorted operand ids:
-        :func:`pack_reuse_saving` and :func:`pack_materialization_penalty`
-        (as a source and as a store) in units of ``1 / COST_SCALE``,
-        :func:`pack_adjacency_score`, and whether every lane is an array
-        reference — the same case analysis, with one pass over the lanes
-        and at most one contiguity test."""
-        kinds = table.kinds
-        kind = kinds[ids[0]]
-        if ids[0] == ids[-1]:  # a splat (the pack is sorted)
-            saving = 0 if kind == KIND_CONST else _BROADCAST
-            return (saving, 0, 0, 1, kind == KIND_REF)
-        for i in ids:
-            if kinds[i] != kind:  # mixed lane sources: per-lane inserts
-                return (_GATHER, _GATHER, _GATHER, 0, False)
         context = self.context
-        if kind == KIND_REF:
-            if self.contiguous(ids, table):
-                return (_WIDE, 0, 0, 2, True)
-            if context is not None and context.replicable_arrays is not None:
-                replicable = context.replicable_arrays
-                names = table.names
-                if all(names[i] in replicable for i in ids):
-                    return (_WIDE, _FIXABLE, _GATHER, 0, True)
-            return (_GATHER, _GATHER, _GATHER, 0, True)
-        if kind == KIND_VAR:
-            names = table.names
-            if _slots_contiguous([names[i] for i in ids], context):
-                return (_WIDE, 0, 0, 0, False)
-            if context is not None and context.assume_layout:
-                return (_SCALAR_SAVING, _FIXABLE, _FIXABLE, 0, False)
-            return (_SCALAR_SAVING, _SCALAR_GATHER, _SCALAR_SCATTER, 0, False)
-        # A vector immediate, hoisted out of the loop.
-        return (0, 0, 0, 0, False)
+        replicable = slot_of = None
+        var_fallback = _VAR_GATHERED
+        if context is not None:
+            replicable = context.replicable_arrays
+            if context.scalar_slots is not None:
+                slot_of = context._slot_table.get
+            if context.assume_layout:
+                var_fallback = _VAR_FIXABLE
+        rows: List[Tuple[int, int, int, int, bool]] = []
+        for ids in types:
+            first = ids[0]
+            kind = kinds[first]
+            if first == ids[-1]:  # a splat (the pack is sorted)
+                rows.append(
+                    _SPLAT_CONST if kind == KIND_CONST
+                    else _SPLAT_REF if kind == KIND_REF
+                    else _SPLAT_VAR
+                )
+                continue
+            for i in ids:
+                if kinds[i] != kind:  # mixed lane sources
+                    rows.append(_MIXED)
+                    break
+            else:
+                if kind == KIND_REF:
+                    row = _REF_GATHERED
+                    array = names[first]
+                    flat = flats[first]
+                    if flat is not None:
+                        coeffs = flat[0]
+                        consts = []
+                        for i in ids:
+                            flat = flats[i]
+                            if (
+                                names[i] != array
+                                or flat is None
+                                or flat[0] != coeffs
+                            ):
+                                break
+                            consts.append(flat[1])
+                        else:
+                            consts.sort()
+                            low = consts[0]
+                            if consts == list(range(low, low + len(consts))):
+                                row = _REF_WIDE
+                    if row is _REF_GATHERED and replicable is not None:
+                        for i in ids:
+                            if names[i] not in replicable:
+                                break
+                        else:
+                            row = _REF_REPLICATED
+                    rows.append(row)
+                elif kind == KIND_VAR:
+                    row = var_fallback
+                    if slot_of is not None:
+                        slots = [slot_of(names[i]) for i in ids]
+                        if None not in slots and len(
+                            {arena for arena, _ in slots}
+                        ) == 1:
+                            offsets = sorted(offset for _, offset in slots)
+                            low = offsets[0]
+                            if offsets == list(
+                                range(low, low + len(offsets))
+                            ):
+                                row = _VAR_WIDE
+                    rows.append(row)
+                else:  # a vector immediate, hoisted out of the loop
+                    rows.append(_IMMEDIATE)
+        return rows
 
 
 def _signature_op_cost(signature) -> float:
@@ -601,7 +643,6 @@ class BasicGrouping:
         self.candidates = find_candidates(self.units, deps, datapath_bits)
         count("grouping.candidates_examined", len(self.candidates))
         n = len(self.candidates)
-        self._keys = [c.key() for c in self.candidates]
         with span("slp.vp_graph"):
             self.vp = VariablePackGraph(self.candidates, deps)
         # Pack data are id tuples over the block's operand table, decoded
@@ -612,78 +653,103 @@ class BasicGrouping:
         # tids ascending (its *slots*), the multiplicity of each and its
         # target slot; ``_holders[t]`` is the bitset of candidates
         # holding type ``t``. ``_type_costs[t]`` is type ``t``'s
-        # ``(saving, build, store build, adjacency, all memory)``,
-        # classified once per round; ``_sid_bits``, ``_type_sids[t]``
-        # (the statements of type ``t``'s holders), ``_max_mult[t]``
-        # (the most positions one candidate holds type ``t`` at) and
-        # ``_lanes[t]`` feed the heap bounds.
+        # ``(saving, build, store build, adjacency, all memory)``, from
+        # one classification pass per round; ``_sid_bits``,
+        # ``_type_sids[t]`` (the statements of type ``t``'s holders),
+        # ``_max_mult[t]`` (the most positions one candidate holds type
+        # ``t`` at) and ``_lanes[t]`` feed the heap bounds.
         self.operands = deps.operands
         self.cost = cost_model or PackCostModel(decl_of, penalty_context)
-        classify = self.cost.classify
-        type_costs = self._type_costs = [
-            classify(data, self.operands) for data in self.vp.pack_types
-        ]
-        n_types = len(type_costs)
-        self._lanes: List[int] = [len(data) for data in self.vp.pack_types]
-        self._types: List[Tuple[int, ...]] = []
-        self._own_list: List[List[int]] = []
-        self._target_slot: List[int] = []
-        self._holders: List[int] = [0] * n_types
-        self._max_mult: List[int] = [0] * n_types
-        self._type_sids: List[int] = [0] * n_types
-        self._sid_bits: List[int] = []
+        pack_types = self.vp.pack_types
+        type_costs = self._type_costs = self.cost.classify_types(
+            pack_types, self.operands
+        )
+        n_types = len(pack_types)
+        self._lanes: List[int] = [len(data) for data in pack_types]
+        holders = self._holders = [0] * n_types
+        max_mult = self._max_mult = [1] * n_types
+        type_sids = self._type_sids = [0] * n_types
+        types_of: List[Tuple[int, ...]] = []
+        own_of: List[List[int]] = []
+        target_of: List[int] = []
+        adjacency: List[int] = []
+        sid_bits_of: List[int] = []
         # A candidate's two units (``CandidateGroup.left/right``), each
         # named by its first statement id — a round's units are
-        # statement-disjoint — and each unit's candidates as a bitset.
-        self._units_of: List[Tuple[int, int]] = []
-        unit_cands: Dict[int, int] = {}
+        # statement-disjoint (``vp.unit_candidates`` has each unit's
+        # candidates).
+        units_of: List[Tuple[int, int]] = []
         # The reuse-independent score terms, in cost units: the merge's
         # saved ALU work (one per isomorphism signature) plus one wide
         # access per all-memory pack position.
-        self._static_bonus: List[int] = []
+        static_bonus: List[int] = []
+        # Per type, the adjacency and the wide access one position of it
+        # adds; per unit, its statement bits and, for a left unit, its
+        # merge's ALU saving.
+        adjacency_of = [row[3] for row in type_costs]
+        memory_of = [COST_SCALE if row[4] else 0 for row in type_costs]
+        unit_bits: Dict[int, int] = {}
+        unit_saving: Dict[int, int] = {}
         op_savings: Dict[tuple, int] = {}
-        self.adjacency: List[int] = []
-        for index, candidate in enumerate(self.candidates):
-            tids = self.vp.tids[index]
-            own: Dict[int, int] = {}
-            for tid in tids:
-                own[tid] = own.get(tid, 0) + 1
-            types = tuple(sorted(own))
-            self._types.append(types)
-            self._own_list.append([own[tid] for tid in types])
-            self._target_slot.append(types.index(tids[0]))
-            self.adjacency.append(sum(type_costs[tid][3] for tid in tids))
-            sids = 0
-            for sid in candidate.left.sids + candidate.right.sids:
-                sids |= 1 << sid
-            self._sid_bits.append(sids)
-            bit = 1 << index
-            memory = 0
-            for tid, mult in own.items():
-                self._holders[tid] |= bit
-                self._type_sids[tid] |= sids
-                if mult > self._max_mult[tid]:
-                    self._max_mult[tid] = mult
-                if type_costs[tid][4]:
-                    memory += mult
-            units = (candidate.left.sids[0], candidate.right.sids[0])
-            self._units_of.append(units)
-            for unit in units:
-                unit_cands[unit] = unit_cands.get(unit, 0) | bit
-            signature = candidate.left.signature
-            saving = op_savings.get(signature)
+        for index, (candidate, tids) in enumerate(
+            zip(self.candidates, self.vp.tids)
+        ):
+            left, right = candidate.left, candidate.right
+            u, v = left.sids[0], right.sids[0]
+            saving = unit_saving.get(u)
             if saving is None:
-                saving = op_savings[signature] = cost_units(
-                    candidate_op_saving(candidate)
+                unit_bits[u] = sum([1 << sid for sid in left.sids])
+                saving = op_savings.get(left.signature)
+                if saving is None:
+                    saving = op_savings[left.signature] = cost_units(
+                        candidate_op_saving(candidate)
+                    )
+                unit_saving[u] = saving
+            right_bits = unit_bits.get(v)
+            if right_bits is None:
+                right_bits = unit_bits[v] = sum(
+                    [1 << sid for sid in right.sids]
                 )
-            self._static_bonus.append(saving + memory * COST_SCALE)
+            sids = unit_bits[u] | right_bits
+            bit = 1 << index
+            types = tuple(sorted(set(tids)))
+            if len(types) == len(tids):
+                own = [1] * len(types)
+            else:
+                own = [tids.count(tid) for tid in types]
+                for tid, mult in zip(types, own):
+                    if mult > max_mult[tid]:
+                        max_mult[tid] = mult
+            for tid in types:
+                holders[tid] |= bit
+                type_sids[tid] |= sids
+            memory = 0
+            adjacent = 0
+            for tid in tids:
+                memory += memory_of[tid]
+                adjacent += adjacency_of[tid]
+            types_of.append(types)
+            own_of.append(own)
+            target_of.append(types.index(tids[0]))
+            adjacency.append(adjacent)
+            sid_bits_of.append(sids)
+            units_of.append((u, v))
+            static_bonus.append(saving + memory)
+        self._types = types_of
+        self._own_list = own_of
+        self._target_slot = target_of
+        self.adjacency = adjacency
+        self._sid_bits = sid_bits_of
+        self._units_of = units_of
+        self._static_bonus = static_bonus
         # Each candidate's conflicts that no shared unit explains (the
         # dependence cycles): elimination lists these explicitly and
         # counts the rest from per-unit loads.
         conflict_bits = self.vp.conflict_bits
+        unit_cands = self.vp.unit_candidates
         self._extra_conflicts: List[int] = [
             conflict_bits(index) & ~(unit_cands[u] | unit_cands[v])
-            for index, (u, v) in enumerate(self._units_of)
+            for index, (u, v) in enumerate(units_of)
         ]
         # Heap ranks: a candidate's score has denominator dividing
         # ``COST_SCALE * slots``, so scaling by the lcm of those over the
@@ -889,11 +955,13 @@ class BasicGrouping:
                 aux.drop(live)
             return aux
         count("grouping.aux_graphs")
-        # Walk the owner's types in tid order and each type's nodes in
-        # canonical order, so local ranks follow the canonical order.
+        # Walk the owner's types in tid order and each type's allowed
+        # holders in candidate order, one node per position holding the
+        # type, so local ranks follow the canonical order.
         allowed = live & ~(self.vp.conflict_bits(index) | 1 << index)
         holders = self._holders
-        members = self.vp.type_candidates
+        max_mult = self._max_mult
+        tids_of = self.vp.tids
         sid_bits = self._sid_bits
         union = 0
         cands: List[int] = []
@@ -908,19 +976,22 @@ class BasicGrouping:
             union |= holders[tid]
             before = len(slot_of)
             covered = 0
-            for cand in members[tid]:
-                if not (allowed >> cand) & 1:
-                    continue
+            for cand in bit_indices(holders[tid] & allowed):
                 k = local.get(cand)
                 if k is None:
                     k = local[cand] = len(cands)
                     cands.append(cand)
                     sids.append(sid_bits[cand])
-                owner.append(k)
-                slot_of.append(slot)
+                if max_mult[tid] == 1:
+                    owner.append(k)
+                    slot_of.append(slot)
+                else:
+                    nodes = tids_of[cand].count(tid)
+                    owner += [k] * nodes
+                    slot_of += [slot] * nodes
                 covered |= sid_bits[cand]
             counts.append(len(slot_of) - before)
-            caps.append((self._max_mult[tid], self._lanes[tid]))
+            caps.append((max_mult[tid], self._lanes[tid]))
             unions.append(covered)
         aux = self._aux[index] = _AuxGraph(
             union & allowed, cands, sids, owner, slot_of, counts, caps,
@@ -1105,7 +1176,7 @@ class BasicGrouping:
         return GroupNode(
             tuple(sorted(left.sids + right.sids)),
             left.signature,
-            tuple([decode(data) for data in self.vp.packs[index]]),
+            tuple([decode(data) for data in self.vp.packs_of(index)]),
             left.element_bits,
         )
 
@@ -1126,7 +1197,9 @@ class BasicGrouping:
         trace.decisions.append((candidate, weight))
         self.decided.append(best)
         decode = self.operands.decode
-        self.decided_packs.extend(decode(data) for data in self.vp.packs[best])
+        self.decided_packs.extend(
+            decode(data) for data in self.vp.packs_of(best)
+        )
         decided_counts = self._decided_counts
         for tid in self.vp.tids[best]:
             decided_counts[tid] += 1
@@ -1181,16 +1254,14 @@ class BasicGrouping:
         Uses the same accessors the engines rank with, so for the
         incremental engine this only fills memo caches with values the
         reference loop would have computed anyway — decisions are
-        unaffected by tracing.
+        unaffected by tracing. Candidates are in key order (see
+        :func:`find_candidates`), so the smaller index is the smaller
+        key.
         """
         block = TRACE.current("block")
         others = sorted(
             (i for i in bit_indices(self.active) if i != best),
-            key=lambda i: (
-                score_of(i),
-                self.adjacency[i],
-                _NegatedKey(self._keys[i]),
-            ),
+            key=lambda i: (score_of(i), self.adjacency[i], -i),
             reverse=True,
         )[:2]
         return [
@@ -1215,7 +1286,19 @@ class BasicGrouping:
         return units * self._rank_scale[index]
 
     def _run_incremental(self) -> GroupingTrace:
-        """The memoizing decision loop (see module docstring)."""
+        """The memoizing decision loop (see module docstring).
+
+        A heap entry is ``(-rank, -adjacency, index, tier,
+        generation)``: Python's heapq is a min-heap, so ``max`` by
+        (score, adjacency, smallest candidate key) becomes ``min`` by
+        that tuple — the candidates are in key order (see
+        :func:`find_candidates`), so the index stands for the key.
+        The opening heap holds every candidate's bitset-bound entry,
+        ranked inline by ``bitset_entry`` and heapified once; a dirtied
+        candidate without an auxiliary graph is re-entered the same
+        way. The heap pops its entries in one total order, so how they
+        were put in does not change what surfaces.
+        """
         trace = GroupingTrace([])
         cost_aware = self.decision_mode == "cost-aware"
 
@@ -1227,8 +1310,62 @@ class BasicGrouping:
         previous: Dict[int, Tuple[List[int], tuple]] = {}
         generation: Dict[int, int] = {}
         heap: List[tuple] = []
+        heappush = heapq.heappush
+        heappop = heapq.heappop
         decided_counts = self._decided_counts
-        keys = self._keys
+        adjacency = self.adjacency
+        aux_of = self._aux
+        # What ``_bitset_bound`` and ``_score_units`` read, bound once.
+        conflict_bits = self.vp.conflict_bits
+        holders = self._holders
+        type_sids = self._type_sids
+        max_mult = self._max_mult
+        lanes = self._lanes
+        sid_bits = self._sid_bits
+        types_of = self._types
+        own_of = self._own_list
+        target_of = self._target_slot
+        static_bonus = self._static_bonus
+        type_costs = self._type_costs
+        rank_scale = self._rank_scale
+
+        def bitset_entry(index: int, active: int, stamp: int) -> tuple:
+            # The candidate's bitset-tier heap entry. Its rank is
+            # ``_heap_rank`` of ``_counts_list(index, decided_counts,
+            # _BITSET)`` with ``self.active == active``: each slot's
+            # count is its bitset bound, the candidate's own
+            # multiplicity and the decided packs of its type.
+            allowed = active & ~(conflict_bits(index) | 1 << index)
+            outside = ~sid_bits[index]
+            own = own_of[index]
+            types = types_of[index]
+            target = target_of[index]
+            total = 0
+            for slot, tid in enumerate(types):
+                free = (holders[tid] & allowed).bit_count()
+                room = (type_sids[tid] & outside).bit_count() // lanes[tid]
+                extra = decided_counts[tid] + max_mult[tid] * (
+                    free if free < room else room
+                )
+                mult = own[slot]
+                if cost_aware:
+                    cost = type_costs[tid]
+                    total += (mult + extra - 1) * cost[0]
+                    if not extra and (slot != target or mult > 1):
+                        total -= cost[1]
+                else:
+                    total += mult + extra - 1
+            if cost_aware:
+                total += static_bonus[index] - type_costs[types[target]][2]
+            else:
+                total *= COST_SCALE
+            return (
+                -total * rank_scale[index],
+                -adjacency[index],
+                index,
+                _BITSET,
+                stamp,
+            )
 
         def evaluate(index: int) -> Tuple[Fraction, Fraction, int]:
             got = results.get(index)
@@ -1263,11 +1400,8 @@ class BasicGrouping:
             return evaluate(index)[1]
 
         def push(index: int, tier: int) -> None:
-            # Lazy max-heap entry: Python's heapq is a min-heap, so the
-            # ranking tuple is negated — ``max`` by (score, adjacency,
-            # smallest candidate key) becomes ``min`` by (-score,
-            # -adjacency, key). Stale entries are recognized by their
-            # generation stamp and skipped at pop time.
+            # Stale entries are recognized by their generation stamp and
+            # skipped at pop time.
             #
             # Entries come in three tiers. An *exact* entry carries the
             # true score. A *bound* entry carries the score of the
@@ -1277,7 +1411,7 @@ class BasicGrouping:
             # and weight are monotone nondecreasing in the per-slot
             # counts, and each bound caps its slot's survivors of
             # elimination). The tier sorts after the tie-break:
-            # adjacency and key are constants of the candidate, so an
+            # adjacency and index are constants of the candidate, so an
             # entry still sorts at or before the candidate's true
             # position, and is refined one tier whenever it reaches the
             # top — but a bound that ties an exact entry's score and
@@ -1296,44 +1430,48 @@ class BasicGrouping:
                     self._counts_list(index, decided_counts, tier),
                     cost_aware,
                 )
-            heapq.heappush(
+            heappush(
                 heap,
                 (
                     -rank,
-                    -self.adjacency[index],
-                    keys[index],
+                    -adjacency[index],
+                    index,
                     tier,
                     generation.get(index, 0),
-                    index,
                 ),
             )
 
-        def push_bound(index: int) -> None:
-            # A new or dirtied candidate: its graph's bound if it has
-            # one already, else the bitset bound.
-            count("grouping.score_bounds")
-            push(index, _BITSET if self._aux[index] is None else _BOUND)
-
-        for index in bit_indices(self.active):
-            push_bound(index)
+        # The opening entries: the bitset bound, or the graph's bound
+        # for a candidate whose graph a caller already built.
+        active = self.active
+        opening = bit_indices(active)
+        if opening:
+            count("grouping.score_bounds", len(opening))
+        for index in opening:
+            if aux_of[index] is None:
+                heap.append(bitset_entry(index, active, 0))
+        heapq.heapify(heap)
+        for index in opening:
+            if aux_of[index] is not None:
+                push(index, _BOUND)
 
         while self.active:
             while heap:
                 entry = heap[0]
-                index = entry[5]
+                index = entry[2]
                 if (
                     not (self.active >> index) & 1
                     or entry[4] != generation.get(index, 0)
                 ):
-                    heapq.heappop(heap)
+                    heappop(heap)
                     continue
                 if entry[3] != _EXACT:
                     # A bound on top: refine it one tier. Every other
                     # entry's true score lies at or below its heap
                     # position, so the first exact entry to surface is
                     # the true argmax (ties impossible across candidates
-                    # — keys are unique).
-                    heapq.heappop(heap)
+                    # — indices are unique).
+                    heappop(heap)
                     push(index, entry[3] + 1)
                     continue
                 break
@@ -1366,8 +1504,8 @@ class BasicGrouping:
                     key=lambda i: (
                         weight_of(i),
                         score_of(i),
-                        self.adjacency[i],
-                        _NegatedKey(keys[i]),
+                        adjacency[i],
+                        -i,
                     ),
                 )
                 picked_by = "reuse"
@@ -1395,13 +1533,21 @@ class BasicGrouping:
             # candidate ``j`` only when r and j do NOT conflict — if
             # they conflict, r's nodes were never in j's auxiliary graph
             # to begin with, so their removal cannot change j's counts.
-            # Dirty candidates lose their caches and get a fresh heap
-            # entry; everything else keeps its cached score and live
-            # heap entry.
-            for index in bit_indices(self._dirty_mask(best, removed)):
+            # Dirty candidates lose their caches and get a fresh bound
+            # entry: the graph's bound if it has a graph, else the
+            # bitset bound. Everything else keeps its cached score and
+            # live heap entry.
+            dirty = bit_indices(self._dirty_mask(best, removed))
+            if dirty:
+                count("grouping.score_bounds", len(dirty))
+            active = self.active
+            for index in dirty:
                 results.pop(index, None)
-                generation[index] = generation.get(index, 0) + 1
-                push_bound(index)
+                stamp = generation[index] = generation.get(index, 0) + 1
+                if aux_of[index] is None:
+                    heappush(heap, bitset_entry(index, active, stamp))
+                else:
+                    push(index, _BOUND)
         return trace
 
     def _run_reference(self) -> GroupingTrace:
@@ -1414,7 +1560,7 @@ class BasicGrouping:
         trace = GroupingTrace([])
         cost_aware = self.decision_mode == "cost-aware"
         decided_counts = self._decided_counts
-        keys = self._keys
+        keys = [candidate.key() for candidate in self.candidates]
         while self.active:
             active = bit_indices(self.active)
             weights: Dict[int, Fraction] = {}

@@ -30,7 +30,7 @@ from repro.slp.grouping import (
     pack_materialization_penalty,
     pack_reuse_saving,
 )
-from repro.slp.model import pack_data
+from repro.slp.model import CandidateGroup, pack_data
 
 DECLS = "float A[512]; float B[512]; float v1, v2, v3, v5, v7;"
 
@@ -52,6 +52,19 @@ def make(src, decls=DECLS):
     deps = DependenceGraph(block)
     units = [GroupNode.of_statement(s) for s in block]
     return block, deps, units
+
+
+def brute_force_candidates(units, deps, datapath_bits):
+    """Every ``can_merge_with`` pair, the unit listed first as ``left``,
+    sorted by ``CandidateGroup.key``: what ``find_candidates`` must
+    return."""
+    found = [
+        CandidateGroup(a, b)
+        for i, a in enumerate(units)
+        for b in units[i + 1:]
+        if a.can_merge_with(b, deps, datapath_bits)
+    ]
+    return sorted(found, key=CandidateGroup.key)
 
 
 class TestCandidates:
@@ -77,6 +90,68 @@ class TestCandidates:
         block, deps, units = make("v1 = v3 + 0.0; v2 = v5 + 0.0;")
         assert find_candidates(units, deps, 32) == []
         assert len(find_candidates(units, deps, 64)) == 1
+
+    @given(
+        source=st.deferred(lambda: scalar_blocks()),
+        picks=st.randoms(use_true_random=False),
+        datapath=st.sampled_from([64, 128, 256]),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_brute_force_on_random_units(
+        self, source, picks, datapath
+    ):
+        """On random blocks, and again after merging random disjoint
+        isomorphic pairs of statements into two-statement units and
+        shuffling the units (so they are neither in statement order nor
+        all one size), the search returns exactly the brute-force list,
+        each pair's left and right included."""
+        block, deps, units = make(source, SCALAR_DECLS)
+        assert find_candidates(units, deps, datapath) == (
+            brute_force_candidates(units, deps, datapath)
+        )
+        pool = list(units)
+        picks.shuffle(pool)
+        mixed = []
+        while len(pool) >= 2 and picks.random() < 0.7:
+            a, b = pool.pop(), pool.pop()
+            if a.signature == b.signature:
+                mixed.append(GroupNode.merge(a, b))
+            else:
+                mixed += [a, b]
+        mixed += pool
+        picks.shuffle(mixed)
+        assert find_candidates(mixed, deps, datapath) == (
+            brute_force_candidates(mixed, deps, datapath)
+        )
+
+    def test_matches_brute_force_on_kernel_rounds(self, monkeypatch):
+        """Every round of the 20 kernels at unroll 8 x 1024 bits (n=16,
+        Global): the search equals the brute-force list. Later rounds
+        pair merged groups and leftover statements, so their units are
+        neither in statement order nor all one size."""
+        from repro.slp import grouping as grouping_module
+
+        checked = mixed = 0
+
+        def checking(units, deps, datapath_bits):
+            nonlocal checked, mixed
+            found = find_candidates(units, deps, datapath_bits)
+            assert found == brute_force_candidates(units, deps, datapath_bits)
+            checked += 1
+            mixed += len({unit.size for unit in units}) > 1
+            return found
+
+        monkeypatch.setattr(grouping_module, "find_candidates", checking)
+        options = CompilerOptions(unroll_factor=8, datapath_bits=1024)
+        for kernel in ALL_KERNELS:
+            compile_program(
+                kernel.build(16), Variant.GLOBAL, intel_dunnington(), options
+            )
+        assert checked > 40 and mixed > 10
 
 
 class TestVariablePackGraph:
@@ -558,10 +633,9 @@ class TestPackCostModel:
     )
     @settings(max_examples=200, deadline=None)
     def test_cached_contiguity_matches_oracle(self, lanes, two_d):
-        """Flattened-offset contiguity agrees with
-        ``pack_is_contiguous_memory`` on packs of mixed arrays, strides,
-        index coefficients and shapes, and so does the per-type
-        classification built on it."""
+        """The batched classification's flattened-offset contiguity
+        agrees with ``pack_is_contiguous_memory`` on packs of mixed
+        arrays, strides, index coefficients and shapes."""
         from types import SimpleNamespace
 
         from repro.ir import Affine
@@ -584,27 +658,36 @@ class TestPackCostModel:
         ids = table.encode(data)
         model = PackCostModel(lambda name: decl)
         contiguous = pack_is_contiguous_memory(data, lambda name: decl)
-        assert model.contiguous(ids, table) == contiguous
-        saving, build, store, adjacency, memory = model.classify(ids, table)
+        [row] = model.classify_types([ids], table)
+        saving, build, store, adjacency, memory = row
         assert memory == all(key[0] == "ref" for key in data)
         if data[0] != data[-1]:  # a splat scores by its lanes alone
             assert adjacency == (2 if contiguous else 0)
             assert build == store == (0 if contiguous else 3 * COST_SCALE)
             assert saving == (1 if contiguous else 3) * COST_SCALE
 
-    @pytest.mark.parametrize("unroll", [None, 8])
+    @pytest.mark.parametrize(
+        "unroll, datapath",
+        [
+            pytest.param(None, None, id="None"),
+            pytest.param(8, None, id="8"),
+            pytest.param(8, 256, id="8-256"),
+            pytest.param(8, 1024, id="8-1024"),
+        ],
+    )
     def test_costs_match_exact_fractions_on_kernel_packs(
-        self, unroll, monkeypatch
+        self, unroll, datapath, monkeypatch
     ):
         """Every pack type the kernels produce, at the paper
-        configuration and at unroll 8, under both the Global and the
-        Global+Layout penalty contexts: the per-type classification's
-        integer costs are the exact float costs in units of
-        1/COST_SCALE, its adjacency is ``pack_adjacency_score``, its
-        all-memory flag says whether every lane is an array reference,
-        the contiguity it rests on agrees with
-        ``pack_is_contiguous_memory``, and each round indexes it by type
-        id (an id tuple, decoded through the block's operand table)."""
+        configuration and at unroll 8 on the paper's, a 256-bit and a
+        1024-bit datapath (2- to 16-lane types), under both the Global
+        and the Global+Layout penalty contexts: the round's batched
+        classification gives the exact float costs in units of
+        1/COST_SCALE, ``pack_adjacency_score`` (whose 2 is
+        ``pack_is_contiguous_memory``), and whether every lane is an
+        array reference; each round indexes it by type id (an id tuple,
+        decoded through the block's operand table), and classifying
+        the pack alone, over a table of its own keys, agrees."""
         from repro.slp import iterative
 
         seen = {}
@@ -621,13 +704,16 @@ class TestPackCostModel:
 
         monkeypatch.setattr(iterative, "BasicGrouping", Recording)
         machine = intel_dunnington()
-        options = CompilerOptions(unroll_factor=unroll)
+        options = CompilerOptions(
+            unroll_factor=unroll, datapath_bits=datapath
+        )
         for kernel in ALL_KERNELS:
             program = kernel.build(16)
             for variant in (Variant.GLOBAL, Variant.GLOBAL_LAYOUT):
                 compile_program(program, variant, machine, options)
 
         checked = 0
+        lanes = set()
         for model, packs in seen.values():
             decl_of, context = model.decl_of, model.context
             for data, row in packs.items():
@@ -639,10 +725,8 @@ class TestPackCostModel:
                 # The pack again, numbered by a table of its own keys.
                 table = OperandTable(data)
                 ids = table.encode(data)
-                assert model.contiguous(ids, table) == (
-                    pack_is_contiguous_memory(data, decl_of)
-                )
-                assert row == model.classify(ids, table) == (
+                assert [row] == model.classify_types([ids], table)
+                assert row == (
                     units(pack_reuse_saving(data, decl_of, context)),
                     *(
                         units(
@@ -655,8 +739,11 @@ class TestPackCostModel:
                     pack_adjacency_score(data, decl_of),
                     all(key[0] == "ref" for key in data),
                 )
+                lanes.add(len(data))
                 checked += 1
         assert checked > 1000
+        if datapath == 1024:
+            assert {2, 4, 8, 16} <= lanes
 
     def test_static_bonus_matches_pack_walk(self, monkeypatch):
         """Each round derives a candidate's reuse-independent score

@@ -215,6 +215,73 @@ def test_incremental_recomputes_fewer_scores():
     assert recomputed["incremental"] * 2 <= recomputed["reference"]
 
 
+@pytest.mark.parametrize("mode", ["cost-aware", "weight-only"])
+def test_inline_bitset_ranks_match_counts_oracle(mode, monkeypatch):
+    """The engine ranks its opening heap entries, and each dirtied
+    candidate that has no auxiliary graph, inline. On every round of
+    the 20 kernels at unroll 8 on 256- and 1024-bit datapaths (n=16,
+    Global), each such rank equals ``_heap_rank`` over
+    ``_counts_list(.., _BITSET)`` in the round's state at the moment
+    the entry goes in, and each entry's adjacency is the candidate's."""
+    import heapq as real_heapq
+    from types import SimpleNamespace
+
+    from repro.slp import grouping as grouping_module, iterative
+    from repro.slp.grouping import _BITSET, BasicGrouping
+
+    rounds = []
+    checked = {"opening": 0, "dirty": 0}
+
+    def check(entry, where):
+        if entry[3] != _BITSET:
+            return
+        grouping, index = rounds[-1], entry[2]
+        counts = grouping._counts_list(
+            index, grouping._decided_counts, _BITSET
+        )
+        assert -entry[0] == grouping._heap_rank(
+            index, counts, mode == "cost-aware"
+        )
+        assert -entry[1] == grouping.adjacency[index]
+        checked[where] += 1
+
+    def heapify(heap):
+        for entry in heap:
+            check(entry, "opening")
+        real_heapq.heapify(heap)
+
+    def heappush(heap, entry):
+        check(entry, "dirty")
+        real_heapq.heappush(heap, entry)
+
+    class Tracking(BasicGrouping):
+        def run(self):
+            rounds.append(self)
+            return super().run()
+
+    monkeypatch.setattr(
+        grouping_module,
+        "heapq",
+        SimpleNamespace(
+            heapify=heapify, heappush=heappush, heappop=real_heapq.heappop
+        ),
+    )
+    monkeypatch.setattr(iterative, "BasicGrouping", Tracking)
+    for name in KERNELS:
+        for datapath in (256, 1024):
+            compile_program(
+                KERNELS[name].build(16),
+                Variant.GLOBAL,
+                intel_dunnington(),
+                CompilerOptions(
+                    unroll_factor=8,
+                    datapath_bits=datapath,
+                    decision_mode=mode,
+                ),
+            )
+    assert checked["opening"] > 1000 and checked["dirty"] > 1000
+
+
 # -- compile cache -----------------------------------------------------------------
 
 

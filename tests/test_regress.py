@@ -221,7 +221,7 @@ def test_committed_suite_baseline_is_versioned_and_consistent():
 
 
 def test_every_plane_has_a_committed_artifact(monkeypatch):
-    """``repro bench --check`` gates four side planes next to the suite
+    """``repro bench --check`` gates five side planes next to the suite
     baseline; each artifact must be committed and load cleanly. The
     checkers are stubbed: this pins the wiring, not the planes."""
     import pathlib
@@ -230,16 +230,21 @@ def test_every_plane_has_a_committed_artifact(monkeypatch):
     from repro.bench.regress import check_planes
 
     def loads(path):
-        return {"status": "ok", "metrics": read_bench_json(path)["metrics"]}
+        data = read_bench_json(path)
+        # The top-width row keeps its counters per kernel.
+        metrics = data["metrics"] if "metrics" in data else data["kernels"]
+        return {"status": "ok", "metrics": metrics}
 
     monkeypatch.setattr(optimality, "check_optimality", loads)
     monkeypatch.setattr(predication, "check_predication", loads)
     monkeypatch.setattr(grouping_work, "check_grouping_work", loads)
+    monkeypatch.setattr(grouping_work, "check_topwidth", loads)
     monkeypatch.setattr(identity, "check_identity", loads)
     results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
     planes = list(check_planes(results))
     assert [label for label, _ in planes] == [
         "optimality-gap", "predication", "grouping-work", "identity",
+        "topwidth-work",
     ]
     assert all(verdict["metrics"] for _, verdict in planes)
 
@@ -277,10 +282,47 @@ def test_grouping_work_plane_gates_exactly(tmp_path, monkeypatch):
     assert verdict["counts"]["fail"] == 1
 
 
+def test_topwidth_plane_gates_counters_exactly(tmp_path, monkeypatch):
+    """The top-width plane recompiles each kernel's Global cell and
+    compares the row's five counters exactly; the seconds are the
+    harness's and are not read."""
+    from repro.bench import KERNELS, grouping_work
+    from repro.bench.grouping_work import (
+        TOP_WIDTH_COUNTERS,
+        check_topwidth,
+        topwidth_work,
+    )
+    from repro.bench.record import write_bench_json
+    from repro.bench.regress import check_planes, render_verdict
+
+    monkeypatch.setattr(grouping_work, "ALL_KERNELS", [KERNELS["mg"]])
+    row = topwidth_work(KERNELS["mg"])
+    assert set(row) == set(TOP_WIDTH_COUNTERS) and row["decisions"] > 0
+    path = tmp_path / "BENCH_compile_topwidth.json"
+    write_bench_json(
+        path, {"kernels": {"mg": {**row, "global_seconds": 99.0}}}
+    )
+    assert [label for label, _ in check_planes(tmp_path)] == [
+        "topwidth-work"
+    ]
+    verdict = check_topwidth(path)
+    assert verdict["status"] == "ok"
+    assert verdict["counts"]["ok"] == len(TOP_WIDTH_COUNTERS)
+
+    # One more victim than the row holds fails, and names the counter.
+    data = json.loads(path.read_text())
+    data["kernels"]["mg"]["elimination_victims"] += 1
+    path.write_text(json.dumps(data))
+    verdict = check_topwidth(path)
+    assert verdict["counts"]["fail"] == 1
+    assert "[fail] mg.elimination_victims" in render_verdict(verdict)
+
+
 def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
     from repro.bench import KERNELS, identity
     from repro.bench.identity import (
         PARTS,
+        WIDE_PARTS,
         check_identity,
         identity_metrics,
         write_identity_baseline,
@@ -294,6 +336,12 @@ def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
         f"soplex.{variant}.amd.{part}"
         for variant in identity.VARIANTS
         for part in PARTS
+    } | {
+        f"soplex.{variant}.intel.u{unroll}w{bits}.{part}"
+        for variant in identity.WIDE_VARIANTS
+        for unroll in identity.WIDE_UNROLLS
+        for bits in identity.WIDE_DATAPATHS
+        for part in WIDE_PARTS
     }
     path = tmp_path / "BENCH_identity.json"
     write_identity_baseline(path, metrics)
@@ -332,3 +380,33 @@ def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
     assert checks["soplex.slp.amd.plan"]["reason"] == "plan moved"
     assert checks["soplex.scalar.amd.gone"]["status"] == "fail"
     assert checks["soplex.native.amd.report"]["status"] == "skipped"
+
+
+def test_identity_wide_slice_sees_a_flipped_tie_break(tmp_path, monkeypatch):
+    """Reversing each round's candidate list flips every tie the
+    grouping breaks by candidate key. On mg that moves no suite cell
+    (n=64 at the paper's width), only compile-wide cells (Global at
+    unroll 8 x 256 bits): the new slice is what fails, and it names the
+    cell and the part."""
+    from repro.bench import KERNELS, identity
+    from repro.bench.identity import (
+        check_identity,
+        identity_metrics,
+        write_identity_baseline,
+    )
+    from repro.slp import grouping
+
+    monkeypatch.setattr(identity, "ALL_KERNELS", [KERNELS["mg"]])
+    monkeypatch.setattr(identity, "MACHINES", ("amd",))
+    path = tmp_path / "BENCH_identity.json"
+    write_identity_baseline(path, identity_metrics())
+
+    search = grouping.find_candidates
+    monkeypatch.setattr(
+        grouping, "find_candidates", lambda *args: search(*args)[::-1]
+    )
+    verdict = check_identity(path)
+    failed = {c["metric"]: c["reason"] for c in verdict["checks"]
+              if c["status"] == "fail"}
+    assert failed and all(".intel.u" in metric for metric in failed)
+    assert failed["mg.global.intel.u8w256.schedules"] == "schedules moved"
