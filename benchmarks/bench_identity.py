@@ -6,8 +6,10 @@ n=64 (default sim engine, seed 0) and records the sha256 of each
 cell's plan disassembly, execution report and final memory; compiles
 the 20 kernels at n=16 x unroll 4 and 8 x 256, 512 and 1024 bits x
 slp, global and global+layout on intel and records the sha256 of each
-cell's plan disassembly and schedules; all in
-``results/BENCH_identity.json``. ``repro bench --check`` (the
+cell's plan disassembly and schedules; compiles the ``generate_case``
+programs of seeds 0-49 at 128 and 256 bits x the same three variants
+and records the same two digests (a change to the fuzz grammar
+re-records them); all in ``results/BENCH_identity.json``. ``repro bench --check`` (the
 regression gate CI runs) gates every digest exactly (see
 ``repro.bench.identity``). A change that moves outputs on purpose runs
 this harness to re-record the row and names the moved cells in
@@ -17,6 +19,8 @@ CHANGES.md.
 from __future__ import annotations
 
 from repro.bench.identity import (
+    FUZZ_DATAPATHS,
+    FUZZ_SEEDS,
     MACHINES,
     PARTS,
     VARIANTS,
@@ -38,5 +42,7 @@ def test_identity(results_dir):
         * len(WIDE_DATAPATHS)
         * len(WIDE_VARIANTS)
         * len(WIDE_PARTS)
+    ) + len(FUZZ_SEEDS) * len(FUZZ_DATAPATHS) * len(WIDE_VARIANTS) * len(
+        WIDE_PARTS
     )
     write_identity_baseline(results_dir / "BENCH_identity.json", metrics)

@@ -17,6 +17,7 @@ from .operands import (
     KIND_VAR,
     OperandKey,
     OperandTable,
+    PackIndex,
     is_const_key,
     is_memory_key,
     is_scalar_key,
@@ -34,6 +35,7 @@ __all__ = [
     "KIND_VAR",
     "OperandKey",
     "OperandTable",
+    "PackIndex",
     "UseSite",
     "access_vector",
     "alignment_of",

@@ -8,14 +8,17 @@ iteration, so the affine function pins the address); constants are equal
 by value. ``operand_key`` maps IR leaves to such keys.
 
 :class:`OperandTable` numbers one block's distinct keys, so dependence
-tests and grouping rounds compare and index small ints instead of key
+tests, grouping rounds, the scheduler's live superword set and the code
+generator's live packs compare and index small ints instead of key
 tuples (whose ``Affine`` subscripts hash and compare through generated
-dataclass methods).
+dataclass methods). :class:`PackIndex` is the live-pack index the last
+two share: a write drops the packs holding an id its ``alias`` bitset
+has.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ir import Affine, ArrayRef, Const, Expr, Statement, Var
 
@@ -206,3 +209,51 @@ class OperandTable:
             flats.append(flat)
         self._flats = (decl_of, flats)
         return flats
+
+
+class PackIndex:
+    """Live packs, as id tuples of one :class:`OperandTable`, by the ids
+    they hold: ``holders[i]`` is the set of packs holding id ``i`` and
+    ``held`` the bitset of the ids some pack holds. A write to id ``w``
+    may clobber exactly the packs under the set bits of
+    ``alias[w] & held``, so :meth:`stale` tests no pack on its own."""
+
+    __slots__ = ("alias", "holders", "held")
+
+    def __init__(self, alias: Sequence[int]):
+        self.alias = alias
+        self.holders: Dict[int, Set[Tuple[int, ...]]] = {}
+        self.held = 0
+
+    def add(self, pack: Tuple[int, ...]) -> None:
+        holders = self.holders
+        for i in pack:
+            packs = holders.get(i)
+            if packs is None:
+                holders[i] = {pack}
+                self.held |= 1 << i
+            else:
+                packs.add(pack)
+
+    def discard(self, pack: Tuple[int, ...]) -> None:
+        holders = self.holders
+        for i in pack:
+            packs = holders.get(i)
+            if packs is None:
+                continue  # a repeated id, already gone
+            packs.discard(pack)
+            if not packs:
+                del holders[i]
+                self.held &= ~(1 << i)
+
+    def stale(self, written: Iterable[int]) -> Set[Tuple[int, ...]]:
+        """The packs holding an id that one of ``written`` may alias."""
+        alias = self.alias
+        bits = 0
+        for w in written:
+            bits |= alias[w]
+        found: Set[Tuple[int, ...]] = set()
+        holders = self.holders
+        for i in bit_indices(bits & self.held):
+            found |= holders[i]
+        return found

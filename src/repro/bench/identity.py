@@ -29,6 +29,13 @@ Its big unrolled blocks are where Global's grouping rounds do most of
 their work, so a change that only makes those rounds cheaper must leave
 this slice alone.
 
+The fuzz slice covers the ``repro.fuzz.generate_case`` programs of
+seeds 0-49, compiled like the compile-wide slice but at 128 and 256
+bits and the default unroll (600 compiles). Fuzz programs write
+``A[2*i]`` next to reads of ``A[3*i + 4]``, which no kernel does. A
+change to the fuzz grammar changes these programs and re-records the
+slice.
+
 ``check_identity`` — one of the side planes ``repro bench --check``
 runs through ``regress.check_planes`` — requires each digest to equal
 the committed one, and names the cell and the part that moved
@@ -64,6 +71,11 @@ WIDE_UNROLLS = (4, 8)
 WIDE_DATAPATHS = (256, 512, 1024)
 WIDE_VARIANTS = ("slp", "global", "global+layout")
 WIDE_PARTS = ("plan", "schedules")
+
+#: The fuzz slice's programs and widths (machine, variants and parts
+#: as in the compile-wide slice).
+FUZZ_SEEDS = tuple(range(50))
+FUZZ_DATAPATHS = (128, 256)
 
 
 def canonical(value: Any) -> str:
@@ -128,11 +140,13 @@ def compile_digests(result) -> Dict[str, str]:
 
 
 def identity_metrics() -> Dict[str, Dict[str, str]]:
-    """``{"digests": {cell.part: sha256}}`` over every cell of both
-    slices: ``<kernel>.<variant>.<machine>.<part>`` for the suite slice,
-    ``<kernel>.<variant>.intel.u<unroll>w<bits>.<part>`` for the
-    compile-wide slice."""
+    """``{"digests": {cell.part: sha256}}`` over every cell of the
+    three slices: ``<kernel>.<variant>.<machine>.<part>`` for the suite
+    slice, ``<kernel>.<variant>.intel.u<unroll>w<bits>.<part>`` for the
+    compile-wide slice and ``fuzz<seed>.<variant>.intel.w<bits>.<part>``
+    for the fuzz slice."""
     from ..compiler import CompilerOptions, Variant, compile_program
+    from ..fuzz import generate_case
     from ..vm import MACHINES as MACHINE_MODELS, Simulator
 
     digests: Dict[str, str] = {}
@@ -168,6 +182,17 @@ def identity_metrics() -> Dict[str, Dict[str, str]]:
                     )
                     for part, value in compile_digests(result).items():
                         digests[f"{cell}.{part}"] = value
+    for seed in FUZZ_SEEDS:
+        program = generate_case(seed).program
+        for bits in FUZZ_DATAPATHS:
+            options = CompilerOptions(datapath_bits=bits)
+            for variant in WIDE_VARIANTS:
+                result = compile_program(
+                    program, Variant(variant), machine, options
+                )
+                cell = f"fuzz{seed}.{variant}.{WIDE_MACHINE}.w{bits}"
+                for part, value in compile_digests(result).items():
+                    digests[f"{cell}.{part}"] = value
     return {"digests": digests}
 
 
@@ -189,6 +214,10 @@ def write_identity_baseline(
                     "unrolls": list(WIDE_UNROLLS),
                     "datapaths": list(WIDE_DATAPATHS),
                     "variants": list(WIDE_VARIANTS),
+                },
+                "fuzz": {
+                    "seeds": list(FUZZ_SEEDS),
+                    "datapaths": list(FUZZ_DATAPATHS),
                 },
             },
             "metrics": metrics,

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .analysis import DependenceGraph
+from .analysis import DependenceGraph, OperandTable
 from .errors import Diagnostic, OptionsError, ReproError, choose
 from .ir import BasicBlock, Loop, Program
 from .layout import (
@@ -286,16 +286,22 @@ def _schedule_block(
     grouping_engine: str = "incremental",
     node_budget: Optional[int] = None,
     on_diagnostic: Optional[Callable[[Diagnostic], None]] = None,
-) -> Schedule:
+) -> Tuple[Schedule, OperandTable]:
+    """The block's schedule, and the operand table its dependence
+    analysis built, which code generation reads again."""
     with span("analysis.deps"):
         deps = DependenceGraph(block)
     decl_of = lambda name: program.arrays[name]  # noqa: E731
     if variant is Variant.NATIVE:
         with span("slp.baseline"):
-            return native_schedule(block, deps, decl_of, datapath_bits)
+            schedule = native_schedule(block, deps, decl_of, datapath_bits)
+        return schedule, deps.operands
     if variant is Variant.SLP:
         with span("slp.baseline"):
-            return greedy_slp_schedule(block, deps, decl_of, datapath_bits)
+            schedule = greedy_slp_schedule(
+                block, deps, decl_of, datapath_bits
+            )
+        return schedule, deps.operands
     if variant.uses_layout:
         # Phase coupling: the layout stage can turn read-only strided
         # gathers and scattered scalar superwords into contiguous
@@ -313,12 +319,13 @@ def _schedule_block(
                 default_scalar_layout(program)
             )
         )
-    return holistic_slp_schedule(
+    schedule = holistic_slp_schedule(
         block, deps, datapath_bits, decl_of, penalty_context,
         decision_mode, grouping_engine,
         node_budget=node_budget,
         on_diagnostic=on_diagnostic,
     )
+    return schedule, deps.operands
 
 
 def _loop_chain(loop: Loop) -> List[Loop]:
@@ -435,6 +442,8 @@ def _compile(
 
     # Phase 1: superword statement generation per optimizable block.
     scheduled: List[Tuple[object, Optional[Schedule], Optional[LoopContext]]] = []
+    # Each scheduled block's operand table, by position, for codegen.
+    tables: Dict[int, OperandTable] = {}
     forced_scalar: set = set()
     # Blocks are identified by their position in the program body; the
     # ``b<position>`` label qualifies provenance IDs because statement
@@ -468,7 +477,7 @@ def _compile(
 
         try:
             with span("block", **span_kwargs):
-                schedule = _schedule_block(
+                schedule, tables[position] = _schedule_block(
                     blk, variant, pre, datapath, options.decision_mode,
                     options.grouping_engine,
                     node_budget=options.optimal_node_budget,
@@ -477,7 +486,9 @@ def _compile(
             if options.debug_schedule_mutator is not None:
                 mutated = options.debug_schedule_mutator(schedule, label)
                 if mutated is not None:
+                    # Code generation builds the mutated block's table.
                     schedule = mutated
+                    del tables[position]
             if "schedule" in checks:
                 verify_schedule(blk, schedule, datapath, block=label)
         except Exception as exc:
@@ -546,8 +557,9 @@ def _compile(
         try:
             with span("block", block=label):
                 unit, copies, used_schedule = _emit_item(
-                    item, schedule, ctx, layout_plan, pre, machine,
-                    arenas, options, stats, variant, block_label=label,
+                    item, schedule, tables.get(index), ctx, layout_plan,
+                    pre, machine, arenas, options, stats, variant,
+                    block_label=label,
                 )
             if "plan" in checks:
                 for copy in copies:
@@ -623,6 +635,7 @@ def _scalar_loop(loop: Loop, program: Program) -> CompiledLoop:
 def _emit_item(
     item,
     schedule: Optional[Schedule],
+    operands: Optional[OperandTable],
     ctx: Optional[LoopContext],
     layout_plan: Optional[ArrayLayoutPlan],
     program: Program,
@@ -633,7 +646,8 @@ def _emit_item(
     variant: Variant,
     block_label: Optional[str] = None,
 ):
-    """Compile one top-level item; returns (unit, copies, schedule_used)."""
+    """Compile one top-level item; returns (unit, copies, schedule_used).
+    ``operands`` is the operand table of ``schedule.block``, or None."""
     copies: List[CompiledCopy] = []
     # Section 4.3: only the holistic framework exploits indirect
     # (register-permutation) superword reuse; the greedy baselines
@@ -651,7 +665,7 @@ def _emit_item(
             allow_shuffle_reuse=shuffle_reuse,
             prov_block=block_label,
         )
-        _pre, body = codegen.compile(schedule)
+        _pre, body = codegen.compile(schedule, operands)
         vector_unit = CompiledStraight(_pre + body)
         scalar_unit = CompiledStraight(scalar_instrs)
         if options.cost_gate:
@@ -683,6 +697,8 @@ def _emit_item(
             block, used_schedule = apply_array_layout(
                 block, schedule, layout_plan
             )
+        # The rewritten block reads replicas: codegen builds its table.
+        operands = None
         for replication in layout_plan.replications:
             copies.append(
                 CompiledCopy(replication, options.layout_amortization)
@@ -694,7 +710,7 @@ def _emit_item(
         loop=_spec(innermost),
         prov_block=block_label,
     )
-    preheader, body = codegen.compile(used_schedule)
+    preheader, body = codegen.compile(used_schedule, operands)
     vector_inner = CompiledLoop(_spec(innermost), preheader, body)
     scalar_inner = CompiledLoop(
         _spec(innermost), body=compile_scalar_block(innermost.body, program)

@@ -35,7 +35,6 @@ from .scheduling import (
     GroupDependenceGraph,
     LiveSuperwordSet,
     Scheduler,
-    keys_may_alias,
 )
 
 
@@ -99,7 +98,6 @@ __all__ = [
     "greedy_slp_schedule",
     "holistic_slp_schedule",
     "iterative_grouping",
-    "keys_may_alias",
     "native_schedule",
     "pack_data",
 ]

@@ -193,9 +193,6 @@ class SuperwordStatement:
         """The actual IR leaves at a position, in lane order."""
         return tuple(m.operand_positions()[position] for m in self.members)
 
-    def reordered(self, order: Sequence[int]) -> "SuperwordStatement":
-        return SuperwordStatement(tuple(self.members[i] for i in order))
-
     def __str__(self) -> str:
         inner = ", ".join(f"S{m.sid}" for m in self.members)
         return f"<{inner}>"

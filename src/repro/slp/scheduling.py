@@ -10,10 +10,14 @@ testing only orderings that yield at least one *direct* reuse, exactly
 as the paper prescribes, with memory-order and program-order fallbacks
 when no direct reuse is achievable.
 
-The live set is maintained soundly: packs containing an operand that a
-scheduled statement (re)writes are invalidated, so a "reuse" here is
-never a stale value. The code generator repeats the same bookkeeping at
-emission time.
+Packs are id tuples of the block's operand table (``deps.operands``):
+a sorted id tuple orders like the pack it stands for, so it keys the
+live set, and ``rows[sid]`` gives a statement's ids by operand position.
+The live set is maintained soundly: a scheduled statement's write drops
+every pack holding an id that the table's ``alias`` bitset says it may
+clobber, so a "reuse" here is never a stale value. The code generator
+repeats the same bookkeeping at emission time, over the same
+:class:`~repro.analysis.operands.PackIndex`.
 """
 
 from __future__ import annotations
@@ -21,84 +25,52 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleCycleError
-from ..analysis import DependenceGraph, OperandKey, operand_key
-from ..analysis.operands import KIND_CONST, KIND_REF, KIND_VAR
+from ..analysis import DependenceGraph, OperandTable, PackIndex
+from ..analysis.operands import KIND_REF, bit_indices
 from ..ir import BasicBlock, Statement
 from ..trace import TRACE, provenance_id
 from .model import (
     GroupNode,
-    OrderedPack,
-    PackData,
     Schedule,
     ScheduledSingle,
     SuperwordStatement,
-    pack_data,
 )
 
 _MAX_TESTED_ORDERINGS = 24
 
-
-def keys_may_alias(a: OperandKey, b: OperandKey) -> bool:
-    """May-alias on operand keys (mirrors dependence.refs_may_alias)."""
-    if a[0] == KIND_VAR and b[0] == KIND_VAR:
-        return a[1] == b[1]
-    if a[0] == KIND_REF and b[0] == KIND_REF:
-        if a[1] != b[1]:
-            return False
-        subs_a, subs_b = a[2], b[2]
-        if len(subs_a) != len(subs_b):
-            return True
-        for sa, sb in zip(subs_a, subs_b):
-            delta = sa - sb
-            if delta.is_constant and delta.const != 0:
-                return False
-        return True
-    return False
+#: A pack as operand ids: lane-ordered, or sorted (its data).
+IdPack = Tuple[int, ...]
 
 
 class LiveSuperwordSet:
     """Packs "most likely in vector registers currently", one ordered
-    pack per pack-data multiset (a newly ordered superword replaces any
-    existing superword over the same data).
+    pack per pack data (a newly ordered superword replaces any existing
+    superword over the same data), as id tuples of one operand table.
+    A write drops the packs holding an id it may alias."""
 
-    Two keys may alias only if they name the same variable or array, so
-    the live packs are indexed by their lanes' ``(kind, name)``, and a
-    write alias-tests only the packs sharing its name."""
+    def __init__(self, table: OperandTable) -> None:
+        self._live: Dict[IdPack, IdPack] = {}
+        self._index = PackIndex(table.alias)
 
-    def __init__(self) -> None:
-        self._live: Dict[PackData, OrderedPack] = {}
-        self._by_name: Dict[Tuple[str, str], Set[PackData]] = {}
-
-    def lookup(self, data: PackData) -> Optional[OrderedPack]:
+    def lookup(self, data: IdPack) -> Optional[IdPack]:
         return self._live.get(data)
 
-    def contains_data(self, data: PackData) -> bool:
+    def contains_data(self, data: IdPack) -> bool:
         return data in self._live
 
-    def insert(self, ordered: OrderedPack) -> None:
-        data = pack_data(ordered)
+    def insert(self, ordered: IdPack) -> None:
+        data = tuple(sorted(ordered))
         if data not in self._live:
-            for key in data:
-                if key[0] != KIND_CONST:
-                    self._by_name.setdefault(key[:2], set()).add(data)
+            self._index.add(data)
         self._live[data] = ordered
 
-    def invalidate_written(self, written: Sequence[OperandKey]) -> None:
-        """Drop packs holding a value that aliases a just-written operand."""
-        stale = set()
-        for w in written:
-            for data in self._by_name.get(w[:2], ()):
-                if data not in stale and any(
-                    keys_may_alias(lane, w) for lane in data
-                ):
-                    stale.add(data)
-        for data in stale:
+    def invalidate_written(self, written: Sequence[int]) -> None:
+        """Drop packs holding a value that may alias a written id."""
+        for data in self._index.stale(written):
             del self._live[data]
-            for key in data:
-                if key[0] != KIND_CONST:
-                    self._by_name[key[:2]].discard(data)
+            self._index.discard(data)
 
-    def packs(self) -> Tuple[OrderedPack, ...]:
+    def packs(self) -> Tuple[IdPack, ...]:
         return tuple(self._live.values())
 
     def __len__(self) -> int:
@@ -111,18 +83,24 @@ class LiveSuperwordSet:
 
 
 class GroupDependenceGraph:
-    """Dependences lifted from statements to scheduling units."""
+    """Dependences lifted from statements to scheduling units: unit ``i``
+    precedes unit ``j`` when the OR of ``i``'s statements' successor
+    bitsets holds a statement of ``j``."""
 
     def __init__(self, units: Sequence[GroupNode], deps: DependenceGraph):
         self.units = list(units)
-        self.deps = deps
         self.succ: Dict[int, Set[int]] = {i: set() for i in range(len(units))}
         self.pred: Dict[int, Set[int]] = {i: set() for i in range(len(units))}
-        for i, a in enumerate(self.units):
-            for j, b in enumerate(self.units):
-                if i == j:
-                    continue
-                if deps.group_depends(a.sid_set, b.sid_set):
+        unit_of = {
+            sid: i for i, unit in enumerate(self.units) for sid in unit.sids
+        }
+        for i, unit in enumerate(self.units):
+            later = 0
+            for sid in unit.sids:
+                later |= deps.successor_bits(sid)
+            for sid in bit_indices(later):
+                j = unit_of.get(sid)
+                if j is not None and j != i:
                     self.succ[i].add(j)
                     self.pred[j].add(i)
 
@@ -177,20 +155,19 @@ class Scheduler:
             for position, stmt in enumerate(block)
         }
         self.deps = deps
-        self.units = self._acyclic_units(list(units))
-        self.graph = GroupDependenceGraph(self.units, deps)
-        self.live = LiveSuperwordSet()
-        # Each statement's operand keys by position, keyed by sid: the
-        # ordering search reads them many times per group.
-        self._operand_keys: Dict[int, Tuple[OperandKey, ...]] = {}
+        self.table = deps.operands
+        self.units, self.graph = self._acyclic_units(list(units))
+        self.live = LiveSuperwordSet(self.table)
 
-    def _acyclic_units(self, units: List[GroupNode]) -> List[GroupNode]:
+    def _acyclic_units(
+        self, units: List[GroupNode]
+    ) -> Tuple[List[GroupNode], GroupDependenceGraph]:
         current = units
         while True:
             graph = GroupDependenceGraph(current, self.deps)
             cycle = graph.find_cycle()
             if cycle is None:
-                return current
+                return current, graph
             grouped = [i for i in cycle if current[i].size > 1]
             if not grouped:  # pragma: no cover
                 raise ScheduleCycleError("dependence cycle among single statements")
@@ -209,114 +186,109 @@ class Scheduler:
     # -- public -------------------------------------------------------------------
 
     def run(self) -> Schedule:
+        """Schedule every unit once its predecessors are: ``ready``
+        holds the units whose count of unscheduled predecessors is 0."""
         schedule = Schedule(self.block)
-        remaining: Set[int] = set(range(len(self.units)))
-        scheduled: Set[int] = set()
-
-        while remaining:
-            ready = sorted(
-                i
-                for i in remaining
-                if self.graph.pred[i] <= scheduled
-            )
-            assert ready, "dependence graph must be acyclic here"
-            group_ready = [i for i in ready if self.units[i].size > 1]
+        units = self.units
+        at = self._at
+        # Each unit's earliest program position (distinct across units,
+        # so no ordering below ties), and each group's packs as sorted
+        # id tuples.
+        first = [min(at[sid][0] for sid in unit.sids) for unit in units]
+        packs = {
+            i: self.table.unit_packs(unit.sids)
+            for i, unit in enumerate(units)
+            if unit.size > 1
+        }
+        waiting = [len(self.graph.pred[i]) for i in range(len(units))]
+        ready = {i for i, count in enumerate(waiting) if not count}
+        while ready:
+            group_ready = [i for i in ready if i in packs]
             if group_ready:
-                index = self._best_group(group_ready)
+                index = max(
+                    group_ready,
+                    key=lambda i: (self._reuse_count(packs[i]), -first[i]),
+                )
+                unit = units[index]
                 if TRACE.enabled:
-                    unit = self.units[index]
-                    hits = self._reuse_count(unit)
+                    hits = self._reuse_count(packs[index])
                     TRACE.event(
                         "schedule.pick",
                         prov=provenance_id(
                             unit.sids, TRACE.current("block")
                         ),
                         reuse_hits=hits,
-                        reuse_misses=len(unit.positions) - hits,
+                        reuse_misses=len(packs[index]) - hits,
                         ready_groups=len(group_ready),
                     )
-                item = self._order_group(self.units[index])
+                item = self._order_group(unit)
                 self._retire_superword(item)
                 schedule.items.append(item)
             else:
-                index = min(
-                    ready, key=lambda i: self._at[self.units[i].sids[0]][0]
+                index = min(ready, key=first.__getitem__)
+                stmt = at[units[index].sids[0]][1]
+                self.live.invalidate_written(
+                    (self.table.rows[stmt.sid][0],)
                 )
-                stmt = self._at[self.units[index].sids[0]][1]
-                self._retire_single(stmt)
                 schedule.items.append(ScheduledSingle(stmt))
-            remaining.discard(index)
-            scheduled.add(index)
+            ready.discard(index)
+            for later in self.graph.succ[index]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    ready.add(later)
+        assert len(schedule.items) == len(units), (
+            "dependence graph must be acyclic here"
+        )
         return schedule
 
     # -- group selection (Figure 11 lines 15-18) --------------------------------
 
-    def _reuse_count(self, unit: GroupNode) -> int:
-        return sum(
-            1 for data in unit.positions if self.live.contains_data(data)
-        )
-
-    def _best_group(self, indices: Sequence[int]) -> int:
-        return max(
-            indices,
-            key=lambda i: (
-                self._reuse_count(self.units[i]),
-                -min(self._at[s][0] for s in self.units[i].sids),
-            ),
-        )
+    def _reuse_count(self, packs: Sequence[IdPack]) -> int:
+        live = self.live
+        return sum(1 for data in packs if live.contains_data(data))
 
     # -- intra-group ordering (Figure 11 lines 19-27) ---------------------------
 
     def _order_group(self, unit: GroupNode) -> SuperwordStatement:
-        members = [self._at[sid][1] for sid in unit.sids]
-        base = SuperwordStatement(tuple(members))
-        orderings = self._candidate_orderings(base)
+        rows = self.table.rows
+        # The lanes' operand ids, one tuple per position, and the live
+        # pack over each position's data (the same under every order).
+        columns = list(zip(*(rows[sid] for sid in unit.sids)))
+        lives = [self.live.lookup(tuple(sorted(ids))) for ids in columns]
+        orderings = self._candidate_orderings(unit.sids, columns, lives)
         # Tie-break on list position: direct-reuse orderings come first,
         # then memory order, then program order.
-        best = min(
-            range(len(orderings)),
-            key=lambda i: (
-                self._permutation_count(base, orderings[i]),
-                i,
-            ),
-        )
+        permutations = [
+            _permutation_count(columns, lives, order) for order in orderings
+        ]
+        best = min(range(len(orderings)), key=lambda i: (permutations[i], i))
         if TRACE.enabled:
             TRACE.event(
                 "schedule.order",
-                prov=provenance_id(base.sids, TRACE.current("block")),
+                prov=provenance_id(unit.sids, TRACE.current("block")),
                 orderings_tried=len(orderings),
-                permutations=self._permutation_count(base, orderings[best]),
+                permutations=permutations[best],
                 order=orderings[best],
             )
-        return base.reordered(orderings[best])
-
-    def _keys_of(self, member: Statement) -> Tuple[OperandKey, ...]:
-        """The operand key at each of ``member``'s positions."""
-        keys = self._operand_keys.get(member.sid)
-        if keys is None:
-            keys = self._operand_keys[member.sid] = tuple(
-                operand_key(leaf) for leaf in member.operand_positions()
-            )
-        return keys
-
-    def _candidate_orderings(
-        self, base: SuperwordStatement
-    ) -> List[Tuple[int, ...]]:
-        size = base.size
-        found: List[Tuple[int, ...]] = []
-        seen: Set[Tuple[int, ...]] = set()
-        # The lanes' operand keys, one tuple per position.
-        positions = list(
-            zip(*(self._keys_of(member) for member in base.members))
+        return SuperwordStatement(
+            tuple(self._at[unit.sids[lane]][1] for lane in orderings[best])
         )
 
+    def _candidate_orderings(
+        self,
+        sids: Sequence[int],
+        columns: Sequence[IdPack],
+        lives: Sequence[Optional[IdPack]],
+    ) -> List[Tuple[int, ...]]:
+        size = len(sids)
+        found: List[Tuple[int, ...]] = []
+        seen: Set[Tuple[int, ...]] = set()
+
         # Orderings achieving at least one direct reuse.
-        for keys in positions:
-            data = pack_data(keys)
-            live = self.live.lookup(data)
+        for ids, live in zip(columns, lives):
             if live is None:
                 continue
-            for order in _match_orderings(keys, live, _MAX_TESTED_ORDERINGS):
+            for order in _match_orderings(ids, live, _MAX_TESTED_ORDERINGS):
                 if order not in seen:
                     seen.add(order)
                     found.append(order)
@@ -327,59 +299,52 @@ class Scheduler:
 
         # Fallback 1: memory order — sort lanes so array-reference
         # positions come out in ascending address order (cheap packing).
-        for keys in positions:
-            if all(k[0] == KIND_REF for k in keys) and len(
-                {k[1] for k in keys}
+        # Ids follow key order, so one array's ids sort by subscript.
+        kinds, names = self.table.kinds, self.table.names
+        for ids in columns:
+            if all(kinds[i] == KIND_REF for i in ids) and len(
+                {names[i] for i in ids}
             ) == 1:
-                order = tuple(
-                    sorted(range(size), key=lambda lane: keys[lane][2])
-                )
+                order = tuple(sorted(range(size), key=ids.__getitem__))
                 if order not in seen:
                     seen.add(order)
                     found.append(order)
         # Fallback 2: program order.
         program = tuple(
-            sorted(
-                range(size),
-                key=lambda lane: self._at[base.members[lane].sid][0],
-            )
+            sorted(range(size), key=lambda lane: self._at[sids[lane]][0])
         )
         if program not in seen:
             found.append(program)
         return found
 
-    def _permutation_count(
-        self, base: SuperwordStatement, order: Tuple[int, ...]
-    ) -> int:
-        """Np: permutations needed for the reuses of this superword
-        statement under a given lane order."""
-        permutations = 0
-        for keys in zip(
-            *(self._keys_of(base.members[lane]) for lane in order)
-        ):
-            live = self.live.lookup(pack_data(keys))
-            if live is not None and live != keys:
-                permutations += 1
-        return permutations
-
     # -- live-set maintenance (Figure 11 lines 28-35) ----------------------------
 
     def _retire_superword(self, item: SuperwordStatement) -> None:
-        target, *sources = zip(
-            *(self._keys_of(member) for member in item.members)
-        )
+        rows = self.table.rows
+        target, *sources = zip(*(rows[member.sid] for member in item.members))
         for source in sources:
             self.live.insert(source)
         self.live.invalidate_written(target)
         self.live.insert(target)
 
-    def _retire_single(self, stmt: Statement) -> None:
-        self.live.invalidate_written([operand_key(stmt.target)])
+
+def _permutation_count(
+    columns: Sequence[IdPack],
+    lives: Sequence[Optional[IdPack]],
+    order: Tuple[int, ...],
+) -> int:
+    """Np: permutations needed for the reuses of a superword statement
+    under a given lane order."""
+    permutations = 0
+    for ids, live in zip(columns, lives):
+        if live is not None and live != tuple([ids[lane] for lane in order]):
+            permutations += 1
+    return permutations
 
 
 def _match_orderings(
-    keys: Sequence[OperandKey],
-    live: OrderedPack,
+    keys: Sequence,
+    live: Sequence,
     limit: int,
 ) -> Iterator[Tuple[int, ...]]:
     """Permutations ``order`` of lane indices with

@@ -16,7 +16,11 @@ decisions the SLP stages were optimizing for:
 
 The generator tracks pack liveness *soundly*: any write that may alias a
 lane of a live pack invalidates that pack, so register reuse never
-observes stale data — the differential tests check exactly this.
+observes stale data — the differential tests check exactly this. Live
+packs are id tuples of the block's operand table (the ``deps.operands``
+scheduling built), and a write drops the packs a
+:class:`~repro.analysis.operands.PackIndex` finds under the table's
+``alias`` bitsets, as the scheduler's live set does.
 
 Every array operand becomes a :class:`MemRef` at its row-major flat
 index once, here (``value_ref``). A ``ScalarExec`` keeps one load per
@@ -28,16 +32,15 @@ of flattening the subscripts again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import CodegenError
-from ..analysis import operand_key
+from ..analysis import OperandTable, PackIndex
 from ..analysis.alignment import (
     alignment_with_induction,
     flat_affine,
     is_aligned,
 )
-from ..analysis.operands import OperandKey
 from ..ir import (
     Affine,
     ArrayRef,
@@ -52,7 +55,6 @@ from ..layout.array import ArrayReplication
 from ..layout.scalar import ScalarArena
 from ..perf import span
 from ..slp.model import Schedule, ScheduledSingle, SuperwordStatement
-from ..slp.scheduling import keys_may_alias
 from ..trace import TRACE, provenance_id
 from .isa import (
     ImmRef,
@@ -184,7 +186,8 @@ def compile_scalar_block(
 # -- vector codegen ------------------------------------------------------------------
 
 
-OrderedKey = Tuple[OperandKey, ...]
+#: A lane-ordered pack as operand ids of the block's table.
+OrderedKey = Tuple[int, ...]
 
 
 class VectorCodegen:
@@ -225,11 +228,11 @@ class VectorCodegen:
         self.preheader: List[Instruction] = []
         self.body: List[Instruction] = []
         self._live: Dict[OrderedKey, int] = {}
-        self._orders_by_data: Dict[Tuple, List[OrderedKey]] = {}
-        # Live orders by each lane's ``(kind, name)``: two keys may alias
-        # only if they name the same variable or array, so a write
-        # alias-tests only the orders sharing its name.
-        self._orders_by_name: Dict[Tuple, Set[OrderedKey]] = {}
+        self._orders_by_data: Dict[OrderedKey, List[OrderedKey]] = {}
+        # Set by ``compile``: the schedule's block's operand table, and
+        # the live orders by the ids they hold.
+        self.operands: Optional[OperandTable] = None
+        self._index = PackIndex(())
         self._pinned: Set[OrderedKey] = set()  # hoisted packs never evict
         self._clock = 0
         self._last_use: Dict[OrderedKey, int] = {}
@@ -242,8 +245,17 @@ class VectorCodegen:
 
     # -- public -----------------------------------------------------------------------
 
-    def compile(self, schedule: Schedule) -> Tuple[List[Instruction], List[Instruction]]:
+    def compile(
+        self, schedule: Schedule, operands: Optional[OperandTable] = None
+    ) -> Tuple[List[Instruction], List[Instruction]]:
+        """``operands`` is the operand table of ``schedule.block`` (the
+        compiler passes the one its scheduling built); without it the
+        table is built here."""
         with span("codegen.vector"):
+            if operands is None:
+                operands = OperandTable.of_block(schedule.block)
+            self.operands = operands
+            self._index = PackIndex(operands.alias)
             for stmt in schedule.block:
                 if isinstance(stmt.target, Var):
                     self._written_scalars.add(stmt.target.name)
@@ -275,7 +287,7 @@ class VectorCodegen:
             else None
         )
         self._emit(compile_scalar_statement(stmt, self.program))
-        self._invalidate([operand_key(stmt.target)])
+        self._invalidate((self.operands.rows[stmt.sid][0],))
 
     # -- superword statements -------------------------------------------------------------
 
@@ -283,27 +295,33 @@ class VectorCodegen:
         self._prov = (
             provenance_id(sw.sids, self.prov_block) if self._tagging else None
         )
-        root = self._walk(tuple(m.expr for m in sw.members))
+        rows = self.operands.rows
+        target, *leaves = zip(*(rows[m.sid] for m in sw.members))
+        root = self._walk(tuple(m.expr for m in sw.members), iter(leaves))
         targets = tuple(
             value_ref(m.target, self.program) for m in sw.members
         )
         mode = self._store_mode(targets, sw.element_bits)
         self._emit(VStore(targets, root, mode))
-        target_keys = sw.target_pack()
-        self._invalidate(list(target_keys))
-        self._register(target_keys, root)
+        self._invalidate(target)
+        self._register(target, root)
 
-    def _walk(self, nodes: Tuple[Expr, ...]) -> int:
+    def _walk(
+        self, nodes: Tuple[Expr, ...], leaves: Iterator[OrderedKey]
+    ) -> int:
+        """Emit the lanes' expression trees; ``leaves`` yields each
+        leaf position's lane ids in the order the walk meets them."""
         first = nodes[0]
         kids = first.children()
         if not kids:
-            keys = tuple(operand_key(n) for n in nodes)
             refs = tuple(value_ref(n, self.program) for n in nodes)
-            return self._materialize(keys, refs, first.type.bits)
+            return self._materialize(next(leaves), refs, first.type.bits)
         child_regs = []
         for position in range(len(kids)):
             child_regs.append(
-                self._walk(tuple(n.children()[position] for n in nodes))
+                self._walk(
+                    tuple(n.children()[position] for n in nodes), leaves
+                )
             )
         dst = self._fresh()
         self._emit(
@@ -468,8 +486,7 @@ class VectorCodegen:
             )
             self._drop(victim)
         self._live[keys] = vreg
-        for key in keys:
-            self._orders_by_name.setdefault(key[:2], set()).add(keys)
+        self._index.add(keys)
         if pinned:
             self._pinned.add(keys)
         self._touch(keys)
@@ -487,21 +504,15 @@ class VectorCodegen:
         self._live.pop(order, None)
         self._last_use.pop(order, None)
         self._pinned.discard(order)
-        for key in order:
-            self._orders_by_name[key[:2]].discard(order)
+        self._index.discard(order)
         data = tuple(sorted(order))
         orders = self._orders_by_data.get(data)
         if orders and order in orders:
             orders.remove(order)
 
-    def _invalidate(self, written: Sequence[OperandKey]) -> None:
-        stale = {
-            order
-            for w in written
-            for order in self._orders_by_name.get(w[:2], ())
-            if any(keys_may_alias(k, w) for k in order)
-        }
-        for order in stale:
+    def _invalidate(self, written: Sequence[int]) -> None:
+        """Drop the live orders holding an id a written id may alias."""
+        for order in self._index.stale(written):
             self._drop(order)
 
     def _fresh(self) -> int:

@@ -82,7 +82,7 @@ class TestSuperwordStatement:
         block = block_of("a = b * p; c = d * p;")
         sw = SuperwordStatement((block[0], block[1]))
         assert sw.target_pack() == (("var", "a"), ("var", "c"))
-        flipped = sw.reordered((1, 0))
+        flipped = SuperwordStatement((block[1], block[0]))
         assert flipped.target_pack() == (("var", "c"), ("var", "a"))
 
     def test_width_bits(self):

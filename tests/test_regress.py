@@ -331,6 +331,7 @@ def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
 
     monkeypatch.setattr(identity, "ALL_KERNELS", [KERNELS["soplex"]])
     monkeypatch.setattr(identity, "MACHINES", ("amd",))
+    monkeypatch.setattr(identity, "FUZZ_SEEDS", (7,))
     metrics = identity_metrics()
     assert set(metrics["digests"]) == {
         f"soplex.{variant}.amd.{part}"
@@ -341,6 +342,11 @@ def test_identity_plane_gates_exactly(tmp_path, monkeypatch):
         for variant in identity.WIDE_VARIANTS
         for unroll in identity.WIDE_UNROLLS
         for bits in identity.WIDE_DATAPATHS
+        for part in WIDE_PARTS
+    } | {
+        f"fuzz7.{variant}.intel.w{bits}.{part}"
+        for variant in identity.WIDE_VARIANTS
+        for bits in identity.FUZZ_DATAPATHS
         for part in WIDE_PARTS
     }
     path = tmp_path / "BENCH_identity.json"
@@ -398,6 +404,7 @@ def test_identity_wide_slice_sees_a_flipped_tie_break(tmp_path, monkeypatch):
 
     monkeypatch.setattr(identity, "ALL_KERNELS", [KERNELS["mg"]])
     monkeypatch.setattr(identity, "MACHINES", ("amd",))
+    monkeypatch.setattr(identity, "FUZZ_SEEDS", ())
     path = tmp_path / "BENCH_identity.json"
     write_identity_baseline(path, identity_metrics())
 

@@ -175,7 +175,7 @@ A[3] = B[3] + 1.0;
 def _schedule_for(src=_PACKABLE, decls=_DECLS):
     block = parse_block(src, decls)
     program = parse_program(decls + "\n" + src)
-    schedule = _schedule_block(block, Variant.SLP, program, 128)
+    schedule, _ = _schedule_block(block, Variant.SLP, program, 128)
     return block, schedule
 
 
